@@ -13,17 +13,14 @@ Configs are a single JSON tree; complex constants enter as paired
 real/imaginary matrices.  Exit status: 0 success, 1 domain errors
 (preconditions of the analysis), 2 config errors.  ``--dump-config``
 echoes the normalized config, which re-parses to an identical value.
-``QMEMTIME_THREADS`` caps sweep parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
-import os
 import sys as _sys
 
 import numpy as np
@@ -479,21 +476,9 @@ def _cmd_sweep(cfg, args):
     values = cfg.sweep["values"]
     eps = cfg.sweep["eps"]
 
-    max_workers = len(values)
-    env_cap = os.environ.get("QMEMTIME_THREADS")
-    if env_cap:
-        try:
-            max_workers = max(1, min(max_workers, int(env_cap)))
-        except ValueError as exc:
-            raise ConfigError(f"QMEMTIME_THREADS={env_cap!r} is not an integer") from exc
-    else:
-        max_workers = max(1, min(max_workers, os.cpu_count() or 1))
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(lambda v: _sweep_point(cfg, kind, v, eps), values))
-
     rows = [f"{kind},tau,tau_hat"]
-    for value, (tau, t_hat) in zip(values, results):
+    for value in values:
+        tau, t_hat = _sweep_point(cfg, kind, value, eps)
         rows.append(f"{_fmt(value)},{_fmt(tau)},{_fmt(t_hat)}")
     _emit("\n".join(rows) + "\n", args.out or cfg.out_path)
 

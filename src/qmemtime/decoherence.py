@@ -3,13 +3,14 @@
 The decoherence time tau(eps) is the first time the weighted mean-square
 deviation Delta(t) exceeds eps times the reference <Sigma, P> (the
 weighted size of the initial variables), with +infinity when no crossing
-ever occurs.  Delta may be non-monotone, so the search marches forward
-with a bounded step, brackets the *first* up-crossing, and refines it by
-bisection.  An infinite answer is certified only through a steady state:
-the drift must be Hurwitz, the march must pass the settling horizon, and
-the limit deviation must clear the threshold by a margin.  The quadratic
-small-eps expansion tau_hat is computed from the derivatives of Delta at
-t = 0.
+ever occurs.  Delta may be non-monotone, so the search tests every node
+of a fixed-step grid in order, chunk by chunk with exact step maps (see
+:mod:`qmemtime.propagate`), brackets the *first* up-crossing, and refines
+it by bisection on the exact Taylor expansion of Delta.  An infinite
+answer is certified only through a steady state: the drift must be
+Hurwitz, the march must pass the settling horizon, and the limit
+deviation must clear the threshold by a margin.  The quadratic small-eps
+expansion tau_hat is computed from the derivatives of Delta at t = 0.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InconclusiveCrossingError, IntegrationError,
-                     TrivialWeightError, ZeroDiffusionError)
-from .kernels import delta_closed_form, march_first_crossing
-from .linalg import HURWITZ_TOL, expm_psi, hurwitz_margin, spectral_norm
-from .model import coefficients
-from .moments import (_affine_parts, delta_derivatives0, reference_norm,
-                      steady_state)
+from .errors import (InconclusiveCrossingError, TrivialWeightError,
+                     ZeroDiffusionError)
+from .linalg import HURWITZ_TOL
+from .moments import (_delta_derivatives0, _steady_state, delta_derivatives0,
+                      reference_norm)
+from .propagate import DeviationMarch, Propagator
 
 INFINITE = math.inf
 
@@ -113,15 +113,15 @@ def _require_nontrivial(ref, init, weights):
         )
 
 
-def decoherence_time(sys, init, weights, epsilon, opts=None, backend=None):
+def decoherence_time(sys, init, weights, epsilon, opts=None):
     """First time the deviation exceeds ``epsilon`` times the reference.
 
-    Marches Delta forward with a step bounded by ``opts.step`` (never
-    skipping an interval, so the first crossing of a non-monotone Delta is
-    the one bracketed), then bisects the bracketing step to ``opts.tol``.
-    Returns an infinite result only with a steady-state certificate;
-    otherwise, exhausting the horizon raises
-    :class:`InconclusiveCrossingError` carrying the marched supremum.
+    Tests Delta at every node of the grid k * ``opts.step`` in order (so
+    the first crossing of a non-monotone Delta is the one bracketed), then
+    bisects the bracketing step to ``opts.tol``.  Returns an infinite
+    result only with a steady-state certificate; otherwise, exhausting the
+    horizon raises :class:`InconclusiveCrossingError` carrying the marched
+    supremum.
     """
     if epsilon <= 0:
         raise ValueError(f"fidelity parameter must be positive, got {epsilon}")
@@ -130,109 +130,42 @@ def decoherence_time(sys, init, weights, epsilon, opts=None, backend=None):
     _require_nontrivial(ref, init, weights)
     threshold = epsilon * ref
 
-    co = coefficients(sys)
-    A, b = co.A, co.b
-    norm_a = spectral_norm(A)
-    step = opts.step if opts.step is not None else 1e-3 / max(1.0, norm_a)
-    tol = opts.tol if opts.tol is not None else 1e-9 / max(1.0, norm_a)
-    L0, LmuT, _, _ = _affine_parts(sys)
-    Sigma = weights.Sigma
-    mu0, P = init.mu0, init.P
-    n = sys.n
+    prop = Propagator(sys)
+    step = opts.step if opts.step is not None else 1e-3 / max(1.0, prop.norm_a)
+    tol = opts.tol if opts.tol is not None else 1e-9 / max(1.0, prop.norm_a)
 
     # Frozen dynamics: the variables are conserved and Delta stays at zero.
-    d1, _ = delta_derivatives0(sys, init, weights)
-    if (np.abs(A).max() <= 1e-14 and np.abs(b).max() <= 1e-14
+    d1, _ = _delta_derivatives0(prop, init, weights)
+    if (np.abs(prop.A).max() <= 1e-14 and np.abs(prop.b).max() <= 1e-14
             and d1 <= DIFFUSION_TOL * max(1.0, ref)):
         return DecoherenceTime(epsilon=epsilon, value=INFINITE,
                                threshold=threshold, bracket=None)
 
-    eig_margin = hurwitz_margin(A)
-    hurwitz = eig_margin < -HURWITZ_TOL
-    t_settle = opts.settle / (-eig_margin) if hurwitz else INFINITE
+    hurwitz = prop.margin < -HURWITZ_TOL
+    t_settle = opts.settle / (-prop.margin) if hurwitz else INFINITE
+    march = DeviationMarch(prop, init, weights.Sigma, step)
 
-    Eh, psih = expm_psi(A, step)
-    Eh2, psih2 = expm_psi(A, step / 2.0)
-    state = (np.eye(n), np.zeros((n, n)), np.zeros((n, n)), 0.0, 0.0)
-    sup_d = 0.0
-
-    def _march(t_from, t_to, state):
-        nonlocal sup_d
-        E0, psi0, V0, d0, _ = state
-        nsteps = int(math.ceil((t_to - t_from) / step - 1e-12))
-        if nsteps <= 0:
-            return None, state
-        status, _, t_last, d_last, d_next, E, psi, V, sup = march_first_crossing(
-            A, b, mu0, P, Sigma, L0, LmuT, Eh, psih, Eh2, psih2,
-            step, t_from, threshold, nsteps, E0, psi0, V0, d0, backend=backend)
-        sup_d = max(sup_d, float(sup))
-        if status == -1:
-            raise IntegrationError(
-                f"deviation march produced non-finite values near t={t_last:.6g} "
-                f"(step {step:.3e})")
-        if status == 1:
-            return (t_last, d_last, d_next, E, psi, V), None
-        return None, (E, psi, V, d_last, t_last)
+    def _nodes(t_from, t_to):
+        return max(0, int(math.ceil((t_to - t_from) / step - 1e-12)))
 
     horizon = float(opts.horizon)
     first_leg = min(horizon, t_settle)
-    hit, carry = _march(0.0, first_leg, state)
-    if hit is None and hurwitz and t_settle <= horizon:
-        ss = steady_state(sys, init, weights)
+    leg = march.run(march.x0, 0.0, _nodes(0.0, first_leg), threshold)
+    sup_d = leg.sup_delta
+    if not leg.crossed and hurwitz and t_settle <= horizon:
+        ss = _steady_state(prop, init, weights)
         if ss.Delta_inf <= (1.0 - opts.margin) * threshold:
             return DecoherenceTime(epsilon=epsilon, value=INFINITE,
                                    threshold=threshold, bracket=None)
-    if hit is None and carry is not None and first_leg < horizon:
-        E, psi, V, d_last, t_last = carry
-        hit, carry = _march(t_last, horizon, (E, psi, V, d_last, t_last))
-    if hit is None:
+    if not leg.crossed and first_leg < horizon:
+        leg = march.run(leg.state, leg.t, _nodes(leg.t, horizon), threshold)
+        sup_d = max(sup_d, leg.sup_delta)
+    if not leg.crossed:
+        del march  # the error's traceback holds this frame; free the row table
         raise InconclusiveCrossingError(
             "no threshold crossing found and no steady-state certificate "
             "applies", sup_delta=sup_d, horizon=horizon)
 
-    t_lo, d_lo, d_hi, E_lo, psi_lo, V_lo = hit
-    t_hi = t_lo + step
-    t_lo, t_hi, d_lo, d_hi = _bisect(A, b, mu0, P, Sigma, L0, LmuT,
-                                     t_lo, d_lo, E_lo, psi_lo, V_lo,
-                                     t_hi, d_hi, threshold, tol, step)
-    value = 0.5 * (t_lo + t_hi)
-    return DecoherenceTime(epsilon=epsilon, value=value, threshold=threshold,
-                           bracket=(t_lo, t_hi))
-
-
-def _bisect(A, b, mu0, P, Sigma, L0, LmuT,
-            t_lo, d_lo, E_lo, psi_lo, V_lo, t_hi, d_hi, threshold, tol, step):
-    """Shrink [t_lo, t_hi] keeping Delta(t_lo) <= threshold < Delta(t_hi).
-
-    Off-grid evaluations restart the second-moment integration from the
-    anchored left state, so each query costs a handful of RK4 substeps.
-    """
-    anchor_t, anchor_E, anchor_psi, anchor_V = t_lo, E_lo, psi_lo, V_lo
-    for _ in range(200):
-        if t_hi - t_lo <= tol:
-            break
-        tm = 0.5 * (t_lo + t_hi)
-        dm, Em, psim, Vm = _delta_at(A, b, mu0, P, Sigma, L0, LmuT,
-                                     anchor_t, anchor_E, anchor_psi, anchor_V,
-                                     tm, step)
-        if dm > threshold:
-            t_hi, d_hi = tm, dm
-        else:
-            t_lo, d_lo = tm, dm
-            anchor_t, anchor_E, anchor_psi, anchor_V = tm, Em, psim, Vm
-    return t_lo, t_hi, d_lo, d_hi
-
-
-def _delta_at(A, b, mu0, P, Sigma, L0, LmuT,
-              t_from, E0, psi0, V0, t_query, step):
-    """Delta at an off-grid instant, integrating V from an anchored state."""
-    dt = t_query - t_from
-    nsub = max(4, int(math.ceil(dt / (step / 4.0))))
-    h = dt / nsub
-    Eh, psih = expm_psi(A, h)
-    Eh2, psih2 = expm_psi(A, h / 2.0)
-    _, _, _, _, _, E, psi, V, _ = march_first_crossing(
-        A, b, mu0, P, Sigma, L0, LmuT, Eh, psih, Eh2, psih2,
-        h, t_from, math.inf, nsub, E0, psi0, V0, 0.0, backend="numpy")
-    d = delta_closed_form(E, psi, V, mu0, b, P, Sigma)
-    return float(d), E, psi, V
+    t_lo, t_hi = march.refine(leg.state, leg.t, threshold, tol)
+    return DecoherenceTime(epsilon=epsilon, value=0.5 * (t_lo + t_hi),
+                           threshold=threshold, bracket=(t_lo, t_hi))

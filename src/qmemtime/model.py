@@ -204,7 +204,7 @@ def lambda_affine(sys):
     """Affine decomposition Lambda(mu) = C0 + sum_l mu_l Cmu[l].
 
     Returns complex arrays (C0 of shape (n, n), Cmu of shape (n, n, n));
-    the fixed-step kernels consume the real and imaginary parts.
+    the exact moment propagator builds its step maps from them.
     """
     T = _sandwich_tensor(sys)
     C0 = 4.0 * np.einsum("jk,jkad->ad", sys.sc.alpha, T)

@@ -5,12 +5,12 @@ exponential; the noise-response second moment V solves the Lyapunov ODE
 V' = A V + V A^T + Lambda(mu(t)) from V(0) = 0; and the weighted
 mean-square deviation of the variables from their initial values is
 
-    Delta(t) = <Sigma, (e^{tA}-I) Pi (e^{tA}-I)^T + cross terms + V(t)>_Re,
+    Delta(t) = <Sigma, (e^{tA}-I) Pi (e^{tA}-I)^T + cross terms + V(t)>_Re.
 
-assembled in closed form from (e^{tA}, psi(t), Re V(t)).  Fixed-step
-fourth-order Runge-Kutta integrates V (see :mod:`qmemtime.kernels`);
-matrix exponentials come from scaling-and-squaring, and the steady-state
-second moment solves the algebraic Lyapunov equation by vectorization.
+Both moments move between grid nodes by exact affine step maps (see
+:mod:`qmemtime.propagate`); matrix exponentials come from
+scaling-and-squaring, and the steady-state second moment solves the
+algebraic Lyapunov equation by vectorization.
 """
 
 from __future__ import annotations
@@ -22,17 +22,12 @@ import numpy as np
 from .algebra import sections_dot
 from .errors import (AdmissibilityError, IntegrationError,
                      InternalConsistencyError)
-from .kernels import integrate_grid
-from .linalg import expm_psi, require_hurwitz, solve_lyapunov, spectral_norm
-from .model import coefficients, lambda_affine, lambda_dot0, lambda_matrix
+from .linalg import expm_psi, require_hurwitz, solve_lyapunov
+from .propagate import Propagator
 
 #: Mean-square deviations in [-NEG_DELTA_TOL, 0) are clipped to zero;
 #: anything more negative indicates an internal inconsistency.
 NEG_DELTA_TOL = 1e-10
-
-#: RK4 substep target: STEP_SAFETY / max(1, ||A||_2), also capped by the
-#: grid spacing.
-STEP_SAFETY = 0.01
 
 
 @dataclass(frozen=True)
@@ -142,49 +137,6 @@ def _validate_grid(grid):
     return g
 
 
-def _substep_plan(A, grid, h_cap=None):
-    """Split grid intervals into RK4 substeps and build step-exponential
-    tables, one table entry per distinct substep size.
-
-    Each interval is covered by equal substeps no longer than the interval
-    itself and no longer than STEP_SAFETY / max(1, ||A||_2).
-    """
-    dts = np.diff(grid)
-    cap = STEP_SAFETY / max(1.0, spectral_norm(A))
-    if h_cap is not None:
-        cap = min(cap, float(h_cap))
-    nsub = np.maximum(1, np.ceil(dts / cap - 1e-12)).astype(np.int64)
-    h_arr = dts / nsub
-
-    table = {}
-    tab = np.empty(dts.size, dtype=np.int64)
-    for k, h in enumerate(h_arr):
-        if h not in table:
-            table[h] = len(table)
-        tab[k] = table[h]
-    n = A.shape[0]
-    size = len(table)
-    Eh_t = np.empty((size, n, n))
-    psih_t = np.empty((size, n, n))
-    Eh2_t = np.empty((size, n, n))
-    psih2_t = np.empty((size, n, n))
-    for h, idx in table.items():
-        Eh_t[idx], psih_t[idx] = expm_psi(A, h)
-        Eh2_t[idx], psih2_t[idx] = expm_psi(A, h / 2.0)
-    return nsub, tab, h_arr, (Eh_t, psih_t, Eh2_t, psih2_t)
-
-
-def _affine_parts(sys):
-    """Real/imaginary affine components of Lambda(mu), kernel layout."""
-    C0, Cmu = lambda_affine(sys)
-    n = sys.n
-    L0 = np.ascontiguousarray(C0.real)
-    LmuT = np.ascontiguousarray(Cmu.real.reshape(n, n * n).T)
-    LI0 = np.ascontiguousarray(C0.imag)
-    LImuT = np.ascontiguousarray(Cmu.imag.reshape(n, n * n).T)
-    return L0, LmuT, LI0, LImuT
-
-
 def _clean_delta(delta):
     worst = float(delta.min())
     if worst < -NEG_DELTA_TOL:
@@ -194,29 +146,23 @@ def _clean_delta(delta):
     return np.where(delta < 0.0, 0.0, delta)
 
 
-def moment_trajectory(sys, init, weights, grid, backend=None):
-    """Integrate (mu, V, Delta) over ``grid``; the workhorse behind
+def moment_trajectory(sys, init, weights, grid):
+    """Propagate (mu, V, Delta) over ``grid``; the workhorse behind
     :func:`second_moment_V`, :func:`deviation_delta`, and the CLI export.
 
     ``weights`` may be None when only (mu, V) are of interest; Delta is
     then reported for Sigma = I.
     """
     grid = _validate_grid(grid)
-    co = coefficients(sys)
-    L0, LmuT, LI0, LImuT = _affine_parts(sys)
+    prop = Propagator(sys)
     Sigma = weights.Sigma if weights is not None else np.eye(sys.n)
-    nsub, tab, h_arr, tables = _substep_plan(co.A, grid)
-    mu, vre, vim, delta = integrate_grid(
-        co.A, co.b, init.mu0, init.P, Sigma, L0, LmuT, LI0, LImuT,
-        nsub, tab, h_arr, *tables, backend=backend)
-    if not (np.isfinite(vre).all() and np.isfinite(mu).all()):
+    mu, V, delta = prop.trajectory(init, Sigma, grid)
+    if not (np.isfinite(V).all() and np.isfinite(mu).all()):
         raise IntegrationError(
-            f"second-moment integration produced non-finite values "
-            f"(substep {h_arr.min():.3e}..{h_arr.max():.3e}, drift norm "
-            f"{spectral_norm(co.A):.3e})"
+            f"moment propagation produced non-finite values (drift norm "
+            f"{prop.norm_a:.3e}, grid spacing {np.diff(grid).max():.3e})"
         )
-    return MomentTrajectory(grid=grid, mu=mu, V=vre + 1j * vim,
-                            Delta=_clean_delta(delta))
+    return MomentTrajectory(grid=grid, mu=mu, V=V, Delta=_clean_delta(delta))
 
 
 def mean_trajectory(coeffs, init, grid):
@@ -235,14 +181,14 @@ def mean_limit(coeffs):
     return -np.linalg.solve(coeffs.A, coeffs.b)
 
 
-def second_moment_V(sys, init, grid, backend=None):
+def second_moment_V(sys, init, grid):
     """Second moment V(t_k) of the noise response along ``grid``."""
-    return moment_trajectory(sys, init, None, grid, backend=backend).V
+    return moment_trajectory(sys, init, None, grid).V
 
 
-def deviation_delta(sys, init, weights, grid, backend=None):
+def deviation_delta(sys, init, weights, grid):
     """Weighted mean-square deviation Delta(t_k) along ``grid``."""
-    return moment_trajectory(sys, init, weights, grid, backend=backend).Delta
+    return moment_trajectory(sys, init, weights, grid).Delta
 
 
 def delta_derivatives0(sys, init, weights):
@@ -252,15 +198,19 @@ def delta_derivatives0(sys, init, weights):
     <Sigma, 2APA^T + 2A(Re Lambda(0) + 2 mu0 b^T) + Re Lambda'(0)>
     + 2|Fb|^2, quadratic and convex in the energy vector through A.
     """
-    co = coefficients(sys)
-    Sigma = weights.Sigma
-    lam0 = lambda_matrix(sys, init.mu0)
-    lamd = lambda_dot0(sys, init.mu0)
-    d1 = float(np.sum(Sigma * lam0.real))
-    inner = (2.0 * co.A @ init.P @ co.A.T
-             + 2.0 * co.A @ (lam0.real + 2.0 * np.outer(init.mu0, co.b))
-             + lamd.real)
-    d2 = float(np.sum(Sigma * inner) + 2.0 * co.b @ Sigma @ co.b)
+    return _delta_derivatives0(Propagator(sys), init, weights)
+
+
+def _delta_derivatives0(prop, init, weights):
+    A, b, Sigma = prop.A, prop.b, weights.Sigma
+    lam0 = prop.lam(init.mu0).real
+    # Lambda is affine in the mean, so its rate is the linear part at mu'(0).
+    lamd = np.tensordot(A @ init.mu0 + b, prop.lam_mu, axes=1).real
+    d1 = float(np.sum(Sigma * lam0))
+    inner = (2.0 * A @ init.P @ A.T
+             + 2.0 * A @ (lam0 + 2.0 * np.outer(init.mu0, b))
+             + lamd)
+    d2 = float(np.sum(Sigma * inner) + 2.0 * b @ Sigma @ b)
     return d1, d2
 
 
@@ -281,12 +231,16 @@ def steady_state(sys, init, weights):
     <Sigma, P> - 2 mu_inf^T Sigma mu0 + |F mu_inf|^2 + <Sigma, P_inf>,
     whose sign is not asserted (the cross term may be negative).
     """
-    co = coefficients(sys)
-    require_hurwitz(co.A, context="steady-state moments")
-    mu_inf = -np.linalg.solve(co.A, co.b)
-    lam_inf = lambda_matrix(sys, mu_inf)
-    P_inf = solve_lyapunov(co.A, lam_inf.real)
-    resid = np.abs(co.A @ P_inf + P_inf @ co.A.T + lam_inf.real).max()
+    return _steady_state(Propagator(sys), init, weights)
+
+
+def _steady_state(prop, init, weights):
+    A = prop.A
+    require_hurwitz(A, context="steady-state moments")
+    mu_inf = -np.linalg.solve(A, prop.b)
+    lam_inf = prop.lam(mu_inf)
+    P_inf = solve_lyapunov(A, lam_inf.real)
+    resid = np.abs(A @ P_inf + P_inf @ A.T + lam_inf.real).max()
     if resid > 1e-10 * max(1.0, np.abs(lam_inf.real).max()):
         raise InternalConsistencyError(
             f"algebraic Lyapunov residual {resid:.3e} exceeds 1e-10"

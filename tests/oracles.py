@@ -127,7 +127,7 @@ def delta_upsilon(sys, init, weights, t, V_t):
 
     Builds Re Upsilon(t) from its four deterministic pieces plus the
     supplied V(t) and pairs it with Sigma; independent of the closed-form
-    expression used in the library kernels.
+    expressions used by the library's propagator.
     """
     co = coefficients(sys)
     q = sexpm(co.A * t) - np.eye(sys.n)

@@ -17,8 +17,8 @@ from qmemtime.interconnect import (compose, optimal_direct_coupling,
                                    partition_rk, product_mean)
 from qmemtime.linalg import spectral_norm
 from qmemtime.model import SystemParams, coefficients, lambda_matrix
-from qmemtime.moments import (STEP_SAFETY, delta_derivatives0,
-                              deviation_delta, initial_moments, mean_limit,
+from qmemtime.moments import (delta_derivatives0, deviation_delta,
+                              initial_moments, mean_limit,
                               second_moment_V, steady_state,
                               weighting_from_sigma)
 from qmemtime.optimize import gradient_check, optimal_energy, rk_matrices
@@ -118,7 +118,7 @@ def test_criterion_6_ode_vs_quadrature(pauli):
     checked = 0
     for _ in range(10):
         sys, init = random_instance(pauli, rng, coupling_scale=0.6)
-        h = STEP_SAFETY / max(1.0, spectral_norm(coefficients(sys).A))
+        h = 0.01 / max(1.0, spectral_norm(coefficients(sys).A))
         grid = np.array([0.0, 0.5, 1.25, 2.0])
         V = second_moment_V(sys, init, grid)
         for i, t in enumerate(grid[1:], start=1):

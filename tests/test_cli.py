@@ -121,8 +121,7 @@ def test_optimize_coupling_requires_composite(tmp_path, capsys):
     assert code == 2
 
 
-def test_sweep_eps_csv(tmp_path, monkeypatch):
-    monkeypatch.setenv("QMEMTIME_THREADS", "2")
+def test_sweep_eps_csv(tmp_path):
     tree = json.loads(json.dumps(PAULI_WORKED))
     tree["analysis"]["sweep"] = {"kind": "eps", "values": [0.01, 0.02, 0.04]}
     out_file = tmp_path / "sweep.csv"

@@ -5,8 +5,8 @@ from scipy.linalg import expm as sexpm
 from qmemtime.errors import AdmissibilityError, NotHurwitzError
 from qmemtime.linalg import solve_lyapunov, spectral_norm
 from qmemtime.model import SystemParams, coefficients
-from qmemtime.moments import (STEP_SAFETY, delta_derivatives0,
-                              deviation_delta, initial_moments, mean_limit,
+from qmemtime.moments import (delta_derivatives0, deviation_delta,
+                              initial_moments, mean_limit,
                               mean_trajectory, moment_trajectory, psi_matrix,
                               reference_norm, second_moment_V, steady_state,
                               weighting_from_factor, weighting_from_sigma)
@@ -141,7 +141,7 @@ def test_v_matches_quadrature_on_random_instances(make_instance):
     for _ in range(3):
         sys, init = make_instance(rng, coupling_scale=0.6)
         co = coefficients(sys)
-        h = min(0.5, STEP_SAFETY / max(1.0, spectral_norm(co.A)))
+        h = min(0.5, 0.01 / max(1.0, spectral_norm(co.A)))
         grid = np.array([0.0, 0.5, 2.0])
         V = second_moment_V(sys, init, grid)
         for i, t in enumerate(grid[1:], start=1):
@@ -223,7 +223,7 @@ def test_delta_matches_upsilon_assembly(make_instance):
     sys, init = make_instance(rng, coupling_scale=0.6)
     w = weighting_from_sigma(np.eye(3))
     co = coefficients(sys)
-    h = min(0.45, STEP_SAFETY / max(1.0, spectral_norm(co.A)))
+    h = min(0.45, 0.01 / max(1.0, spectral_norm(co.A)))
     grid = np.array([0.0, 0.9])
     delta = deviation_delta(sys, init, w, grid)
     vq = v_quadrature(sys, init, 0.9, int(np.ceil(0.9 / (h / 2.0))))
