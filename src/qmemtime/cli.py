@@ -70,6 +70,13 @@ def _finite_scalar(node, path):
     return x
 
 
+def _positive_scalar(node, path):
+    x = _finite_scalar(node, path)
+    if x <= 0:
+        raise ConfigError("must be positive", field=path)
+    return x
+
+
 def _vector(node, path, length=None):
     _want(node, path, list)
     out = np.array([_finite_scalar(v, f"{path}[{i}]") for i, v in enumerate(node)])
@@ -252,19 +259,12 @@ def parse_config(tree):
     eps_node = analysis["eps"]
     if isinstance(eps_node, (int, float)):
         eps_node = [eps_node]
-    eps = [_finite_scalar(v, f"analysis.eps[{i}]") for i, v in enumerate(
+    eps = [_positive_scalar(v, f"analysis.eps[{i}]") for i, v in enumerate(
         _want(eps_node, "analysis.eps", list))]
-    if any(e <= 0 for e in eps):
-        raise ConfigError("fidelity values must be positive", field="analysis.eps")
 
-    def _opt_scalar(key, positive=True):
+    def _opt_scalar(key):
         val = analysis[key]
-        if val is None:
-            return None
-        x = _finite_scalar(val, f"analysis.{key}")
-        if positive and x <= 0:
-            raise ConfigError("must be positive", field=f"analysis.{key}")
-        return x
+        return None if val is None else _positive_scalar(val, f"analysis.{key}")
 
     crossing = CrossingOptions(
         step=_opt_scalar("step"),
@@ -282,12 +282,14 @@ def parse_config(tree):
         if s_kind not in ("eps", "gain"):
             raise ConfigError("sweep kind must be 'eps' or 'gain'",
                               field="analysis.sweep.kind")
-        values = [_finite_scalar(v, f"analysis.sweep.values[{i}]")
+        # eps values are fidelities; gain values may take either sign.
+        value_reader = _positive_scalar if s_kind == "eps" else _finite_scalar
+        values = [value_reader(v, f"analysis.sweep.values[{i}]")
                   for i, v in enumerate(_want(sweep.get("values", []),
                                               "analysis.sweep.values", list))]
         if not values:
             raise ConfigError("sweep values are empty", field="analysis.sweep.values")
-        s_eps = _finite_scalar(sweep.get("eps", eps[0]), "analysis.sweep.eps")
+        s_eps = _positive_scalar(sweep.get("eps", eps[0]), "analysis.sweep.eps")
         norm_sweep = {"kind": s_kind, "values": values, "eps": s_eps}
         sweep = norm_sweep
 
@@ -525,17 +527,14 @@ def _apply_overrides(cfg, args):
             eps = [float(v) for v in args.eps.split(",")]
         except ValueError as exc:
             raise ConfigError("--eps must be a comma-separated number list") from exc
-        if any(e <= 0 for e in eps):
-            raise ConfigError("--eps values must be positive")
+        eps = [_positive_scalar(e, "--eps") for e in eps]
         cfg.eps = eps
         cfg.tree["analysis"]["eps"] = eps
     updates = {}
     for key in ("step", "tol", "horizon", "settle", "margin"):
         val = getattr(args, key)
         if val is not None:
-            if val <= 0:
-                raise ConfigError(f"--{key} must be positive")
-            updates[key] = val
+            updates[key] = _positive_scalar(val, f"--{key}")
             cfg.tree["analysis"][key] = val
     if updates:
         cfg.crossing = dataclasses.replace(cfg.crossing, **updates)

@@ -15,6 +15,7 @@ expansion tau_hat is computed from the derivatives of Delta at t = 0.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -41,7 +42,8 @@ class CrossingOptions:
     ``horizon`` caps the marched time; ``settle`` multiplies the slowest
     decay time constant to decide when a Hurwitz system has settled; and
     ``margin`` is the relative clearance the limit deviation must keep
-    below the threshold to certify an infinite answer.
+    below the threshold to certify an infinite answer.  Every field that
+    is given must be finite and positive.
     """
 
     step: float = None
@@ -49,6 +51,13 @@ class CrossingOptions:
     horizon: float = 1e4
     settle: float = 20.0
     margin: float = 1e-6
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            val = getattr(self, field.name)
+            if val is not None and not (math.isfinite(val) and val > 0):
+                raise ValueError(f"CrossingOptions.{field.name} must be finite "
+                                 f"and positive, got {val}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +132,7 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
     horizon raises :class:`InconclusiveCrossingError` carrying the marched
     supremum.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"fidelity parameter must be positive, got {epsilon}")
     opts = opts or CrossingOptions()
     ref = reference_norm(init, weights)

@@ -1,39 +1,66 @@
 """Small dense linear-algebra helpers shared by the dynamics modules.
 
-The matrix exponential is scipy's scaling-and-squaring Pade implementation;
-everything else here (the integrated-exponential block trick, the vectorized
-Lyapunov solve, the PSD square root) is a few lines of numpy on matrices of
-order <= a few tens, where robustness beats cleverness.
+Everything here is a few lines of numpy on matrices of order <= a few
+tens, where robustness beats cleverness: the integrated exponential by a
+Taylor series of a block matrix plus squaring, the vectorized Lyapunov
+solve, and the PSD square root.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import NotHurwitzError
 
-__all__ = ["expm", "expm_psi", "solve_lyapunov", "sqrtm_psd",
+__all__ = ["expm_psi", "solve_lyapunov", "sqrtm_psd",
            "spectral_norm", "hurwitz_margin", "require_hurwitz"]
 
 #: Eigenvalue real parts must be below -HURWITZ_TOL to certify decay.
 HURWITZ_TOL = 1e-10
 
 
+def _taylor_terms(theta):
+    """Series length for a generator of norm bound rho over a step
+    theta / rho: the tail theta^k / k! drops below 2^-60, plus two terms
+    for a source chain (constant -> mean -> second moment)."""
+    k, term = 0, 1.0
+    while term > 2.0 ** -60:
+        k += 1
+        term *= theta / k
+    return k + 2
+
+
 def expm_psi(A, t):
     """Return (e^{tA}, psi(t)) with psi(t) the integral of e^{sA} over [0, t].
 
-    Computed from one exponential of the block matrix [[A, I], [0, 0]],
-    which stays valid when A is singular (the inverse-based formula for
-    psi does not).
+    Both are blocks of the exponential of t [[A, I], [0, 0]], which stays
+    valid when A is singular (the inverse-based formula for psi does not).
+    Its Taylor series is summed over h = t / 2^j with h max(1, ||A||_1)
+    <= 1/2 (the block's 1-norm bound): psi(h) / h = sum_k (hA)^k / (k+1)!
+    by Horner's rule and e^{hA} = I + A psi(h).  The blocks are then
+    squared back up j times by (E, P) -> (E E, E P + P); see Moler & Van
+    Loan, "Nineteen dubious ways to compute the exponential of a matrix,
+    twenty-five years later", SIAM Review 45(1), 2003.
     """
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    blk = np.zeros((2 * n, 2 * n))
-    blk[:n, :n] = A
-    blk[:n, n:] = np.eye(n)
-    e = expm(blk * float(t))
-    return np.ascontiguousarray(e[:n, :n]), np.ascontiguousarray(e[:n, n:])
+    t = float(t)
+    rho = max(1.0, float(np.abs(A).sum(axis=0).max()))
+    theta = abs(t) * rho
+    squarings = max(0, math.ceil(math.log2(theta / 0.5))) if theta > 0 else 0
+    h = t / 2 ** squarings
+    hA = h * A
+    eye = np.eye(A.shape[0])
+    acc = eye
+    for k in range(_taylor_terms(abs(h) * rho), 0, -1):
+        acc = hA @ acc
+        acc *= 1.0 / (k + 1)
+        acc += eye
+    E, P = eye + hA @ acc, h * acc
+    for _ in range(squarings):
+        E, P = E @ E, E @ P + P
+    return E, P
 
 
 def solve_lyapunov(A, Q):

@@ -29,23 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .linalg import hurwitz_margin, spectral_norm
+from .linalg import _taylor_terms, hurwitz_margin, spectral_norm
 from .model import coefficients, lambda_affine
 
 #: Bytes allowed for a march's table of adjoint rows; this fixes the
 #: longest chunk of nodes tested at once.
 ROW_BUDGET = 1 << 20
-
-
-def _taylor_terms(theta):
-    """Series length for a generator of norm bound rho over a step
-    theta / rho: the tail theta^k / k! drops below 2^-60, plus two terms
-    for the source chain (constant -> mean -> second moment)."""
-    k, term = 0, 1.0
-    while term > 2.0 ** -60:
-        k += 1
-        term *= theta / k
-    return k + 2
 
 
 def _horner(coef, s):

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -176,6 +178,33 @@ def test_config_error_exit_codes(tmp_path, capsys):
     tree = json.loads(json.dumps(PAULI_WORKED))
     tree["coupling"]["M"] = [[1.0, 0.0], [0.0, 1.0, 0.0]]
     assert main(["tau", "--config", _write(tmp_path, tree, "ragged.json")]) == 2
+
+    worked = _write(tmp_path, PAULI_WORKED, "worked.json")
+    capsys.readouterr()
+    for flag, val in (("--eps", "nan"), ("--eps", "0.01,-0.02"), ("--step", "nan"),
+                      ("--tol", "nan"), ("--horizon", "nan"), ("--settle", "nan"),
+                      ("--margin", "nan"), ("--step", "0")):
+        assert main(["tau", "--config", worked, flag, val]) == 2
+        assert f"config error: {flag}: " in capsys.readouterr().err
+
+    for sweep, field in (
+            ({"kind": "eps", "values": [0.01, 0.0]}, "analysis.sweep.values[1]"),
+            ({"kind": "eps", "values": [-0.01]}, "analysis.sweep.values[0]"),
+            ({"kind": "gain", "values": [1.0], "eps": 0.0}, "analysis.sweep.eps"),
+            ({"kind": "gain", "values": [1.0], "eps": -0.01}, "analysis.sweep.eps")):
+        tree = json.loads(json.dumps(PAULI_WORKED))
+        tree["analysis"]["sweep"] = sweep
+        assert main(["sweep", "--config", _write(tmp_path, tree, "sweep.json")]) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is a test oracle only: the package and its CLI run without it."""
+    code = ("import sys, qmemtime, qmemtime.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_domain_error_exit_code(tmp_path, capsys):

@@ -177,8 +177,15 @@ def test_monotone_over_random_instances(make_instance):
 
 
 def test_positive_eps_required(worked):
-    with pytest.raises(ValueError):
-        decoherence_time(worked.sys, worked.init, worked.weights, 0.0)
+    for eps in (0.0, -0.01, math.nan):
+        with pytest.raises(ValueError, match="fidelity"):
+            decoherence_time(worked.sys, worked.init, worked.weights, eps)
+    for field, val in (("step", 0.0), ("step", math.nan), ("tol", -1e-9),
+                       ("horizon", math.nan), ("horizon", math.inf),
+                       ("settle", 0.0), ("margin", math.nan)):
+        with pytest.raises(ValueError, match=f"CrossingOptions.{field} "):
+            decoherence_time(worked.sys, worked.init, worked.weights, 0.01,
+                             opts=CrossingOptions(**{field: val}))
 
 
 def test_options_are_honored(worked):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm as sexpm
 
 from qmemtime.errors import AdmissibilityError, NotHurwitzError
-from qmemtime.linalg import solve_lyapunov, spectral_norm
+from qmemtime.linalg import expm_psi, solve_lyapunov, spectral_norm
 from qmemtime.model import SystemParams, coefficients
 from qmemtime.moments import (delta_derivatives0, deviation_delta,
                               initial_moments, mean_limit,
@@ -75,6 +77,27 @@ def test_psi_derivative_is_exponential(worked):
     t = 0.7
     fd = (psi_matrix(worked.A, t + h) - psi_matrix(worked.A, t - h)) / (2 * h)
     assert np.abs(fd - sexpm(worked.A * t)).max() <= 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 15), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(1e-3, 10.0), abscissa=st.floats(-2.0, 0.5),
+       singular=st.booleans(), t=st.floats(0.0, 20.0))
+def test_expm_psi_matches_block_expm(n, seed, scale, abscissa, singular, t):
+    """Both blocks agree with scipy's exponential of t [[A, I], [0, 0]] for
+    scaled, singular and unstable drifts (largest eigenvalue real part
+    scale * abscissa before the singular column is cut)."""
+    M = np.random.default_rng(seed).standard_normal((n, n)) / np.sqrt(n)
+    A = scale * (M - (np.linalg.eigvals(M).real.max() - abscissa) * np.eye(n))
+    if singular:
+        A[:, 0] = 0.0
+    blk = np.zeros((2 * n, 2 * n))
+    blk[:n, :n] = A
+    blk[:n, n:] = np.eye(n)
+    ref = sexpm(t * blk)
+    for got, want in zip(expm_psi(A, t), (ref[:n, :n], ref[:n, n:])):
+        err = np.linalg.norm(got - want, 1)
+        assert err <= 1e-10 * max(1.0, np.linalg.norm(want, 1))
 
 
 def test_psi_rejects_negative_time(worked):
