@@ -254,3 +254,14 @@ def pauli_structure():
                             (1, 0, 2, -1.0), (2, 1, 0, -1.0), (0, 2, 1, -1.0)):
         theta[ell, j, k] = sign
     return StructureConstants(np.eye(3), 1j * theta)
+
+
+def _product_table(sc):
+    """Table T of the extended basis (I, X_1..X_n), index 0 the identity:
+    the product of basis elements i and j is sum_l T[i, j, l] X_l."""
+    n = sc.n
+    T = np.zeros((n + 1, n + 1, n + 1), dtype=complex)
+    T[0] = T[:, 0] = np.eye(n + 1)
+    T[1:, 1:, 0] = sc.alpha
+    T[1:, 1:, 1:] = np.transpose(sc.beta.sections, (1, 2, 0))
+    return T

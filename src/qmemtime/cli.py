@@ -245,6 +245,9 @@ def parse_config(tree):
     grid_node = _want(analysis["grid"], "analysis.grid", dict)
     if "times" in grid_node:
         grid_times = _vector(grid_node["times"], "analysis.grid.times")
+        if grid_times.size < 2 or grid_times[0] != 0.0 or np.any(np.diff(grid_times) <= 0):
+            raise ConfigError("need at least 2 strictly increasing nodes starting at 0",
+                              field="analysis.grid.times")
         norm_grid = {"times": grid_times.tolist()}
     else:
         t_max = _finite_scalar(grid_node.get("t_max", 1.0), "analysis.grid.t_max")
@@ -342,40 +345,37 @@ def _emit(text, out_path):
         _sys.stdout.write(text)
 
 
+def _shipped_representation(sc):
+    """The qubit representation for the spin algebra, otherwise None."""
+    return qubit_representation() if sc == pauli_structure() else None
+
+
 def _cmd_validate(cfg, args):
     lines = []
+    system = cfg.analysis_system()
     if cfg.kind == "composite":
-        comp = cfg.system
-        lines.append(f"joint fit residual = {_fmt(comp.fit_residual)}")
-        rep = tensor_representation(qubit_representation(), qubit_representation())
-        if rep.n == comp.as_system().n:
-            rpt = check_algebra(rep, comp.as_system().sc, tol=1e-10)
-            lines.append(f"algebra {'ok' if rpt.product_error <= rpt.tol else 'FAIL'} "
-                         f"(error {_fmt(rpt.product_error)})")
-            lines.append(f"CCR {'ok' if rpt.ccr_error <= rpt.tol else 'FAIL'} "
-                         f"(error {_fmt(rpt.ccr_error)})")
-            if not rpt.passed:
-                raise DomainError("composite representation checks failed")
+        reps = [_shipped_representation(sub.sc) for sub in (cfg.system.sub1, cfg.system.sub2)]
+        rep = None if None in reps else tensor_representation(*reps)
     else:
-        sc = cfg.system.sc
-        report = validate_structure(sc.alpha, sc.beta.sections, tol=1e-10)
+        report = validate_structure(system.sc.alpha, system.sc.beta.sections, tol=1e-10)
         if not report.passed:
             raise DomainError(
                 f"structure-constant validation failed: defect "
                 f"{_fmt(report.worst_defect)} at {report.worst_index}")
         lines.append(f"structure ok (worst defect {_fmt(report.worst_defect)})")
-        pauli = pauli_structure()
-        if sc.n == 3 and np.allclose(sc.alpha, pauli.alpha, atol=1e-10) and \
-                np.allclose(sc.beta.sections, pauli.beta.sections, atol=1e-10):
-            rpt = check_algebra(qubit_representation(), sc, tol=1e-12)
-            lines.append(f"algebra {'ok' if rpt.product_error <= rpt.tol else 'FAIL'} "
-                         f"(error {_fmt(rpt.product_error)})")
-            lines.append(f"CCR {'ok' if rpt.ccr_error <= rpt.tol else 'FAIL'} "
-                         f"(error {_fmt(rpt.ccr_error)})")
-            if not rpt.passed:
-                raise DomainError("dense representation checks failed")
-        else:
-            lines.append("no dense representation shipped; algebra check skipped")
+        rep = _shipped_representation(system.sc)
+    if rep is None:
+        lines.append("no dense representation shipped; algebra check skipped")
+    else:
+        rpt = check_algebra(rep, system.sc, tol=1e-10 if cfg.kind == "composite" else 1e-12)
+        if cfg.kind == "composite":
+            lines.append(f"joint fit residual = {_fmt(rpt.product_error)}")
+        lines.append(f"algebra {'ok' if rpt.product_error <= rpt.tol else 'FAIL'} "
+                     f"(error {_fmt(rpt.product_error)})")
+        lines.append(f"CCR {'ok' if rpt.ccr_error <= rpt.tol else 'FAIL'} "
+                     f"(error {_fmt(rpt.ccr_error)})")
+        if not rpt.passed:
+            raise DomainError("dense representation checks failed")
     _emit("".join(f"{ln}\n" for ln in lines), args.out or cfg.out_path)
 
 
@@ -492,7 +492,7 @@ def _cli_vector(text, length, flag):
         raise ConfigError(f"{flag} must be a comma-separated number list") from exc
     if len(vals) != length:
         raise ConfigError(f"{flag} expects {length} entries, got {len(vals)}")
-    return np.array(vals)
+    return np.array([_finite_scalar(v, flag) for v in vals])
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ class StructureDefectError(DomainError):
 
 
 class RepresentationError(DomainError):
-    """A matrix family is not closed in the affine span of (I, X_1..X_n)."""
+    """No matrix family realizes the algebra (products not closed, or not associative)."""
 
 
 class DegenerateBasisError(DomainError):

@@ -2,12 +2,13 @@
 
 The composite carries n1 + n2 + n1*n2 variables: each subsystem's own,
 plus their pairwise products, whose energy weights form the direct
-coupling vector E12.  The joint structure constants are recovered
-numerically from a dense tensor-product representation and verified
-against it, rather than transcribed; the joint coupling parameters embed
-each subsystem's (M, N) on its own block so fields act locally.  The
-optimal E12 solves the reduced stationarity system 2 R12 E12 + Q = 0 with
-Q = K12 + 2(R1 E1 + R2 E2) read off the composite's full (R, K).
+coupling vector E12.  The joint structure constants follow in closed form
+from the subsystem constants, because (X_j x Y_k)(X_a x Y_b) =
+(X_j X_a) x (Y_k Y_b); any two subsystems with associative constants
+compose.  The joint coupling parameters embed each subsystem's (M, N) on
+its own block so fields act locally.  The optimal E12 solves the reduced
+stationarity system 2 R12 E12 + Q = 0 with Q = K12 + 2(R1 E1 + R2 E2)
+read off the composite's full (R, K).
 """
 
 from __future__ import annotations
@@ -16,14 +17,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import pauli_structure
-from .dense import (check_algebra, fit_structure_constants,
-                    qubit_representation, tensor_representation)
+from .algebra import StructureConstants, _product_table
 from .errors import RepresentationError
 from .model import SystemParams
 from .optimize import optimal_energy, rk_matrices
-
-FIT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -33,7 +30,6 @@ class CompositeSystem:
     sub1: SystemParams
     sub2: SystemParams
     system: SystemParams
-    fit_residual: float
 
     @property
     def n1(self):
@@ -66,42 +62,17 @@ class CompositeSystem:
         return self.system
 
 
-def _default_representation(sub):
-    """Shipped dense representation for a subsystem, if one exists."""
-    pauli = pauli_structure()
-    if (sub.n == 3
-            and np.allclose(sub.sc.alpha, pauli.alpha, atol=1e-10)
-            and np.allclose(sub.sc.beta.sections, pauli.beta.sections, atol=1e-10)):
-        return qubit_representation()
-    raise RepresentationError(
-        "no dense representation is shipped for this structure; pass rep1/rep2 "
-        "explicitly to compose()"
-    )
-
-
-def compose(sub1, sub2, E12, rep1=None, rep2=None):
+def compose(sub1, sub2, E12):
     """Build the direct-energy-coupled composite of two systems.
 
-    The joint structure constants are fitted from the tensor-product
-    representation and must reproduce its algebra and commutation
-    relations within 1e-10.  The joint coupling matrix places M1 and M2 on
-    the subsystem blocks with exact zeros elsewhere, and the joint Ito
-    matrix is block diagonal over the two field families by construction.
+    The joint product table over the extended basis (I, X_1..X_n) is the
+    Kronecker product of the subsystem tables, taken in the variable layout
+    (X_j x I, I x Y_k, X_j x Y_k) with (j, k) row-major.  A subsystem whose
+    constants are not associative raises RepresentationError.  The joint
+    coupling matrix places M1 and M2 on the subsystem blocks with exact
+    zeros elsewhere, and the joint Ito matrix is block diagonal over the
+    two field families by construction.
     """
-    rep1 = rep1 if rep1 is not None else _default_representation(sub1)
-    rep2 = rep2 if rep2 is not None else _default_representation(sub2)
-    if rep1.n != sub1.n or rep2.n != sub2.n:
-        raise ValueError("representation sizes do not match the subsystems")
-
-    joint_rep = tensor_representation(rep1, rep2)
-    fit = fit_structure_constants(joint_rep, residual_tol=FIT_TOL)
-    report = check_algebra(joint_rep, fit.constants, tol=FIT_TOL)
-    if not report.passed:
-        raise RepresentationError(
-            f"joint constants fail verification: product error "
-            f"{report.product_error:.3e}, commutation error {report.ccr_error:.3e}"
-        )
-
     n1, n2 = sub1.n, sub2.n
     n = n1 + n2 + n1 * n2
     m1, m2 = sub1.m, sub2.m
@@ -109,16 +80,29 @@ def compose(sub1, sub2, E12, rep1=None, rep2=None):
     if E12.shape != (n1 * n2,):
         raise ValueError(f"direct coupling vector has shape {E12.shape}, "
                          f"expected ({n1 * n2},)")
-    E = np.concatenate([sub1.E, sub2.E, E12])
 
+    T1, T2 = _product_table(sub1.sc), _product_table(sub2.sc)
+    for label, T in (("sub1", T1), ("sub2", T2)):
+        defect = np.abs(np.einsum("abl,lcm->abcm", T, T)
+                        - np.einsum("bcl,alm->abcm", T, T)).max()
+        # Each term is a product of two table entries; so is its roundoff.
+        if defect > 1e-10 * max(1.0, np.abs(T).max()) ** 2:
+            raise RepresentationError(f"{label} constants are not associative "
+                                      f"(defect {defect:.3e})")
+    # Extended composite basis I x I, X_j x I, I x Y_k, X_j x Y_k as pairs (a, b).
+    a = np.r_[0, 1:n1 + 1, np.zeros(n2, int), np.repeat(np.arange(1, n1 + 1), n2)]
+    b = np.r_[0, np.zeros(n1, int), 1:n2 + 1, np.tile(np.arange(1, n2 + 1), n1)]
+    T = T1[np.ix_(a, a, a)] * T2[np.ix_(b, b, b)]
+    sc = StructureConstants(T[1:, 1:, 0].real, np.transpose(T[1:, 1:, 1:], (2, 0, 1)))
+
+    E = np.concatenate([sub1.E, sub2.E, E12])
     M = np.zeros((m1 + m2, n))
     M[:m1, :n1] = sub1.M
     M[m1:, n1:n1 + n2] = sub2.M
     N = np.concatenate([sub1.N, sub2.N])
 
-    system = SystemParams(sc=fit.constants, E=E, M=M, N=N)
-    return CompositeSystem(sub1=sub1, sub2=sub2, system=system,
-                           fit_residual=fit.residual)
+    system = SystemParams(sc=sc, E=E, M=M, N=N)
+    return CompositeSystem(sub1=sub1, sub2=sub2, system=system)
 
 
 def product_mean(mu01, mu02):

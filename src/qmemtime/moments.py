@@ -166,12 +166,16 @@ def moment_trajectory(sys, init, weights, grid):
 
 
 def mean_trajectory(coeffs, init, grid):
-    """Mean vector along ``grid`` from the closed form e^{tA} mu0 + psi(t) b."""
+    """Mean along ``grid`` by exact steps e^{hA} mu + psi(h) b, one per spacing h."""
     grid = _validate_grid(grid)
     out = np.empty((grid.size, init.mu0.size))
-    for i, t in enumerate(grid):
-        Et, pt = expm_psi(coeffs.A, t)
-        out[i] = Et @ init.mu0 + pt @ coeffs.b
+    out[0] = mu = init.mu0
+    steps = {}
+    for k, h in enumerate(np.diff(grid).tolist(), start=1):
+        if h not in steps:
+            steps[h] = expm_psi(coeffs.A, h)
+        Eh, ph = steps[h]
+        out[k] = mu = Eh @ mu + ph @ coeffs.b
     return out
 
 

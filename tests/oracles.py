@@ -9,6 +9,7 @@ stepping, and dense scans instead of bisection.
 import numpy as np
 from scipy.linalg import expm as sexpm
 
+from qmemtime.dense import Representation
 from qmemtime.model import coefficients, ito_matrix
 
 
@@ -154,3 +155,22 @@ def first_crossing_scan(grid, delta_vals, threshold):
     t0, t1 = grid[i - 1], grid[i]
     d0, d1 = delta_vals[i - 1], delta_vals[i]
     return float(t0 + (threshold - d0) / (d1 - d0) * (t1 - t0))
+
+
+def gell_mann_representation(d):
+    """Generalized Gell-Mann matrices of su(d), from Bertlmann & Krammer,
+    "Bloch vectors for qudits", J. Phys. A 41 (2008): the symmetric and
+    antisymmetric off-diagonal pairs, then the d - 1 diagonal ones."""
+    mats = []
+    for j in range(d):
+        for k in range(j + 1, d):
+            sym = np.zeros((d, d), dtype=complex)
+            sym[j, k] = sym[k, j] = 1.0
+            anti = np.zeros((d, d), dtype=complex)
+            anti[j, k], anti[k, j] = -1.0j, 1.0j
+            mats += [sym, anti]
+    for ell in range(1, d):
+        diag = np.zeros(d)
+        diag[:ell], diag[ell] = 1.0, -float(ell)
+        mats.append(np.sqrt(2.0 / (ell * (ell + 1))) * np.diag(diag).astype(complex))
+    return Representation(tuple(mats), label=f"su({d})")

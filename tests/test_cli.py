@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from qmemtime.algebra import pauli_structure
 from qmemtime.cli import main, parse_config
 
 PAULI_WORKED = {
@@ -49,6 +50,18 @@ def test_validate_composite(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "algebra ok" in out and "CCR ok" in out
+
+
+def test_validate_composite_without_shipped_representation(tmp_path, capsys):
+    c = 2.0  # rescaled spin variables X' = cX: associative, not the spin algebra
+    scaled = {"alpha": (c * c * np.eye(3)).tolist(),
+              "beta_real": np.zeros((3, 3, 3)).tolist(),
+              "beta_imag": (c * pauli_structure().theta.sections).tolist()}
+    tree = json.loads(json.dumps(COMPOSITE))
+    tree["system"] = {"composite": {"sub1": scaled, "sub2": "pauli"}}
+    code = main(["validate", "--config", _write(tmp_path, tree)])
+    assert code == 0
+    assert capsys.readouterr().out == "no dense representation shipped; algebra check skipped\n"
 
 
 def test_tau_worked_output(tmp_path, capsys):
@@ -196,6 +209,17 @@ def test_config_error_exit_codes(tmp_path, capsys):
         tree["analysis"]["sweep"] = sweep
         assert main(["sweep", "--config", _write(tmp_path, tree, "sweep.json")]) == 2
         assert f"config error: {field}: " in capsys.readouterr().err
+
+    for times in ([0.0], [0.5, 1.0], [0.0, 0.5, 0.2, 1.0], [0.0, 0.5, 0.5]):
+        tree = json.loads(json.dumps(PAULI_WORKED))
+        tree["analysis"]["grid"] = {"times": times}
+        assert main(["simulate", "--config", _write(tmp_path, tree, "grid.json")]) == 2
+        assert "config error: analysis.grid.times: " in capsys.readouterr().err
+
+    composite = _write(tmp_path, COMPOSITE, "composite.json")
+    for flag, val in (("--e1", "nan,0,0"), ("--e2", "0,inf,0")):
+        assert main(["optimize-coupling", "--config", composite, flag, val]) == 2
+        assert f"config error: {flag}: " in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_unloaded():

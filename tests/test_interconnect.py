@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qmemtime.algebra import StructureConstants
-from qmemtime.dense import (check_algebra, qubit_representation,
+from qmemtime.dense import (Representation, check_algebra,
+                            fit_structure_constants, qubit_representation,
                             tensor_representation)
 from qmemtime.errors import RepresentationError
 from qmemtime.interconnect import (compose, optimal_direct_coupling,
@@ -11,6 +12,8 @@ from qmemtime.model import SystemParams
 from qmemtime.moments import (delta_derivatives0, deviation_delta,
                               initial_moments, weighting_from_sigma)
 from qmemtime.optimize import optimal_energy, rk_matrices
+
+from oracles import gell_mann_representation
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +36,6 @@ def test_compose_shapes_and_blocks(qubit_pair):
     comp, _, _ = qubit_pair
     cs = comp.as_system()
     assert cs.n == 15 and cs.m == 4
-    assert comp.fit_residual <= 1e-10
     b1, b2, b3 = comp.blocks
     assert (b1.stop, b2.stop, b3.stop) == (3, 6, 15)
     # fields act on their own subsystem blocks only
@@ -170,13 +172,33 @@ def test_compose_requires_known_representation(pauli):
         compose(sub, sub, np.zeros(9))
 
 
-def test_compose_with_explicit_representations(pauli):
+def _assert_matches_dense_fit(sc1, sc2, rep1, rep2):
+    sub1 = SystemParams(sc=sc1, E=np.zeros(sc1.n), M=np.zeros((2, sc1.n)), N=np.zeros(2))
+    sub2 = SystemParams(sc=sc2, E=np.zeros(sc2.n), M=np.zeros((2, sc2.n)), N=np.zeros(2))
+    closed = compose(sub1, sub2, np.zeros(sc1.n * sc2.n)).as_system().sc
+    fit = fit_structure_constants(tensor_representation(rep1, rep2)).constants
+    assert closed.n == fit.n == sc1.n + sc2.n + sc1.n * sc2.n
+    assert np.abs(closed.alpha - fit.alpha).max() <= 1e-10
+    assert np.abs(closed.beta.sections - fit.beta.sections).max() <= 1e-10
+
+
+def test_compose_matches_dense_fit_qubit_pair(pauli):
     q = qubit_representation()
-    sub = SystemParams(sc=pauli, E=np.zeros(3),
-                       M=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-                       N=np.zeros(2))
-    comp = compose(sub, sub, np.zeros(9), rep1=q, rep2=q)
-    assert comp.as_system().n == 15
+    _assert_matches_dense_fit(pauli, pauli, q, q)
+
+
+def test_compose_matches_dense_fit_qubit_qutrit(pauli):
+    gm = gell_mann_representation(3)
+    qutrit = fit_structure_constants(gm).constants
+    _assert_matches_dense_fit(pauli, qutrit, qubit_representation(), gm)
+
+
+def test_compose_rescaled_spin(pauli):
+    """X' = cX is associative but not the spin algebra, so it composes."""
+    c = 2.0
+    sc = StructureConstants(c * c * np.eye(3), c * pauli.beta.sections)
+    rep = Representation(tuple(c * x for x in qubit_representation().X))
+    _assert_matches_dense_fit(sc, sc, rep, rep)
 
 
 def test_compose_rejects_bad_coupling_shape(pauli):

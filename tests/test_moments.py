@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm as sexpm
 
+from qmemtime import moments
 from qmemtime.errors import AdmissibilityError, NotHurwitzError
 from qmemtime.linalg import expm_psi, solve_lyapunov, spectral_norm
 from qmemtime.model import SystemParams, coefficients
@@ -128,6 +129,23 @@ def test_mean_matches_ode_oracle(make_instance):
     co = coefficients(sys)
     mu = mean_trajectory(co, init, np.array([0.0, 0.8]))
     assert np.abs(mu[-1] - mean_rk4(co, init.mu0, 0.8)).max() <= 1e-9
+
+
+def test_mean_one_exponential_per_spacing(make_instance, monkeypatch):
+    rng = np.random.default_rng(23)
+    sys, init = make_instance(rng)
+    co = coefficients(sys)
+    grid = np.array([0.0, 0.25, 0.5, 0.625, 0.75, 1.25, 1.5, 1.625])
+    expected = []
+    for t in grid:
+        Et, pt = expm_psi(co.A, t)
+        expected.append(Et @ init.mu0 + pt @ co.b)
+    calls = []
+    monkeypatch.setattr(moments, "expm_psi",
+                        lambda A, t: calls.append(t) or expm_psi(A, t))
+    mu = mean_trajectory(co, init, grid)
+    assert sorted(calls) == [0.125, 0.25, 0.5]
+    assert np.abs(mu - expected).max() <= 1e-12
 
 
 def test_mean_limit_worked(worked):
