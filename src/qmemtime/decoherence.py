@@ -24,8 +24,7 @@ import numpy as np
 from .errors import (InconclusiveCrossingError, TrivialWeightError,
                      ZeroDiffusionError)
 from .linalg import HURWITZ_TOL
-from .moments import (_delta_derivatives0, _steady_state, delta_derivatives0,
-                      reference_norm)
+from .moments import delta_derivatives0, reference_norm, steady_state
 from .propagate import DeviationMarch, Propagator
 
 INFINITE = math.inf
@@ -139,12 +138,12 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
     _require_nontrivial(ref, init, weights)
     threshold = epsilon * ref
 
-    prop = Propagator(sys)
+    prop = Propagator.of(sys)
     step = opts.step if opts.step is not None else 1e-3 / max(1.0, prop.norm_a)
     tol = opts.tol if opts.tol is not None else 1e-9 / max(1.0, prop.norm_a)
 
     # Frozen dynamics: the variables are conserved and Delta stays at zero.
-    d1, _ = _delta_derivatives0(prop, init, weights)
+    d1, _ = delta_derivatives0(sys, init, weights)
     if (np.abs(prop.A).max() <= 1e-14 and np.abs(prop.b).max() <= 1e-14
             and d1 <= DIFFUSION_TOL * max(1.0, ref)):
         return DecoherenceTime(epsilon=epsilon, value=INFINITE,
@@ -162,7 +161,7 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
     leg = march.run(march.x0, 0.0, _nodes(0.0, first_leg), threshold)
     sup_d = leg.sup_delta
     if not leg.crossed and hurwitz and t_settle <= horizon:
-        ss = _steady_state(prop, init, weights)
+        ss = steady_state(sys, init, weights)
         if ss.Delta_inf <= (1.0 - opts.margin) * threshold:
             return DecoherenceTime(epsilon=epsilon, value=INFINITE,
                                    threshold=threshold, bracket=None)

@@ -2,8 +2,8 @@
 
 Everything here is a few lines of numpy on matrices of order <= a few
 tens, where robustness beats cleverness: the integrated exponential by a
-Taylor series of a block matrix plus squaring, the vectorized Lyapunov
-solve, and the PSD square root.
+Taylor series of a block matrix plus squaring, and the vectorized
+Lyapunov solve.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import NotHurwitzError
 
-__all__ = ["expm_psi", "solve_lyapunov", "sqrtm_psd",
-           "spectral_norm", "hurwitz_margin", "require_hurwitz"]
+__all__ = ["expm_psi", "solve_lyapunov", "spectral_norm", "hurwitz_margin",
+           "require_hurwitz"]
 
 #: Eigenvalue real parts must be below -HURWITZ_TOL to certify decay.
 HURWITZ_TOL = 1e-10
@@ -78,21 +78,6 @@ def solve_lyapunov(A, Q):
     vec = np.linalg.solve(lin, -Q.reshape(-1, order="F"))
     P = vec.reshape(n, n, order="F")
     return (P + P.T) / 2.0
-
-
-def sqrtm_psd(P, clip=1e-10):
-    """Symmetric square root of a PSD matrix via its eigendecomposition.
-
-    Eigenvalues in [-clip, 0) are treated as roundoff and clipped to zero;
-    more negative ones raise, because the argument is a second-moment
-    matrix by contract.
-    """
-    P = np.asarray(P, dtype=float)
-    w, v = np.linalg.eigh((P + P.T) / 2.0)
-    if w.min() < -clip * max(1.0, abs(w).max()):
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.T
 
 
 def spectral_norm(A):

@@ -8,9 +8,10 @@ selected-output pair (C, d), and the averaged diffusion matrix
 
     Lambda(mu) = 4 mho^T ((alpha + beta . mu) kron (M^T Omega M)) mho,
 
-which is affine in the mean vector mu.  The Kronecker sandwich is always
-evaluated by the equivalent double sum over commutation sections, never
-by materializing n^2-by-n^2 products.
+which is affine in the mean vector mu.  Its affine parts are assembled
+once, in :func:`lambda_affine`, by the equivalent double sum over
+commutation sections, never by materializing n^2-by-n^2 products;
+Lambda(mu) and its rate along the mean flow are read off them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import StructureConstants, col, sections_diamond, sections_dot
+from .algebra import StructureConstants, col, sections_diamond
 
 
 @dataclass(frozen=True)
@@ -163,52 +164,42 @@ def coefficients(sys):
                           Mho=sc.mho.copy(), Omega=Omega, J=J)
 
 
-def _sandwich_tensor(sys):
-    """T[j, k] = Theta_j^T G Theta_k with G = M^T Omega M (complex)."""
+def lambda_affine(sys):
+    """Affine decomposition Lambda(mu) = C0 + sum_l mu_l Cmu[l].
+
+    Each part is the double-sum form 4 sum_jk Pi_jk Theta_j^T G Theta_k of
+    the Kronecker sandwich, with G = M^T Omega M and Pi = alpha for C0 or
+    Pi = beta_l for Cmu[l].  Returns complex Hermitian arrays (C0 of shape
+    (n, n), Cmu of shape (n, n, n)); this is the one place the sandwich
+    is assembled.
+    """
     Omega, _ = ito_matrix(sys.m)
     G = sys.M.T @ Omega @ sys.M
     th = sys.sc.theta.sections
-    return np.einsum("jba,bc,kcd->jkad", th, G, th, optimize=True)
+    T = np.einsum("jba,bc,kcd->jkad", th, G, th, optimize=True)
+    C0 = 4.0 * np.einsum("jk,jkad->ad", sys.sc.alpha, T)
+    Cmu = 4.0 * np.einsum("ljk,jkad->lad", sys.sc.beta.sections, T, optimize=True)
+    C0 = (C0 + C0.conj().T) / 2.0
+    Cmu = (Cmu + np.conj(np.transpose(Cmu, (0, 2, 1)))) / 2.0
+    return C0, Cmu
 
 
 def lambda_matrix(sys, mu):
     """Averaged diffusion matrix Lambda at mean vector ``mu``.
 
     Hermitian; PSD whenever alpha + beta . mu is PSD (an admissible mean).
-    Evaluated as 4 sum_jk Pi_jk Theta_j^T G Theta_k, the double-sum form
-    of the Kronecker sandwich.
+    Evaluated as C0 + sum_l mu_l Cmu[l] from :func:`lambda_affine`.
     """
-    mu = np.asarray(mu, dtype=float)
-    Pi = sys.sc.alpha + sections_dot(sys.sc.beta, mu)
-    T = _sandwich_tensor(sys)
-    lam = 4.0 * np.einsum("jk,jkad->ad", Pi, T)
-    return (lam + lam.conj().T) / 2.0
+    C0, Cmu = lambda_affine(sys)
+    return C0 + np.tensordot(np.asarray(mu, dtype=float), Cmu, axes=1)
 
 
 def lambda_dot0(sys, mu0):
     """Time derivative of Lambda along the mean flow, at t = 0.
 
-    Equals 4 mho^T ((beta . (A mu0 + b)) kron G) mho, since Lambda is
-    affine in the mean and the mean satisfies mu' = A mu + b.
+    Equals sum_l (A mu0 + b)_l Cmu[l], since Lambda is affine in the mean
+    and the mean satisfies mu' = A mu + b.
     """
-    mu0 = np.asarray(mu0, dtype=float)
     co = coefficients(sys)
-    rate = co.A @ mu0 + co.b
-    Pi_dot = sections_dot(sys.sc.beta, rate)
-    T = _sandwich_tensor(sys)
-    lam = 4.0 * np.einsum("jk,jkad->ad", Pi_dot, T)
-    return (lam + lam.conj().T) / 2.0
-
-
-def lambda_affine(sys):
-    """Affine decomposition Lambda(mu) = C0 + sum_l mu_l Cmu[l].
-
-    Returns complex arrays (C0 of shape (n, n), Cmu of shape (n, n, n));
-    the exact moment propagator builds its step maps from them.
-    """
-    T = _sandwich_tensor(sys)
-    C0 = 4.0 * np.einsum("jk,jkad->ad", sys.sc.alpha, T)
-    Cmu = 4.0 * np.einsum("ljk,jkad->lad", sys.sc.beta.sections, T, optimize=True)
-    C0 = (C0 + C0.conj().T) / 2.0
-    Cmu = (Cmu + np.conj(np.transpose(Cmu, (0, 2, 1)))) / 2.0
-    return C0, Cmu
+    rate = co.A @ np.asarray(mu0, dtype=float) + co.b
+    return np.tensordot(rate, lambda_affine(sys)[1], axes=1)

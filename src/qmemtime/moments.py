@@ -7,10 +7,12 @@ mean-square deviation of the variables from their initial values is
 
     Delta(t) = <Sigma, (e^{tA}-I) Pi (e^{tA}-I)^T + cross terms + V(t)>_Re.
 
-Both moments move between grid nodes by exact affine step maps (see
-:mod:`qmemtime.propagate`); matrix exponentials come from
-scaling-and-squaring, and the steady-state second moment solves the
-algebraic Lyapunov equation by vectorization.
+A system's dynamics (drift, offset and the affine parts of Lambda) are
+derived once, by :meth:`Propagator.of <qmemtime.propagate.Propagator.of>`,
+and every function here that takes a system reads them from there.  Both
+moments move between grid nodes by exact affine step maps; matrix
+exponentials come from scaling-and-squaring, and the steady-state second
+moment solves the algebraic Lyapunov equation by vectorization.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .algebra import sections_dot
 from .errors import (AdmissibilityError, IntegrationError,
                      InternalConsistencyError)
 from .linalg import expm_psi, require_hurwitz, solve_lyapunov
-from .propagate import Propagator
+from .propagate import Propagator, step_spacings
 
 #: Mean-square deviations in [-NEG_DELTA_TOL, 0) are clipped to zero;
 #: anything more negative indicates an internal inconsistency.
@@ -154,7 +156,7 @@ def moment_trajectory(sys, init, weights, grid):
     then reported for Sigma = I.
     """
     grid = _validate_grid(grid)
-    prop = Propagator(sys)
+    prop = Propagator.of(sys)
     Sigma = weights.Sigma if weights is not None else np.eye(sys.n)
     mu, V, delta = prop.trajectory(init, Sigma, grid)
     if not (np.isfinite(V).all() and np.isfinite(mu).all()):
@@ -166,12 +168,13 @@ def moment_trajectory(sys, init, weights, grid):
 
 
 def mean_trajectory(coeffs, init, grid):
-    """Mean along ``grid`` by exact steps e^{hA} mu + psi(h) b, one per spacing h."""
+    """Mean along ``grid`` by exact steps e^{hA} mu + psi(h) b, one per
+    spacing h of :func:`~qmemtime.propagate.step_spacings`."""
     grid = _validate_grid(grid)
     out = np.empty((grid.size, init.mu0.size))
     out[0] = mu = init.mu0
     steps = {}
-    for k, h in enumerate(np.diff(grid).tolist(), start=1):
+    for k, h in enumerate(step_spacings(grid).tolist(), start=1):
         if h not in steps:
             steps[h] = expm_psi(coeffs.A, h)
         Eh, ph = steps[h]
@@ -202,10 +205,7 @@ def delta_derivatives0(sys, init, weights):
     <Sigma, 2APA^T + 2A(Re Lambda(0) + 2 mu0 b^T) + Re Lambda'(0)>
     + 2|Fb|^2, quadratic and convex in the energy vector through A.
     """
-    return _delta_derivatives0(Propagator(sys), init, weights)
-
-
-def _delta_derivatives0(prop, init, weights):
+    prop = Propagator.of(sys)
     A, b, Sigma = prop.A, prop.b, weights.Sigma
     lam0 = prop.lam(init.mu0).real
     # Lambda is affine in the mean, so its rate is the linear part at mu'(0).
@@ -235,13 +235,9 @@ def steady_state(sys, init, weights):
     <Sigma, P> - 2 mu_inf^T Sigma mu0 + |F mu_inf|^2 + <Sigma, P_inf>,
     whose sign is not asserted (the cross term may be negative).
     """
-    return _steady_state(Propagator(sys), init, weights)
-
-
-def _steady_state(prop, init, weights):
+    prop = Propagator.of(sys)
     A = prop.A
-    require_hurwitz(A, context="steady-state moments")
-    mu_inf = -np.linalg.solve(A, prop.b)
+    mu_inf = mean_limit(prop.co)
     lam_inf = prop.lam(mu_inf)
     P_inf = solve_lyapunov(A, lam_inf.real)
     resid = np.abs(A @ P_inf + P_inf @ A.T + lam_inf.real).max()

@@ -19,8 +19,8 @@ import numpy as np
 from .algebra import sections_dot
 from .decoherence import decoherence_time, tau_expansion, tau_hat
 from .errors import InconclusiveCrossingError, StationarityError
-from .model import coefficients, ito_matrix, lambda_matrix
 from .moments import delta_derivatives0
+from .propagate import Propagator
 
 
 @dataclass(frozen=True)
@@ -41,36 +41,27 @@ def rk_matrices(sys, init, weights):
 
     R = mho^T (P kron Sigma) mho, evaluated by the double sum
     sum_jk P_jk Theta_j^T Sigma Theta_k; K collects the coupling terms:
-    mho^T col(Sigma (Atilde P + Re Lambda(0)/2 + b mu0^T)) plus, for a
-    nonzero initial mean, the vector of Frobenius pairings of
-    mho Sigma mho^T with Re((beta . (Theta . mu0)_col_k) kron M^T Omega M).
-    Both are independent of the energy vector of ``sys``.
+    mho^T col(Sigma (Atilde P + Re Lambda(mu0)/2 + b mu0^T)) plus the
+    vector of Frobenius pairings of mho Sigma mho^T with
+    Re((beta . (Theta . mu0)_col_k) kron M^T Omega M).  By
+    <mho Sigma mho^T, B kron G> = <Sigma, sum_jk B_jk Theta_j^T G Theta_k>
+    the latter is (Theta . mu0)^T c / 4 with c_l = <Sigma, Re Cmu[l]> for
+    the linear parts Cmu of Lambda.  Both are independent of the energy
+    vector of ``sys``.
     """
-    n = sys.n
-    sc = sys.sc
     Sigma = weights.Sigma
     P, mu0 = init.P, init.mu0
-    th = sc.theta.sections
+    th = sys.sc.theta.sections
 
     TS = np.einsum("jba,bc,kcd->jkad", th, Sigma, th, optimize=True)
     R = np.einsum("jk,jkad->ad", P, TS)
     R = (R + R.T) / 2.0
 
-    co = coefficients(sys)
-    lam0 = lambda_matrix(sys, mu0)
-    S = Sigma @ (co.Atilde @ P + 0.5 * lam0.real + np.outer(co.b, mu0))
+    prop = Propagator.of(sys)
+    S = Sigma @ (prop.co.Atilde @ P + 0.5 * prop.lam(mu0).real + np.outer(prop.b, mu0))
     K = np.einsum("kba,bk->a", th, S)
-
-    if np.abs(mu0).max() > 0.0:
-        Omega, _ = ito_matrix(sys.m)
-        G = sys.M.T @ Omega @ sys.M
-        msm = sc.mho @ Sigma @ sc.mho.T
-        theta_mu = sections_dot(sc.theta, mu0)
-        extra = np.empty(n)
-        for k in range(n):
-            bv = sections_dot(sc.beta, theta_mu[:, k])
-            extra[k] = np.sum(msm * np.kron(bv, G).real)
-        K = K + extra
+    c = np.tensordot(prop.lam_mu.real, Sigma, axes=2)
+    K = K + 0.25 * sections_dot(sys.sc.theta, mu0).T @ c
     return R, K
 
 

@@ -44,6 +44,24 @@ def _horner(coef, s):
     return acc
 
 
+def step_spacings(grid):
+    """The spacings of ``grid``, where those within 4 eps grid[-1] above
+    the smallest of a group are all replaced by the group's first in grid
+    order: roundoff splits the one true spacing of a uniform grid into
+    several floats, which then share one step map."""
+    h = np.diff(grid)
+    tol = 4.0 * np.finfo(float).eps * grid[-1]
+    order = np.argsort(h, kind="stable")
+    ascending = h[order]
+    out = np.empty_like(h)
+    lo = 0
+    while lo < h.size:
+        hi = np.searchsorted(ascending, ascending[lo] + tol, side="right")
+        out[order[lo:hi]] = h[order[lo:hi].min()]
+        lo = hi
+    return out
+
+
 @dataclass(frozen=True)
 class StepMap:
     """Exact affine map of the moments over one step:
@@ -63,14 +81,16 @@ class StepMap:
 
 
 class Propagator:
-    """The moment dynamics of one system, derived once: drift A, offset b,
-    ||A||_2, the Hurwitz margin (largest eigenvalue real part) and the
-    affine parts Lambda(mu) = lam0 + sum_l mu_l lam_mu[l]."""
+    """The moment dynamics of one system, derived once: its coefficient
+    set ``co`` with drift A and offset b, ||A||_2, the Hurwitz margin
+    (largest eigenvalue real part) and the affine parts Lambda(mu) = lam0
+    + sum_l mu_l lam_mu[l].  :meth:`of` shares one instance per system."""
 
     def __init__(self, sys):
         co = coefficients(sys)
         n = sys.n
         self.n = n
+        self.co = co
         self.A, self.b = co.A, co.b
         self.norm_a = spectral_norm(co.A)
         self.margin = hurwitz_margin(co.A)
@@ -82,10 +102,22 @@ class Propagator:
         self.s_source = (self.lam0.real,
                          self.lam_mu.real + b_el + b_el.transpose(0, 2, 1))
 
+    @classmethod
+    def of(cls, sys):
+        """The propagator of ``sys``, built on first use and kept on it.
+
+        A ``SystemParams`` is frozen with read-only arrays, so the kept
+        dynamics cannot go stale; ``replace`` and ``with_energy`` make new
+        instances, which derive their own.
+        """
+        prop = sys.__dict__.get("_propagator")
+        if prop is None:
+            prop = sys.__dict__["_propagator"] = cls(sys)
+        return prop
+
     def lam(self, mu):
         """Diffusion matrix Lambda(mu), Hermitian."""
-        lam = self.lam0 + np.tensordot(mu, self.lam_mu, axes=1)
-        return (lam + lam.conj().T) / 2.0
+        return self.lam0 + np.tensordot(mu, self.lam_mu, axes=1)
 
     def generate(self, V, mu, c, source):
         """Generator of the augmented dynamics at the state (V, mu, c), or at
@@ -123,8 +155,8 @@ class Propagator:
 
     def trajectory(self, init, Sigma, grid):
         """(mu, V, Delta) at the nodes of ``grid``, one map per distinct
-        spacing.  Delta = <Sigma, Re V> + |F(mu - mu0)|^2
-        + <Sigma, (E_t - I)(P - mu0 mu0^T)(E_t - I)^T>."""
+        spacing of :func:`step_spacings`.  Delta = <Sigma, Re V>
+        + |F(mu - mu0)|^2 + <Sigma, (E_t - I)(P - mu0 mu0^T)(E_t - I)^T>."""
         n = self.n
         mu0 = init.mu0
         Pd = init.P - np.outer(mu0, mu0)
@@ -135,7 +167,7 @@ class Propagator:
         mu, V, Et = mu0, np.zeros((n, n), dtype=complex), eye
         mu_out[0], V_out[0], d_out[0] = mu, V, 0.0
         maps = {}
-        for k, h in enumerate(np.diff(grid).tolist(), start=1):
+        for k, h in enumerate(step_spacings(grid).tolist(), start=1):
             M = maps.get(h)
             if M is None:
                 M = maps[h] = self.step_map(h)

@@ -53,6 +53,28 @@ def lambda_kron(sys, mu):
     return 4.0 * mho.T @ np.kron(Pi, G) @ mho
 
 
+def k_kron(sys, init, weights):
+    """The vector K of the stationarity system 2RE + K = 0 by the
+    materialized Kronecker route: mho^T col(Sigma (Atilde P + Re Lambda/2
+    + b mu0^T)) plus, entry by entry, the pairing of mho Sigma mho^T with
+    Re((beta . (Theta . mu0)_col_k) kron M^T Omega M)."""
+    from qmemtime.algebra import sections_dot, stack_mho
+
+    co = coefficients(sys)
+    Sigma, P, mu0 = weights.Sigma, init.P, init.mu0
+    mho = stack_mho(sys.sc.theta)
+    S = Sigma @ (co.Atilde @ P + 0.5 * lambda_kron(sys, mu0).real + np.outer(co.b, mu0))
+    K = mho.T @ col_loop(S)
+    Omega, _ = ito_matrix(sys.m)
+    G = sys.M.T @ Omega @ sys.M
+    msm = mho @ Sigma @ mho.T
+    theta_mu = sections_dot(sys.sc.theta, mu0)
+    for k in range(sys.n):
+        bv = sections_dot(sys.sc.beta, theta_mu[:, k])
+        K[k] += np.sum(msm * np.kron(bv, G).real)
+    return K.real
+
+
 def psi_simpson(A, t, n_intervals=400):
     """Integral of e^{sA} over [0, t] by composite Simpson."""
     ns = n_intervals + (n_intervals % 2)

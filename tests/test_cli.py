@@ -45,6 +45,20 @@ def test_validate_pauli_preset(tmp_path, capsys):
     assert "CCR ok" in out
 
 
+def test_validate_reports_defect_of_given_constants(tmp_path, capsys):
+    sc = pauli_structure()
+    alpha = np.eye(3)
+    alpha[0][1] += 5e-13  # below the repair tolerance, so the config parses
+    tree = json.loads(json.dumps(PAULI_WORKED))
+    tree["system"] = {"alpha": alpha.tolist(),
+                      "beta_real": sc.beta.sections.real.tolist(),
+                      "beta_imag": sc.beta.sections.imag.tolist()}
+    assert main(["validate", "--config", _write(tmp_path, tree)]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("structure ok (worst defect ")
+    assert float(first[len("structure ok (worst defect "):-1]) == 5e-13
+
+
 def test_validate_composite(tmp_path, capsys):
     code = main(["validate", "--config", _write(tmp_path, COMPOSITE)])
     out = capsys.readouterr().out

@@ -13,7 +13,7 @@ from qmemtime.moments import (delta_derivatives0, deviation_delta,
                               initial_moments, weighting_from_sigma)
 from qmemtime.optimize import optimal_energy, rk_matrices
 
-from oracles import gell_mann_representation
+from oracles import gell_mann_representation, k_kron
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +86,15 @@ def test_k12_two_paths_agree(pauli):
     blocks = partition_rk(comp, init, w)
     _, K = rk_matrices(comp.as_system(), init, w)
     assert np.abs(blocks.K12 - K[6:]).max() <= 1e-14
+
+
+def test_composite_k_matches_kron_oracle(qubit_pair):
+    comp, init, _ = qubit_pair
+    F = np.random.default_rng(41).standard_normal((15, 15))
+    weights = weighting_from_sigma(F.T @ F)
+    _, K = rk_matrices(comp.as_system(), init, weights)
+    ref = k_kron(comp.as_system(), init, weights)
+    assert np.abs(K - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 def test_block_weighting_keeps_psd(qubit_pair):

@@ -8,6 +8,8 @@ from qmemtime.moments import (delta_derivatives0, initial_moments,
 from qmemtime.optimize import (gradient_check, optimal_energy, rk_matrices,
                                suboptimal_tau_report)
 
+from oracles import k_kron
+
 
 def test_rk_worked_example(worked):
     R, K = rk_matrices(worked.sys, worked.init, worked.weights)
@@ -21,6 +23,18 @@ def test_k_assembly_from_parts(worked):
              + 0.5 * lambda_matrix(worked.sys, worked.init.mu0).real
              + np.outer(worked.co.b, worked.init.mu0))
     assert np.abs(parts).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_k_matches_kron_oracle(make_instance, seed):
+    rng = np.random.default_rng(seed)
+    sys, init = make_instance(rng)
+    assert np.abs(init.mu0).min() > 0.0
+    F = rng.standard_normal((3, 3))
+    weights = weighting_from_sigma(F.T @ F)
+    _, K = rk_matrices(sys, init, weights)
+    ref = k_kron(sys, init, weights)
+    assert np.abs(K - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 def test_k_zero_without_coupling(pauli, worked):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qmemtime.decoherence import CrossingOptions, decoherence_time
+from qmemtime import propagate
+from qmemtime.decoherence import (CrossingOptions, decoherence_time,
+                                  tau_expansion)
+from qmemtime.interconnect import compose, product_mean
 from qmemtime.model import SystemParams
 from qmemtime.moments import (deviation_delta, initial_moments,
                               moment_trajectory, reference_norm,
-                              weighting_from_sigma)
+                              steady_state, weighting_from_sigma)
+from qmemtime.optimize import rk_matrices
 from qmemtime.propagate import DeviationMarch, Propagator
 
 from oracles import first_crossing_scan
@@ -108,3 +113,56 @@ def test_march_brackets_scanned_first_node(pauli, omega, gamma, r, frac, step):
     lo, hi = result.bracket
     assert grid[i - 1] <= lo < hi <= grid[i]
     assert grid[i - 1] <= result.value <= grid[i]
+
+
+def test_public_calls_share_one_propagator(worked, monkeypatch):
+    system = dataclasses.replace(worked.sys)  # the fixture's may be built already
+    built = []
+    init = Propagator.__init__
+    monkeypatch.setattr(Propagator, "__init__",
+                        lambda self, sys: built.append(sys) or init(self, sys))
+    args = (system, worked.init, worked.weights)
+    tau_expansion(*args)
+    assert decoherence_time(*args, 0.05).bracket is not None
+    assert decoherence_time(*args, 5.0).is_infinite  # certified by the steady state
+    steady_state(*args)
+    rk_matrices(*args)
+    moment_trajectory(*args, np.linspace(0.0, 1.0, 11))
+    assert built == [system]
+
+
+def test_with_energy_derives_afresh(worked):
+    system = dataclasses.replace(worked.sys)
+    args = (worked.init, worked.weights, 0.05)
+    before = decoherence_time(system, *args).value
+    E2 = np.array([0.3, -0.2, 0.5])
+    moved = system.with_energy(E2)
+    assert Propagator.of(moved) is not Propagator.of(system)
+    fresh = SystemParams(sc=system.sc, E=E2, M=system.M, N=system.N)
+    tau = decoherence_time(moved, *args).value
+    assert tau == decoherence_time(fresh, *args).value
+    assert tau != before
+
+
+def test_uniform_grid_builds_one_step_map(pauli, monkeypatch):
+    sub = SystemParams(sc=pauli, E=np.array([0.1, 0.0, 0.2]),
+                       M=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                       N=np.array([0.0, 0.1]))
+    system = compose(sub, sub, 0.3 * np.ones(9)).as_system()
+    init = initial_moments(system.sc, product_mean([0.1, 0.0, 0.2], [0.0, -0.1, 0.3]))
+    weights = weighting_from_sigma(np.eye(15))
+    grid = np.linspace(0.0, 0.5, 501)
+    assert len(set(np.diff(grid).tolist())) > 1
+
+    steps = []
+    step_map = Propagator.step_map
+    monkeypatch.setattr(Propagator, "step_map",
+                        lambda self, h, *a: steps.append(h) or step_map(self, h, *a))
+    shared = deviation_delta(system, init, weights, grid)
+    assert len(steps) == 1
+
+    # one map per distinct float spacing, as without the shared rule
+    monkeypatch.setattr(propagate, "step_spacings", np.diff)
+    per_spacing = deviation_delta(system, init, weights, grid)
+    assert len(steps) == 1 + len(set(np.diff(grid).tolist()))
+    assert np.abs(shared - per_spacing).max() <= 1e-12 * np.abs(per_spacing).max()
