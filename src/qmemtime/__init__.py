@@ -17,9 +17,6 @@ from .algebra import (SectionArray, StructureConstants, col, pauli_structure,
 from .decoherence import (INFINITE, CrossingOptions, DecoherenceExpansion,
                           DecoherenceTime, decoherence_time, tau_expansion,
                           tau_hat)
-from .dense import (AlgebraReport, Representation, StructureFit, check_algebra,
-                    fit_structure_constants, qubit_representation,
-                    tensor_representation)
 from .errors import (AdmissibilityError, ConfigError, DegenerateBasisError,
                      DomainError, InconclusiveCrossingError, IntegrationError,
                      InternalConsistencyError, NotHurwitzError, QmemtimeError,

@@ -6,6 +6,9 @@ alpha_jk I + sum_l beta_jkl X_l.  This module holds the constant arrays
 (alpha, beta), the commutation array Theta = Im(beta), the two section
 products used throughout the package, and the n^2-by-n vertical stack of
 Theta sections that turns the different products into plain matrix algebra.
+The product table of the extended basis (I, X_1..X_n) checks the constants
+without a matrix representation: its associativity and commutation defects
+vanish for every family of matrices that realizes them.
 
 Conventions
 -----------
@@ -265,3 +268,17 @@ def _product_table(sc):
     T[1:, 1:, 0] = sc.alpha
     T[1:, 1:, 1:] = np.transpose(sc.beta.sections, (1, 2, 0))
     return T
+
+
+def _table_defects(T, theta):
+    """Defects of the identities that every matrix representation satisfies,
+    read off the table T of (I, X_1..X_n) alone: associativity, the largest
+    |(e_a e_b) e_c - e_a (e_b e_c)|, and the commutation relation, the
+    largest |T[j, k] - T[k, j] - 2i theta_jk| over the variables j, k."""
+    # For each a, (e_a e_b) e_c = sum_l T[a, b, l] T[l, c, :] and
+    # e_a (e_b e_c) = sum_l T[b, c, l] T[a, l, :]; one a at a time keeps
+    # memory at order n^3.
+    assoc = max(float(np.abs(np.tensordot(Ta, T, 1) - T @ Ta).max()) for Ta in T)
+    comm = T[1:, 1:] - np.transpose(T[1:, 1:], (1, 0, 2))
+    comm[..., 1:] -= 2j * np.transpose(_as_stack(theta), (1, 2, 0))
+    return assoc, float(np.abs(comm).max())

@@ -36,7 +36,11 @@ class RepresentationError(DomainError):
 
 
 class DegenerateBasisError(DomainError):
-    """The matrices (I, X_1..X_n) are linearly dependent; the fit is singular."""
+    """The matrices (I, X_1..X_n) are linearly dependent; the fit is singular.
+
+    The package builds no matrix representation, so nothing in it raises
+    this; the dense least-squares fit of the test suite does.
+    """
 
 
 class AdmissibilityError(DomainError):

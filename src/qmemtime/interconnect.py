@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import StructureConstants, _product_table
+from .algebra import StructureConstants, _product_table, _table_defects
 from .errors import RepresentationError
 from .model import SystemParams
 from .optimize import optimal_energy, rk_matrices
@@ -62,16 +62,29 @@ class CompositeSystem:
         return self.system
 
 
+def _joint_table(T1, T2):
+    """Product table of the extended composite basis (I x I, X_j x I,
+    I x Y_k, X_j x Y_k), (j, k) row-major, from the subsystem tables:
+    (x y)(x' y') = (x x') (y y') for commuting subsystem factors."""
+    n1, n2 = T1.shape[0] - 1, T2.shape[0] - 1
+    # Each composite basis element as a pair (a, b) of subsystem basis indices.
+    a = np.r_[0, 1:n1 + 1, np.zeros(n2, int), np.repeat(np.arange(1, n1 + 1), n2)]
+    b = np.r_[0, np.zeros(n1, int), 1:n2 + 1, np.tile(np.arange(1, n2 + 1), n1)]
+    return T1[np.ix_(a, a, a)] * T2[np.ix_(b, b, b)]
+
+
 def compose(sub1, sub2, E12):
     """Build the direct-energy-coupled composite of two systems.
 
     The joint product table over the extended basis (I, X_1..X_n) is the
     Kronecker product of the subsystem tables, taken in the variable layout
     (X_j x I, I x Y_k, X_j x Y_k) with (j, k) row-major.  A subsystem whose
-    constants are not associative raises RepresentationError.  The joint
-    coupling matrix places M1 and M2 on the subsystem blocks with exact
-    zeros elsewhere, and the joint Ito matrix is block diagonal over the
-    two field families by construction.
+    table has an associativity defect above roundoff (1e-10 times its
+    largest entry squared, at least 1e-10) raises RepresentationError; no
+    matrix representation is built.  The joint coupling matrix places M1
+    and M2 on the subsystem blocks with exact zeros elsewhere, and the
+    joint Ito matrix is block diagonal over the two field families by
+    construction.
     """
     n1, n2 = sub1.n, sub2.n
     n = n1 + n2 + n1 * n2
@@ -82,17 +95,13 @@ def compose(sub1, sub2, E12):
                          f"expected ({n1 * n2},)")
 
     T1, T2 = _product_table(sub1.sc), _product_table(sub2.sc)
-    for label, T in (("sub1", T1), ("sub2", T2)):
-        defect = np.abs(np.einsum("abl,lcm->abcm", T, T)
-                        - np.einsum("bcl,alm->abcm", T, T)).max()
+    for label, sub, T in (("sub1", sub1, T1), ("sub2", sub2, T2)):
+        defect, _ = _table_defects(T, sub.sc.theta)
         # Each term is a product of two table entries; so is its roundoff.
         if defect > 1e-10 * max(1.0, np.abs(T).max()) ** 2:
             raise RepresentationError(f"{label} constants are not associative "
                                       f"(defect {defect:.3e})")
-    # Extended composite basis I x I, X_j x I, I x Y_k, X_j x Y_k as pairs (a, b).
-    a = np.r_[0, 1:n1 + 1, np.zeros(n2, int), np.repeat(np.arange(1, n1 + 1), n2)]
-    b = np.r_[0, np.zeros(n1, int), 1:n2 + 1, np.tile(np.arange(1, n2 + 1), n1)]
-    T = T1[np.ix_(a, a, a)] * T2[np.ix_(b, b, b)]
+    T = _joint_table(T1, T2)
     sc = StructureConstants(T[1:, 1:, 0].real, np.transpose(T[1:, 1:, 1:], (2, 0, 1)))
 
     E = np.concatenate([sub1.E, sub2.E, E12])

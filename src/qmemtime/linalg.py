@@ -91,7 +91,11 @@ def hurwitz_margin(A):
 
 def require_hurwitz(A, context=""):
     """Return -max Re(eig) or raise :class:`NotHurwitzError`."""
-    margin = hurwitz_margin(A)
+    return _require_margin(hurwitz_margin(A), context)
+
+
+def _require_margin(margin, context):
+    """:func:`require_hurwitz` for a known :func:`hurwitz_margin`."""
     if margin >= -HURWITZ_TOL:
         where = f" for {context}" if context else ""
         raise NotHurwitzError(

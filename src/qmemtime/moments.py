@@ -24,7 +24,7 @@ import numpy as np
 from .algebra import sections_dot
 from .errors import (AdmissibilityError, IntegrationError,
                      InternalConsistencyError)
-from .linalg import expm_psi, require_hurwitz, solve_lyapunov
+from .linalg import _require_margin, expm_psi, require_hurwitz, solve_lyapunov
 from .propagate import Propagator, step_spacings
 
 #: Mean-square deviations in [-NEG_DELTA_TOL, 0) are clipped to zero;
@@ -237,7 +237,8 @@ def steady_state(sys, init, weights):
     """
     prop = Propagator.of(sys)
     A = prop.A
-    mu_inf = mean_limit(prop.co)
+    _require_margin(prop.margin, context="the steady-state mean")
+    mu_inf = -np.linalg.solve(A, prop.b)
     lam_inf = prop.lam(mu_inf)
     P_inf = solve_lyapunov(A, lam_inf.real)
     resid = np.abs(A @ P_inf + P_inf @ A.T + lam_inf.real).max()

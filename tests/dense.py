@@ -1,10 +1,11 @@
-"""Explicit matrix representations used as brute-force ground truth.
+"""Explicit matrix representations, the tests' brute-force ground truth.
 
 Everything the algebraic layer claims about structure constants can be
 checked against a concrete family of Hermitian matrices: products and
 commutators are evaluated literally, and the constants are recovered by
 entrywise least squares over the matrix space.  The two-system composite
-variables are built here as well, as Kronecker embeddings.
+variables are built here as well, as Kronecker embeddings.  The package
+itself checks constants from their product table and builds no matrices.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import StructureConstants
-from .errors import DegenerateBasisError, RepresentationError
+from qmemtime.algebra import StructureConstants
+from qmemtime.errors import DegenerateBasisError, RepresentationError
 
 HERMITICITY_TOL = 1e-12
 

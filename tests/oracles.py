@@ -9,8 +9,9 @@ stepping, and dense scans instead of bisection.
 import numpy as np
 from scipy.linalg import expm as sexpm
 
-from qmemtime.dense import Representation
 from qmemtime.model import coefficients, ito_matrix
+
+from dense import Representation
 
 
 def dot_loop(stack, u):

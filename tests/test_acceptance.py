@@ -11,8 +11,6 @@ import pytest
 
 from qmemtime.algebra import pauli_structure, sections_diamond
 from qmemtime.decoherence import decoherence_time, tau_expansion
-from qmemtime.dense import (check_algebra, fit_structure_constants,
-                            qubit_representation, tensor_representation)
 from qmemtime.interconnect import (compose, optimal_direct_coupling,
                                    partition_rk, product_mean)
 from qmemtime.linalg import spectral_norm
@@ -24,6 +22,8 @@ from qmemtime.moments import (delta_derivatives0, deviation_delta,
 from qmemtime.optimize import gradient_check, optimal_energy, rk_matrices
 
 from conftest import random_instance
+from dense import (check_algebra, fit_structure_constants,
+                   qubit_representation, tensor_representation)
 from oracles import v_quadrature
 
 

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmemtime.algebra import (SectionArray, StructureConstants, col,
-                              pauli_structure, sections_diamond, sections_dot,
-                              stack_mho, validate_structure)
+from qmemtime.algebra import (SectionArray, StructureConstants, _product_table,
+                              _table_defects, col, pauli_structure,
+                              sections_diamond, sections_dot, stack_mho,
+                              validate_structure)
 from qmemtime.errors import StructureDefectError
+from qmemtime.interconnect import compose
+from qmemtime.model import SystemParams
 
-from oracles import col_loop, diamond_loop, dot_loop, mho_loop
+from dense import (check_algebra, fit_structure_constants, qubit_representation,
+                   tensor_representation)
+from oracles import (col_loop, diamond_loop, dot_loop, gell_mann_representation,
+                     mho_loop)
 
 THETA1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
 THETA2 = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
@@ -171,3 +179,76 @@ def test_dimension_mismatch_rejected(pauli):
         sections_dot(pauli.beta, np.zeros(4))
     with pytest.raises(ValueError):
         sections_diamond(pauli.beta, np.zeros(2))
+
+
+def _table_passes(sc, tol):
+    return max(_table_defects(_product_table(sc), sc.theta)) <= tol
+
+
+def _joint_constants(sc1, sc2):
+    subs = [SystemParams(sc=sc, E=np.zeros(sc.n), M=np.zeros((2, sc.n)), N=np.zeros(2))
+            for sc in (sc1, sc2)]
+    return compose(*subs, np.zeros(sc1.n * sc2.n)).as_system().sc
+
+
+def _qutrit():
+    gm = gell_mann_representation(3)
+    return gm, fit_structure_constants(gm).constants
+
+
+def _scaled_spin(alpha_scale, theta_scale):
+    theta = pauli_structure().theta.sections
+    return StructureConstants(alpha_scale * np.eye(3), 1j * theta_scale * theta)
+
+
+def _table_cases():
+    q = qubit_representation()
+    gm, qutrit = _qutrit()
+    pauli = pauli_structure()
+    flipped = pauli.theta.sections.copy()
+    flipped[2, 0, 1], flipped[2, 1, 0] = -1.0, 1.0  # one orientation pair reversed
+    return {
+        "spin": (q, pauli, True),
+        "spin-flipped-pair": (q, StructureConstants(pauli.alpha, 1j * flipped), False),
+        "spin-theta-x3": (q, _scaled_spin(1.0, 3.0), False),
+        "spin-alpha-x2": (q, _scaled_spin(2.0, 1.0), False),
+        "spin(x)spin": (tensor_representation(q, q), _joint_constants(pauli, pauli), True),
+        "qubit(x)qutrit": (tensor_representation(q, gm), _joint_constants(pauli, qutrit), True),
+    }
+
+
+@pytest.mark.parametrize("case", ["spin", "spin-flipped-pair", "spin-theta-x3",
+                                  "spin-alpha-x2", "spin(x)spin", "qubit(x)qutrit"])
+def test_table_defects_agree_with_dense_oracle(case):
+    rep, sc, valid = _table_cases()[case]
+    assert check_algebra(rep, sc, tol=1e-10).passed == valid
+    assert _table_passes(sc, 1e-10) == valid
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), qutrit=st.booleans())
+def test_rotated_basis_passes_table_checks(seed, qutrit):
+    """X' = R X with R orthogonal realizes alpha' = R alpha R^T and
+    beta'_m = sum_l R_ml R beta_l R^T, so its table checks pass."""
+    sc = _qutrit()[1] if qutrit else pauli_structure()
+    R, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((sc.n, sc.n)))
+    beta = np.einsum("ml,ja,kb,lab->mjk", R, R, R, sc.beta.sections)
+    rotated = StructureConstants(R @ sc.alpha @ R.T, beta)
+    assert max(_table_defects(_product_table(rotated), rotated.theta)) <= 1e-12
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5, -2.0, 3.0])
+def test_scaled_theta_fails_table_checks(pauli, c):
+    T = _product_table(pauli)
+    assoc, ccr = _table_defects(T, c * pauli.theta.sections)
+    assert assoc == 0.0
+    assert ccr == pytest.approx(2.0 * abs(1.0 - c))
+    # Scaling the constants themselves: X_j X_k X_k = c^2 X_j, not X_j.
+    scaled = _scaled_spin(1.0, c)
+    assoc, ccr = _table_defects(_product_table(scaled), scaled.theta)
+    assert assoc == pytest.approx(abs(c * c - 1.0)) and ccr == 0.0
+
+
+def test_sign_flipped_spin_passes_table_checks():
+    """X' = -X realizes theta' = -theta."""
+    assert _table_passes(_scaled_spin(1.0, -1.0), 0.0)

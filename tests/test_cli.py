@@ -6,8 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from qmemtime.algebra import pauli_structure
+from qmemtime.algebra import StructureConstants, pauli_structure
 from qmemtime.cli import main, parse_config
+
+from dense import fit_structure_constants
+from oracles import gell_mann_representation
 
 PAULI_WORKED = {
     "system": "pauli",
@@ -66,16 +69,46 @@ def test_validate_composite(tmp_path, capsys):
     assert "algebra ok" in out and "CCR ok" in out
 
 
-def test_validate_composite_without_shipped_representation(tmp_path, capsys):
+def _inline(sc):
+    return {"alpha": sc.alpha.tolist(), "beta_real": sc.beta.sections.real.tolist(),
+            "beta_imag": sc.beta.sections.imag.tolist()}
+
+
+def test_validate_rescaled_spin_composite(tmp_path, capsys):
     c = 2.0  # rescaled spin variables X' = cX: associative, not the spin algebra
-    scaled = {"alpha": (c * c * np.eye(3)).tolist(),
-              "beta_real": np.zeros((3, 3, 3)).tolist(),
-              "beta_imag": (c * pauli_structure().theta.sections).tolist()}
+    scaled = StructureConstants(c * c * np.eye(3), c * pauli_structure().beta.sections)
     tree = json.loads(json.dumps(COMPOSITE))
-    tree["system"] = {"composite": {"sub1": scaled, "sub2": "pauli"}}
+    tree["system"] = {"composite": {"sub1": _inline(scaled), "sub2": "pauli"}}
     code = main(["validate", "--config", _write(tmp_path, tree)])
     assert code == 0
-    assert capsys.readouterr().out == "no dense representation shipped; algebra check skipped\n"
+    assert capsys.readouterr().out == ("joint fit residual = 0\n"
+                                       "algebra ok (error 0)\n"
+                                       "CCR ok (error 0)\n")
+
+
+def test_validate_non_associative_structure_fails(tmp_path, capsys):
+    # alpha = 2I with the spin theta: (X_1 X_2) X_2 = X_1 but X_1 (X_2 X_2) = 2 X_1.
+    bad = StructureConstants(2.0 * np.eye(3), pauli_structure().beta.sections)
+    tree = json.loads(json.dumps(PAULI_WORKED))
+    tree["system"] = _inline(bad)
+    code = main(["validate", "--config", _write(tmp_path, tree)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ("structure ok (worst defect 0)\n"
+                            "algebra FAIL (error 1)\n"
+                            "CCR ok (error 0)\n")
+    assert captured.err.startswith("error: ")
+
+
+def test_validate_qubit_qutrit_composite(tmp_path, capsys):
+    qutrit = fit_structure_constants(gell_mann_representation(3)).constants
+    tree = {"system": {"composite": {"sub1": "pauli", "sub2": _inline(qutrit)}}}
+    code = main(["validate", "--config", _write(tmp_path, tree)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert [ln.split(" (")[0].split(" = ")[0] for ln in lines] == [
+        "joint fit residual", "algebra ok", "CCR ok"]
+    assert max(float(ln.rstrip(")").split()[-1]) for ln in lines) <= 1e-12
 
 
 def test_tau_worked_output(tmp_path, capsys):

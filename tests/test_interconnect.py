@@ -2,9 +2,6 @@ import numpy as np
 import pytest
 
 from qmemtime.algebra import StructureConstants
-from qmemtime.dense import (Representation, check_algebra,
-                            fit_structure_constants, qubit_representation,
-                            tensor_representation)
 from qmemtime.errors import RepresentationError
 from qmemtime.interconnect import (compose, optimal_direct_coupling,
                                    partition_rk, product_mean)
@@ -13,6 +10,8 @@ from qmemtime.moments import (delta_derivatives0, deviation_delta,
                               initial_moments, weighting_from_sigma)
 from qmemtime.optimize import optimal_energy, rk_matrices
 
+from dense import (Representation, check_algebra, fit_structure_constants,
+                   qubit_representation, tensor_representation)
 from oracles import gell_mann_representation, k_kron
 
 

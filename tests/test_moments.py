@@ -366,8 +366,21 @@ def test_steady_state_requires_hurwitz(pauli):
                        M=np.zeros((2, 3)), N=np.zeros(2))
     init = initial_moments(pauli, np.zeros(3))
     w = weighting_from_sigma(np.eye(3))
-    with pytest.raises(NotHurwitzError):
+    with pytest.raises(NotHurwitzError, match="for the steady-state mean"):
         steady_state(sys, init, w)
+
+
+def test_steady_state_solves_eigenvalues_once(worked, monkeypatch):
+    """The Hurwitz margin is read from the system's propagator, which solves
+    for the eigenvalues of A once; steady_state adds no second solve."""
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
+    fresh = SystemParams(sc=worked.sc, E=np.zeros(3), M=worked.M, N=np.zeros(2))
+    for _ in range(2):
+        ss = steady_state(fresh, worked.init, worked.weights)
+    assert len(calls) == 1
+    assert np.abs(ss.mu_inf - worked.mu_inf).max() <= 1e-12
 
 
 def test_lyapunov_solver_zero_source():
