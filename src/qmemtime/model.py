@@ -73,7 +73,14 @@ class SystemParams:
         return self.M.shape[0]
 
     def with_energy(self, E):
-        return replace(self, E=np.asarray(E, dtype=float))
+        """This system with the energy vector ``E``.  If the dynamics of
+        this system are derived already, the new system takes over their
+        energy-independent parts and derives only the drift."""
+        moved = replace(self, E=np.asarray(E, dtype=float))
+        prop = self.__dict__.get("_propagator")
+        if prop is not None:
+            moved.__dict__["_propagator"] = prop._with_energy(moved)
+        return moved
 
 
 def _check_output_selector(D, m):
@@ -125,6 +132,12 @@ class CoefficientSet:
     J: np.ndarray
 
 
+def _isolated_drift(sys):
+    """The drift A0 = 2 Theta <> E of the uncoupled system, the one
+    coefficient that depends on the energy vector."""
+    return 2.0 * sections_diamond(sys.sc.theta, sys.E)
+
+
 def coefficients(sys):
     """Assemble the coefficient set of ``sys``.
 
@@ -138,12 +151,12 @@ def coefficients(sys):
     which differs from the sections (third index fixed) for arrays without
     full index symmetry.
     """
-    sc, E, M, N = sys.sc, sys.E, sys.M, sys.N
+    sc, M, N = sys.sc, sys.M, sys.N
     n, m = sys.n, sys.m
     theta = sc.theta
     Omega, J = ito_matrix(m)
 
-    A0 = 2.0 * sections_diamond(theta, E)
+    A0 = _isolated_drift(sys)
 
     MtJN = M.T @ (J @ N)
     acc = np.zeros((n, n))

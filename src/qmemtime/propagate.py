@@ -18,19 +18,24 @@ The deviation Delta(t) is a *linear* functional of the real state
 E_t = e^{tA}.  :class:`DeviationMarch` uses that to test a whole chunk of
 grid nodes with one matrix-vector product against precomputed adjoint
 rows, to jump across the chunk with a composed map, and to refine a
-bracketed node on the exact Taylor expansion of Delta.
+bracketed node on the exact Taylor expansion of Delta.  The maps of that
+state over 2^i steps depend only on the system and the step, so a
+:class:`Propagator` derives them once per step and every march with that
+step shares them; the rows depend on the initial moments and the
+weighting, and each march builds its own.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import IntegrationError
 from .linalg import _taylor_terms, hurwitz_margin, spectral_norm
-from .model import coefficients, lambda_affine
+from .model import _isolated_drift, coefficients, lambda_affine
 
 #: Bytes allowed for a march's table of adjoint rows; this fixes the
 #: longest chunk of nodes tested at once.
@@ -74,33 +79,52 @@ class StepMap:
 
     def then(self, nxt):
         """This step followed by ``nxt``."""
-        E2 = nxt.E
+        E2, n = nxt.E, nxt.E.shape[0]
+        Gn = nxt.G.reshape(n, n * n)
         return StepMap(E=E2 @ self.E, w=E2 @ self.w + nxt.w,
-                       G=E2 @ self.G @ E2.T + np.tensordot(self.E, nxt.G, axes=(0, 0)),
-                       G0=E2 @ self.G0 @ E2.T + np.tensordot(self.w, nxt.G, axes=1) + nxt.G0)
+                       G=E2 @ self.G @ E2.T + (self.E.T @ Gn).reshape(n, n, n),
+                       G0=E2 @ self.G0 @ E2.T + (self.w @ Gn).reshape(n, n) + nxt.G0)
 
 
 class Propagator:
     """The moment dynamics of one system, derived once: its coefficient
     set ``co`` with drift A and offset b, ||A||_2, the Hurwitz margin
-    (largest eigenvalue real part) and the affine parts Lambda(mu) = lam0
-    + sum_l mu_l lam_mu[l].  :meth:`of` shares one instance per system."""
+    (largest eigenvalue real part), the affine parts Lambda(mu) = lam0
+    + sum_l mu_l lam_mu[l], and the march maps of :meth:`doubling_maps`
+    for each step asked for.  :meth:`of` shares one instance per system."""
 
     def __init__(self, sys):
         co = coefficients(sys)
         n = sys.n
         self.n = n
+        self.lam0, self.lam_mu = lambda_affine(sys)
+        # S = Re E[X X^T] has the source Re Lambda(mu) + b mu^T + mu b^T.
+        b_el = co.b[None, :, None] * np.eye(n)[:, None, :]
+        self.s_source = (self.lam0.real,
+                         self.lam_mu.real + b_el + b_el.transpose(0, 2, 1))
+        self._set_drift(co)
+
+    def _set_drift(self, co):
+        """Take the coefficient set ``co`` and derive what depends on A."""
         self.co = co
         self.A, self.b = co.A, co.b
         self.norm_a = spectral_norm(co.A)
         self.margin = hurwitz_margin(co.A)
         #: Growth-rate bound of the generator (A kron I + I kron A).
         self.rho = 2.0 * max(1.0, self.norm_a)
-        self.lam0, self.lam_mu = lambda_affine(sys)
-        # S = Re E[X X^T] has the source Re Lambda(mu) + b mu^T + mu b^T.
-        b_el = co.b[None, :, None] * np.eye(n)[:, None, :]
-        self.s_source = (self.lam0.real,
-                         self.lam_mu.real + b_el + b_el.transpose(0, 2, 1))
+        self._doubling = {}
+
+    def _with_energy(self, sys):
+        """The dynamics of ``sys``, this system at another energy vector.
+
+        Only the isolated drift A0 depends on the energy, so the new
+        instance shares the coupling drift, the offset and the affine
+        parts of Lambda, and derives A0 and what depends on A.
+        """
+        prop = copy.copy(self)
+        A0 = _isolated_drift(sys)
+        prop._set_drift(replace(self.co, A0=A0, A=A0 + self.co.Atilde))
+        return prop
 
     @classmethod
     def of(cls, sys):
@@ -108,7 +132,8 @@ class Propagator:
 
         A ``SystemParams`` is frozen with read-only arrays, so the kept
         dynamics cannot go stale; ``replace`` and ``with_energy`` make new
-        instances, which derive their own.
+        instances with their own, where ``with_energy`` of a system whose
+        dynamics exist reuses the energy-independent parts.
         """
         prop = sys.__dict__.get("_propagator")
         if prop is None:
@@ -117,15 +142,16 @@ class Propagator:
 
     def lam(self, mu):
         """Diffusion matrix Lambda(mu), Hermitian."""
-        return self.lam0 + np.tensordot(mu, self.lam_mu, axes=1)
+        return self.lam0 + (mu @ self.lam_mu.reshape(self.n, -1)).reshape(self.n, self.n)
 
     def generate(self, V, mu, c, source):
         """Generator of the augmented dynamics at the state (V, mu, c), or at
         a batch of them: (A V + V A^T + c Q0 + sum_l mu_l Q[l], A mu + c b)
         for the source (Q0, Q); the constant c does not move."""
         Q0, Q = source
-        A = self.A
-        return (A @ V + V @ A.T + np.tensordot(mu, Q, axes=1) + np.multiply.outer(c, Q0),
+        A, n = self.A, self.n
+        return (A @ V + V @ A.T + (mu @ Q.reshape(n, n * n)).reshape(V.shape)
+                + np.multiply.outer(c, Q0),
                 mu @ A.T + np.multiply.outer(c, self.b))
 
     def step_map(self, h, source=None):
@@ -153,31 +179,52 @@ class Propagator:
             M = M.then(M)
         return M
 
+    def doubling_maps(self, step, count):
+        """The first ``count`` maps of the march state (S, E_t, mu, 1), the
+        i-th over 2^i steps of length ``step``.
+
+        They depend only on the system and the step, so they are derived
+        once and kept for every :class:`DeviationMarch` with that step.
+        Kept tuples are never modified, so a march reads correct maps from
+        the one it holds even if the kept entry is replaced meanwhile.
+        """
+        maps = self._doubling.get(step, ())
+        while len(maps) < count:
+            maps += (maps[-1].then(maps[-1]) if maps
+                     else self.step_map(step, self.s_source),)
+            self._doubling[step] = maps
+        return maps
+
     def trajectory(self, init, Sigma, grid):
         """(mu, V, Delta) at the nodes of ``grid``, one map per distinct
         spacing of :func:`step_spacings`.  Delta = <Sigma, Re V>
-        + |F(mu - mu0)|^2 + <Sigma, (E_t - I)(P - mu0 mu0^T)(E_t - I)^T>."""
+        + |F(mu - mu0)|^2 + <Sigma, (E_t - I)(P - mu0 mu0^T)(E_t - I)^T>.
+        The first and last parts are summed node by node, so no history of
+        E_t is kept, and the mean part for all nodes at once."""
         n = self.n
         mu0 = init.mu0
         Pd = init.P - np.outer(mu0, mu0)
         eye = np.eye(n)
-        mu_out = np.empty((grid.size, n))
-        V_out = np.empty((grid.size, n, n), dtype=complex)
-        d_out = np.empty(grid.size)
-        mu, V, Et = mu0, np.zeros((n, n), dtype=complex), eye
-        mu_out[0], V_out[0], d_out[0] = mu, V, 0.0
+        mu = np.empty((grid.size, n))
+        V = np.empty((grid.size, n, n), dtype=complex)
+        delta = np.zeros(grid.size)
+        mu[0], V[0], Et = mu0, 0.0, eye
         maps = {}
         for k, h in enumerate(step_spacings(grid).tolist(), start=1):
             M = maps.get(h)
             if M is None:
                 M = maps[h] = self.step_map(h)
-            V = M.E @ V @ M.E.T + np.tensordot(mu, M.G, axes=1) + M.G0
-            mu = M.E @ mu + M.w
+            np.matmul(M.E @ V[k - 1], M.E.T, out=V[k])
+            V[k] += (mu[k - 1] @ M.G.reshape(n, n * n)).reshape(n, n)
+            V[k] += M.G0
+            np.matmul(M.E, mu[k - 1], out=mu[k])
+            mu[k] += M.w
             Et = M.E @ Et
-            q, dm = Et - eye, mu - mu0
-            mu_out[k], V_out[k] = mu, V
-            d_out[k] = np.sum(Sigma * (V.real + q @ Pd @ q.T)) + dm @ Sigma @ dm
-        return mu_out, V_out, d_out
+            q = Et - eye
+            delta[k] = np.sum(Sigma * (V[k].real + q @ Pd @ q.T))
+        dm = (mu - mu0)[:, None, :]
+        delta += (dm @ Sigma @ dm.transpose(0, 2, 1))[:, 0, 0]
+        return mu, V, delta
 
 
 @dataclass(frozen=True)
@@ -201,14 +248,18 @@ class MarchResult:
 class DeviationMarch:
     """Delta on the node grid k * step for one initial mean and weighting.
 
-    The state is the flat vector x = (S, E_t, mu, 1), on which
+    The state is the flat vector x = (S, E_t^T, mu, 1), on which
 
-        Delta = <Sigma, S> - 2 <Sigma Pd, E_t> - 2 mu^T Sigma mu0 + <Sigma, P>
+        Delta = <Sigma, S> - 2 <Pd Sigma, E_t^T> - 2 mu^T Sigma mu0 + <Sigma, P>
 
-    with Pd = P - mu0 mu0^T.  Row j of the table holds this functional
-    pulled back over j steps, so Delta at the next j nodes is one product
-    with the state.  The table doubles after each full chunk, up to
-    ``ROW_BUDGET``, so short marches build few rows.
+    with Pd = P - mu0 mu0^T.  E_t is kept transposed, so that a map acts on
+    it, and a row is pulled back over it, by a product from the right.
+    Row j of the table holds this functional pulled back over j + 1 steps,
+    so Delta at the next nodes is one product of the table with the state.
+    The table doubles after each full chunk, up to ``ROW_BUDGET``, so short
+    marches build few rows.  The maps over 2^i steps come from
+    :meth:`Propagator.doubling_maps` and are shared with every march of
+    the same system and step; the rows are this march's own.
     """
 
     def __init__(self, prop, init, Sigma, step):
@@ -217,10 +268,10 @@ class DeviationMarch:
         mu0, P = init.mu0, init.P
         Pd = P - np.outer(mu0, mu0)
         self.x0 = np.concatenate([P.ravel(), np.eye(n).ravel(), mu0, [1.0]])
-        self.ell = np.concatenate([Sigma.ravel(), -2.0 * (Sigma @ Pd).ravel(),
+        self.ell = np.concatenate([Sigma.ravel(), -2.0 * (Pd @ Sigma).ravel(),
                                    -2.0 * Sigma @ mu0, [np.sum(Sigma * P)]])
-        self.maps = [prop.step_map(step, prop.s_source)]  # maps[i]: 2^i steps
-        self.rows = self._pull(self.maps[0], self.ell[None, :])
+        self.maps = prop.doubling_maps(step, 1)  # maps[i]: 2^i steps
+        self.rows = self._pull(self.maps[0], self.ell[None, :], np.empty((1, self.ell.size)))
         self.cap = 2 ** max(0, int(math.log2(ROW_BUDGET / (8 * self.ell.size))))
 
     def _split(self, x):
@@ -231,20 +282,25 @@ class DeviationMarch:
 
     def _push(self, M, x):
         """The state x moved by the map M."""
-        S, Et, mu, c = self._split(x)
-        return np.concatenate([(M.E @ S @ M.E.T + np.tensordot(mu, M.G, axes=1)
-                                + c * M.G0).ravel(),
-                               (M.E @ Et).ravel(), M.E @ mu + c * M.w, [c]])
+        S, EtT, mu, c = self._split(x)
+        n = self.n
+        return np.concatenate([(M.E @ S @ M.E.T).ravel() + mu @ M.G.reshape(n, n * n)
+                               + c * M.G0.ravel(),
+                               (EtT @ M.E.T).ravel(), M.E @ mu + c * M.w, [c]])
 
-    def _pull(self, M, L):
-        """Rows of functionals L composed with the map M."""
-        Ls, Le, lm, l1 = self._split(L)
-        k = L.shape[0]
-        return np.concatenate([
-            (M.E.T @ Ls @ M.E).reshape(k, -1),
-            (M.E.T @ Le).reshape(k, -1),
-            lm @ M.E + np.tensordot(Ls, M.G, axes=([1, 2], [1, 2])),
-            (l1 + np.tensordot(Ls, M.G0, axes=2) + lm @ M.w)[:, None]], axis=1)
+    def _pull(self, M, L, out):
+        """Write to ``out`` the rows of functionals L composed with the map
+        M, each block by one matrix product over all rows."""
+        n, nn, k = self.n, self.n * self.n, len(L)
+        Ls, lm = L[:, :nn], L[:, 2 * nn:-1]
+        # S is symmetric, so only the symmetric part of a row's S block
+        # counts, and (Ls E)^T E = E^T Ls^T E pulls it back as E^T Ls E does.
+        LsE = (Ls.reshape(k * n, n) @ M.E).reshape(k, n, n)
+        out[:, :nn] = (LsE.transpose(0, 2, 1).reshape(k * n, n) @ M.E).reshape(k, nn)
+        out[:, nn:2 * nn] = (L[:, nn:2 * nn].reshape(k * n, n) @ M.E).reshape(k, nn)
+        out[:, 2 * nn:-1] = lm @ M.E + Ls @ M.G.reshape(n, nn).T
+        out[:, -1] = L[:, -1] + Ls @ M.G0.ravel() + lm @ M.w
+        return out
 
     def _advance(self, x, nodes):
         for i in range(nodes.bit_length()):
@@ -253,8 +309,13 @@ class DeviationMarch:
         return x
 
     def _grow(self):
-        self.rows = np.concatenate([self.rows, self._pull(self.maps[-1], self.rows)])
-        self.maps.append(self.maps[-1].then(self.maps[-1]))
+        k = len(self.rows)
+        i = k.bit_length() - 1  # the rows span 2^i steps
+        self.maps = self.prop.doubling_maps(self.step, i + 2)
+        rows = np.empty((2 * k, self.ell.size))
+        rows[:k] = self.rows
+        self.rows = rows
+        self._pull(self.maps[i], rows[:k], rows[k:])
 
     def delta(self, x):
         return float(self.ell @ x)
@@ -297,9 +358,9 @@ class DeviationMarch:
         prop = self.prop
         terms = [x]
         for k in range(1, _taylor_terms(width * prop.rho) + 1):
-            S, Et, mu, c = self._split(terms[-1])
+            S, EtT, mu, c = self._split(terms[-1])
             dS, dmu = prop.generate(S, mu, c, prop.s_source)
-            terms.append(np.concatenate([dS.ravel(), (prop.A @ Et).ravel(), dmu, [0.0]]) / k)
+            terms.append(np.concatenate([dS.ravel(), (EtT @ prop.A.T).ravel(), dmu, [0.0]]) / k)
         return terms
 
     def refine(self, x, t_lo, threshold, tol):

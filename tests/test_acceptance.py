@@ -7,9 +7,8 @@ pass/fail lines alongside the pytest verdicts.
 import functools
 
 import numpy as np
-import pytest
 
-from qmemtime.algebra import pauli_structure, sections_diamond
+from qmemtime.algebra import sections_diamond
 from qmemtime.decoherence import decoherence_time, tau_expansion
 from qmemtime.interconnect import (compose, optimal_direct_coupling,
                                    partition_rk, product_mean)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from qmemtime.errors import StationarityError
-from qmemtime.model import SystemParams, coefficients, lambda_matrix
-from qmemtime.moments import (delta_derivatives0, initial_moments,
-                              weighting_from_sigma)
+from qmemtime.model import SystemParams, lambda_matrix
+from qmemtime.moments import delta_derivatives0, weighting_from_sigma
 from qmemtime.optimize import (gradient_check, optimal_energy, rk_matrices,
                                suboptimal_tau_report)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qmemtime import propagate
+from qmemtime import model, propagate
 from qmemtime.decoherence import (CrossingOptions, decoherence_time,
                                   tau_expansion)
 from qmemtime.interconnect import compose, product_mean
@@ -14,7 +14,7 @@ from qmemtime.model import SystemParams
 from qmemtime.moments import (deviation_delta, initial_moments,
                               moment_trajectory, reference_norm,
                               steady_state, weighting_from_sigma)
-from qmemtime.optimize import rk_matrices
+from qmemtime.optimize import gradient_check, rk_matrices
 from qmemtime.propagate import DeviationMarch, Propagator
 
 from oracles import first_crossing_scan
@@ -53,10 +53,22 @@ def test_march_no_crossing_returns_final_state(worked):
     assert np.abs(res.state[2 * n * n:-1] - traj.mu[-1]).max() <= 1e-12
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_chunked_delta_matches_stepwise(make_instance, seed):
-    system, init = make_instance(np.random.default_rng(seed))
-    weights = weighting_from_sigma(np.eye(3))
+def _two_qubit_composite(pauli):
+    sub = SystemParams(sc=pauli, E=np.array([0.1, 0.0, 0.2]),
+                       M=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                       N=np.array([0.0, 0.1]))
+    system = compose(sub, sub, 0.3 * np.ones(9)).as_system()
+    init = initial_moments(system.sc, product_mean([0.1, 0.0, 0.2], [0.0, -0.1, 0.3]))
+    return system, init
+
+
+@pytest.mark.parametrize("case", [0, 1, "composite"])
+def test_chunked_delta_matches_stepwise(make_instance, pauli, case):
+    if case == "composite":
+        system, init = _two_qubit_composite(pauli)
+    else:
+        system, init = make_instance(np.random.default_rng(case))
+    weights = weighting_from_sigma(np.eye(system.n))
     prop = Propagator(system)
     h = 1e-3 / max(1.0, prop.norm_a)
     nodes = 700
@@ -144,12 +156,64 @@ def test_with_energy_derives_afresh(worked):
     assert tau != before
 
 
+def test_with_energy_reuses_energy_independent_parts(pauli, monkeypatch):
+    system, init = _two_qubit_composite(pauli)
+    weights = weighting_from_sigma(np.eye(system.n))
+    calls = []
+    for module in (propagate, model):
+        monkeypatch.setattr(module, "lambda_affine",
+                            lambda sys, f=module.lambda_affine: calls.append(sys) or f(sys))
+    report = gradient_check(system, init, weights, np.linspace(-0.3, 0.4, system.n))
+    assert len(calls) <= 1
+    assert report.max_rel_dev <= 1e-6
+
+    E2 = np.linspace(0.5, -0.2, system.n)
+    moved = system.with_energy(E2)
+    fresh = SystemParams(sc=system.sc, E=E2, M=system.M, N=system.N)
+    prop, fresh_prop = Propagator.of(moved), Propagator(fresh)
+    assert len(calls) == 2
+    for name in ("A", "b", "lam0", "lam_mu", "norm_a", "margin", "rho"):
+        assert np.array_equal(getattr(prop, name), getattr(fresh_prop, name)), name
+    assert np.array_equal(prop.s_source[1], fresh_prop.s_source[1])
+
+    # the march maps of the parent's drift are not carried over
+    opts = CrossingOptions(step=0.01)
+    decoherence_time(system, init, weights, 0.1, opts=opts)
+    tau = decoherence_time(system.with_energy(E2), init, weights, 0.1, opts=opts)
+    assert tau == decoherence_time(fresh, init, weights, 0.1, opts=opts)
+
+
+def test_decoherence_times_share_doubling_maps(worked, monkeypatch):
+    system = dataclasses.replace(worked.sys)
+    args = (worked.init, worked.weights)
+    decoherence_time(system, *args, 0.5)
+    calls = []
+    step_map, then = Propagator.step_map, propagate.StepMap.then
+    monkeypatch.setattr(Propagator, "step_map",
+                        lambda self, h, *a: calls.append("step_map") or step_map(self, h, *a))
+    monkeypatch.setattr(propagate.StepMap, "then",
+                        lambda self, nxt: calls.append("then") or then(self, nxt))
+
+    shared = decoherence_time(system, *args, 0.05)
+    assert calls == []
+    fresh = decoherence_time(dataclasses.replace(system), *args, 0.05)
+    assert calls.count("step_map") == 1
+    assert (shared.value, shared.bracket) == (fresh.value, fresh.bracket)
+
+    # another step derives its own maps, once
+    opts = CrossingOptions(step=1e-3)
+    calls.clear()
+    own = decoherence_time(system, *args, 0.05, opts=opts)
+    assert calls.count("step_map") == 1
+    calls.clear()
+    assert decoherence_time(system, *args, 0.05, opts=opts) == own
+    assert calls == []
+    fresh = decoherence_time(dataclasses.replace(system), *args, 0.05, opts=opts)
+    assert (own.value, own.bracket) == (fresh.value, fresh.bracket)
+
+
 def test_uniform_grid_builds_one_step_map(pauli, monkeypatch):
-    sub = SystemParams(sc=pauli, E=np.array([0.1, 0.0, 0.2]),
-                       M=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-                       N=np.array([0.0, 0.1]))
-    system = compose(sub, sub, 0.3 * np.ones(9)).as_system()
-    init = initial_moments(system.sc, product_mean([0.1, 0.0, 0.2], [0.0, -0.1, 0.3]))
+    system, init = _two_qubit_composite(pauli)
     weights = weighting_from_sigma(np.eye(15))
     grid = np.linspace(0.0, 0.5, 501)
     assert len(set(np.diff(grid).tolist())) > 1
