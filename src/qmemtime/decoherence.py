@@ -24,7 +24,8 @@ import numpy as np
 from .errors import (InconclusiveCrossingError, TrivialWeightError,
                      ZeroDiffusionError)
 from .linalg import HURWITZ_TOL
-from .moments import delta_derivatives0, reference_norm, steady_state
+from .moments import (_delta_rate0, delta_derivatives0, reference_norm,
+                      steady_state)
 from .propagate import DeviationMarch, Propagator
 
 INFINITE = math.inf
@@ -143,9 +144,9 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
     tol = opts.tol if opts.tol is not None else 1e-9 / max(1.0, prop.norm_a)
 
     # Frozen dynamics: the variables are conserved and Delta stays at zero.
-    d1, _ = delta_derivatives0(sys, init, weights)
     if (np.abs(prop.A).max() <= 1e-14 and np.abs(prop.b).max() <= 1e-14
-            and d1 <= DIFFUSION_TOL * max(1.0, ref)):
+            and _delta_rate0(prop, init, weights.Sigma)[0]
+            <= DIFFUSION_TOL * max(1.0, ref)):
         return DecoherenceTime(epsilon=epsilon, value=INFINITE,
                                threshold=threshold, bracket=None)
 

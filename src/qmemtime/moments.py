@@ -24,7 +24,7 @@ import numpy as np
 from .algebra import sections_dot
 from .errors import (AdmissibilityError, IntegrationError,
                      InternalConsistencyError)
-from .linalg import _require_margin, expm_psi, require_hurwitz, solve_lyapunov
+from .linalg import expm_psi, require_hurwitz
 from .propagate import Propagator, step_spacings
 
 #: Mean-square deviations in [-NEG_DELTA_TOL, 0) are clipped to zero;
@@ -198,6 +198,13 @@ def deviation_delta(sys, init, weights, grid):
     return moment_trajectory(sys, init, weights, grid).Delta
 
 
+def _delta_rate0(prop, init, Sigma):
+    """The first right-hand derivative <Sigma, Re Lambda(mu0)> of Delta at
+    t = 0, and Re Lambda(mu0)."""
+    lam0 = prop.lam(init.mu0).real
+    return float(np.sum(Sigma * lam0)), lam0
+
+
 def delta_derivatives0(sys, init, weights):
     """First two right-hand derivatives of Delta at t = 0.
 
@@ -207,10 +214,9 @@ def delta_derivatives0(sys, init, weights):
     """
     prop = Propagator.of(sys)
     A, b, Sigma = prop.A, prop.b, weights.Sigma
-    lam0 = prop.lam(init.mu0).real
+    d1, lam0 = _delta_rate0(prop, init, Sigma)
     # Lambda is affine in the mean, so its rate is the linear part at mu'(0).
     lamd = np.tensordot(A @ init.mu0 + b, prop.lam_mu, axes=1).real
-    d1 = float(np.sum(Sigma * lam0))
     inner = (2.0 * A @ init.P @ A.T
              + 2.0 * A @ (lam0 + 2.0 * np.outer(init.mu0, b))
              + lamd)
@@ -233,19 +239,12 @@ def steady_state(sys, init, weights):
 
     P_inf solves A P + P A^T + Re Lambda_inf = 0; the limit deviation is
     <Sigma, P> - 2 mu_inf^T Sigma mu0 + |F mu_inf|^2 + <Sigma, P_inf>,
-    whose sign is not asserted (the cross term may be negative).
+    whose sign is not asserted (the cross term may be negative).  The
+    limits of the system are derived once, by
+    :meth:`Propagator.limits <qmemtime.propagate.Propagator.limits>`, and
+    returned read-only; only Delta_inf is computed per call.
     """
-    prop = Propagator.of(sys)
-    A = prop.A
-    _require_margin(prop.margin, context="the steady-state mean")
-    mu_inf = -np.linalg.solve(A, prop.b)
-    lam_inf = prop.lam(mu_inf)
-    P_inf = solve_lyapunov(A, lam_inf.real)
-    resid = np.abs(A @ P_inf + P_inf @ A.T + lam_inf.real).max()
-    if resid > 1e-10 * max(1.0, np.abs(lam_inf.real).max()):
-        raise InternalConsistencyError(
-            f"algebraic Lyapunov residual {resid:.3e} exceeds 1e-10"
-        )
+    mu_inf, lam_inf, P_inf = Propagator.of(sys).limits()
     Sigma = weights.Sigma
     delta_inf = float(np.sum(Sigma * init.P)
                       - 2.0 * mu_inf @ Sigma @ init.mu0

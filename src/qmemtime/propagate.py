@@ -13,6 +13,11 @@ generator has order n^2 + n + 1 and is never formed: its action on the n
 unit means and the constant state is summed as a Taylor series over a
 short step, and the map is scaled back up by composition.
 
+A trajectory moves a whole block of grid nodes at once: within a run of
+equal spacings, the nodes [k, k + m) follow from the nodes [k - m, k) by
+the map over m steps, for m = 1, 2, 4, ... up to ``BLOCK`` and then m =
+``BLOCK`` (see :meth:`Propagator.trajectory`).
+
 The deviation Delta(t) is a *linear* functional of the real state
 (S, E_t, mu, 1), with S = Re E[X_t X_t^T] the full second moment and
 E_t = e^{tA}.  :class:`DeviationMarch` uses that to test a whole chunk of
@@ -22,7 +27,8 @@ bracketed node on the exact Taylor expansion of Delta.  The maps of that
 state over 2^i steps depend only on the system and the step, so a
 :class:`Propagator` derives them once per step and every march with that
 step shares them; the rows depend on the initial moments and the
-weighting, and each march builds its own.
+weighting, and each march builds its own.  The maps of (V, mu) that
+trajectories use are kept the same way, for one step per system.
 """
 
 from __future__ import annotations
@@ -33,13 +39,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import IntegrationError
-from .linalg import _taylor_terms, hurwitz_margin, spectral_norm
+from .errors import IntegrationError, InternalConsistencyError
+from .linalg import (_require_margin, _taylor_terms, hurwitz_margin,
+                     solve_lyapunov, spectral_norm)
 from .model import _isolated_drift, coefficients, lambda_affine
 
 #: Bytes allowed for a march's table of adjoint rows; this fixes the
 #: longest chunk of nodes tested at once.
 ROW_BUDGET = 1 << 20
+
+#: Most grid nodes a trajectory advances by one map (a power of two).
+BLOCK = 16
 
 
 def _horner(coef, s):
@@ -90,8 +100,9 @@ class Propagator:
     """The moment dynamics of one system, derived once: its coefficient
     set ``co`` with drift A and offset b, ||A||_2, the Hurwitz margin
     (largest eigenvalue real part), the affine parts Lambda(mu) = lam0
-    + sum_l mu_l lam_mu[l], and the march maps of :meth:`doubling_maps`
-    for each step asked for.  :meth:`of` shares one instance per system."""
+    + sum_l mu_l lam_mu[l], the maps of :meth:`doubling_maps` for each
+    step asked for, and the steady-state :meth:`limits`.  :meth:`of`
+    shares one instance per system."""
 
     def __init__(self, sys):
         co = coefficients(sys)
@@ -102,6 +113,7 @@ class Propagator:
         b_el = co.b[None, :, None] * np.eye(n)[:, None, :]
         self.s_source = (self.lam0.real,
                          self.lam_mu.real + b_el + b_el.transpose(0, 2, 1))
+        self._sources = {"S": self.s_source, "V": (self.lam0, self.lam_mu)}
         self._set_drift(co)
 
     def _set_drift(self, co):
@@ -113,6 +125,7 @@ class Propagator:
         #: Growth-rate bound of the generator (A kron I + I kron A).
         self.rho = 2.0 * max(1.0, self.norm_a)
         self._doubling = {}
+        self._limits = None
 
     def _with_energy(self, sys):
         """The dynamics of ``sys``, this system at another energy vector.
@@ -139,6 +152,31 @@ class Propagator:
         if prop is None:
             prop = sys.__dict__["_propagator"] = cls(sys)
         return prop
+
+    def limits(self):
+        """Steady-state mean, diffusion matrix and second moment
+        (mu_inf, Lambda_inf, P_inf) of a Hurwitz drift, where
+        A P_inf + P_inf A^T + Re Lambda_inf = 0.
+
+        They depend only on the system, so the first call that succeeds
+        derives them and keeps them, read-only; a drift that is not
+        Hurwitz raises :class:`NotHurwitzError` on every call.
+        """
+        _require_margin(self.margin, context="the steady-state mean")
+        if self._limits is None:
+            A = self.A
+            mu_inf = -np.linalg.solve(A, self.b)
+            lam_inf = self.lam(mu_inf)
+            P_inf = solve_lyapunov(A, lam_inf.real)
+            resid = np.abs(A @ P_inf + P_inf @ A.T + lam_inf.real).max()
+            if resid > 1e-10 * max(1.0, np.abs(lam_inf.real).max()):
+                raise InternalConsistencyError(
+                    f"algebraic Lyapunov residual {resid:.3e} exceeds 1e-10"
+                )
+            for arr in (mu_inf, lam_inf, P_inf):
+                arr.setflags(write=False)
+            self._limits = (mu_inf, lam_inf, P_inf)
+        return self._limits
 
     def lam(self, mu):
         """Diffusion matrix Lambda(mu), Hermitian."""
@@ -179,51 +217,91 @@ class Propagator:
             M = M.then(M)
         return M
 
-    def doubling_maps(self, step, count):
-        """The first ``count`` maps of the march state (S, E_t, mu, 1), the
-        i-th over 2^i steps of length ``step``.
+    def doubling_maps(self, step, count, source="S"):
+        """The first ``count`` maps over 2^i steps of length ``step``: of
+        the march state (S, E_t, mu, 1) for ``source`` "S", or of the
+        moments (V, mu), whose source is Lambda(mu), for ``source`` "V".
 
-        They depend only on the system and the step, so they are derived
-        once and kept for every :class:`DeviationMarch` with that step.
-        Kept tuples are never modified, so a march reads correct maps from
-        the one it holds even if the kept entry is replaced meanwhile.
+        They depend only on the system, the source and the step, so they
+        are derived once and kept: every :class:`DeviationMarch` with that
+        step shares the "S" maps, and a :meth:`trajectory` keeps the "V"
+        maps of one step only.  Kept tuples are never modified, so a caller
+        reads correct maps from the one it holds even if the kept entry is
+        replaced or dropped meanwhile.
         """
-        maps = self._doubling.get(step, ())
+        key = (source, step)
+        maps = self._doubling.get(key, ())
         while len(maps) < count:
             maps += (maps[-1].then(maps[-1]) if maps
-                     else self.step_map(step, self.s_source),)
-            self._doubling[step] = maps
+                     else self.step_map(step, self._sources[source]),)
+            self._doubling[key] = maps
         return maps
 
     def trajectory(self, init, Sigma, grid):
-        """(mu, V, Delta) at the nodes of ``grid``, one map per distinct
-        spacing of :func:`step_spacings`.  Delta = <Sigma, Re V>
-        + |F(mu - mu0)|^2 + <Sigma, (E_t - I)(P - mu0 mu0^T)(E_t - I)^T>.
-        The first and last parts are summed node by node, so no history of
-        E_t is kept, and the mean part for all nodes at once."""
-        n = self.n
+        """(mu, V, Delta) at the nodes of ``grid``.
+
+        The spacings of :func:`step_spacings` split the grid into runs of
+        equal steps.  Within a run the nodes [k, k + m) come from the nodes
+        [k - m, k) by the map over m steps, with m = 1, 2, 4, ... up to
+        ``BLOCK`` and then m = ``BLOCK`` to the end of the run, so a block
+        of nodes moves by a few matrix products.  The maps are the "V"
+        maps of :meth:`doubling_maps`; those of the longest run stay kept
+        for later calls, the others are dropped when they are built.
+
+        Delta = <Sigma, Re V> + |F(mu - mu0)|^2
+        + <Sigma, (E_t - I)(P - mu0 mu0^T)(E_t - I)^T>.  E_t is kept for
+        the last ``BLOCK`` nodes only, and the last two parts are summed
+        block by block.
+        """
+        n, nn = self.n, self.n * self.n
         mu0 = init.mu0
         Pd = init.P - np.outer(mu0, mu0)
         eye = np.eye(n)
+        h = step_spacings(grid)
+        starts = np.flatnonzero(np.r_[True, h[1:] != h[:-1]]).tolist()
+        ends = starts[1:] + [h.size]
+        h = h.tolist()
+        levels = BLOCK.bit_length()  # maps over 1, 2, 4, ..., BLOCK steps
+        # The maps are built before the output exists, so their work arrays
+        # do not add to its size.
+        runs = [(s, e, self.doubling_maps(h[s], min((e - s).bit_length(), levels), "V"))
+                for s, e in zip(starts, ends)]
+        s, e, _ = max(runs, key=lambda run: run[1] - run[0])
+        kept = ("V", h[s]) if e - s > 1 else None
+        for key in list(self._doubling):
+            if key[0] == "V" and key != kept:
+                self._doubling.pop(key, None)
+
         mu = np.empty((grid.size, n))
         V = np.empty((grid.size, n, n), dtype=complex)
         delta = np.zeros(grid.size)
-        mu[0], V[0], Et = mu0, 0.0, eye
-        maps = {}
-        for k, h in enumerate(step_spacings(grid).tolist(), start=1):
-            M = maps.get(h)
-            if M is None:
-                M = maps[h] = self.step_map(h)
-            np.matmul(M.E @ V[k - 1], M.E.T, out=V[k])
-            V[k] += (mu[k - 1] @ M.G.reshape(n, n * n)).reshape(n, n)
-            V[k] += M.G0
-            np.matmul(M.E, mu[k - 1], out=mu[k])
-            mu[k] += M.w
-            Et = M.E @ Et
-            q = Et - eye
-            delta[k] = np.sum(Sigma * (V[k].real + q @ Pd @ q.T))
-        dm = (mu - mu0)[:, None, :]
-        delta += (dm @ Sigma @ dm.transpose(0, 2, 1))[:, 0, 0]
+        mu[0], V[0] = mu0, 0.0
+        EtT = np.empty((BLOCK, n, n))  # E_t^T at the node s + r of a run, in slot r % BLOCK
+        EtT[0] = eye
+        for s, e, maps in runs:
+            k, i = s + 1, 0  # the node k comes from the node k - 2^i
+            while k <= e:
+                M, m = maps[i], 1 << i
+                b = min(m, e + 1 - k)
+                src, dst = slice(k - m, k - m + b), slice(k, k + b)
+                # E V E^T, with E V taken on a real view of the stack V
+                np.matmul(np.matmul(M.E, V[src].view(float)).view(complex).reshape(b * n, n),
+                          M.E.T, out=V[dst].reshape(b * n, n))
+                G = M.G.view(float).reshape(n, 2 * nn)
+                V[dst] += (mu[src] @ G).view(complex).reshape(b, n, n)
+                V[dst] += M.G0
+                np.matmul(mu[src], M.E.T, out=mu[dst])
+                mu[dst] += M.w
+                j = (k - s) % BLOCK
+                EtT[j:j + b] = (EtT[:b].reshape(b * n, n) @ M.E.T).reshape(b, n, n)
+                Q, dm = EtT[j:j + b] - eye, mu[dst] - mu0  # Q = (E_t - I)^T
+                delta[dst] = (np.einsum("kij,kij->k",
+                                        (Q.reshape(b * n, n) @ Sigma).reshape(b, n, n),
+                                        np.matmul(Pd, Q))
+                              + np.einsum("ki,ij,kj->k", dm, Sigma, dm))
+                k, i = k + b, min(i + 1, levels - 1)
+            EtT[0] = EtT[(e - s) % BLOCK]
+        delta += (V.reshape(grid.size, nn) @ Sigma.ravel()).real
         return mu, V, delta
 
 
@@ -256,8 +334,10 @@ class DeviationMarch:
     it, and a row is pulled back over it, by a product from the right.
     Row j of the table holds this functional pulled back over j + 1 steps,
     so Delta at the next nodes is one product of the table with the state.
-    The table doubles after each full chunk, up to ``ROW_BUDGET``, so short
-    marches build few rows.  The maps over 2^i steps come from
+    The table's rows double after each full chunk, up to ``ROW_BUDGET``, so
+    short marches build few rows; its storage is taken once at that cap,
+    so growing it copies nothing and the march's memory peaks at the
+    table itself.  The maps over 2^i steps come from
     :meth:`Propagator.doubling_maps` and are shared with every march of
     the same system and step; the rows are this march's own.
     """
@@ -271,8 +351,9 @@ class DeviationMarch:
         self.ell = np.concatenate([Sigma.ravel(), -2.0 * (Pd @ Sigma).ravel(),
                                    -2.0 * Sigma @ mu0, [np.sum(Sigma * P)]])
         self.maps = prop.doubling_maps(step, 1)  # maps[i]: 2^i steps
-        self.rows = self._pull(self.maps[0], self.ell[None, :], np.empty((1, self.ell.size)))
         self.cap = 2 ** max(0, int(math.log2(ROW_BUDGET / (8 * self.ell.size))))
+        self._table = np.empty((self.cap, self.ell.size))
+        self.rows = self._pull(self.maps[0], self.ell[None, :], self._table[:1])
 
     def _split(self, x):
         n, nn = self.n, self.n * self.n
@@ -312,10 +393,10 @@ class DeviationMarch:
         k = len(self.rows)
         i = k.bit_length() - 1  # the rows span 2^i steps
         self.maps = self.prop.doubling_maps(self.step, i + 2)
-        rows = np.empty((2 * k, self.ell.size))
-        rows[:k] = self.rows
-        self.rows = rows
-        self._pull(self.maps[i], rows[:k], rows[k:])
+        if 2 * k > len(self._table):  # more nodes at once than the cap
+            self._table = np.concatenate([self.rows, np.empty_like(self.rows)])
+        self.rows = self._table[:2 * k]
+        self._pull(self.maps[i], self.rows[:k], self.rows[k:])
 
     def delta(self, x):
         return float(self.ell @ x)

@@ -164,6 +164,31 @@ def delta_upsilon(sys, init, weights, t, V_t):
     return float(np.sum(weights.Sigma * ups.real))
 
 
+def stepwise_trajectory(prop, init, Sigma, grid):
+    """(mu, V, Delta) along ``grid``, one node after the other, each by the
+    single-step map of its own float spacing from ``prop.step_map``."""
+    n = prop.n
+    mu0 = init.mu0
+    Pd = init.P - np.outer(mu0, mu0)
+    mu = np.empty((grid.size, n))
+    V = np.empty((grid.size, n, n), dtype=complex)
+    delta = np.zeros(grid.size)
+    mu[0], V[0], Et = mu0, 0.0, np.eye(n)
+    maps = {}
+    for k in range(1, grid.size):
+        h = grid[k] - grid[k - 1]
+        if h not in maps:
+            maps[h] = prop.step_map(h)
+        M = maps[h]
+        V[k] = M.E @ V[k - 1] @ M.E.T + np.tensordot(mu[k - 1], M.G, axes=1) + M.G0
+        mu[k] = M.E @ mu[k - 1] + M.w
+        Et = M.E @ Et
+        q = Et - np.eye(n)
+        dm = mu[k] - mu0
+        delta[k] = np.sum(Sigma * (V[k].real + q @ Pd @ q.T)) + dm @ Sigma @ dm
+    return mu, V, delta
+
+
 def first_crossing_scan(grid, delta_vals, threshold):
     """First up-crossing on a dense grid, refined by linear interpolation.
 

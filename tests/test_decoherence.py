@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from qmemtime import decoherence, moments
 from qmemtime.algebra import StructureConstants
 from qmemtime.decoherence import (CrossingOptions, decoherence_time,
                                   tau_expansion, tau_hat)
@@ -23,6 +25,20 @@ def test_frozen_system_never_decoheres(pauli):
         result = decoherence_time(sys, init, w, eps)
         assert result.is_infinite
         assert result.bracket is None
+
+
+def test_crossing_search_skips_second_derivative(worked, monkeypatch):
+    # the frozen-dynamics test needs only the first derivative of Delta
+    calls = []
+    for module in (moments, decoherence):
+        monkeypatch.setattr(module, "delta_derivatives0",
+                            lambda *a, f=module.delta_derivatives0: calls.append(a) or f(*a))
+    result = decoherence_time(dataclasses.replace(worked.sys), worked.init,
+                              worked.weights, 0.05)
+    assert calls == []
+    assert result.value == pytest.approx(0.009509216904640197, rel=1e-14)
+    assert result.bracket == pytest.approx((0.009509216785430909, 0.009509217023849487),
+                                           rel=1e-14)
 
 
 def test_worked_crossing_against_dense_scan(worked):

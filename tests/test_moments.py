@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm as sexpm
 
-from qmemtime import moments
+from qmemtime import moments, propagate
 from qmemtime.errors import AdmissibilityError, NotHurwitzError
 from qmemtime.linalg import expm_psi, solve_lyapunov, spectral_norm
 from qmemtime.model import SystemParams, coefficients
@@ -366,8 +368,27 @@ def test_steady_state_requires_hurwitz(pauli):
                        M=np.zeros((2, 3)), N=np.zeros(2))
     init = initial_moments(pauli, np.zeros(3))
     w = weighting_from_sigma(np.eye(3))
-    with pytest.raises(NotHurwitzError, match="for the steady-state mean"):
-        steady_state(sys, init, w)
+    for _ in range(2):  # the failure is not kept in place of the limits
+        with pytest.raises(NotHurwitzError, match="for the steady-state mean"):
+            steady_state(sys, init, w)
+
+
+def test_steady_state_limits_derived_once(worked, monkeypatch):
+    fresh = dataclasses.replace(worked.sys)
+    first = steady_state(fresh, worked.init, worked.weights)
+    calls = []
+    monkeypatch.setattr(propagate, "solve_lyapunov",
+                        lambda *a: calls.append(a) or solve_lyapunov(*a))
+    second = steady_state(fresh, worked.init, worked.weights)
+    assert calls == []
+    for name in ("mu_inf", "P_inf", "Lambda_inf", "Delta_inf"):
+        assert np.array_equal(getattr(first, name), getattr(second, name)), name
+    # Delta_inf is per initial mean; the kept limits are not
+    init = initial_moments(worked.sc, np.array([0.0, 0.0, 0.3]))
+    other = steady_state(fresh, init, worked.weights)
+    assert calls == []
+    assert np.array_equal(other.P_inf, first.P_inf)
+    assert other.Delta_inf == pytest.approx(worked.delta_inf - 0.6, abs=1e-12)
 
 
 def test_steady_state_solves_eigenvalues_once(worked, monkeypatch):

@@ -1,12 +1,14 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qmemtime import model, propagate
+from qmemtime.algebra import pauli_structure
 from qmemtime.decoherence import (CrossingOptions, decoherence_time,
                                   tau_expansion)
 from qmemtime.interconnect import compose, product_mean
@@ -17,7 +19,7 @@ from qmemtime.moments import (deviation_delta, initial_moments,
 from qmemtime.optimize import gradient_check, rk_matrices
 from qmemtime.propagate import DeviationMarch, Propagator
 
-from oracles import first_crossing_scan
+from oracles import first_crossing_scan, stepwise_trajectory
 
 
 def _march(system, init, weights, step):
@@ -225,8 +227,80 @@ def test_uniform_grid_builds_one_step_map(pauli, monkeypatch):
     shared = deviation_delta(system, init, weights, grid)
     assert len(steps) == 1
 
-    # one map per distinct float spacing, as without the shared rule
+    # one map per distinct float spacing, as without the shared rule; a
+    # fresh system, since the first call's map is kept on this one
     monkeypatch.setattr(propagate, "step_spacings", np.diff)
-    per_spacing = deviation_delta(system, init, weights, grid)
+    per_spacing = deviation_delta(dataclasses.replace(system), init, weights, grid)
     assert len(steps) == 1 + len(set(np.diff(grid).tolist()))
     assert np.abs(shared - per_spacing).max() <= 1e-12 * np.abs(per_spacing).max()
+
+
+def _grid(kind, nodes, t_max):
+    if kind == "uniform":
+        return np.linspace(0.0, t_max, nodes)
+    if kind == "two runs":  # two linspace pieces of different spacing
+        cut = nodes // 3 + 1
+        return np.concatenate([np.linspace(0.0, 0.2 * t_max, cut),
+                               np.linspace(0.2 * t_max, t_max, nodes - cut + 1)[1:]])
+    return np.concatenate([[0.0], np.geomspace(1e-3 * t_max, t_max, nodes - 1)])
+
+
+@functools.lru_cache(maxsize=None)
+def _composite_case():
+    return _two_qubit_composite(pauli_structure())
+
+
+@settings(max_examples=30, deadline=None)
+@example(case="composite", kind="uniform", nodes=40, t_max=0.5)
+@example(case="composite", kind="two runs", nodes=40, t_max=2.0)
+@example(case="composite", kind="geometric", nodes=40, t_max=1.0)
+@given(case=st.one_of(st.integers(0, 2 ** 32 - 1), st.just("composite")),
+       kind=st.sampled_from(["uniform", "two runs", "geometric"]),
+       nodes=st.integers(2, 80), t_max=st.floats(0.05, 3.0))
+def test_blocked_trajectory_matches_stepwise(make_instance, case, kind, nodes, t_max):
+    if case == "composite":
+        system, init = _composite_case()
+        nodes = min(nodes, 40)  # each geometric node builds an n = 15 map
+    else:
+        system, init = make_instance(np.random.default_rng(case))
+    grid = _grid(kind, nodes, t_max)
+    Sigma = weighting_from_sigma(np.eye(system.n)).Sigma
+    mu, V, delta = Propagator.of(system).trajectory(init, Sigma, grid)
+    want = stepwise_trajectory(Propagator.of(system), init, Sigma, grid)
+    for got, ref in zip((mu, V, delta), want):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(V - V.conj().transpose(0, 2, 1)).max() <= 1e-12 * np.abs(V).max()
+
+
+def test_trajectory_reuses_kept_maps(pauli, monkeypatch):
+    system, init = _two_qubit_composite(pauli)
+    weights = weighting_from_sigma(np.eye(system.n))
+    grid = np.linspace(0.0, 0.5, 501)
+    first = moment_trajectory(system, init, weights, grid)
+    calls = []
+    step_map, then = Propagator.step_map, propagate.StepMap.then
+    monkeypatch.setattr(Propagator, "step_map",
+                        lambda self, h, *a: calls.append("step_map") or step_map(self, h, *a))
+    monkeypatch.setattr(propagate.StepMap, "then",
+                        lambda self, nxt: calls.append("then") or then(self, nxt))
+    second = moment_trajectory(system, init, weights, grid)
+    assert calls == []
+    for name in ("mu", "V", "Delta"):
+        assert np.array_equal(getattr(first, name), getattr(second, name)), name
+
+
+def test_trajectory_keeps_maps_of_one_step(pauli):
+    system, init = _two_qubit_composite(pauli)
+    prop = Propagator.of(system)
+
+    def kept():
+        return [key for key in prop._doubling if key[0] == "V"]
+
+    for grid in (np.linspace(0.0, 0.3, 101), np.linspace(0.0, 0.7, 301),
+                 _grid("two runs", 200, 1.0)):
+        moment_trajectory(system, init, None, grid)
+        assert kept() == [("V", propagate.step_spacings(grid)[-1])]
+    size = sum(a.nbytes for M in prop._doubling[kept()[0]] for a in (M.E, M.w, M.G, M.G0))
+    assert size <= 0.4e6
+    moment_trajectory(system, init, None, _grid("geometric", 30, 1.0))
+    assert kept() == []
