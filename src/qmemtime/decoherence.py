@@ -6,7 +6,11 @@ weighted size of the initial variables), with +infinity when no crossing
 ever occurs.  Delta may be non-monotone, so the search tests every node
 of a fixed-step grid in order, chunk by chunk with exact step maps (see
 :mod:`qmemtime.propagate`), brackets the *first* up-crossing, and refines
-it by bisection on the exact Taylor expansion of Delta.  An infinite
+it by bisection on the exact Taylor expansion of Delta.  The rows that
+test the nodes and expand Delta do not depend on eps, so every eps of a
+curve reuses the march kept by :meth:`Propagator.march
+<qmemtime.propagate.Propagator.march>`, with the answer of a fresh
+search.  An infinite
 answer is certified only through a steady state: the drift must be
 Hurwitz, the march must pass the settling horizon, and the limit
 deviation must clear the threshold by a margin.  The quadratic small-eps
@@ -26,7 +30,7 @@ from .errors import (InconclusiveCrossingError, TrivialWeightError,
 from .linalg import HURWITZ_TOL
 from .moments import (_delta_rate0, delta_derivatives0, reference_norm,
                       steady_state)
-from .propagate import DeviationMarch, Propagator
+from .propagate import Propagator
 
 INFINITE = math.inf
 
@@ -152,14 +156,14 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
 
     hurwitz = prop.margin < -HURWITZ_TOL
     t_settle = opts.settle / (-prop.margin) if hurwitz else INFINITE
-    march = DeviationMarch(prop, init, weights.Sigma, step)
+    march, x0 = prop.march(init, weights.Sigma, step)
 
     def _nodes(t_from, t_to):
         return max(0, int(math.ceil((t_to - t_from) / step - 1e-12)))
 
     horizon = float(opts.horizon)
     first_leg = min(horizon, t_settle)
-    leg = march.run(march.x0, 0.0, _nodes(0.0, first_leg), threshold)
+    leg = march.run(x0, 0.0, _nodes(0.0, first_leg), threshold)
     sup_d = leg.sup_delta
     if not leg.crossed and hurwitz and t_settle <= horizon:
         ss = steady_state(sys, init, weights)
@@ -167,10 +171,10 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
             return DecoherenceTime(epsilon=epsilon, value=INFINITE,
                                    threshold=threshold, bracket=None)
     if not leg.crossed and first_leg < horizon:
-        leg = march.run(leg.state, leg.t, _nodes(leg.t, horizon), threshold)
+        leg = march.run(leg.state, leg.t, _nodes(leg.t, horizon), threshold,
+                        leg.chunk)
         sup_d = max(sup_d, leg.sup_delta)
     if not leg.crossed:
-        del march  # the error's traceback holds this frame; free the row table
         raise InconclusiveCrossingError(
             "no threshold crossing found and no steady-state certificate "
             "applies", sup_delta=sup_d, horizon=horizon)

@@ -159,7 +159,10 @@ def moment_trajectory(sys, init, weights, grid):
     prop = Propagator.of(sys)
     Sigma = weights.Sigma if weights is not None else np.eye(sys.n)
     mu, V, delta = prop.trajectory(init, Sigma, grid)
-    if not (np.isfinite(V).all() and np.isfinite(mu).all()):
+    # min and max carry a NaN through and show an infinity, with no
+    # temporary the size of V.
+    Vr = V.view(float)
+    if not np.isfinite([Vr.min(), Vr.max(), mu.min(), mu.max()]).all():
         raise IntegrationError(
             f"moment propagation produced non-finite values (drift norm "
             f"{prop.norm_a:.3e}, grid spacing {np.diff(grid).max():.3e})"

@@ -18,17 +18,22 @@ equal spacings, the nodes [k, k + m) follow from the nodes [k - m, k) by
 the map over m steps, for m = 1, 2, 4, ... up to ``BLOCK`` and then m =
 ``BLOCK`` (see :meth:`Propagator.trajectory`).
 
-The deviation Delta(t) is a *linear* functional of the real state
+The deviation Delta(t) is a *linear* functional ell of the real state
 (S, E_t, mu, 1), with S = Re E[X_t X_t^T] the full second moment and
 E_t = e^{tA}.  :class:`DeviationMarch` uses that to test a whole chunk of
-grid nodes with one matrix-vector product against precomputed adjoint
-rows, to jump across the chunk with a composed map, and to refine a
-bracketed node on the exact Taylor expansion of Delta.  The maps of that
-state over 2^i steps depend only on the system and the step, so a
-:class:`Propagator` derives them once per step and every march with that
-step shares them; the rows depend on the initial moments and the
-weighting, and each march builds its own.  The maps of (V, mu) that
-trajectories use are kept the same way, for one step per system.
+grid nodes with one matrix-vector product against adjoint rows (ell
+pulled back over 1, 2, ... steps), to jump across the chunk with a
+composed map, and to refine a bracketed node with one product against
+the Taylor rows ell G^k / k! of the generator G.  The maps of that state
+over 2^i steps depend only on the system and the step, and the rows only
+on ell and the step; so a :class:`Propagator` derives them once and keeps
+them, for one step and one ell at a time: every eps of a tau(eps) curve
+reuses them, and the initial state is all that is set per call.  That
+keeps at most ``ROW_BUDGET`` of rows per system (about 0.7 MB at n = 3,
+1 MB at n = 15).  A march still tests chunks of 1, 2, 4, ... nodes in
+every call, so the state moves by the same maps and the answer does not
+depend on which rows an earlier call left.  The maps of (V, mu) that
+trajectories use are kept the same way, for one step.
 """
 
 from __future__ import annotations
@@ -100,8 +105,8 @@ class Propagator:
     """The moment dynamics of one system, derived once: its coefficient
     set ``co`` with drift A and offset b, ||A||_2, the Hurwitz margin
     (largest eigenvalue real part), the affine parts Lambda(mu) = lam0
-    + sum_l mu_l lam_mu[l], the maps of :meth:`doubling_maps` for each
-    step asked for, and the steady-state :meth:`limits`.  :meth:`of`
+    + sum_l mu_l lam_mu[l], the maps of :meth:`doubling_maps`, the last
+    :meth:`march` built, and the steady-state :meth:`limits`.  :meth:`of`
     shares one instance per system."""
 
     def __init__(self, sys):
@@ -125,6 +130,7 @@ class Propagator:
         #: Growth-rate bound of the generator (A kron I + I kron A).
         self.rho = 2.0 * max(1.0, self.norm_a)
         self._doubling = {}
+        self._march = None
         self._limits = None
 
     def _with_energy(self, sys):
@@ -223,9 +229,9 @@ class Propagator:
         moments (V, mu), whose source is Lambda(mu), for ``source`` "V".
 
         They depend only on the system, the source and the step, so they
-        are derived once and kept: every :class:`DeviationMarch` with that
-        step shares the "S" maps, and a :meth:`trajectory` keeps the "V"
-        maps of one step only.  Kept tuples are never modified, so a caller
+        are derived once and kept: the kept :meth:`march` uses the "S" maps
+        of its step, and a :meth:`trajectory` keeps the "V" maps of one
+        step only.  Kept tuples are never modified, so a caller
         reads correct maps from the one it holds even if the kept entry is
         replaced or dropped meanwhile.
         """
@@ -236,6 +242,31 @@ class Propagator:
                      else self.step_map(step, self._sources[source]),)
             self._doubling[key] = maps
         return maps
+
+    def march(self, init, Sigma, step):
+        """The :class:`DeviationMarch` of Delta for the initial moments
+        ``init`` and the weighting ``Sigma`` on the grid k * ``step``, and
+        the march state x0 = (P, I, mu0, 1) at t = 0.
+
+        The march's rows depend only on the functional ell of Delta and
+        on the step, so the last march built is kept and a later call with
+        the same ell and step (another eps) reuses it; x0 is set per call.
+        Building another march replaces it and drops the "S" maps of every
+        other step, so a system keeps one row table and the march maps of
+        one step.
+        """
+        n, mu0, P = self.n, init.mu0, init.P
+        Pd = P - np.outer(mu0, mu0)
+        x0 = np.concatenate([P.ravel(), np.eye(n).ravel(), mu0, [1.0]])
+        ell = np.concatenate([Sigma.ravel(), -2.0 * (Pd @ Sigma).ravel(),
+                              -2.0 * Sigma @ mu0, [np.sum(Sigma * P)]])
+        march = self._march
+        if march is None or march.step != step or not np.array_equal(march.ell, ell):
+            for key in list(self._doubling):
+                if key[0] == "S" and key[1] != step:
+                    self._doubling.pop(key, None)
+            march = self._march = DeviationMarch(self, ell, step)
+        return march, x0
 
     def trajectory(self, init, Sigma, grid):
         """(mu, V, Delta) at the nodes of ``grid``.
@@ -312,7 +343,8 @@ class MarchResult:
     If ``crossed``, Delta(t) = ``delta`` <= threshold < ``delta_next`` =
     Delta(t + step) and ``state`` belongs to t; otherwise t is the final
     node.  ``sup_delta`` is the largest Delta at the nodes marched below
-    the threshold, the starting node included.
+    the threshold, the starting node included.  ``chunk`` is the size of
+    the next chunk of nodes to test, for a run that continues this one.
     """
 
     crossed: bool
@@ -321,39 +353,38 @@ class MarchResult:
     delta_next: float
     state: np.ndarray
     sup_delta: float
+    chunk: int
 
 
 class DeviationMarch:
-    """Delta on the node grid k * step for one initial mean and weighting.
+    """Delta = ell . x on the node grid k * step, for one functional ell.
 
     The state is the flat vector x = (S, E_t^T, mu, 1), on which
 
         Delta = <Sigma, S> - 2 <Pd Sigma, E_t^T> - 2 mu^T Sigma mu0 + <Sigma, P>
 
-    with Pd = P - mu0 mu0^T.  E_t is kept transposed, so that a map acts on
-    it, and a row is pulled back over it, by a product from the right.
-    Row j of the table holds this functional pulled back over j + 1 steps,
-    so Delta at the next nodes is one product of the table with the state.
-    The table's rows double after each full chunk, up to ``ROW_BUDGET``, so
-    short marches build few rows; its storage is taken once at that cap,
-    so growing it copies nothing and the march's memory peaks at the
-    table itself.  The maps over 2^i steps come from
-    :meth:`Propagator.doubling_maps` and are shared with every march of
-    the same system and step; the rows are this march's own.
+    with Pd = P - mu0 mu0^T (see :meth:`Propagator.march`).  E_t is kept
+    transposed, so that a map acts on it, and a row is pulled back over
+    it, by a product from the right.  Row j of the table holds ell pulled
+    back over j + 1 steps, so Delta at the next nodes is one product of the
+    table with the state.  The table's rows double when a run needs more,
+    up to ``ROW_BUDGET``, so short marches build few rows; its storage is
+    taken once at that cap, so growing it copies nothing and the march's
+    memory peaks at the table itself.  The maps over 2^i steps come from
+    :meth:`Propagator.doubling_maps`.
+
+    The rows and the Taylor rows of :meth:`refine` are built once for
+    every call that shares the march; a run still tests chunks of 1, 2,
+    4, ... nodes however many rows are kept.
     """
 
-    def __init__(self, prop, init, Sigma, step):
-        n = prop.n
-        self.prop, self.n, self.step = prop, n, step
-        mu0, P = init.mu0, init.P
-        Pd = P - np.outer(mu0, mu0)
-        self.x0 = np.concatenate([P.ravel(), np.eye(n).ravel(), mu0, [1.0]])
-        self.ell = np.concatenate([Sigma.ravel(), -2.0 * (Pd @ Sigma).ravel(),
-                                   -2.0 * Sigma @ mu0, [np.sum(Sigma * P)]])
-        self.maps = prop.doubling_maps(step, 1)  # maps[i]: 2^i steps
-        self.cap = 2 ** max(0, int(math.log2(ROW_BUDGET / (8 * self.ell.size))))
-        self._table = np.empty((self.cap, self.ell.size))
-        self.rows = self._pull(self.maps[0], self.ell[None, :], self._table[:1])
+    def __init__(self, prop, ell, step):
+        self.prop, self.n, self.step, self.ell = prop, prop.n, step, ell
+        self.cap = 2 ** max(0, int(math.log2(ROW_BUDGET / (8 * ell.size))))
+        self._table = np.empty((self.cap, ell.size))
+        self.rows = self._pull(prop.doubling_maps(step, 1)[0], ell[None, :],
+                               self._table[:1])
+        self._taylor = self._piece = None
 
     def _split(self, x):
         n, nn = self.n, self.n * self.n
@@ -383,39 +414,73 @@ class DeviationMarch:
         out[:, -1] = L[:, -1] + Ls @ M.G0.ravel() + lm @ M.w
         return out
 
+    def _pull_generator(self, L):
+        """The functional L composed with the generator of the state, the
+        rate of L . x: (A^T Ls + Ls A, Le A, lm A + Q . Ls, <Ls, Q0> + lm . b)
+        for the source (Q0, Q) of S."""
+        prop, n, nn = self.prop, self.n, self.n * self.n
+        A = prop.A
+        Q0, Q = prop.s_source
+        Ls, lm = L[:nn].reshape(n, n), L[2 * nn:-1]
+        return np.concatenate([(A.T @ Ls + Ls @ A).ravel(),
+                               (L[nn:2 * nn].reshape(n, n) @ A).ravel(),
+                               lm @ A + Q.reshape(n, nn) @ L[:nn],
+                               [np.sum(Ls * Q0) + lm @ prop.b]])
+
+    def _taylor_rows(self, terms):
+        """The rows ell G^k / k!, k = 0 ... ``terms``: their product with a
+        state x gives the Taylor coefficients of Delta in time about x."""
+        rows = [self.ell]
+        for k in range(1, terms + 1):
+            rows.append(self._pull_generator(rows[-1]) / k)
+        return np.array(rows)
+
     def _advance(self, x, nodes):
+        maps = self.prop.doubling_maps(self.step, nodes.bit_length())  # 2^i steps
         for i in range(nodes.bit_length()):
             if nodes >> i & 1:
-                x = self._push(self.maps[i], x)
+                x = self._push(maps[i], x)
         return x
 
-    def _grow(self):
-        k = len(self.rows)
+    def _grow(self, rows):
+        """The rows for twice as many nodes as ``rows``, kept for later
+        calls unless longer ones are.  Calls that share this march may grow
+        it at once: each reads only the rows it built or found, and all of
+        them write equal values."""
+        k = len(rows)
         i = k.bit_length() - 1  # the rows span 2^i steps
-        self.maps = self.prop.doubling_maps(self.step, i + 2)
-        if 2 * k > len(self._table):  # more nodes at once than the cap
-            self._table = np.concatenate([self.rows, np.empty_like(self.rows)])
-        self.rows = self._table[:2 * k]
-        self._pull(self.maps[i], self.rows[:k], self.rows[k:])
+        table = self._table
+        if 2 * k > len(table):  # more nodes at once than the cap
+            table = self._table = np.concatenate([rows, np.empty_like(rows)])
+        self._pull(self.prop.doubling_maps(self.step, i + 1)[i], rows, table[k:2 * k])
+        if 2 * k > len(self.rows):
+            self.rows = table[:2 * k]
+        return table[:2 * k]
 
     def delta(self, x):
         return float(self.ell @ x)
 
     def deltas_ahead(self, x, nodes):
         """Delta at the next ``nodes`` nodes after the state x."""
-        while len(self.rows) < nodes:
-            self._grow()
-        return self.rows[:nodes] @ x
+        rows = self.rows
+        while len(rows) < nodes:
+            rows = self._grow(rows)
+        return rows[:nodes] @ x
 
-    def run(self, x, t0, nsteps, threshold):
+    def run(self, x, t0, nsteps, threshold, chunk=1):
         """March ``nsteps`` nodes from the node t0 (state x) to the first
         node above ``threshold``; non-finite values raise
-        :class:`IntegrationError`."""
+        :class:`IntegrationError`.
+
+        The nodes are tested in chunks of ``chunk`` nodes, a chunk twice
+        as long after each full one, up to ``cap``; the result's ``chunk``
+        continues that schedule.
+        """
         done = 0
         sup = d_prev = self.delta(x)
         while done < nsteps:
-            chunk = min(len(self.rows), nsteps - done)
-            d = self.deltas_ahead(x, chunk)
+            m = min(chunk, nsteps - done)
+            d = self.deltas_ahead(x, m)
             above = ~(d <= threshold)
             if above.any():
                 j = int(np.argmax(above))
@@ -426,23 +491,13 @@ class DeviationMarch:
                 if j:
                     sup, d_prev = max(sup, float(d[:j].max())), float(d[j - 1])
                 return MarchResult(True, t0 + (done + j) * self.step, d_prev,
-                                   float(d[j]), self._advance(x, j), sup)
+                                   float(d[j]), self._advance(x, j), sup, chunk)
             sup, d_prev = max(sup, float(d.max())), float(d[-1])
-            x = self._advance(x, chunk)
-            done += chunk
-            if chunk == len(self.rows) < self.cap:
-                self._grow()
-        return MarchResult(False, t0 + nsteps * self.step, d_prev, math.nan, x, sup)
-
-    def _series(self, x, width):
-        """Taylor terms G^k x / k! of the state about x, enough for |s| <= width."""
-        prop = self.prop
-        terms = [x]
-        for k in range(1, _taylor_terms(width * prop.rho) + 1):
-            S, EtT, mu, c = self._split(terms[-1])
-            dS, dmu = prop.generate(S, mu, c, prop.s_source)
-            terms.append(np.concatenate([dS.ravel(), (EtT @ prop.A.T).ravel(), dmu, [0.0]]) / k)
-        return terms
+            x = self._advance(x, m)
+            done += m
+            if m == chunk < self.cap:
+                chunk *= 2
+        return MarchResult(False, t0 + nsteps * self.step, d_prev, math.nan, x, sup, chunk)
 
     def refine(self, x, t_lo, threshold, tol):
         """Shrink the bracket [t_lo, t_lo + step] of a crossing to width
@@ -450,21 +505,25 @@ class DeviationMarch:
         the left node (state x), keeping Delta(lo) <= threshold < Delta(hi).
 
         A step longer than 1 / rho is cut into pieces that are searched in
-        order, so the series is only summed where it converges fast.
+        order, so the series is only summed where it converges fast; the
+        state crosses a piece by the exact map over it.
         """
         t_end = t_lo + self.step
         pieces = max(1, math.ceil(self.step * self.prop.rho))
         width = self.step / pieces
+        if self._taylor is None:
+            self._taylor = self._taylor_rows(_taylor_terms(width * self.prop.rho))
         a = t_lo
         for i in range(pieces):
-            terms = self._series(x, width)
-            coef = [float(self.ell @ z) for z in terms]
+            coef = (self._taylor @ x).tolist()
             if i == pieces - 1:
                 hi = t_end
             elif _horner(coef, width) > threshold:
                 hi = a + width
             else:
-                x = sum(z * width ** k for k, z in enumerate(terms))
+                if self._piece is None:
+                    self._piece = self.prop.step_map(width, self.prop.s_source)
+                x = self._push(self._piece, x)
                 a += width
                 continue
             lo = a

@@ -1,10 +1,18 @@
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# In CI (GitHub Actions sets CI), property tests draw the same examples on
+# every run and print the blob that replays a failure locally.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 from qmemtime.algebra import pauli_structure
 from qmemtime.model import SystemParams, coefficients

@@ -189,6 +189,20 @@ def stepwise_trajectory(prop, init, Sigma, grid):
     return mu, V, delta
 
 
+def forward_taylor(prop, ell, x, terms):
+    """ell . G^k x / k!, k = 0 ... ``terms``, for the deviation march state
+    x = (S, E_t^T, mu, 1): the generator G applied forward, term by term,
+    through ``prop.generate``."""
+    n, nn = prop.n, prop.n * prop.n
+    out, z = [float(ell @ x)], x
+    for k in range(1, terms + 1):
+        S, EtT = z[:nn].reshape(n, n), z[nn:2 * nn].reshape(n, n)
+        dS, dmu = prop.generate(S, z[2 * nn:-1], z[-1], prop.s_source)
+        z = np.concatenate([dS.ravel(), (EtT @ prop.A.T).ravel(), dmu, [0.0]]) / k
+        out.append(float(ell @ z))
+    return np.array(out)
+
+
 def first_crossing_scan(grid, delta_vals, threshold):
     """First up-crossing on a dense grid, refined by linear interpolation.
 

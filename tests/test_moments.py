@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm as sexpm
 
 from qmemtime import moments, propagate
-from qmemtime.errors import AdmissibilityError, NotHurwitzError
+from qmemtime.errors import (AdmissibilityError, IntegrationError,
+                             NotHurwitzError)
 from qmemtime.linalg import expm_psi, solve_lyapunov, spectral_norm
 from qmemtime.model import SystemParams, coefficients
 from qmemtime.moments import (delta_derivatives0, deviation_delta,
@@ -280,6 +281,24 @@ def test_trajectory_invariants(worked):
     assert traj.Delta.min() >= 0.0
     assert np.abs(traj.V[0]).max() == 0.0
     assert np.abs(traj.mu[0] - worked.init.mu0).max() == 0.0
+
+
+@pytest.mark.parametrize("where, bad", [("V real", np.nan), ("V imag", -np.inf),
+                                        ("mu", np.inf), ("mu", np.nan)])
+def test_non_finite_trajectory_raises(worked, monkeypatch, where, bad):
+    trajectory = propagate.Propagator.trajectory
+
+    def planted(self, *args):
+        mu, V, delta = trajectory(self, *args)
+        if where == "mu":
+            mu[-1, 1] = bad
+        else:
+            V.view(float)[3, 0, 2 * 1 + (where == "V imag")] = bad
+        return mu, V, delta
+
+    monkeypatch.setattr(propagate.Propagator, "trajectory", planted)
+    with pytest.raises(IntegrationError):
+        moment_trajectory(worked.sys, worked.init, worked.weights, np.linspace(0.0, 1.0, 6))
 
 
 def test_grid_validation(worked):

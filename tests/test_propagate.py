@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from qmemtime import model, propagate
 from qmemtime.algebra import pauli_structure
 from qmemtime.decoherence import (CrossingOptions, decoherence_time,
                                   tau_expansion)
+from qmemtime.errors import InconclusiveCrossingError
 from qmemtime.interconnect import compose, product_mean
 from qmemtime.model import SystemParams
 from qmemtime.moments import (deviation_delta, initial_moments,
@@ -19,17 +22,17 @@ from qmemtime.moments import (deviation_delta, initial_moments,
 from qmemtime.optimize import gradient_check, rk_matrices
 from qmemtime.propagate import DeviationMarch, Propagator
 
-from oracles import first_crossing_scan, stepwise_trajectory
+from oracles import first_crossing_scan, forward_taylor, stepwise_trajectory
 
 
 def _march(system, init, weights, step):
-    return DeviationMarch(Propagator(system), init, weights.Sigma, step)
+    return Propagator(system).march(init, weights.Sigma, step)
 
 
 def test_march_reports_bracket_state(worked):
     h = 1e-3
-    march = _march(worked.sys, worked.init, worked.weights, h)
-    res = march.run(march.x0, 0.0, 1000, 0.05)
+    march, x0 = _march(worked.sys, worked.init, worked.weights, h)
+    res = march.run(x0, 0.0, 1000, 0.05)
     assert res.crossed
     assert res.delta <= 0.05 < res.delta_next
     assert res.t / h == pytest.approx(round(res.t / h), abs=1e-9)
@@ -42,9 +45,10 @@ def test_march_reports_bracket_state(worked):
 
 def test_march_no_crossing_returns_final_state(worked):
     h = 1e-3
-    march = _march(worked.sys, worked.init, worked.weights, h)
-    res = march.run(march.x0, 0.0, 50, 1e9)
+    march, x0 = _march(worked.sys, worked.init, worked.weights, h)
+    res = march.run(x0, 0.0, 50, 1e9)
     assert not res.crossed
+    assert res.chunk == 32  # after chunks of 1, 2, 4, 8, 16 and 19 nodes
     assert res.t == pytest.approx(50 * h)
     assert math.isnan(res.delta_next)
     traj = moment_trajectory(worked.sys, worked.init, worked.weights,
@@ -74,10 +78,10 @@ def test_chunked_delta_matches_stepwise(make_instance, pauli, case):
     prop = Propagator(system)
     h = 1e-3 / max(1.0, prop.norm_a)
     nodes = 700
-    march = DeviationMarch(prop, init, weights.Sigma, h)
-    chunked = march.deltas_ahead(march.x0, nodes)
+    march, x0 = prop.march(init, weights.Sigma, h)
+    chunked = march.deltas_ahead(x0, nodes)
 
-    stepwise, x = [], march.x0
+    stepwise, x = [], x0
     for k in range(nodes):
         x = march.run(x, k * h, 1, math.inf).state
         stepwise.append(march.delta(x))
@@ -89,16 +93,24 @@ def test_chunked_delta_matches_stepwise(make_instance, pauli, case):
 
 
 def test_refine_long_step_matches_default(worked):
-    # a step of 0.5 spans four Taylor pieces of the worked drift (||A|| = 4)
-    ref = decoherence_time(worked.sys, worked.init, worked.weights, 0.05)
-    long = decoherence_time(worked.sys, worked.init, worked.weights, 0.05,
-                            opts=CrossingOptions(step=0.5))
-    lo, hi = long.bracket
-    assert hi - lo <= 1e-9 / 4.0
-    assert abs(long.value - ref.value) <= 1e-9
-    d = deviation_delta(worked.sys, worked.init, worked.weights,
-                        np.array([0.0, lo, hi]))
-    assert d[1] <= long.threshold < d[2]
+    # a step of 0.5 spans four Taylor pieces of the worked drift (||A|| = 4);
+    # tau(0.05) lies in the first and tau(1.0) = 0.27 in the third
+    for eps in (0.05, 1.0):
+        ref = decoherence_time(worked.sys, worked.init, worked.weights, eps)
+        long = decoherence_time(worked.sys, worked.init, worked.weights, eps,
+                                opts=CrossingOptions(step=0.5))
+        lo, hi = long.bracket
+        assert hi - lo <= 1e-9 / 4.0
+        assert abs(long.value - ref.value) <= 1e-9
+        d = deviation_delta(worked.sys, worked.init, worked.weights,
+                            np.array([0.0, lo, hi]))
+        assert d[1] <= long.threshold < d[2]
+
+
+def _damped_spin(pauli, omega, gamma):
+    return SystemParams(sc=pauli, E=np.array([0.0, 0.0, omega]),
+                        M=gamma * np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                        N=np.zeros(2))
 
 
 @settings(max_examples=20, deadline=None)
@@ -108,9 +120,7 @@ def test_refine_long_step_matches_default(worked):
 def test_march_brackets_scanned_first_node(pauli, omega, gamma, r, frac, step):
     # weakly damped precession: Delta oscillates, so the first crossing of
     # a threshold below its peak need not be the last
-    system = SystemParams(sc=pauli, E=np.array([0.0, 0.0, omega]),
-                          M=gamma * np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-                          N=np.zeros(2))
+    system = _damped_spin(pauli, omega, gamma)
     init = initial_moments(pauli, np.array([r, 0.0, 0.0]))
     weights = weighting_from_sigma(np.eye(3))
     horizon = 4.0
@@ -212,6 +222,135 @@ def test_decoherence_times_share_doubling_maps(worked, monkeypatch):
     assert calls == []
     fresh = decoherence_time(dataclasses.replace(system), *args, 0.05, opts=opts)
     assert (own.value, own.bracket) == (fresh.value, fresh.bracket)
+
+
+def _outcome(system, init, eps, opts):
+    weights = weighting_from_sigma(np.eye(system.n))
+    try:
+        res = decoherence_time(system, init, weights, eps, opts=opts)
+    except InconclusiveCrossingError as exc:
+        return "inconclusive", exc.sup_delta
+    return res.value, res.bracket
+
+
+@settings(max_examples=10, deadline=None)
+@example(case="composite", calls=[("main", 0.2), ("main", 0.05), ("init", 0.1),
+                                  ("main", 0.1), ("step", 0.1), ("main", 0.3)],
+         other_step=0.01)
+@given(case=st.one_of(st.tuples(st.floats(0.5, 2.0), st.floats(0.05, 0.25),
+                                st.floats(0.3, 0.9)),
+                      st.just("composite")),
+       calls=st.lists(st.tuples(st.sampled_from(["main", "main", "init", "step"]),
+                                st.floats(0.02, 1.0)), min_size=2, max_size=6),
+       other_step=st.floats(0.004, 0.02))
+def test_decoherence_times_independent_of_history(pauli, case, calls, other_step):
+    # One system object answers a sequence of eps, with another init and
+    # another step in between, exactly as a fresh copy answers each call.
+    if case == "composite":
+        system, init = _composite_case()
+        other = initial_moments(system.sc, product_mean([0.0, 0.2, 0.1], [0.3, 0.0, -0.1]))
+    else:
+        omega, gamma, r = case
+        system = _damped_spin(pauli, omega, gamma)
+        init = initial_moments(pauli, np.array([r, 0.0, 0.0]))
+        other = initial_moments(pauli, np.array([0.0, 0.5 * r, 0.3]))
+    system = dataclasses.replace(system)
+    opts = CrossingOptions(horizon=4.0)
+    for kind, eps in calls:
+        args = {"main": (init, eps, opts), "init": (other, eps, opts),
+                "step": (init, eps, CrossingOptions(step=other_step, horizon=4.0))}[kind]
+        assert _outcome(system, *args) == _outcome(dataclasses.replace(system), *args)
+
+
+def test_second_eps_reuses_kept_rows(worked, monkeypatch):
+    system = dataclasses.replace(worked.sys)
+    args = (worked.init, worked.weights)
+    decoherence_time(system, *args, 1.2)
+    calls = []
+    for name in ("_pull", "_taylor_rows"):
+        monkeypatch.setattr(DeviationMarch, name,
+                            lambda self, *a, f=getattr(DeviationMarch, name), name=name:
+                            calls.append(name) or f(self, *a))
+    for eps in (0.6, 0.05, 1.2):
+        assert decoherence_time(system, *args, eps).bracket is not None
+    assert calls == []
+
+    # the rows belong to the initial moments: another init rebuilds them
+    other = initial_moments(system.sc, np.array([0.1, 0.2, -0.3]))
+    decoherence_time(system, other, worked.weights, 0.6)
+    assert calls.count("_pull") >= 1 and calls.count("_taylor_rows") == 1
+
+
+def test_threads_share_kept_march(worked):
+    # Threads on one system grow and replace its kept march at once; each
+    # answer equals that of a fresh copy.
+    system = dataclasses.replace(worked.sys)
+    other = initial_moments(system.sc, np.array([0.1, 0.2, -0.3]))
+    jobs = [(init, eps) for init in (worked.init, other) for eps in (1.6, 0.05, 0.6, 1.2)]
+    want = [_outcome(dataclasses.replace(system), init, eps, None) for init, eps in jobs]
+    got = {}
+
+    def work(order):
+        for j in order:
+            got.setdefault(j, set()).add(_outcome(system, *jobs[j], None))
+
+    rng = np.random.default_rng(3)
+    threads = [threading.Thread(target=work, args=(rng.permutation(len(jobs)).tolist(),))
+               for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [got[j] for j in range(len(jobs))] == [{w} for w in want]
+
+
+def test_second_leg_continues_chunk_schedule(worked, monkeypatch):
+    # Delta_inf = 6 sits just below the threshold: no certificate, no
+    # crossing, so the march runs on past the settling time to the horizon
+    runs = []
+    run = DeviationMarch.run
+    monkeypatch.setattr(DeviationMarch, "run", lambda self, *a: runs.append(a) or run(self, *a))
+    with pytest.raises(InconclusiveCrossingError):
+        decoherence_time(worked.sys, worked.init, worked.weights, 2.0 * (1.0 + 1e-7),
+                         opts=CrossingOptions(horizon=12.0))
+    first, second = runs
+    march, _ = _march(worked.sys, worked.init, worked.weights, 2.5e-4)  # 1e-3 / ||A||
+    assert second[-1] == march.run(*first).chunk > 1
+
+
+def test_march_keeps_maps_and_rows_of_one_step(pauli):
+    system, init = _two_qubit_composite(pauli)
+    weights = weighting_from_sigma(np.eye(system.n))
+    prop = Propagator.of(system)
+    for step in np.geomspace(2e-4, 2e-3, 20):
+        decoherence_time(system, init, weights, 0.05, opts=CrossingOptions(step=step))
+        assert [key for key in prop._doubling if key[0] == "S"] == [("S", step)]
+        assert prop._march.step == step
+
+
+@pytest.mark.parametrize("case", [0, 1, "composite"])
+def test_taylor_rows_match_forward_series(make_instance, case):
+    if case == "composite":
+        system, init = _composite_case()
+    else:
+        system, init = make_instance(np.random.default_rng(case))
+    prop = Propagator(system)
+    Sigma = weighting_from_sigma(np.eye(system.n)).Sigma
+    march, x0 = prop.march(init, Sigma, 0.01)
+    rows = march._taylor_rows(10)
+    # a generic vector too: on reachable states E_t commutes with A
+    rng = np.random.default_rng(5)
+    for x in (x0, march.run(x0, 0.0, 37, math.inf).state, rng.standard_normal(x0.size)):
+        want = forward_taylor(prop, march.ell, x, 10)
+        # relative to the size of each sum: at n = 15 its terms cancel to
+        # within 1e-5 of it
+        assert (np.abs(rows @ x - want) <= 1e-12 * (np.abs(rows) @ np.abs(x))).all()
 
 
 def test_uniform_grid_builds_one_step_map(pauli, monkeypatch):
