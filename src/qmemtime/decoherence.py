@@ -4,17 +4,17 @@ The decoherence time tau(eps) is the first time the weighted mean-square
 deviation Delta(t) exceeds eps times the reference <Sigma, P> (the
 weighted size of the initial variables), with +infinity when no crossing
 ever occurs.  Delta may be non-monotone, so the search tests every node
-of a fixed-step grid in order, chunk by chunk with exact step maps (see
-:mod:`qmemtime.propagate`), brackets the *first* up-crossing, and refines
-it by bisection on the exact Taylor expansion of Delta.  The rows that
-test the nodes and expand Delta do not depend on eps, so every eps of a
-curve reuses the march kept by :meth:`Propagator.march
-<qmemtime.propagate.Propagator.march>`, with the answer of a fresh
-search.  An infinite
-answer is certified only through a steady state: the drift must be
-Hurwitz, the march must pass the settling horizon, and the limit
-deviation must clear the threshold by a margin.  The quadratic small-eps
-expansion tau_hat is computed from the derivatives of Delta at t = 0.
+of a fixed-step grid in order, chunk by chunk on the transition matrix of
+the mean (see :mod:`qmemtime.propagate`), brackets the *first*
+up-crossing, and refines it by bisection on the exact Taylor expansion of
+Delta.  The rows that test the nodes and expand Delta do not depend on
+eps, so every eps of a curve reuses the march kept by
+:meth:`Propagator.march <qmemtime.propagate.Propagator.march>`, with the
+answer of a fresh search.  An infinite answer is certified only through a
+steady state: the drift must be Hurwitz, the march must pass the settling
+horizon, and the limit deviation must clear the threshold by a margin.
+The quadratic small-eps expansion tau_hat is computed from the
+derivatives of Delta at t = 0.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
     bisects the bracketing step to ``opts.tol``.  Returns an infinite
     result only with a steady-state certificate; otherwise, exhausting the
     horizon raises :class:`InconclusiveCrossingError` carrying the marched
-    supremum.
+    supremum.  Non-associative constants raise :class:`StructureDefectError`.
     """
     if not epsilon > 0:
         raise ValueError(f"fidelity parameter must be positive, got {epsilon}")

@@ -12,7 +12,7 @@ derived once, by :meth:`Propagator.of <qmemtime.propagate.Propagator.of>`,
 and every function here that takes a system reads them from there.  Both
 moments move between grid nodes by exact affine step maps; matrix
 exponentials come from scaling-and-squaring, and the steady-state second
-moment solves the algebraic Lyapunov equation by vectorization.
+moment is read off the product closure alpha + Re beta . mu.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Exact propagation of the moment dynamics by affine step maps.
+"""Exact propagation of the moment dynamics.
 
 For a closed algebra the mean and the second moment obey a linear affine
 ODE, mu' = A mu + b and V' = A V + V A^T + Lambda(mu) with Lambda affine in
@@ -18,22 +18,22 @@ equal spacings, the nodes [k, k + m) follow from the nodes [k - m, k) by
 the map over m steps, for m = 1, 2, 4, ... up to ``BLOCK`` and then m =
 ``BLOCK`` (see :meth:`Propagator.trajectory`).
 
-The deviation Delta(t) is a *linear* functional ell of the real state
-(S, E_t, mu, 1), with S = Re E[X_t X_t^T] the full second moment and
-E_t = e^{tA}.  :class:`DeviationMarch` uses that to test a whole chunk of
-grid nodes with one matrix-vector product against adjoint rows (ell
-pulled back over 1, 2, ... steps), to jump across the chunk with a
-composed map, and to refine a bracketed node with one product against
-the Taylor rows ell G^k / k! of the generator G.  The maps of that state
-over 2^i steps depend only on the system and the step, and the rows only
-on ell and the step; so a :class:`Propagator` derives them once and keeps
-them, for one step and one ell at a time: every eps of a tau(eps) curve
-reuses them, and the initial state is all that is set per call.  That
-keeps at most ``ROW_BUDGET`` of rows per system (about 0.7 MB at n = 3,
-1 MB at n = 15).  A march still tests chunks of 1, 2, 4, ... nodes in
-every call, so the state moves by the same maps and the answer does not
-depend on which rows an earlier call left.  The maps of (V, mu) that
-trajectories use are kept the same way, for one step.
+The deviation Delta(t) needs less.  Products close, X_j X_k = alpha_jk +
+beta_jk . X, and the flow preserves them, so the full second moment is
+S_t = Re E[X_t X_t^T] = alpha + Re beta . mu_t (checked once per
+drift).  Delta is then linear in the transition matrix Phi_t =
+exp(t [[A, b], [0, 0]]) of order n + 1, Van Loan's block exponential
+from :func:`~qmemtime.linalg.expm_psi`.
+:class:`DeviationMarch` tests a chunk of grid nodes with one product
+against adjoint rows (the functional pulled back over 1, 2, ... steps),
+jumps across it by a power of Phi_step, and refines a bracketed node with
+one product against Taylor rows.  Those powers depend only on the system
+and the step, and the rows only on the functional and the step, so a
+:class:`Propagator` keeps them for one step and one functional at a time:
+every eps of a tau(eps) curve reuses them, within ``ROW_BUDGET`` of rows
+per system.  A march still tests chunks of 1, 2, 4, ... nodes in every
+call, so its answer does not depend on which rows an earlier call left.
+The maps of (V, mu) that trajectories use are kept the same way.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import IntegrationError, InternalConsistencyError
-from .linalg import (_require_margin, _taylor_terms, hurwitz_margin,
-                     solve_lyapunov, spectral_norm)
+from .errors import (IntegrationError, InternalConsistencyError,
+                     StructureDefectError)
+from .linalg import _require_margin, _taylor_terms, expm_psi, hurwitz_margin, spectral_norm
 from .model import _isolated_drift, coefficients, lambda_affine
 
 #: Bytes allowed for a march's table of adjoint rows; this fixes the
@@ -55,6 +55,10 @@ ROW_BUDGET = 1 << 20
 
 #: Most grid nodes a trajectory advances by one map (a power of two).
 BLOCK = 16
+
+#: Largest defect of the closure S = alpha + Re beta . mu under the
+#: dynamics, relative to the size of its terms, that a march accepts.
+CLOSURE_TOL = 1e-10
 
 
 def _horner(coef, s):
@@ -105,20 +109,16 @@ class Propagator:
     """The moment dynamics of one system, derived once: its coefficient
     set ``co`` with drift A and offset b, ||A||_2, the Hurwitz margin
     (largest eigenvalue real part), the affine parts Lambda(mu) = lam0
-    + sum_l mu_l lam_mu[l], the maps of :meth:`doubling_maps`, the last
+    + sum_l mu_l lam_mu[l], the closure S = alpha + Re beta . mu of the
+    second moment, the maps of :meth:`doubling_maps`, the last
     :meth:`march` built, and the steady-state :meth:`limits`.  :meth:`of`
     shares one instance per system."""
 
     def __init__(self, sys):
         co = coefficients(sys)
-        n = sys.n
-        self.n = n
+        self.n = sys.n
         self.lam0, self.lam_mu = lambda_affine(sys)
-        # S = Re E[X X^T] has the source Re Lambda(mu) + b mu^T + mu b^T.
-        b_el = co.b[None, :, None] * np.eye(n)[:, None, :]
-        self.s_source = (self.lam0.real,
-                         self.lam_mu.real + b_el + b_el.transpose(0, 2, 1))
-        self._sources = {"S": self.s_source, "V": (self.lam0, self.lam_mu)}
+        self.alpha, self.re_beta = sys.sc.alpha, sys.sc.re_beta.sections
         self._set_drift(co)
 
     def _set_drift(self, co):
@@ -132,6 +132,7 @@ class Propagator:
         self._doubling = {}
         self._march = None
         self._limits = None
+        self._closure = None
 
     def _with_energy(self, sys):
         """The dynamics of ``sys``, this system at another energy vector.
@@ -159,10 +160,32 @@ class Propagator:
             prop = sys.__dict__["_propagator"] = cls(sys)
         return prop
 
+    def _require_closure(self):
+        """Raise :class:`StructureDefectError` unless the dynamics keep S on
+        the closure alpha + Re beta . mu: S' = A S + S A^T + Re Lambda(mu)
+        + b mu^T + mu b^T minus sum_l mu_l' Re beta_l has a constant and a
+        linear part in mu, both zero for associative constants.  Their
+        size relative to that of the terms is derived once per drift."""
+        if self._closure is None:
+            A, b, alpha, rb, n = self.A, self.b, self.alpha, self.re_beta, self.n
+            const = A @ alpha + alpha @ A.T + self.lam0.real - np.tensordot(b, rb, 1)
+            b_el = b[None, :, None] * np.eye(n)[:, None, :]  # b e_l^T, for each l
+            lin = (A @ rb + rb @ A.T + self.lam_mu.real + b_el + b_el.transpose(0, 2, 1)
+                   - np.tensordot(A.T, rb, 1))
+            scale = max(1.0, self.norm_a * max(np.abs(alpha).max(), np.abs(rb).max()),
+                        np.abs(self.lam0).max(), np.abs(self.lam_mu).max(), np.abs(b).max())
+            self._closure = max(np.abs(const).max(), np.abs(lin).max()) / scale
+        if self._closure > CLOSURE_TOL:
+            raise StructureDefectError(
+                f"the second moment leaves the product closure alpha + Re beta . mu "
+                f"(relative defect {self._closure:.3e} > {CLOSURE_TOL:g}); the "
+                f"structure constants are not associative")
+
     def limits(self):
         """Steady-state mean, diffusion matrix and second moment
-        (mu_inf, Lambda_inf, P_inf) of a Hurwitz drift, where
-        A P_inf + P_inf A^T + Re Lambda_inf = 0.
+        (mu_inf, Lambda_inf, P_inf) of a Hurwitz drift.  P_inf = alpha +
+        Re beta . mu_inf - mu_inf mu_inf^T is read off the closure and
+        checked against A P_inf + P_inf A^T + Re Lambda_inf = 0.
 
         They depend only on the system, so the first call that succeeds
         derives them and keeps them, read-only; a drift that is not
@@ -170,10 +193,12 @@ class Propagator:
         """
         _require_margin(self.margin, context="the steady-state mean")
         if self._limits is None:
+            self._require_closure()
             A = self.A
             mu_inf = -np.linalg.solve(A, self.b)
             lam_inf = self.lam(mu_inf)
-            P_inf = solve_lyapunov(A, lam_inf.real)
+            P_inf = self.alpha + np.tensordot(mu_inf, self.re_beta, 1) - np.outer(mu_inf, mu_inf)
+            P_inf = (P_inf + P_inf.T) / 2.0
             resid = np.abs(A @ P_inf + P_inf @ A.T + lam_inf.real).max()
             if resid > 1e-10 * max(1.0, np.abs(lam_inf.real).max()):
                 raise InternalConsistencyError(
@@ -188,30 +213,20 @@ class Propagator:
         """Diffusion matrix Lambda(mu), Hermitian."""
         return self.lam0 + (mu @ self.lam_mu.reshape(self.n, -1)).reshape(self.n, self.n)
 
-    def generate(self, V, mu, c, source):
-        """Generator of the augmented dynamics at the state (V, mu, c), or at
-        a batch of them: (A V + V A^T + c Q0 + sum_l mu_l Q[l], A mu + c b)
-        for the source (Q0, Q); the constant c does not move."""
-        Q0, Q = source
-        A, n = self.A, self.n
-        return (A @ V + V @ A.T + (mu @ Q.reshape(n, n * n)).reshape(V.shape)
-                + np.multiply.outer(c, Q0),
-                mu @ A.T + np.multiply.outer(c, self.b))
-
-    def step_map(self, h, source=None):
-        """Exact map over a step h of the second moment with the source
-        Q0 + sum_l mu_l Q[l] (default: Lambda(mu), which moves V)."""
-        source = source if source is not None else (self.lam0, self.lam_mu)
-        n = self.n
+    def step_map(self, h):
+        """Exact map of the moments (V, mu) over a step h."""
+        n, A = self.n, self.A
         halvings = max(0, math.ceil(math.log2(h * self.rho / 0.5)))
         hs = h / 2 ** halvings
-        # Taylor terms of e^{hs G} on the states (V=0, mu=e_l) and (V=0, mu=0, 1).
-        X = np.zeros((n + 1, n, n), dtype=source[1].dtype)
+        # Taylor terms of e^{hs G} on the states (V=0, mu=e_l) and (V=0, mu=0, 1),
+        # with G (V, mu, c) = (A V + V A^T + c lam0 + sum_l mu_l lam_mu[l], A mu + c b).
+        X = np.zeros((n + 1, n, n), dtype=complex)
         m = np.eye(n + 1, n)
         c = np.eye(n + 1)[n]
         sum_X, sum_m = X.copy(), m.copy()
         for k in range(1, _taylor_terms(hs * self.rho) + 1):
-            X, m = self.generate(X, m, c, source)
+            X, m = (A @ X + X @ A.T + (m @ self.lam_mu.reshape(n, n * n)).reshape(X.shape)
+                    + np.multiply.outer(c, self.lam0), m @ A.T + np.multiply.outer(c, self.b))
             X *= hs / k
             m *= hs / k
             c = 0.0 * c
@@ -223,50 +238,65 @@ class Propagator:
             M = M.then(M)
         return M
 
-    def doubling_maps(self, step, count, source="S"):
-        """The first ``count`` maps over 2^i steps of length ``step``: of
-        the march state (S, E_t, mu, 1) for ``source`` "S", or of the
-        moments (V, mu), whose source is Lambda(mu), for ``source`` "V".
+    def transition(self, h):
+        """The transition matrix Phi_h = exp(h [[A, b], [0, 0]]), which
+        maps (mu, 1) at t to (mu, 1) at t + h."""
+        n = self.n
+        E, psi = expm_psi(self.A, h)
+        Phi = np.zeros((n + 1, n + 1))
+        Phi[:n, :n], Phi[:n, n], Phi[n, n] = E, psi @ self.b, 1.0
+        return Phi
 
-        They depend only on the system, the source and the step, so they
-        are derived once and kept: the kept :meth:`march` uses the "S" maps
+    def doubling_maps(self, step, count, kind="Phi"):
+        """The first ``count`` maps over 2^i steps of length ``step``: the
+        transition matrices of :meth:`transition` for ``kind`` "Phi", or the
+        maps of the moments (V, mu) of :meth:`step_map` for ``kind`` "V".
+
+        They depend only on the system, the kind and the step, so they are
+        derived once and kept: the kept :meth:`march` uses the "Phi" maps
         of its step, and a :meth:`trajectory` keeps the "V" maps of one
-        step only.  Kept tuples are never modified, so a caller
-        reads correct maps from the one it holds even if the kept entry is
+        step only.  Kept tuples are never modified, so a caller reads
+        correct maps from the one it holds even if the kept entry is
         replaced or dropped meanwhile.
         """
-        key = (source, step)
+        key = (kind, step)
+        first, square = ((self.transition, np.matmul) if kind == "Phi"
+                         else (self.step_map, StepMap.then))
         maps = self._doubling.get(key, ())
         while len(maps) < count:
-            maps += (maps[-1].then(maps[-1]) if maps
-                     else self.step_map(step, self._sources[source]),)
+            maps += (square(maps[-1], maps[-1]) if maps else first(step),)
             self._doubling[key] = maps
         return maps
 
     def march(self, init, Sigma, step):
         """The :class:`DeviationMarch` of Delta for the initial moments
         ``init`` and the weighting ``Sigma`` on the grid k * ``step``, and
-        the march state x0 = (P, I, mu0, 1) at t = 0.
+        its state x0 = Phi_0 = I at t = 0.
 
-        The march's rows depend only on the functional ell of Delta and
-        on the step, so the last march built is kept and a later call with
-        the same ell and step (another eps) reuses it; x0 is set per call.
-        Building another march replaces it and drops the "S" maps of every
-        other step, so a system keeps one row table and the march maps of
-        one step.
+        On the closure, with mu_t = E_t mu0 + w_t and Pd = P - mu0 mu0^T,
+        Delta = <Sigma, S> - 2 <Sigma Pd, E_t> - 2 mu_t^T Sigma mu0 + <Sigma, P>
+        = <Sigma, alpha + P> + g . mu_t - 2 <Sigma Pd, E_t> with g_l =
+        <Sigma, Re beta_l> - 2 (Sigma mu0)_l, which is <L, Phi_t^T>.
+
+        The last march built is kept, and a later call with the same L and
+        step (another eps) reuses it.  Building another drops the "Phi"
+        maps of every other step, so a system keeps one row table and the
+        march maps of one step.
         """
-        n, mu0, P = self.n, init.mu0, init.P
-        Pd = P - np.outer(mu0, mu0)
-        x0 = np.concatenate([P.ravel(), np.eye(n).ravel(), mu0, [1.0]])
-        ell = np.concatenate([Sigma.ravel(), -2.0 * (Pd @ Sigma).ravel(),
-                              -2.0 * Sigma @ mu0, [np.sum(Sigma * P)]])
+        self._require_closure()
+        n, mu0 = self.n, init.mu0
+        Pd = init.P - np.outer(mu0, mu0)
+        g = self.re_beta.reshape(n, n * n) @ Sigma.ravel() - 2.0 * Sigma @ mu0
+        L = np.zeros((n + 1, n + 1))
+        L[:n, :n] = np.outer(mu0, g) - 2.0 * Pd @ Sigma
+        L[n, :n], L[n, n] = g, np.sum(Sigma * (self.alpha + init.P))
         march = self._march
-        if march is None or march.step != step or not np.array_equal(march.ell, ell):
+        if march is None or march.step != step or not np.array_equal(march.L, L):
             for key in list(self._doubling):
-                if key[0] == "S" and key[1] != step:
+                if key[0] == "Phi" and key[1] != step:
                     self._doubling.pop(key, None)
-            march = self._march = DeviationMarch(self, ell, step)
-        return march, x0
+            march = self._march = DeviationMarch(self, L, step)
+        return march, np.eye(n + 1).ravel()
 
     def trajectory(self, init, Sigma, grid):
         """(mu, V, Delta) at the nodes of ``grid``.
@@ -357,83 +387,43 @@ class MarchResult:
 
 
 class DeviationMarch:
-    """Delta = ell . x on the node grid k * step, for one functional ell.
+    """Delta = <L, Phi_t^T> on the node grid k * step, for one functional L.
 
-    The state is the flat vector x = (S, E_t^T, mu, 1), on which
-
-        Delta = <Sigma, S> - 2 <Pd Sigma, E_t^T> - 2 mu^T Sigma mu0 + <Sigma, P>
-
-    with Pd = P - mu0 mu0^T (see :meth:`Propagator.march`).  E_t is kept
-    transposed, so that a map acts on it, and a row is pulled back over
-    it, by a product from the right.  Row j of the table holds ell pulled
-    back over j + 1 steps, so Delta at the next nodes is one product of the
-    table with the state.  The table's rows double when a run needs more,
-    up to ``ROW_BUDGET``, so short marches build few rows; its storage is
-    taken once at that cap, so growing it copies nothing and the march's
-    memory peaks at the table itself.  The maps over 2^i steps come from
-    :meth:`Propagator.doubling_maps`.
+    The state x is Phi_t^T = [[E_t^T, 0], [w_t^T, 1]], flattened; kept
+    transposed, it moves over s steps, and a row is pulled back over
+    them, by a product from the right (with Phi_s^T and Phi_s).  Row j of
+    the table holds L Phi_step^(j + 1), so Delta at the next nodes is one
+    product of the table with the state.  The rows double, by one matrix
+    product, when a run needs more, up to ``ROW_BUDGET``; the table's
+    storage is taken once at that cap, so growing it copies nothing.
 
     The rows and the Taylor rows of :meth:`refine` are built once for
     every call that shares the march; a run still tests chunks of 1, 2,
     4, ... nodes however many rows are kept.
     """
 
-    def __init__(self, prop, ell, step):
-        self.prop, self.n, self.step, self.ell = prop, prop.n, step, ell
-        self.cap = 2 ** max(0, int(math.log2(ROW_BUDGET / (8 * ell.size))))
-        self._table = np.empty((self.cap, ell.size))
-        self.rows = self._pull(prop.doubling_maps(step, 1)[0], ell[None, :],
-                               self._table[:1])
+    def __init__(self, prop, L, step):
+        self.prop, self.step, self.L, self.n1 = prop, step, L, len(L)
+        self.cap = 2 ** max(0, int(math.log2(ROW_BUDGET / (8 * L.size))))
+        self._table = np.empty((self.cap, L.size))
+        self.rows = self._table[:1]
+        np.matmul(L, prop.doubling_maps(step, 1)[0], out=self.rows.reshape(L.shape))
         self._taylor = self._piece = None
 
-    def _split(self, x):
-        n, nn = self.n, self.n * self.n
-        return (x[..., :nn].reshape(x.shape[:-1] + (n, n)),
-                x[..., nn:2 * nn].reshape(x.shape[:-1] + (n, n)),
-                x[..., 2 * nn:-1], x[..., -1])
-
-    def _push(self, M, x):
-        """The state x moved by the map M."""
-        S, EtT, mu, c = self._split(x)
-        n = self.n
-        return np.concatenate([(M.E @ S @ M.E.T).ravel() + mu @ M.G.reshape(n, n * n)
-                               + c * M.G0.ravel(),
-                               (EtT @ M.E.T).ravel(), M.E @ mu + c * M.w, [c]])
-
-    def _pull(self, M, L, out):
-        """Write to ``out`` the rows of functionals L composed with the map
-        M, each block by one matrix product over all rows."""
-        n, nn, k = self.n, self.n * self.n, len(L)
-        Ls, lm = L[:, :nn], L[:, 2 * nn:-1]
-        # S is symmetric, so only the symmetric part of a row's S block
-        # counts, and (Ls E)^T E = E^T Ls^T E pulls it back as E^T Ls E does.
-        LsE = (Ls.reshape(k * n, n) @ M.E).reshape(k, n, n)
-        out[:, :nn] = (LsE.transpose(0, 2, 1).reshape(k * n, n) @ M.E).reshape(k, nn)
-        out[:, nn:2 * nn] = (L[:, nn:2 * nn].reshape(k * n, n) @ M.E).reshape(k, nn)
-        out[:, 2 * nn:-1] = lm @ M.E + Ls @ M.G.reshape(n, nn).T
-        out[:, -1] = L[:, -1] + Ls @ M.G0.ravel() + lm @ M.w
-        return out
-
-    def _pull_generator(self, L):
-        """The functional L composed with the generator of the state, the
-        rate of L . x: (A^T Ls + Ls A, Le A, lm A + Q . Ls, <Ls, Q0> + lm . b)
-        for the source (Q0, Q) of S."""
-        prop, n, nn = self.prop, self.n, self.n * self.n
-        A = prop.A
-        Q0, Q = prop.s_source
-        Ls, lm = L[:nn].reshape(n, n), L[2 * nn:-1]
-        return np.concatenate([(A.T @ Ls + Ls @ A).ravel(),
-                               (L[nn:2 * nn].reshape(n, n) @ A).ravel(),
-                               lm @ A + Q.reshape(n, nn) @ L[:nn],
-                               [np.sum(Ls * Q0) + lm @ prop.b]])
-
     def _taylor_rows(self, terms):
-        """The rows ell G^k / k!, k = 0 ... ``terms``: their product with a
-        state x gives the Taylor coefficients of Delta in time about x."""
-        rows = [self.ell]
+        """The rows L Ahat^k / k!, k = 0 ... ``terms``, with Ahat =
+        [[A, b], [0, 0]] the generator of Phi: their product with a state x
+        gives the Taylor coefficients of Delta in time about x."""
+        Ahat = np.zeros_like(self.L)
+        Ahat[:-1, :-1], Ahat[:-1, -1] = self.prop.A, self.prop.b
+        rows = [self.L]
         for k in range(1, terms + 1):
-            rows.append(self._pull_generator(rows[-1]) / k)
-        return np.array(rows)
+            rows.append(rows[-1] @ Ahat / k)
+        return np.array(rows).reshape(terms + 1, -1)
+
+    def _push(self, Phi, x):
+        """The state x moved by the transition matrix Phi."""
+        return (x.reshape(self.n1, self.n1) @ Phi.T).ravel()
 
     def _advance(self, x, nodes):
         maps = self.prop.doubling_maps(self.step, nodes.bit_length())  # 2^i steps
@@ -447,18 +437,19 @@ class DeviationMarch:
         calls unless longer ones are.  Calls that share this march may grow
         it at once: each reads only the rows it built or found, and all of
         them write equal values."""
-        k = len(rows)
+        k, n1 = len(rows), self.n1
         i = k.bit_length() - 1  # the rows span 2^i steps
         table = self._table
         if 2 * k > len(table):  # more nodes at once than the cap
             table = self._table = np.concatenate([rows, np.empty_like(rows)])
-        self._pull(self.prop.doubling_maps(self.step, i + 1)[i], rows, table[k:2 * k])
+        np.matmul(rows.reshape(k * n1, n1), self.prop.doubling_maps(self.step, i + 1)[i],
+                  out=table[k:2 * k].reshape(k * n1, n1))
         if 2 * k > len(self.rows):
             self.rows = table[:2 * k]
         return table[:2 * k]
 
     def delta(self, x):
-        return float(self.ell @ x)
+        return float(self.L.ravel() @ x)
 
     def deltas_ahead(self, x, nodes):
         """Delta at the next ``nodes`` nodes after the state x."""
@@ -522,7 +513,7 @@ class DeviationMarch:
                 hi = a + width
             else:
                 if self._piece is None:
-                    self._piece = self.prop.step_map(width, self.prop.s_source)
+                    self._piece = self.prop.transition(width)
                 x = self._push(self._piece, x)
                 a += width
                 continue

@@ -189,17 +189,27 @@ def stepwise_trajectory(prop, init, Sigma, grid):
     return mu, V, delta
 
 
-def forward_taylor(prop, ell, x, terms):
-    """ell . G^k x / k!, k = 0 ... ``terms``, for the deviation march state
-    x = (S, E_t^T, mu, 1): the generator G applied forward, term by term,
-    through ``prop.generate``."""
-    n, nn = prop.n, prop.n * prop.n
-    out, z = [float(ell @ x)], x
-    for k in range(1, terms + 1):
-        S, EtT = z[:nn].reshape(n, n), z[nn:2 * nn].reshape(n, n)
-        dS, dmu = prop.generate(S, z[2 * nn:-1], z[-1], prop.s_source)
-        z = np.concatenate([dS.ravel(), (EtT @ prop.A.T).ravel(), dmu, [0.0]]) / k
-        out.append(float(ell @ z))
+def forward_taylor(prop, init, Sigma, Phi, terms):
+    """Taylor coefficients d^k Delta / dt^k / k!, k = 0 ... ``terms``, at the
+    transition matrix Phi = Phi_t of the deviation march, from the full
+    second-moment dynamics: the state (S, E_t, mu, 1) at t, with S on the
+    product closure alpha + Re beta . mu, is moved term by term by
+    S' = A S + S A^T + Re Lambda(mu) + b mu^T + mu b^T, E' = A E,
+    mu' = A mu + b, without using the closure again."""
+    n, A, b = prop.n, prop.A, prop.b
+    mu0 = init.mu0
+    Pd = init.P - np.outer(mu0, mu0)
+    mu = Phi[:n] @ np.r_[mu0, 1.0]
+    S = prop.alpha + np.tensordot(mu, prop.re_beta, axes=1)
+    E, c = Phi[:n, :n], 1.0
+    out = []
+    for k in range(terms + 1):
+        if k:
+            lam = c * prop.lam0.real + np.tensordot(mu, prop.lam_mu.real, axes=1)
+            S, E, mu, c = ((A @ S + S @ A.T + lam + np.outer(b, mu) + np.outer(mu, b)) / k,
+                           A @ E / k, (A @ mu + c * b) / k, 0.0)
+        out.append(np.sum(Sigma * S) - 2.0 * np.sum(Sigma @ Pd * E)
+                   - 2.0 * mu @ Sigma @ mu0 + c * np.sum(Sigma * init.P))
     return np.array(out)
 
 

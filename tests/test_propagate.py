@@ -10,11 +10,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qmemtime import model, propagate
-from qmemtime.algebra import pauli_structure
+from qmemtime.algebra import StructureConstants, pauli_structure
 from qmemtime.decoherence import (CrossingOptions, decoherence_time,
                                   tau_expansion)
-from qmemtime.errors import InconclusiveCrossingError
+from qmemtime.errors import InconclusiveCrossingError, StructureDefectError
 from qmemtime.interconnect import compose, product_mean
+from qmemtime.linalg import solve_lyapunov
 from qmemtime.model import SystemParams
 from qmemtime.moments import (deviation_delta, initial_moments,
                               moment_trajectory, reference_norm,
@@ -22,7 +23,10 @@ from qmemtime.moments import (deviation_delta, initial_moments,
 from qmemtime.optimize import gradient_check, rk_matrices
 from qmemtime.propagate import DeviationMarch, Propagator
 
-from oracles import first_crossing_scan, forward_taylor, stepwise_trajectory
+from conftest import random_instance
+from dense import fit_structure_constants
+from oracles import (first_crossing_scan, forward_taylor, gell_mann_representation,
+                     stepwise_trajectory)
 
 
 def _march(system, init, weights, step):
@@ -55,8 +59,10 @@ def test_march_no_crossing_returns_final_state(worked):
                              np.array([0.0, 50 * h]))
     assert march.delta(res.state) == pytest.approx(traj.Delta[-1], abs=1e-12)
     assert res.delta == pytest.approx(traj.Delta[-1], abs=1e-12)
+    # the state is Phi_t^T, and Phi_t maps (mu0, 1) to (mu_t, 1)
     n = worked.sys.n
-    assert np.abs(res.state[2 * n * n:-1] - traj.mu[-1]).max() <= 1e-12
+    Phi = res.state.reshape(n + 1, n + 1).T
+    assert np.abs(Phi[:n] @ np.r_[worked.init.mu0, 1.0] - traj.mu[-1]).max() <= 1e-12
 
 
 def _two_qubit_composite(pauli):
@@ -184,9 +190,8 @@ def test_with_energy_reuses_energy_independent_parts(pauli, monkeypatch):
     fresh = SystemParams(sc=system.sc, E=E2, M=system.M, N=system.N)
     prop, fresh_prop = Propagator.of(moved), Propagator(fresh)
     assert len(calls) == 2
-    for name in ("A", "b", "lam0", "lam_mu", "norm_a", "margin", "rho"):
+    for name in ("A", "b", "lam0", "lam_mu", "alpha", "re_beta", "norm_a", "margin", "rho"):
         assert np.array_equal(getattr(prop, name), getattr(fresh_prop, name)), name
-    assert np.array_equal(prop.s_source[1], fresh_prop.s_source[1])
 
     # the march maps of the parent's drift are not carried over
     opts = CrossingOptions(step=0.01)
@@ -200,23 +205,20 @@ def test_decoherence_times_share_doubling_maps(worked, monkeypatch):
     args = (worked.init, worked.weights)
     decoherence_time(system, *args, 0.5)
     calls = []
-    step_map, then = Propagator.step_map, propagate.StepMap.then
-    monkeypatch.setattr(Propagator, "step_map",
-                        lambda self, h, *a: calls.append("step_map") or step_map(self, h, *a))
-    monkeypatch.setattr(propagate.StepMap, "then",
-                        lambda self, nxt: calls.append("then") or then(self, nxt))
+    monkeypatch.setattr(propagate, "expm_psi",
+                        lambda A, t, f=propagate.expm_psi: calls.append(t) or f(A, t))
 
     shared = decoherence_time(system, *args, 0.05)
     assert calls == []
     fresh = decoherence_time(dataclasses.replace(system), *args, 0.05)
-    assert calls.count("step_map") == 1
+    assert len(calls) == 1  # Phi over one step; its powers are products
     assert (shared.value, shared.bracket) == (fresh.value, fresh.bracket)
 
     # another step derives its own maps, once
     opts = CrossingOptions(step=1e-3)
     calls.clear()
     own = decoherence_time(system, *args, 0.05, opts=opts)
-    assert calls.count("step_map") == 1
+    assert calls == [1e-3]
     calls.clear()
     assert decoherence_time(system, *args, 0.05, opts=opts) == own
     assert calls == []
@@ -267,7 +269,7 @@ def test_second_eps_reuses_kept_rows(worked, monkeypatch):
     args = (worked.init, worked.weights)
     decoherence_time(system, *args, 1.2)
     calls = []
-    for name in ("_pull", "_taylor_rows"):
+    for name in ("_grow", "_taylor_rows"):
         monkeypatch.setattr(DeviationMarch, name,
                             lambda self, *a, f=getattr(DeviationMarch, name), name=name:
                             calls.append(name) or f(self, *a))
@@ -278,7 +280,7 @@ def test_second_eps_reuses_kept_rows(worked, monkeypatch):
     # the rows belong to the initial moments: another init rebuilds them
     other = initial_moments(system.sc, np.array([0.1, 0.2, -0.3]))
     decoherence_time(system, other, worked.weights, 0.6)
-    assert calls.count("_pull") >= 1 and calls.count("_taylor_rows") == 1
+    assert calls.count("_grow") >= 1 and calls.count("_taylor_rows") == 1
 
 
 def test_threads_share_kept_march(worked):
@@ -330,7 +332,7 @@ def test_march_keeps_maps_and_rows_of_one_step(pauli):
     prop = Propagator.of(system)
     for step in np.geomspace(2e-4, 2e-3, 20):
         decoherence_time(system, init, weights, 0.05, opts=CrossingOptions(step=step))
-        assert [key for key in prop._doubling if key[0] == "S"] == [("S", step)]
+        assert [key for key in prop._doubling if key[0] == "Phi"] == [("Phi", step)]
         assert prop._march.step == step
 
 
@@ -344,10 +346,12 @@ def test_taylor_rows_match_forward_series(make_instance, case):
     Sigma = weighting_from_sigma(np.eye(system.n)).Sigma
     march, x0 = prop.march(init, Sigma, 0.01)
     rows = march._taylor_rows(10)
-    # a generic vector too: on reachable states E_t commutes with A
+    n1 = system.n + 1
+    # a generic transition matrix too: the closure holds for every mean
     rng = np.random.default_rng(5)
-    for x in (x0, march.run(x0, 0.0, 37, math.inf).state, rng.standard_normal(x0.size)):
-        want = forward_taylor(prop, march.ell, x, 10)
+    generic = np.vstack([rng.standard_normal((n1 - 1, n1)), np.eye(n1)[-1]])
+    for x in (x0, march.run(x0, 0.0, 37, math.inf).state, generic.T.ravel()):
+        want = forward_taylor(prop, init, Sigma, x.reshape(n1, n1).T, 10)
         # relative to the size of each sum: at n = 15 its terms cancel to
         # within 1e-5 of it
         assert (np.abs(rows @ x - want) <= 1e-12 * (np.abs(rows) @ np.abs(x))).all()
@@ -443,3 +447,102 @@ def test_trajectory_keeps_maps_of_one_step(pauli):
     assert size <= 0.4e6
     moment_trajectory(system, init, None, _grid("geometric", 30, 1.0))
     assert kept() == []
+
+
+@functools.lru_cache(maxsize=None)
+def _qubit_qutrit_case():
+    # n = 35; the Gell-Mann constants have a nonzero Re beta, unlike spin
+    rng = np.random.default_rng(11)
+    qutrit = fit_structure_constants(gell_mann_representation(3)).constants
+    sub1 = SystemParams(sc=pauli_structure(), E=rng.standard_normal(3),
+                        M=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), N=np.array([0.0, 0.1]))
+    sub2 = SystemParams(sc=qutrit, E=0.5 * rng.standard_normal(8),
+                        M=0.5 * rng.standard_normal((2, 8)), N=np.zeros(2))
+    system = compose(sub1, sub2, 0.2 * rng.standard_normal(24)).as_system()
+    mu2 = 0.1 * rng.standard_normal(8)
+    return system, initial_moments(system.sc, product_mean([0.3, 0.0, 0.2], mu2))
+
+
+def _closure_case(make_instance, case):
+    if case == "composite":
+        return _composite_case()
+    if case == "qubit-qutrit":
+        return _qubit_qutrit_case()
+    rng = np.random.default_rng(case if case != "rescaled" else 7)
+    if case == "rescaled":  # X' = 2X: associative, not the spin algebra
+        spin = pauli_structure()
+        return random_instance(StructureConstants(4.0 * np.eye(3), 2.0 * spin.beta.sections), rng)
+    return make_instance(rng)
+
+
+def _random_weights(n, seed):
+    F = np.random.default_rng(seed).standard_normal((n, n))
+    return weighting_from_sigma(F.T @ F / n)
+
+
+@settings(max_examples=15, deadline=None)
+@example(case="rescaled", wseed=1, frac=0.5)
+@example(case="composite", wseed=2, frac=0.5)
+@example(case="qubit-qutrit", wseed=3, frac=0.7)
+@given(case=st.one_of(st.integers(0, 2 ** 32 - 1),
+                      st.sampled_from(["rescaled", "composite", "qubit-qutrit"])),
+       wseed=st.integers(0, 2 ** 32 - 1), frac=st.floats(0.2, 0.95))
+def test_march_delta_matches_trajectory(make_instance, case, wseed, frac):
+    # The march reads S off the product closure; the trajectory moves the
+    # second moment V by its own dynamics.  Both give Delta at the nodes.
+    # A generic weighting: <I, Re beta_l> vanishes for spin and Gell-Mann
+    # composites, so Sigma = I would not see the Re beta part of S.
+    system, init = _closure_case(make_instance, case)
+    weights = _random_weights(system.n, wseed)
+    ref = reference_norm(init, weights)
+    prop = Propagator.of(system)
+    step, nodes = 1e-3 / max(1.0, prop.norm_a), 300
+    march, x0 = prop.march(init, weights.Sigma, step)
+    grid = np.arange(nodes + 1) * step
+    want = deviation_delta(system, init, weights, grid)
+    got = np.r_[march.delta(x0), march.deltas_ahead(x0, nodes)]
+    assert np.abs(got - want).max() <= 1e-10 * ref
+    end = march.run(x0, 0.0, nodes, math.inf).state
+    assert abs(march.delta(end) - want[-1]) <= 1e-10 * ref
+
+    threshold = frac * want.max()
+    assume(np.abs(want - threshold).min() > 1e-9 * ref)
+    t_scan = first_crossing_scan(grid, want, threshold)
+    i = int(np.searchsorted(grid, t_scan))
+    result = decoherence_time(system, init, weights, threshold / ref,
+                              opts=CrossingOptions(step=step, horizon=grid[-1]))
+    lo, hi = result.bracket
+    assert grid[i - 1] <= lo < hi <= grid[i]
+    assert grid[i - 1] <= result.value <= grid[i]
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, "rescaled", "composite", "qubit-qutrit"])
+def test_limits_match_lyapunov_oracle(make_instance, case):
+    # P_inf is read off the product closure; the vectorized Lyapunov solve
+    # of A P + P A^T + Re Lambda_inf = 0 is the independent oracle
+    system, init = _closure_case(make_instance, case)
+    prop = Propagator.of(system)
+    assert prop.margin < -1e-3
+    mu_inf, lam_inf, P_inf = prop.limits()
+    want = solve_lyapunov(prop.A, lam_inf.real)
+    assert np.abs(P_inf - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+    ss = steady_state(system, init, _random_weights(system.n, 4))
+    assert ss.P_inf is P_inf
+
+
+def test_non_associative_table_raises_structure_defect(pauli):
+    # alpha = 2I with the spin beta: (X_1 X_2) X_2 = X_1 but X_1 (X_2 X_2) = 2 X_1,
+    # so S = Re E[X X^T] leaves alpha + Re beta . mu
+    bad = StructureConstants(2.0 * np.eye(3), pauli.beta.sections)
+    system = SystemParams(sc=bad, E=np.array([0.3, -0.2, 0.5]),
+                          M=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), N=np.zeros(2))
+    init = initial_moments(bad, np.array([0.2, 0.0, 0.1]))
+    weights = weighting_from_sigma(np.eye(3))
+    for _ in range(2):  # the defect is kept, the error raised again
+        with pytest.raises(StructureDefectError, match="not associative"):
+            decoherence_time(system, init, weights, 0.1)
+    assert Propagator.of(system).margin < 0.0
+    with pytest.raises(StructureDefectError):
+        steady_state(system, init, weights)
+    traj = moment_trajectory(system, init, weights, np.linspace(0.0, 1.0, 11))
+    assert np.isfinite(traj.Delta).all() and traj.Delta[-1] > 0.0
