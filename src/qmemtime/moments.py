@@ -9,10 +9,12 @@ mean-square deviation of the variables from their initial values is
 
 A system's dynamics (drift, offset and the affine parts of Lambda) are
 derived once, by :meth:`Propagator.of <qmemtime.propagate.Propagator.of>`,
-and every function here that takes a system reads them from there.  Both
-moments move between grid nodes by exact affine step maps; matrix
-exponentials come from scaling-and-squaring, and the steady-state second
-moment is read off the product closure alpha + Re beta . mu.
+and every function here that takes a system reads them from there.  The
+mean, V and Delta at the grid nodes are read off the mean's transition
+matrix and the product closure alpha + beta . mu of the second moment
+(see :mod:`qmemtime.propagate`); matrix exponentials come from
+scaling-and-squaring, and the steady-state second moment is read off the
+same closure.
 """
 
 from __future__ import annotations
@@ -153,7 +155,9 @@ def moment_trajectory(sys, init, weights, grid):
     :func:`second_moment_V`, :func:`deviation_delta`, and the CLI export.
 
     ``weights`` may be None when only (mu, V) are of interest; Delta is
-    then reported for Sigma = I.
+    then reported for Sigma = I.  Constants that are not associative
+    raise :class:`~qmemtime.errors.StructureDefectError`, since the
+    moments are read off the product closure.
     """
     grid = _validate_grid(grid)
     prop = Propagator.of(sys)

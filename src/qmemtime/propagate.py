@@ -1,29 +1,25 @@
 """Exact propagation of the moment dynamics.
 
-For a closed algebra the mean and the second moment obey a linear affine
-ODE, mu' = A mu + b and V' = A V + V A^T + Lambda(mu) with Lambda affine in
-mu, so over a step h they move by an exact affine map
+For a closed algebra the mean obeys mu' = A mu + b, so (mu_t, 1) =
+Phi_t (mu0, 1) with the transition matrix Phi_t = exp(t [[A, b], [0, 0]])
+of order n + 1, Van Loan's block exponential ("Computing integrals
+involving the matrix exponential", IEEE TAC 23(3), 1978) from
+:func:`~qmemtime.linalg.expm_psi`.  Products close, X_j X_k = alpha_jk +
+beta_jk . X, and the flow preserves them, so the full complex second
+moment is alpha + beta . mu_t at every t (checked once per drift).  Both
+the second moment of the noise response and the deviation then follow
+from Phi_t alone:
 
-    mu -> E mu + w,    V -> E V E^T + sum_l mu_l G_l + G_0,
+    V_t = alpha + beta . mu_t - [Phi_t Z Phi_t^T]_{:n,:n},   Delta(t) = <L, Phi_t^T>,
 
-with E = e^{hA} and w = psi(h) b.  The map is the exponential of the
-generator of the augmented state (V, mu, 1), as in Van Loan, "Computing
-integrals involving the matrix exponential", IEEE TAC 23(3), 1978.  That
-generator has order n^2 + n + 1 and is never formed: its action on the n
-unit means and the constant state is summed as a Taylor series over a
-short step, and the map is scaled back up by composition.
+with Z = [[Pi, mu0], [mu0^T, 1]] the second moment of (X_0, 1) and L the
+functional of :meth:`Propagator.functional`.
 
 A trajectory moves a whole block of grid nodes at once: within a run of
 equal spacings, the nodes [k, k + m) follow from the nodes [k - m, k) by
-the map over m steps, for m = 1, 2, 4, ... up to ``BLOCK`` and then m =
-``BLOCK`` (see :meth:`Propagator.trajectory`).
+the power of Phi over m steps, for m = 1, 2, 4, ... up to ``BLOCK`` and
+then m = ``BLOCK`` (see :meth:`Propagator.trajectory`).
 
-The deviation Delta(t) needs less.  Products close, X_j X_k = alpha_jk +
-beta_jk . X, and the flow preserves them, so the full second moment is
-S_t = Re E[X_t X_t^T] = alpha + Re beta . mu_t (checked once per
-drift).  Delta is then linear in the transition matrix Phi_t =
-exp(t [[A, b], [0, 0]]) of order n + 1, Van Loan's block exponential
-from :func:`~qmemtime.linalg.expm_psi`.
 :class:`DeviationMarch` tests a chunk of grid nodes with one product
 against adjoint rows (the functional pulled back over 1, 2, ... steps),
 jumps across it by a power of Phi_step, and refines a bracketed node with
@@ -33,7 +29,7 @@ and the step, and the rows only on the functional and the step, so a
 every eps of a tau(eps) curve reuses them, within ``ROW_BUDGET`` of rows
 per system.  A march still tests chunks of 1, 2, 4, ... nodes in every
 call, so its answer does not depend on which rows an earlier call left.
-The maps of (V, mu) that trajectories use are kept the same way.
+The powers that trajectories use are kept the same way.
 """
 
 from __future__ import annotations
@@ -72,7 +68,7 @@ def step_spacings(grid):
     """The spacings of ``grid``, where those within 4 eps grid[-1] above
     the smallest of a group are all replaced by the group's first in grid
     order: roundoff splits the one true spacing of a uniform grid into
-    several floats, which then share one step map."""
+    several floats, which then share one transition matrix."""
     h = np.diff(grid)
     tol = 4.0 * np.finfo(float).eps * grid[-1]
     order = np.argsort(h, kind="stable")
@@ -86,39 +82,27 @@ def step_spacings(grid):
     return out
 
 
-@dataclass(frozen=True)
-class StepMap:
-    """Exact affine map of the moments over one step:
-    mu -> E mu + w and V -> E V E^T + sum_l mu_l G[l] + G0."""
-
-    E: np.ndarray
-    w: np.ndarray
-    G: np.ndarray
-    G0: np.ndarray
-
-    def then(self, nxt):
-        """This step followed by ``nxt``."""
-        E2, n = nxt.E, nxt.E.shape[0]
-        Gn = nxt.G.reshape(n, n * n)
-        return StepMap(E=E2 @ self.E, w=E2 @ self.w + nxt.w,
-                       G=E2 @ self.G @ E2.T + (self.E.T @ Gn).reshape(n, n, n),
-                       G0=E2 @ self.G0 @ E2.T + (self.w @ Gn).reshape(n, n) + nxt.G0)
-
-
 class Propagator:
     """The moment dynamics of one system, derived once: its coefficient
     set ``co`` with drift A and offset b, ||A||_2, the Hurwitz margin
     (largest eigenvalue real part), the affine parts Lambda(mu) = lam0
-    + sum_l mu_l lam_mu[l], the closure S = alpha + Re beta . mu of the
-    second moment, the maps of :meth:`doubling_maps`, the last
-    :meth:`march` built, and the steady-state :meth:`limits`.  :meth:`of`
-    shares one instance per system."""
+    + sum_l mu_l lam_mu[l] and whether they vanish (no coupling), the
+    closure alpha + beta . mu of the second moment, the maps of
+    :meth:`doubling_maps`, the last :meth:`march` built, and the
+    steady-state :meth:`limits`.  :meth:`of` shares one instance per
+    system."""
 
     def __init__(self, sys):
         co = coefficients(sys)
-        self.n = sys.n
+        self.n = n = sys.n
         self.lam0, self.lam_mu = lambda_affine(sys)
+        #: No diffusion at any mean, so V is identically zero.
+        self.noiseless = not (self.lam0.any() or self.lam_mu.any())
         self.alpha, self.re_beta = sys.sc.alpha, sys.sc.re_beta.sections
+        #: The full second moment alpha + beta . mu is (mu, 1) @ moment_f on
+        #: a real view: rows beta_l, then alpha.
+        moment = np.concatenate([sys.sc.beta.sections, self.alpha[None] + 0j])
+        self.moment_f = np.ascontiguousarray(moment).view(float).reshape(n + 1, -1)
         self._set_drift(co)
 
     def _set_drift(self, co):
@@ -127,10 +111,12 @@ class Propagator:
         self.A, self.b = co.A, co.b
         self.norm_a = spectral_norm(co.A)
         self.margin = hurwitz_margin(co.A)
-        #: Growth-rate bound of the generator (A kron I + I kron A).
-        self.rho = 2.0 * max(1.0, self.norm_a)
+        #: Norm bound of the generator [[A, b], [0, 0]] of Phi:
+        #: ||[A b]||_2 <= sqrt(||A||_2^2 + |b|^2).
+        self.rho = max(1.0, math.hypot(self.norm_a, float(np.linalg.norm(co.b))))
         self._doubling = {}
         self._march = None
+        self._traj_step = None
         self._limits = None
         self._closure = None
 
@@ -213,31 +199,6 @@ class Propagator:
         """Diffusion matrix Lambda(mu), Hermitian."""
         return self.lam0 + (mu @ self.lam_mu.reshape(self.n, -1)).reshape(self.n, self.n)
 
-    def step_map(self, h):
-        """Exact map of the moments (V, mu) over a step h."""
-        n, A = self.n, self.A
-        halvings = max(0, math.ceil(math.log2(h * self.rho / 0.5)))
-        hs = h / 2 ** halvings
-        # Taylor terms of e^{hs G} on the states (V=0, mu=e_l) and (V=0, mu=0, 1),
-        # with G (V, mu, c) = (A V + V A^T + c lam0 + sum_l mu_l lam_mu[l], A mu + c b).
-        X = np.zeros((n + 1, n, n), dtype=complex)
-        m = np.eye(n + 1, n)
-        c = np.eye(n + 1)[n]
-        sum_X, sum_m = X.copy(), m.copy()
-        for k in range(1, _taylor_terms(hs * self.rho) + 1):
-            X, m = (A @ X + X @ A.T + (m @ self.lam_mu.reshape(n, n * n)).reshape(X.shape)
-                    + np.multiply.outer(c, self.lam0), m @ A.T + np.multiply.outer(c, self.b))
-            X *= hs / k
-            m *= hs / k
-            c = 0.0 * c
-            sum_X += X
-            sum_m += m
-        M = StepMap(E=np.ascontiguousarray(sum_m[:n].T), w=sum_m[n],
-                    G=sum_X[:n], G0=sum_X[n])
-        for _ in range(halvings):
-            M = M.then(M)
-        return M
-
     def transition(self, h):
         """The transition matrix Phi_h = exp(h [[A, b], [0, 0]]), which
         maps (mu, 1) at t to (mu, 1) at t + h."""
@@ -247,77 +208,86 @@ class Propagator:
         Phi[:n, :n], Phi[:n, n], Phi[n, n] = E, psi @ self.b, 1.0
         return Phi
 
-    def doubling_maps(self, step, count, kind="Phi"):
-        """The first ``count`` maps over 2^i steps of length ``step``: the
-        transition matrices of :meth:`transition` for ``kind`` "Phi", or the
-        maps of the moments (V, mu) of :meth:`step_map` for ``kind`` "V".
+    def doubling_maps(self, step, count):
+        """The first ``count`` transition matrices of :meth:`transition`
+        over 2^i steps of length ``step``.
 
-        They depend only on the system, the kind and the step, so they are
-        derived once and kept: the kept :meth:`march` uses the "Phi" maps
-        of its step, and a :meth:`trajectory` keeps the "V" maps of one
-        step only.  Kept tuples are never modified, so a caller reads
-        correct maps from the one it holds even if the kept entry is
-        replaced or dropped meanwhile.
+        They depend only on the system and the step, so they are derived
+        once and kept, for the step of the kept :meth:`march` and that of
+        the longest run of the last :meth:`trajectory`.  Kept tuples are
+        never modified, so a caller reads correct maps from the one it
+        holds even if the kept entry is replaced or dropped meanwhile.
         """
-        key = (kind, step)
-        first, square = ((self.transition, np.matmul) if kind == "Phi"
-                         else (self.step_map, StepMap.then))
-        maps = self._doubling.get(key, ())
+        maps = self._doubling.get(step, ())
         while len(maps) < count:
-            maps += (square(maps[-1], maps[-1]) if maps else first(step),)
-            self._doubling[key] = maps
+            maps += (maps[-1] @ maps[-1] if maps else self.transition(step),)
+            self._doubling[step] = maps
         return maps
 
-    def march(self, init, Sigma, step):
-        """The :class:`DeviationMarch` of Delta for the initial moments
-        ``init`` and the weighting ``Sigma`` on the grid k * ``step``, and
-        its state x0 = Phi_0 = I at t = 0.
+    def _drop_maps(self):
+        """Drop the doubling maps of every step but the kept march's and
+        the one a trajectory keeps."""
+        march = self._march
+        keep = (self._traj_step, march.step if march else None)
+        for step in list(self._doubling):
+            if step not in keep:
+                self._doubling.pop(step, None)
 
-        On the closure, with mu_t = E_t mu0 + w_t and Pd = P - mu0 mu0^T,
+    def functional(self, init, Sigma):
+        """The matrix L with Delta(t) = <L, Phi_t^T> for the initial
+        moments ``init`` and the weighting ``Sigma``.
+
+        On the closure S_t = Re E[X_t X_t^T] = alpha + Re beta . mu_t, so
+        with mu_t = E_t mu0 + w_t and Pd = P - mu0 mu0^T,
         Delta = <Sigma, S> - 2 <Sigma Pd, E_t> - 2 mu_t^T Sigma mu0 + <Sigma, P>
         = <Sigma, alpha + P> + g . mu_t - 2 <Sigma Pd, E_t> with g_l =
         <Sigma, Re beta_l> - 2 (Sigma mu0)_l, which is <L, Phi_t^T>.
-
-        The last march built is kept, and a later call with the same L and
-        step (another eps) reuses it.  Building another drops the "Phi"
-        maps of every other step, so a system keeps one row table and the
-        march maps of one step.
         """
-        self._require_closure()
         n, mu0 = self.n, init.mu0
         Pd = init.P - np.outer(mu0, mu0)
         g = self.re_beta.reshape(n, n * n) @ Sigma.ravel() - 2.0 * Sigma @ mu0
         L = np.zeros((n + 1, n + 1))
         L[:n, :n] = np.outer(mu0, g) - 2.0 * Pd @ Sigma
         L[n, :n], L[n, n] = g, np.sum(Sigma * (self.alpha + init.P))
+        return L
+
+    def march(self, init, Sigma, step):
+        """The :class:`DeviationMarch` of Delta = <L, Phi_t^T>, L of
+        :meth:`functional`, on the grid k * ``step``, and its state x0 =
+        Phi_0 = I at t = 0.
+
+        The last march built is kept, and a later call with the same L and
+        step (another eps) reuses it.  Building another drops the maps of
+        every step but its own and a trajectory's, so a system keeps one
+        row table and the march maps of one step.
+        """
+        self._require_closure()
+        L = self.functional(init, Sigma)
         march = self._march
         if march is None or march.step != step or not np.array_equal(march.L, L):
-            for key in list(self._doubling):
-                if key[0] == "Phi" and key[1] != step:
-                    self._doubling.pop(key, None)
             march = self._march = DeviationMarch(self, L, step)
-        return march, np.eye(n + 1).ravel()
+            self._drop_maps()
+        return march, np.eye(self.n + 1).ravel()
 
     def trajectory(self, init, Sigma, grid):
         """(mu, V, Delta) at the nodes of ``grid``.
 
+        U_t = Phi_t Z Phi_t^T has the last column (mu_t, 1), so mu, V and
+        Delta are read off U_t and Phi_t^T (see the module docstring).
         The spacings of :func:`step_spacings` split the grid into runs of
         equal steps.  Within a run the nodes [k, k + m) come from the nodes
         [k - m, k) by the map over m steps, with m = 1, 2, 4, ... up to
         ``BLOCK`` and then m = ``BLOCK`` to the end of the run, so a block
-        of nodes moves by a few matrix products.  The maps are the "V"
-        maps of :meth:`doubling_maps`; those of the longest run stay kept
-        for later calls, the others are dropped when they are built.
-
-        Delta = <Sigma, Re V> + |F(mu - mu0)|^2
-        + <Sigma, (E_t - I)(P - mu0 mu0^T)(E_t - I)^T>.  E_t is kept for
-        the last ``BLOCK`` nodes only, and the last two parts are summed
-        block by block.
+        of nodes moves by a few matrix products: Phi_t^T by one product
+        from the right, U_t by a sandwich.  Both are kept for the last
+        ``BLOCK`` nodes only, so the output is the only array the size of
+        the grid.  The maps are those of :meth:`doubling_maps`; those of
+        the longest run stay kept for later calls, the others are dropped
+        when they are built.
         """
-        n, nn = self.n, self.n * self.n
-        mu0 = init.mu0
-        Pd = init.P - np.outer(mu0, mu0)
-        eye = np.eye(n)
+        self._require_closure()
+        n, n1, N = self.n, self.n + 1, grid.size
+        L = self.functional(init, Sigma).ravel()
         h = step_spacings(grid)
         starts = np.flatnonzero(np.r_[True, h[1:] != h[:-1]]).tolist()
         ends = starts[1:] + [h.size]
@@ -325,44 +295,39 @@ class Propagator:
         levels = BLOCK.bit_length()  # maps over 1, 2, 4, ..., BLOCK steps
         # The maps are built before the output exists, so their work arrays
         # do not add to its size.
-        runs = [(s, e, self.doubling_maps(h[s], min((e - s).bit_length(), levels), "V"))
+        runs = [(s, e, self.doubling_maps(h[s], min((e - s).bit_length(), levels)))
                 for s, e in zip(starts, ends)]
         s, e, _ = max(runs, key=lambda run: run[1] - run[0])
-        kept = ("V", h[s]) if e - s > 1 else None
-        for key in list(self._doubling):
-            if key[0] == "V" and key != kept:
-                self._doubling.pop(key, None)
+        self._traj_step = h[s] if e - s > 1 else None
+        self._drop_maps()
 
-        mu = np.empty((grid.size, n))
-        V = np.empty((grid.size, n, n), dtype=complex)
-        delta = np.zeros(grid.size)
-        mu[0], V[0] = mu0, 0.0
-        EtT = np.empty((BLOCK, n, n))  # E_t^T at the node s + r of a run, in slot r % BLOCK
-        EtT[0] = eye
+        mu = np.empty((N, n))
+        V = np.zeros((N, n, n), dtype=complex) if self.noiseless else np.empty((N, n, n), complex)
+        Vf = V.view(float).reshape(N, 2 * n * n)
+        delta = np.empty(N)
+        mu[0], V[0], delta[0] = init.mu0, 0.0, 0.0
+        # Phi_t^T and U_t at the node s + r of a run, in slot r % BLOCK
+        PhiT = np.empty((BLOCK, n1, n1))
+        U = np.empty((BLOCK, n1, n1), dtype=complex)
+        PhiT[0] = np.eye(n1)
+        U[0, :n, :n], U[0, :n, n], U[0, n, :n], U[0, n, n] = init.Pi, init.mu0, init.mu0, 1.0
         for s, e, maps in runs:
-            k, i = s + 1, 0  # the node k comes from the node k - 2^i
+            k, i = s + 1, 0  # the node k comes from the node k - 2^i, in slot 0
             while k <= e:
                 M, m = maps[i], 1 << i
                 b = min(m, e + 1 - k)
-                src, dst = slice(k - m, k - m + b), slice(k, k + b)
-                # E V E^T, with E V taken on a real view of the stack V
-                np.matmul(np.matmul(M.E, V[src].view(float)).view(complex).reshape(b * n, n),
-                          M.E.T, out=V[dst].reshape(b * n, n))
-                G = M.G.view(float).reshape(n, 2 * nn)
-                V[dst] += (mu[src] @ G).view(complex).reshape(b, n, n)
-                V[dst] += M.G0
-                np.matmul(mu[src], M.E.T, out=mu[dst])
-                mu[dst] += M.w
-                j = (k - s) % BLOCK
-                EtT[j:j + b] = (EtT[:b].reshape(b * n, n) @ M.E.T).reshape(b, n, n)
-                Q, dm = EtT[j:j + b] - eye, mu[dst] - mu0  # Q = (E_t - I)^T
-                delta[dst] = (np.einsum("kij,kij->k",
-                                        (Q.reshape(b * n, n) @ Sigma).reshape(b, n, n),
-                                        np.matmul(Pd, Q))
-                              + np.einsum("ki,ij,kj->k", dm, Sigma, dm))
+                j, dst = (k - s) % BLOCK, slice(k, k + b)
+                PhiT[j:j + b] = (PhiT[:b].reshape(b * n1, n1) @ M.T).reshape(b, n1, n1)
+                # Phi U Phi^T, with Phi U taken on a real view of the stack U
+                np.matmul(np.matmul(M, U[:b].view(float)).view(complex).reshape(b * n1, n1),
+                          M.T, out=U[j:j + b].reshape(b * n1, n1))
+                delta[dst] = PhiT[j:j + b].reshape(b, n1 * n1) @ L
+                mu[dst] = U[j:j + b, :n, n].real
+                if not self.noiseless:
+                    np.matmul(U[j:j + b, :, n].real, self.moment_f, out=Vf[dst])
+                    V[dst] -= U[j:j + b, :n, :n]
                 k, i = k + b, min(i + 1, levels - 1)
-            EtT[0] = EtT[(e - s) % BLOCK]
-        delta += (V.reshape(grid.size, nn) @ Sigma.ravel()).real
+            PhiT[0], U[0] = PhiT[(e - s) % BLOCK], U[(e - s) % BLOCK]
         return mu, V, delta
 
 

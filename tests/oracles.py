@@ -6,9 +6,12 @@ section double sums, Simpson quadrature of integral forms instead of ODE
 stepping, and dense scans instead of bisection.
 """
 
+import math
+
 import numpy as np
 from scipy.linalg import expm as sexpm
 
+from qmemtime.linalg import _taylor_terms
 from qmemtime.model import coefficients, ito_matrix
 
 from dense import Representation
@@ -164,9 +167,53 @@ def delta_upsilon(sys, init, weights, t, V_t):
     return float(np.sum(weights.Sigma * ups.real))
 
 
+def step_map(prop, h):
+    """The exact affine map mu -> E mu + w, V -> E V E^T + sum_l mu_l G[l]
+    + G0 of the Lyapunov ODE V' = A V + V A^T + Lambda(mu) over a step h,
+    as (E, w, G, G0): the exponential of the generator of the augmented
+    state (V, mu, 1), of order n^2 + n + 1, summed as a Taylor series of
+    its action on the unit means and the constant state over a short step
+    and scaled back up by composition.  Independent of the product
+    closure."""
+    n, A = prop.n, prop.A
+    rho = 2.0 * max(1.0, prop.norm_a)  # growth bound of A kron I + I kron A
+    halvings = max(0, math.ceil(math.log2(h * rho / 0.5)))
+    hs = h / 2 ** halvings
+    # Taylor terms of e^{hs G} on the states (V=0, mu=e_l) and (V=0, mu=0, 1),
+    # with G (V, mu, c) = (A V + V A^T + c lam0 + sum_l mu_l lam_mu[l], A mu + c b).
+    X = np.zeros((n + 1, n, n), dtype=complex)
+    m = np.eye(n + 1, n)
+    c = np.eye(n + 1)[n]
+    sum_X, sum_m = X.copy(), m.copy()
+    for k in range(1, _taylor_terms(hs * rho) + 1):
+        X, m = (A @ X + X @ A.T + (m @ prop.lam_mu.reshape(n, n * n)).reshape(X.shape)
+                + np.multiply.outer(c, prop.lam0), m @ A.T + np.multiply.outer(c, prop.b))
+        X *= hs / k
+        m *= hs / k
+        c = 0.0 * c
+        sum_X += X
+        sum_m += m
+    M = (np.ascontiguousarray(sum_m[:n].T), sum_m[n], sum_X[:n], sum_X[n])
+    for _ in range(halvings):
+        M = _then(M, M)
+    return M
+
+
+def _then(first, nxt):
+    """The step map ``first`` followed by ``nxt``."""
+    E1, w1, G1, G01 = first
+    E2, w2, G2, G02 = nxt
+    n = E2.shape[0]
+    Gn = G2.reshape(n, n * n)
+    return (E2 @ E1, E2 @ w1 + w2,
+            E2 @ G1 @ E2.T + (E1.T @ Gn).reshape(n, n, n),
+            E2 @ G01 @ E2.T + (w1 @ Gn).reshape(n, n) + G02)
+
+
 def stepwise_trajectory(prop, init, Sigma, grid):
     """(mu, V, Delta) along ``grid``, one node after the other, each by the
-    single-step map of its own float spacing from ``prop.step_map``."""
+    :func:`step_map` of its own float spacing: V integrates the Lyapunov
+    ODE without the product closure."""
     n = prop.n
     mu0 = init.mu0
     Pd = init.P - np.outer(mu0, mu0)
@@ -178,11 +225,11 @@ def stepwise_trajectory(prop, init, Sigma, grid):
     for k in range(1, grid.size):
         h = grid[k] - grid[k - 1]
         if h not in maps:
-            maps[h] = prop.step_map(h)
-        M = maps[h]
-        V[k] = M.E @ V[k - 1] @ M.E.T + np.tensordot(mu[k - 1], M.G, axes=1) + M.G0
-        mu[k] = M.E @ mu[k - 1] + M.w
-        Et = M.E @ Et
+            maps[h] = step_map(prop, h)
+        E, w, G, G0 = maps[h]
+        V[k] = E @ V[k - 1] @ E.T + np.tensordot(mu[k - 1], G, axes=1) + G0
+        mu[k] = E @ mu[k - 1] + w
+        Et = E @ Et
         q = Et - np.eye(n)
         dm = mu[k] - mu0
         delta[k] = np.sum(Sigma * (V[k].real + q @ Pd @ q.T)) + dm @ Sigma @ dm

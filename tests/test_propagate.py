@@ -99,8 +99,14 @@ def test_chunked_delta_matches_stepwise(make_instance, pauli, case):
 
 
 def test_refine_long_step_matches_default(worked):
-    # a step of 0.5 spans four Taylor pieces of the worked drift (||A|| = 4);
-    # tau(0.05) lies in the first and tau(1.0) = 0.27 in the third
+    # a step of 0.5 spans three Taylor pieces of the worked generator
+    # [[A, b], [0, 0]] (norm bound hypot(||A||, |b|) = hypot(4, 4));
+    # tau(0.05) lies in the first and tau(1.0) = 0.27 in the second
+    prop = Propagator.of(worked.sys)
+    Ahat = np.zeros((4, 4))
+    Ahat[:3, :3], Ahat[:3, 3] = prop.A, prop.b
+    assert np.linalg.norm(Ahat, 2) <= prop.rho * (1.0 + 1e-12)
+    assert math.ceil(0.5 * prop.rho) == 3
     for eps in (0.05, 1.0):
         ref = decoherence_time(worked.sys, worked.init, worked.weights, eps)
         long = decoherence_time(worked.sys, worked.init, worked.weights, eps,
@@ -332,7 +338,7 @@ def test_march_keeps_maps_and_rows_of_one_step(pauli):
     prop = Propagator.of(system)
     for step in np.geomspace(2e-4, 2e-3, 20):
         decoherence_time(system, init, weights, 0.05, opts=CrossingOptions(step=step))
-        assert [key for key in prop._doubling if key[0] == "Phi"] == [("Phi", step)]
+        assert list(prop._doubling) == [step]
         assert prop._march.step == step
 
 
@@ -364,9 +370,8 @@ def test_uniform_grid_builds_one_step_map(pauli, monkeypatch):
     assert len(set(np.diff(grid).tolist())) > 1
 
     steps = []
-    step_map = Propagator.step_map
-    monkeypatch.setattr(Propagator, "step_map",
-                        lambda self, h, *a: steps.append(h) or step_map(self, h, *a))
+    monkeypatch.setattr(propagate, "expm_psi",
+                        lambda A, h, f=propagate.expm_psi: steps.append(h) or f(A, h))
     shared = deviation_delta(system, init, weights, grid)
     assert len(steps) == 1
 
@@ -394,25 +399,32 @@ def _composite_case():
 
 
 @settings(max_examples=30, deadline=None)
-@example(case="composite", kind="uniform", nodes=40, t_max=0.5)
-@example(case="composite", kind="two runs", nodes=40, t_max=2.0)
-@example(case="composite", kind="geometric", nodes=40, t_max=1.0)
-@given(case=st.one_of(st.integers(0, 2 ** 32 - 1), st.just("composite")),
+@example(case="composite", kind="uniform", nodes=40, t_max=0.5, wseed=1)
+@example(case="composite", kind="two runs", nodes=40, t_max=2.0, wseed=2)
+@example(case="composite", kind="geometric", nodes=40, t_max=1.0, wseed=3)
+@example(case="rescaled", kind="two runs", nodes=60, t_max=2.0, wseed=4)
+@example(case="qubit-qutrit", kind="uniform", nodes=40, t_max=0.5, wseed=5)
+@example(case="qubit-qutrit", kind="two runs", nodes=40, t_max=2.0, wseed=6)
+@example(case="qubit-qutrit", kind="geometric", nodes=20, t_max=1.0, wseed=7)
+@given(case=st.one_of(st.integers(0, 2 ** 32 - 1),
+                      st.sampled_from(["rescaled", "composite", "qubit-qutrit"])),
        kind=st.sampled_from(["uniform", "two runs", "geometric"]),
-       nodes=st.integers(2, 80), t_max=st.floats(0.05, 3.0))
-def test_blocked_trajectory_matches_stepwise(make_instance, case, kind, nodes, t_max):
-    if case == "composite":
-        system, init = _composite_case()
-        nodes = min(nodes, 40)  # each geometric node builds an n = 15 map
-    else:
-        system, init = make_instance(np.random.default_rng(case))
+       nodes=st.integers(2, 80), t_max=st.floats(0.05, 3.0),
+       wseed=st.integers(0, 2 ** 32 - 1))
+def test_blocked_trajectory_matches_stepwise(make_instance, case, kind, nodes, t_max, wseed):
+    # V is read off the product closure; the oracle integrates the
+    # Lyapunov ODE of V node by node
+    system, init = _closure_case(make_instance, case)
+    if system.n > 3:
+        nodes = min(nodes, 40)  # each geometric node builds an order n^2 map
     grid = _grid(kind, nodes, t_max)
-    Sigma = weighting_from_sigma(np.eye(system.n)).Sigma
+    Sigma = _random_weights(system.n, wseed).Sigma
     mu, V, delta = Propagator.of(system).trajectory(init, Sigma, grid)
     want = stepwise_trajectory(Propagator.of(system), init, Sigma, grid)
     for got, ref in zip((mu, V, delta), want):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.abs(V - V.conj().transpose(0, 2, 1)).max() <= 1e-12 * np.abs(V).max()
+    assert not V[0].any() and delta[0] == 0.0
 
 
 def test_trajectory_reuses_kept_maps(pauli, monkeypatch):
@@ -421,11 +433,10 @@ def test_trajectory_reuses_kept_maps(pauli, monkeypatch):
     grid = np.linspace(0.0, 0.5, 501)
     first = moment_trajectory(system, init, weights, grid)
     calls = []
-    step_map, then = Propagator.step_map, propagate.StepMap.then
-    monkeypatch.setattr(Propagator, "step_map",
-                        lambda self, h, *a: calls.append("step_map") or step_map(self, h, *a))
-    monkeypatch.setattr(propagate.StepMap, "then",
-                        lambda self, nxt: calls.append("then") or then(self, nxt))
+    monkeypatch.setattr(propagate, "expm_psi",
+                        lambda A, h, f=propagate.expm_psi: calls.append(h) or f(A, h))
+    monkeypatch.setattr(Propagator, "transition",
+                        lambda self, h, f=Propagator.transition: calls.append(h) or f(self, h))
     second = moment_trajectory(system, init, weights, grid)
     assert calls == []
     for name in ("mu", "V", "Delta"):
@@ -435,18 +446,22 @@ def test_trajectory_reuses_kept_maps(pauli, monkeypatch):
 def test_trajectory_keeps_maps_of_one_step(pauli):
     system, init = _two_qubit_composite(pauli)
     prop = Propagator.of(system)
-
-    def kept():
-        return [key for key in prop._doubling if key[0] == "V"]
-
     for grid in (np.linspace(0.0, 0.3, 101), np.linspace(0.0, 0.7, 301),
                  _grid("two runs", 200, 1.0)):
         moment_trajectory(system, init, None, grid)
-        assert kept() == [("V", propagate.step_spacings(grid)[-1])]
-    size = sum(a.nbytes for M in prop._doubling[kept()[0]] for a in (M.E, M.w, M.G, M.G0))
-    assert size <= 0.4e6
+        assert list(prop._doubling) == [propagate.step_spacings(grid)[-1]]
+    size = sum(Phi.nbytes for Phi in prop._doubling[prop._traj_step])
+    assert size <= 5 * 16 * 16 * 8  # Phi over 1, 2, 4, 8 and 16 steps
     moment_trajectory(system, init, None, _grid("geometric", 30, 1.0))
-    assert kept() == []
+    assert list(prop._doubling) == []
+
+    # the march's maps stay kept next to a trajectory's, and the other way round
+    weights = weighting_from_sigma(np.eye(system.n))
+    grid = np.linspace(0.0, 0.5, 501)
+    for _ in range(2):
+        moment_trajectory(system, init, weights, grid)
+        decoherence_time(system, init, weights, 0.05)
+        assert set(prop._doubling) == {propagate.step_spacings(grid)[-1], prop._march.step}
 
 
 @functools.lru_cache(maxsize=None)
@@ -488,10 +503,13 @@ def _random_weights(n, seed):
                       st.sampled_from(["rescaled", "composite", "qubit-qutrit"])),
        wseed=st.integers(0, 2 ** 32 - 1), frac=st.floats(0.2, 0.95))
 def test_march_delta_matches_trajectory(make_instance, case, wseed, frac):
-    # The march reads S off the product closure; the trajectory moves the
-    # second moment V by its own dynamics.  Both give Delta at the nodes.
-    # A generic weighting: <I, Re beta_l> vanishes for spin and Gell-Mann
-    # composites, so Sigma = I would not see the Re beta part of S.
+    # The march reads Delta = <L, Phi_t^T> off rows pulled back by powers
+    # of Phi_step and by pushes of its state; the trajectory reads it off
+    # Phi_t^T moved block by block.  Both share L, so they agree to
+    # roundoff; the trajectory's Delta is checked against the Lyapunov ODE
+    # in test_blocked_trajectory_matches_stepwise.  A generic weighting:
+    # <I, Re beta_l> vanishes for spin and Gell-Mann composites, so
+    # Sigma = I would not see the Re beta part of S.
     system, init = _closure_case(make_instance, case)
     weights = _random_weights(system.n, wseed)
     ref = reference_norm(init, weights)
@@ -499,11 +517,11 @@ def test_march_delta_matches_trajectory(make_instance, case, wseed, frac):
     step, nodes = 1e-3 / max(1.0, prop.norm_a), 300
     march, x0 = prop.march(init, weights.Sigma, step)
     grid = np.arange(nodes + 1) * step
-    want = deviation_delta(system, init, weights, grid)
+    want = prop.trajectory(init, weights.Sigma, grid)[2]
     got = np.r_[march.delta(x0), march.deltas_ahead(x0, nodes)]
-    assert np.abs(got - want).max() <= 1e-10 * ref
+    assert np.abs(got - want).max() <= 1e-13 * ref
     end = march.run(x0, 0.0, nodes, math.inf).state
-    assert abs(march.delta(end) - want[-1]) <= 1e-10 * ref
+    assert abs(march.delta(end) - want[-1]) <= 1e-13 * ref
 
     threshold = frac * want.max()
     assume(np.abs(want - threshold).min() > 1e-9 * ref)
@@ -544,5 +562,5 @@ def test_non_associative_table_raises_structure_defect(pauli):
     assert Propagator.of(system).margin < 0.0
     with pytest.raises(StructureDefectError):
         steady_state(system, init, weights)
-    traj = moment_trajectory(system, init, weights, np.linspace(0.0, 1.0, 11))
-    assert np.isfinite(traj.Delta).all() and traj.Delta[-1] > 0.0
+    with pytest.raises(StructureDefectError):
+        moment_trajectory(system, init, weights, np.linspace(0.0, 1.0, 11))
