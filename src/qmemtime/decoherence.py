@@ -149,8 +149,7 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
 
     # Frozen dynamics: the variables are conserved and Delta stays at zero.
     if (np.abs(prop.A).max() <= 1e-14 and np.abs(prop.b).max() <= 1e-14
-            and _delta_rate0(prop, init, weights.Sigma)[0]
-            <= DIFFUSION_TOL * max(1.0, ref)):
+            and _delta_rate0(prop, init, weights.Sigma) <= DIFFUSION_TOL * max(1.0, ref)):
         return DecoherenceTime(epsilon=epsilon, value=INFINITE,
                                threshold=threshold, bracket=None)
 

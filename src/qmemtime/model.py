@@ -8,10 +8,11 @@ selected-output pair (C, d), and the averaged diffusion matrix
 
     Lambda(mu) = 4 mho^T ((alpha + beta . mu) kron (M^T Omega M)) mho,
 
-which is affine in the mean vector mu.  Its affine parts are assembled
-once, in :func:`lambda_affine`, by the equivalent double sum over
-commutation sections, never by materializing n^2-by-n^2 products;
-Lambda(mu) and its rate along the mean flow are read off them.
+which is affine in the mean vector mu.  Products close, X_j X_k =
+alpha_jk + beta_jk . X, so Lambda is also read off the closure in O(n^3)
+(see :meth:`Propagator.lam <qmemtime.propagate.Propagator.lam>`); the
+sandwich itself is evaluated only at single means, by
+:func:`lambda_sandwich`, to check that the closure holds.
 """
 
 from __future__ import annotations
@@ -177,42 +178,37 @@ def coefficients(sys):
                           Mho=sc.mho.copy(), Omega=Omega, J=J)
 
 
-def lambda_affine(sys):
-    """Affine decomposition Lambda(mu) = C0 + sum_l mu_l Cmu[l].
-
-    Each part is the double-sum form 4 sum_jk Pi_jk Theta_j^T G Theta_k of
-    the Kronecker sandwich, with G = M^T Omega M and Pi = alpha for C0 or
-    Pi = beta_l for Cmu[l].  Returns complex Hermitian arrays (C0 of shape
-    (n, n), Cmu of shape (n, n, n)); this is the one place the sandwich
-    is assembled.
-    """
+def lambda_sandwich(sys, mu):
+    """The Kronecker sandwich Lambda(mu) at one mean, by the double sum 4
+    sum_j Theta_j^T G (sum_k Pi_jk Theta_k) with G = M^T Omega M and Pi =
+    alpha + beta . mu, in O(n^4) flops and O(n^3) memory: the paper's
+    definition, which the propagator checks the closure form against."""
+    n = sys.n
     Omega, _ = ito_matrix(sys.m)
     G = sys.M.T @ Omega @ sys.M
     th = sys.sc.theta.sections
-    T = np.einsum("jba,bc,kcd->jkad", th, G, th, optimize=True)
-    C0 = 4.0 * np.einsum("jk,jkad->ad", sys.sc.alpha, T)
-    Cmu = 4.0 * np.einsum("ljk,jkad->lad", sys.sc.beta.sections, T, optimize=True)
-    C0 = (C0 + C0.conj().T) / 2.0
-    Cmu = (Cmu + np.conj(np.transpose(Cmu, (0, 2, 1)))) / 2.0
-    return C0, Cmu
+    Pi = sys.sc.alpha + (mu @ sys.sc.beta.sections.reshape(n, n * n)).reshape(n, n)
+    W = G @ (Pi @ th.reshape(n, n * n)).reshape(n, n, n)  # G sum_k Pi_jk Theta_k, for each j
+    return 4.0 * th.reshape(n * n, n).T @ W.reshape(n * n, n)
 
 
 def lambda_matrix(sys, mu):
     """Averaged diffusion matrix Lambda at mean vector ``mu``.
 
     Hermitian; PSD whenever alpha + beta . mu is PSD (an admissible mean).
-    Evaluated as C0 + sum_l mu_l Cmu[l] from :func:`lambda_affine`.
+    Read off the product closure by the system's propagator, so constants
+    that are not associative raise StructureDefectError.
     """
-    C0, Cmu = lambda_affine(sys)
-    return C0 + np.tensordot(np.asarray(mu, dtype=float), Cmu, axes=1)
+    from .propagate import Propagator  # propagate builds on this module
+    return Propagator.of(sys).lam(np.asarray(mu, dtype=float))
 
 
 def lambda_dot0(sys, mu0):
     """Time derivative of Lambda along the mean flow, at t = 0.
 
-    Equals sum_l (A mu0 + b)_l Cmu[l], since Lambda is affine in the mean
-    and the mean satisfies mu' = A mu + b.
+    Lambda is affine in the mean and the mean satisfies mu' = A mu + b,
+    so this is the linear part of Lambda at A mu0 + b.
     """
-    co = coefficients(sys)
-    rate = co.A @ np.asarray(mu0, dtype=float) + co.b
-    return np.tensordot(rate, lambda_affine(sys)[1], axes=1)
+    from .propagate import Propagator
+    prop = Propagator.of(sys)
+    return prop.lam(prop.A @ np.asarray(mu0, dtype=float) + prop.b, 0.0)

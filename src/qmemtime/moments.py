@@ -7,7 +7,7 @@ mean-square deviation of the variables from their initial values is
 
     Delta(t) = <Sigma, (e^{tA}-I) Pi (e^{tA}-I)^T + cross terms + V(t)>_Re.
 
-A system's dynamics (drift, offset and the affine parts of Lambda) are
+A system's dynamics (drift, offset and the closure check of Lambda) are
 derived once, by :meth:`Propagator.of <qmemtime.propagate.Propagator.of>`,
 and every function here that takes a system reads them from there.  The
 mean, V and Delta at the grid nodes are read off the mean's transition
@@ -207,28 +207,22 @@ def deviation_delta(sys, init, weights, grid):
 
 def _delta_rate0(prop, init, Sigma):
     """The first right-hand derivative <Sigma, Re Lambda(mu0)> of Delta at
-    t = 0, and Re Lambda(mu0)."""
-    lam0 = prop.lam(init.mu0).real
-    return float(np.sum(Sigma * lam0)), lam0
+    t = 0."""
+    return float(np.sum(Sigma * prop.lam(init.mu0).real))
 
 
 def delta_derivatives0(sys, init, weights):
     """First two right-hand derivatives of Delta at t = 0.
 
-    The first is <Sigma, Re Lambda(0)> and is nonnegative; the second is
-    <Sigma, 2APA^T + 2A(Re Lambda(0) + 2 mu0 b^T) + Re Lambda'(0)>
-    + 2|Fb|^2, quadratic and convex in the energy vector through A.
+    The first is <Sigma, Re Lambda(mu0)> and is nonnegative.  Delta(t) =
+    <L, Phi_t^T> (see :mod:`qmemtime.propagate`), so the second is <L,
+    (Ahat^2)^T> for the generator Ahat = [[A, b], [0, 0]] of Phi: quadratic
+    and convex in the energy vector through A.
     """
     prop = Propagator.of(sys)
-    A, b, Sigma = prop.A, prop.b, weights.Sigma
-    d1, lam0 = _delta_rate0(prop, init, Sigma)
-    # Lambda is affine in the mean, so its rate is the linear part at mu'(0).
-    lamd = np.tensordot(A @ init.mu0 + b, prop.lam_mu, axes=1).real
-    inner = (2.0 * A @ init.P @ A.T
-             + 2.0 * A @ (lam0 + 2.0 * np.outer(init.mu0, b))
-             + lamd)
-    d2 = float(np.sum(Sigma * inner) + 2.0 * b @ Sigma @ b)
-    return d1, d2
+    L = prop.functional(init, weights.Sigma)
+    d2 = float(np.sum(L * (prop.Ahat @ prop.Ahat).T))
+    return _delta_rate0(prop, init, weights.Sigma), d2
 
 
 @dataclass(frozen=True)

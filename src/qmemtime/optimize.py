@@ -3,7 +3,9 @@
 The second derivative of the deviation at t = 0 is a convex quadratic in
 the energy vector E, with gradient 8(2RE + K) and Hessian 16R for the
 matrix R = mho^T (P kron Sigma) mho and a vector K assembled from the
-coupling-dependent pieces of the dynamics.  Maximizing the quadratic
+coupling-dependent pieces of the dynamics.  Both are read off the
+deviation functional and the isolated drifts (see :func:`rk_matrices`),
+with no Kronecker product and no n^4 array.  Maximizing the quadratic
 decoherence-time expansion over E is therefore the stationarity problem
 2RE + K = 0: unique when R is positive definite, minimum-norm with a
 flagged null space when R is singular, and E = 0 is optimal exactly when
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import sections_dot
 from .decoherence import decoherence_time, tau_expansion, tau_hat
 from .errors import InconclusiveCrossingError, StationarityError
 from .moments import delta_derivatives0
@@ -39,29 +40,23 @@ class OptimalityData:
 def rk_matrices(sys, init, weights):
     """The pair (R, K) of the energy-stationarity system.
 
-    R = mho^T (P kron Sigma) mho, evaluated by the double sum
-    sum_jk P_jk Theta_j^T Sigma Theta_k; K collects the coupling terms:
-    mho^T col(Sigma (Atilde P + Re Lambda(mu0)/2 + b mu0^T)) plus the
-    vector of Frobenius pairings of mho Sigma mho^T with
-    Re((beta . (Theta . mu0)_col_k) kron M^T Omega M).  By
-    <mho Sigma mho^T, B kron G> = <Sigma, sum_jk B_jk Theta_j^T G Theta_k>
-    the latter is (Theta . mu0)^T c / 4 with c_l = <Sigma, Re Cmu[l]> for
-    the linear parts Cmu of Lambda.  Both are independent of the energy
-    vector of ``sys``.
+    Delta''(0) = tr(L11 A^2) + g^T A b for the blocks L = [[L11, 0], [g^T,
+    kappa]] of :meth:`Propagator.functional
+    <qmemtime.propagate.Propagator.functional>`, with A = sum_j E_j D_j +
+    Atilde and the isolated drifts D_j = 2 Theta <> e_j.  Its Hessian 16R
+    and its gradient 8K at E = 0 give R_jk = (tr(L11 D_j D_k) + tr(L11 D_k
+    D_j)) / 16, which is mho^T (P kron Sigma) mho, and K_j = (tr(L11 (D_j
+    Atilde + Atilde D_j)) + g^T D_j b) / 8: O(n^4) flops, O(n^3) memory.
+    Both are independent of the energy vector of ``sys``.
     """
-    Sigma = weights.Sigma
-    P, mu0 = init.P, init.mu0
-    th = sys.sc.theta.sections
-
-    TS = np.einsum("jba,bc,kcd->jkad", th, Sigma, th, optimize=True)
-    R = np.einsum("jk,jkad->ad", P, TS)
-    R = (R + R.T) / 2.0
-
     prop = Propagator.of(sys)
-    S = Sigma @ (prop.co.Atilde @ P + 0.5 * prop.lam(mu0).real + np.outer(prop.b, mu0))
-    K = np.einsum("kba,bk->a", th, S)
-    c = np.tensordot(prop.lam_mu.real, Sigma, axes=2)
-    K = K + 0.25 * sections_dot(sys.sc.theta, mu0).T @ c
+    n, D, At = sys.n, prop.D, prop.co.Atilde
+    L = prop.functional(init, weights.Sigma)
+    L11, g = L[:n, :n], L[n, :n]
+    # tr(L11 D_j D_k) = <(L11 D_j)^T, D_k>
+    T = (D.transpose(0, 2, 1) @ L11.T).reshape(n, n * n) @ D.reshape(n, n * n).T
+    R = (T + T.T) / 16.0
+    K = D.reshape(n, n * n) @ ((At @ L11 + L11 @ At).T + np.outer(g, prop.b)).ravel() / 8.0
     return R, K
 
 

@@ -6,9 +6,11 @@ of order n + 1, Van Loan's block exponential ("Computing integrals
 involving the matrix exponential", IEEE TAC 23(3), 1978) from
 :func:`~qmemtime.linalg.expm_psi`.  Products close, X_j X_k = alpha_jk +
 beta_jk . X, and the flow preserves them, so the full complex second
-moment is alpha + beta . mu_t at every t (checked once per drift).  Both
-the second moment of the noise response and the deviation then follow
-from Phi_t alone:
+moment S = alpha + beta . mu_t at every t.  Its equation S' = A S + S A^T
++ Lambda + b mu^T + mu b^T then gives the diffusion matrix Lambda in
+O(n^3) (:meth:`Propagator.lam`); the paper's O(n^4) sandwich is evaluated
+at two means only, to check that the constants close.  Both the second
+moment of the noise response and the deviation follow from Phi_t alone:
 
     V_t = alpha + beta . mu_t - [Phi_t Z Phi_t^T]_{:n,:n},   Delta(t) = <L, Phi_t^T>,
 
@@ -40,10 +42,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (IntegrationError, InternalConsistencyError,
-                     StructureDefectError)
+from .errors import IntegrationError, StructureDefectError
 from .linalg import _require_margin, _taylor_terms, expm_psi, hurwitz_margin, spectral_norm
-from .model import _isolated_drift, coefficients, lambda_affine
+from .model import _isolated_drift, coefficients, lambda_sandwich
 
 #: Bytes allowed for a march's table of adjoint rows; this fixes the
 #: longest chunk of nodes tested at once.
@@ -52,8 +53,8 @@ ROW_BUDGET = 1 << 20
 #: Most grid nodes a trajectory advances by one map (a power of two).
 BLOCK = 16
 
-#: Largest defect of the closure S = alpha + Re beta . mu under the
-#: dynamics, relative to the size of its terms, that a march accepts.
+#: Largest defect of the closure form of Lambda, relative to the size of
+#: its terms, that the propagator accepts.
 CLOSURE_TOL = 1e-10
 
 
@@ -62,6 +63,11 @@ def _horner(coef, s):
     for c in reversed(coef):
         acc = acc * s + c
     return acc
+
+
+def _defect(form, size, sandwich=0.0):
+    """|``form`` - ``sandwich``| relative to the size of their terms."""
+    return np.abs(form - sandwich).max() / max(1.0, size, np.abs(sandwich).max())
 
 
 def step_spacings(grid):
@@ -84,48 +90,55 @@ def step_spacings(grid):
 
 class Propagator:
     """The moment dynamics of one system, derived once: its coefficient
-    set ``co`` with drift A and offset b, ||A||_2, the Hurwitz margin
-    (largest eigenvalue real part), the affine parts Lambda(mu) = lam0
-    + sum_l mu_l lam_mu[l] and whether they vanish (no coupling), the
-    closure alpha + beta . mu of the second moment, the maps of
-    :meth:`doubling_maps`, the last :meth:`march` built, and the
-    steady-state :meth:`limits`.  :meth:`of` shares one instance per
-    system."""
+    set ``co`` with drift A, offset b and generator ``Ahat`` = [[A, b],
+    [0, 0]] of Phi, ||A||_2, the Hurwitz margin (largest eigenvalue real
+    part), the isolated drifts ``D`` with A0 = sum_l E_l D_l, the closure
+    alpha + beta . mu and its defect, whether the diffusion vanishes, the
+    maps of :meth:`doubling_maps`, the last :meth:`march` built, and the
+    steady-state :meth:`limits`.  :meth:`of` shares one per system."""
 
     def __init__(self, sys):
         co = coefficients(sys)
         self.n = n = sys.n
-        self.lam0, self.lam_mu = lambda_affine(sys)
-        #: No diffusion at any mean, so V is identically zero.
-        self.noiseless = not (self.lam0.any() or self.lam_mu.any())
-        self.alpha, self.re_beta = sys.sc.alpha, sys.sc.re_beta.sections
+        sc = sys.sc
+        self.alpha, self.beta, self.re_beta = sc.alpha, sc.beta.sections, sc.re_beta.sections
+        self.D = np.ascontiguousarray(2.0 * sc.theta.sections.transpose(2, 1, 0))  # 2 Theta <> e_l
         #: The full second moment alpha + beta . mu is (mu, 1) @ moment_f on
         #: a real view: rows beta_l, then alpha.
-        moment = np.concatenate([sys.sc.beta.sections, self.alpha[None] + 0j])
+        moment = np.concatenate([self.beta, self.alpha[None] + 0j])
         self.moment_f = np.ascontiguousarray(moment).view(float).reshape(n + 1, -1)
         self._set_drift(co)
+        # Both forms of Lambda are affine in mu: agreement at 0 and at a fixed pseudo-
+        # random Weyl sequence (no numpy.random import) is a randomized test (Freivalds 1977)
+        self._probes = (np.zeros(n), 2.0 * (np.arange(1, n + 1) * 0.6180339887498949 % 1.0) - 1.0)
+        sandwiches = [lambda_sandwich(sys, mu) for mu in self._probes]
+        #: No diffusion at any mean, so V is identically zero.
+        self.noiseless = not any(s.any() for s in sandwiches)
+        self._coupling_defect = max(_defect(*self._closure_form(co.Atilde, co.b, mu), s)
+                                    for mu, s in zip(self._probes, sandwiches))
 
     def _set_drift(self, co):
         """Take the coefficient set ``co`` and derive what depends on A."""
         self.co = co
         self.A, self.b = co.A, co.b
+        self.Ahat = np.zeros((self.n + 1, self.n + 1))
+        self.Ahat[:-1, :-1], self.Ahat[:-1, -1] = co.A, co.b
         self.norm_a = spectral_norm(co.A)
         self.margin = hurwitz_margin(co.A)
-        #: Norm bound of the generator [[A, b], [0, 0]] of Phi:
-        #: ||[A b]||_2 <= sqrt(||A||_2^2 + |b|^2).
+        #: Norm bound of Ahat: ||[A b]||_2 <= sqrt(||A||_2^2 + |b|^2).
         self.rho = max(1.0, math.hypot(self.norm_a, float(np.linalg.norm(co.b))))
         self._doubling = {}
         self._march = None
         self._traj_step = None
         self._limits = None
-        self._closure = None
+        self._defect = None
 
     def _with_energy(self, sys):
         """The dynamics of ``sys``, this system at another energy vector.
 
         Only the isolated drift A0 depends on the energy, so the new
-        instance shares the coupling drift, the offset and the affine
-        parts of Lambda, and derives A0 and what depends on A.
+        instance shares the coupling drift, the offset, the isolated drifts
+        and the sandwich part of the closure check, and derives the rest.
         """
         prop = copy.copy(self)
         A0 = _isolated_drift(sys)
@@ -146,32 +159,35 @@ class Propagator:
             prop = sys.__dict__["_propagator"] = cls(sys)
         return prop
 
+    def _closure_form(self, A, b, mu, c=1.0):
+        """The closure form t - X - X^H, with t = beta . (A mu + c b), X = A S
+        + b mu^T and S = c alpha + beta . mu, and the largest of its terms."""
+        beta = self.beta.reshape(self.n, -1)
+        t = ((A @ mu + c * b) @ beta).reshape(self.alpha.shape)
+        X = A @ (c * self.alpha + (mu @ beta).reshape(t.shape)) + np.outer(b, mu)
+        return t - X - X.conj().T, max(np.abs(t).max(), np.abs(X).max())
+
     def _require_closure(self):
-        """Raise :class:`StructureDefectError` unless the dynamics keep S on
-        the closure alpha + Re beta . mu: S' = A S + S A^T + Re Lambda(mu)
-        + b mu^T + mu b^T minus sum_l mu_l' Re beta_l has a constant and a
-        linear part in mu, both zero for associative constants.  Their
-        size relative to that of the terms is derived once per drift."""
-        if self._closure is None:
-            A, b, alpha, rb, n = self.A, self.b, self.alpha, self.re_beta, self.n
-            const = A @ alpha + alpha @ A.T + self.lam0.real - np.tensordot(b, rb, 1)
-            b_el = b[None, :, None] * np.eye(n)[:, None, :]  # b e_l^T, for each l
-            lin = (A @ rb + rb @ A.T + self.lam_mu.real + b_el + b_el.transpose(0, 2, 1)
-                   - np.tensordot(A.T, rb, 1))
-            scale = max(1.0, self.norm_a * max(np.abs(alpha).max(), np.abs(rb).max()),
-                        np.abs(self.lam0).max(), np.abs(self.lam_mu).max(), np.abs(b).max())
-            self._closure = max(np.abs(const).max(), np.abs(lin).max()) / scale
-        if self._closure > CLOSURE_TOL:
+        """Raise :class:`StructureDefectError` unless the closure form of
+        Lambda (see :meth:`lam`) matches the sandwich at the probe means,
+        checked once per system, and its isolated part beta . (A0 mu) - A0
+        S - S A0^T vanishes there, checked once per drift."""
+        if self._defect is None:
+            zero = self._probes[0]
+            self._defect = max(self._coupling_defect,
+                               *(_defect(*self._closure_form(self.co.A0, zero, mu))
+                                 for mu in self._probes))
+        if self._defect > CLOSURE_TOL:
             raise StructureDefectError(
-                f"the second moment leaves the product closure alpha + Re beta . mu "
-                f"(relative defect {self._closure:.3e} > {CLOSURE_TOL:g}); the "
+                f"the second moment leaves the product closure alpha + beta . mu "
+                f"(relative defect {self._defect:.3e} > {CLOSURE_TOL:g}); the "
                 f"structure constants are not associative")
 
     def limits(self):
         """Steady-state mean, diffusion matrix and second moment
-        (mu_inf, Lambda_inf, P_inf) of a Hurwitz drift.  P_inf = alpha +
-        Re beta . mu_inf - mu_inf mu_inf^T is read off the closure and
-        checked against A P_inf + P_inf A^T + Re Lambda_inf = 0.
+        (mu_inf, Lambda_inf, P_inf) of a Hurwitz drift, read off the closure:
+        P_inf = alpha + Re beta . mu_inf - mu_inf mu_inf^T, which solves A P
+        + P A^T + Re Lambda_inf = 0 since S' = 0 at A mu_inf + b = 0.
 
         They depend only on the system, so the first call that succeeds
         derives them and keeps them, read-only; a drift that is not
@@ -179,25 +195,23 @@ class Propagator:
         """
         _require_margin(self.margin, context="the steady-state mean")
         if self._limits is None:
-            self._require_closure()
-            A = self.A
-            mu_inf = -np.linalg.solve(A, self.b)
+            mu_inf = -np.linalg.solve(self.A, self.b)
             lam_inf = self.lam(mu_inf)
             P_inf = self.alpha + np.tensordot(mu_inf, self.re_beta, 1) - np.outer(mu_inf, mu_inf)
             P_inf = (P_inf + P_inf.T) / 2.0
-            resid = np.abs(A @ P_inf + P_inf @ A.T + lam_inf.real).max()
-            if resid > 1e-10 * max(1.0, np.abs(lam_inf.real).max()):
-                raise InternalConsistencyError(
-                    f"algebraic Lyapunov residual {resid:.3e} exceeds 1e-10"
-                )
             for arr in (mu_inf, lam_inf, P_inf):
                 arr.setflags(write=False)
             self._limits = (mu_inf, lam_inf, P_inf)
         return self._limits
 
-    def lam(self, mu):
-        """Diffusion matrix Lambda(mu), Hermitian."""
-        return self.lam0 + (mu @ self.lam_mu.reshape(self.n, -1)).reshape(self.n, self.n)
+    def lam(self, mu, c=1.0):
+        """Diffusion matrix Lambda(mu), Hermitian, or with ``c`` = 0 its
+        linear part at ``mu``: the closure form with the coupling drift
+        Atilde.  The form with the drift A adds the isolated part, which
+        vanishes as the isolated flow preserves products; without it Lambda
+        is exactly zero without coupling, at any energy."""
+        self._require_closure()
+        return self._closure_form(self.co.Atilde, self.b, mu, c)[0]
 
     def transition(self, h):
         """The transition matrix Phi_h = exp(h [[A, b], [0, 0]]), which
@@ -242,7 +256,9 @@ class Propagator:
         Delta = <Sigma, S> - 2 <Sigma Pd, E_t> - 2 mu_t^T Sigma mu0 + <Sigma, P>
         = <Sigma, alpha + P> + g . mu_t - 2 <Sigma Pd, E_t> with g_l =
         <Sigma, Re beta_l> - 2 (Sigma mu0)_l, which is <L, Phi_t^T>.
+        Constants that are not associative raise StructureDefectError.
         """
+        self._require_closure()
         n, mu0 = self.n, init.mu0
         Pd = init.P - np.outer(mu0, mu0)
         g = self.re_beta.reshape(n, n * n) @ Sigma.ravel() - 2.0 * Sigma @ mu0
@@ -261,7 +277,6 @@ class Propagator:
         every step but its own and a trajectory's, so a system keeps one
         row table and the march maps of one step.
         """
-        self._require_closure()
         L = self.functional(init, Sigma)
         march = self._march
         if march is None or march.step != step or not np.array_equal(march.L, L):
@@ -285,7 +300,6 @@ class Propagator:
         the longest run stay kept for later calls, the others are dropped
         when they are built.
         """
-        self._require_closure()
         n, n1, N = self.n, self.n + 1, grid.size
         L = self.functional(init, Sigma).ravel()
         h = step_spacings(grid)
@@ -309,18 +323,21 @@ class Propagator:
         # Phi_t^T and U_t at the node s + r of a run, in slot r % BLOCK
         PhiT = np.empty((BLOCK, n1, n1))
         U = np.empty((BLOCK, n1, n1), dtype=complex)
+        Uf = U.view(float).reshape(BLOCK * n1, 2 * n1)
         PhiT[0] = np.eye(n1)
         U[0, :n, :n], U[0, :n, n], U[0, n, :n], U[0, n, n] = init.Pi, init.mu0, init.mu0, 1.0
         for s, e, maps in runs:
+            maps2 = np.zeros((len(maps), 2 * n1, 2 * n1))  # M^T kron I_2, on float views
+            maps2[:, ::2, ::2] = maps2[:, 1::2, 1::2] = np.transpose(maps, (0, 2, 1))
             k, i = s + 1, 0  # the node k comes from the node k - 2^i, in slot 0
             while k <= e:
                 M, m = maps[i], 1 << i
                 b = min(m, e + 1 - k)
                 j, dst = (k - s) % BLOCK, slice(k, k + b)
                 PhiT[j:j + b] = (PhiT[:b].reshape(b * n1, n1) @ M.T).reshape(b, n1, n1)
-                # Phi U Phi^T, with Phi U taken on a real view of the stack U
-                np.matmul(np.matmul(M, U[:b].view(float)).view(complex).reshape(b * n1, n1),
-                          M.T, out=U[j:j + b].reshape(b * n1, n1))
+                # Phi U Phi^T, both products on real views of the stack U
+                np.matmul(np.matmul(M, U[:b].view(float)).reshape(b * n1, 2 * n1), maps2[i],
+                          out=Uf[j * n1:(j + b) * n1])
                 delta[dst] = PhiT[j:j + b].reshape(b, n1 * n1) @ L
                 mu[dst] = U[j:j + b, :n, n].real
                 if not self.noiseless:
@@ -379,11 +396,9 @@ class DeviationMarch:
         """The rows L Ahat^k / k!, k = 0 ... ``terms``, with Ahat =
         [[A, b], [0, 0]] the generator of Phi: their product with a state x
         gives the Taylor coefficients of Delta in time about x."""
-        Ahat = np.zeros_like(self.L)
-        Ahat[:-1, :-1], Ahat[:-1, -1] = self.prop.A, self.prop.b
         rows = [self.L]
         for k in range(1, terms + 1):
-            rows.append(rows[-1] @ Ahat / k)
+            rows.append(rows[-1] @ self.prop.Ahat / k)
         return np.array(rows).reshape(terms + 1, -1)
 
     def _push(self, Phi, x):

@@ -57,6 +57,23 @@ def lambda_kron(sys, mu):
     return 4.0 * mho.T @ np.kron(Pi, G) @ mho
 
 
+def lambda_affine(sys):
+    """Affine decomposition Lambda(mu) = C0 + sum_l mu_l Cmu[l] of the
+    Kronecker sandwich, as the double sums 4 sum_jk Pi_jk Theta_j^T G
+    Theta_k with G = M^T Omega M and Pi = alpha for C0 or Pi = beta_l for
+    Cmu[l], through the n^4 tensor of the products Theta_j^T G Theta_k.
+    Holds for any constants, associative or not."""
+    Omega, _ = ito_matrix(sys.m)
+    G = sys.M.T @ Omega @ sys.M
+    th = sys.sc.theta.sections
+    T = np.einsum("jba,bc,kcd->jkad", th, G, th, optimize=True)
+    C0 = 4.0 * np.einsum("jk,jkad->ad", sys.sc.alpha, T)
+    Cmu = 4.0 * np.einsum("ljk,jkad->lad", sys.sc.beta.sections, T, optimize=True)
+    C0 = (C0 + C0.conj().T) / 2.0
+    Cmu = (Cmu + np.conj(np.transpose(Cmu, (0, 2, 1)))) / 2.0
+    return C0, Cmu
+
+
 def k_kron(sys, init, weights):
     """The vector K of the stationarity system 2RE + K = 0 by the
     materialized Kronecker route: mho^T col(Sigma (Atilde P + Re Lambda/2
@@ -77,6 +94,29 @@ def k_kron(sys, init, weights):
         bv = sections_dot(sys.sc.beta, theta_mu[:, k])
         K[k] += np.sum(msm * np.kron(bv, G).real)
     return K.real
+
+
+def r_kron(sys, init, weights):
+    """The matrix R = mho^T (P kron Sigma) mho of the stationarity system
+    2RE + K = 0, by the materialized Kronecker product."""
+    from qmemtime.algebra import stack_mho
+
+    mho = stack_mho(sys.sc.theta)
+    return mho.T @ np.kron(init.P, weights.Sigma) @ mho
+
+
+def delta_derivatives_affine(sys, init, weights):
+    """The first two right-hand derivatives of Delta at t = 0 from the
+    moment equations: <Sigma, Re Lambda(mu0)>, and <Sigma, 2 A P A^T +
+    2 A (Re Lambda(mu0) + 2 mu0 b^T) + Re Lambda'(0)> + 2 b^T Sigma b, with
+    Lambda from :func:`lambda_affine`."""
+    co = coefficients(sys)
+    A, b, mu0, Sigma = co.A, co.b, init.mu0, weights.Sigma
+    C0, Cmu = lambda_affine(sys)
+    lam = (C0 + np.tensordot(mu0, Cmu, axes=1)).real
+    lamd = np.tensordot(A @ mu0 + b, Cmu, axes=1).real
+    inner = 2.0 * A @ init.P @ A.T + 2.0 * A @ (lam + 2.0 * np.outer(mu0, b)) + lamd
+    return float(np.sum(Sigma * lam)), float(np.sum(Sigma * inner) + 2.0 * b @ Sigma @ b)
 
 
 def psi_simpson(A, t, n_intervals=400):
@@ -167,27 +207,30 @@ def delta_upsilon(sys, init, weights, t, V_t):
     return float(np.sum(weights.Sigma * ups.real))
 
 
-def step_map(prop, h):
+def step_map(co, parts, h):
     """The exact affine map mu -> E mu + w, V -> E V E^T + sum_l mu_l G[l]
     + G0 of the Lyapunov ODE V' = A V + V A^T + Lambda(mu) over a step h,
-    as (E, w, G, G0): the exponential of the generator of the augmented
-    state (V, mu, 1), of order n^2 + n + 1, summed as a Taylor series of
-    its action on the unit means and the constant state over a short step
-    and scaled back up by composition.  Independent of the product
-    closure."""
-    n, A = prop.n, prop.A
-    rho = 2.0 * max(1.0, prop.norm_a)  # growth bound of A kron I + I kron A
+    as (E, w, G, G0), for the coefficient set ``co`` and the parts
+    (C0, Cmu) of :func:`lambda_affine`: the exponential of the generator
+    of the augmented state (V, mu, 1), of order n^2 + n + 1, summed as a
+    Taylor series of its action on the unit means and the constant state
+    over a short step and scaled back up by composition.  Independent of
+    the product closure."""
+    A, b = co.A, co.b
+    n = len(A)
+    C0, Cmu = parts
+    rho = 2.0 * max(1.0, np.linalg.norm(A, 2))  # growth bound of A kron I + I kron A
     halvings = max(0, math.ceil(math.log2(h * rho / 0.5)))
     hs = h / 2 ** halvings
     # Taylor terms of e^{hs G} on the states (V=0, mu=e_l) and (V=0, mu=0, 1),
-    # with G (V, mu, c) = (A V + V A^T + c lam0 + sum_l mu_l lam_mu[l], A mu + c b).
+    # with G (V, mu, c) = (A V + V A^T + c C0 + sum_l mu_l Cmu[l], A mu + c b).
     X = np.zeros((n + 1, n, n), dtype=complex)
     m = np.eye(n + 1, n)
     c = np.eye(n + 1)[n]
     sum_X, sum_m = X.copy(), m.copy()
     for k in range(1, _taylor_terms(hs * rho) + 1):
-        X, m = (A @ X + X @ A.T + (m @ prop.lam_mu.reshape(n, n * n)).reshape(X.shape)
-                + np.multiply.outer(c, prop.lam0), m @ A.T + np.multiply.outer(c, prop.b))
+        X, m = (A @ X + X @ A.T + (m @ Cmu.reshape(n, n * n)).reshape(X.shape)
+                + np.multiply.outer(c, C0), m @ A.T + np.multiply.outer(c, b))
         X *= hs / k
         m *= hs / k
         c = 0.0 * c
@@ -210,11 +253,12 @@ def _then(first, nxt):
             E2 @ G01 @ E2.T + (w1 @ Gn).reshape(n, n) + G02)
 
 
-def stepwise_trajectory(prop, init, Sigma, grid):
+def stepwise_trajectory(sys, init, Sigma, grid):
     """(mu, V, Delta) along ``grid``, one node after the other, each by the
     :func:`step_map` of its own float spacing: V integrates the Lyapunov
     ODE without the product closure."""
-    n = prop.n
+    co, parts = coefficients(sys), lambda_affine(sys)
+    n = sys.n
     mu0 = init.mu0
     Pd = init.P - np.outer(mu0, mu0)
     mu = np.empty((grid.size, n))
@@ -225,7 +269,7 @@ def stepwise_trajectory(prop, init, Sigma, grid):
     for k in range(1, grid.size):
         h = grid[k] - grid[k - 1]
         if h not in maps:
-            maps[h] = step_map(prop, h)
+            maps[h] = step_map(co, parts, h)
         E, w, G, G0 = maps[h]
         V[k] = E @ V[k - 1] @ E.T + np.tensordot(mu[k - 1], G, axes=1) + G0
         mu[k] = E @ mu[k - 1] + w
@@ -236,23 +280,26 @@ def stepwise_trajectory(prop, init, Sigma, grid):
     return mu, V, delta
 
 
-def forward_taylor(prop, init, Sigma, Phi, terms):
+def forward_taylor(sys, init, Sigma, Phi, terms):
     """Taylor coefficients d^k Delta / dt^k / k!, k = 0 ... ``terms``, at the
     transition matrix Phi = Phi_t of the deviation march, from the full
     second-moment dynamics: the state (S, E_t, mu, 1) at t, with S on the
     product closure alpha + Re beta . mu, is moved term by term by
     S' = A S + S A^T + Re Lambda(mu) + b mu^T + mu b^T, E' = A E,
-    mu' = A mu + b, without using the closure again."""
-    n, A, b = prop.n, prop.A, prop.b
+    mu' = A mu + b, with Lambda from :func:`lambda_affine`, without using
+    the closure again."""
+    co = coefficients(sys)
+    C0, Cmu = lambda_affine(sys)
+    n, A, b = sys.n, co.A, co.b
     mu0 = init.mu0
     Pd = init.P - np.outer(mu0, mu0)
     mu = Phi[:n] @ np.r_[mu0, 1.0]
-    S = prop.alpha + np.tensordot(mu, prop.re_beta, axes=1)
+    S = sys.sc.alpha + np.tensordot(mu, sys.sc.re_beta.sections, axes=1)
     E, c = Phi[:n, :n], 1.0
     out = []
     for k in range(terms + 1):
         if k:
-            lam = c * prop.lam0.real + np.tensordot(mu, prop.lam_mu.real, axes=1)
+            lam = c * C0.real + np.tensordot(mu, Cmu.real, axes=1)
             S, E, mu, c = ((A @ S + S @ A.T + lam + np.outer(b, mu) + np.outer(mu, b)) / k,
                            A @ E / k, (A @ mu + c * b) / k, 0.0)
         out.append(np.sum(Sigma * S) - 2.0 * np.sum(Sigma @ Pd * E)

@@ -14,7 +14,8 @@ from qmemtime.model import SystemParams
 from qmemtime.moments import (deviation_delta, initial_moments,
                               weighting_from_sigma)
 
-from oracles import first_crossing_scan
+from dense import fit_structure_constants
+from oracles import first_crossing_scan, gell_mann_representation
 
 
 def test_frozen_system_never_decoheres(pauli):
@@ -144,6 +145,36 @@ def test_expansion_requires_diffusion(pauli):
     w = weighting_from_sigma(np.eye(3))
     with pytest.raises(ZeroDiffusionError):
         tau_expansion(sys, init, w)
+
+
+@pytest.mark.parametrize("case", ["uncoupled", "uncoupled, |E| = 1e3", "orthogonal weighting",
+                                  "uncoupled qutrit, |E| = 1e3"])
+def test_zero_diffusion_is_exact(pauli, worked, case):
+    # Lambda is read off the coupling drift alone, so an uncoupled system
+    # has no diffusion at any energy, not a roundoff one (with the drift A,
+    # the qutrit's Re beta leaves -6e-15); the weighting diag(0, 0, 1) at
+    # the pole mean sees none of Re Lambda = diag(4, 4, 0)
+    if case == "orthogonal weighting":
+        sys = worked.sys.with_energy(np.array([0.0, 0.0, 1.0]))
+        init = initial_moments(pauli, np.array([0.0, 0.0, 1.0]))
+        w = weighting_from_sigma(np.diag([0.0, 0.0, 1.0]))
+    elif case.startswith("uncoupled qutrit"):
+        sc = fit_structure_constants(gell_mann_representation(3)).constants
+        rng = np.random.default_rng(1)
+        sys = SystemParams(sc=sc, E=1e3 * rng.standard_normal(8) / np.sqrt(8),
+                           M=np.zeros((2, 8)), N=np.zeros(2))
+        init = initial_moments(sc, 0.1 * rng.standard_normal(8))
+        w = weighting_from_sigma(np.eye(8))
+    else:
+        E = np.zeros(3) if case == "uncoupled" else 1e3 * np.array([0.6, -0.48, 0.64])
+        sys = SystemParams(sc=pauli, E=E, M=np.zeros((2, 3)), N=np.zeros(2))
+        init = initial_moments(pauli, np.array([0.2, -0.1, 0.3]))
+        w = weighting_from_sigma(np.eye(3))
+    assert moments.delta_derivatives0(sys, init, w)[0] == 0.0
+    with pytest.raises(ZeroDiffusionError):
+        tau_expansion(sys, init, w)
+    if case == "uncoupled":  # frozen dynamics
+        assert decoherence_time(sys, init, w, 0.01).is_infinite
 
 
 def test_trivial_weighting_rejected():

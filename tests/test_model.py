@@ -3,9 +3,9 @@ import pytest
 
 from qmemtime.algebra import StructureConstants, col, stack_mho
 from qmemtime.model import (SystemParams, coefficients, ito_matrix,
-                            lambda_affine, lambda_dot0, lambda_matrix)
+                            lambda_dot0, lambda_matrix)
 
-from oracles import lambda_kron
+from oracles import lambda_affine, lambda_kron
 
 
 def test_ito_matrix_smallest():
@@ -151,13 +151,20 @@ def test_lambda_psd_for_admissible_mean(make_instance):
         assert np.linalg.eigvalsh(lam).min() >= -1e-10
 
 
-def test_lambda_affine_decomposition(worked):
+def test_lambda_affine_decomposition(worked, make_instance):
+    # Lambda and its rate are read off the product closure; the oracle
+    # assembles the affine parts of the Kronecker sandwich
     rng = np.random.default_rng(15)
-    C0, Cmu = lambda_affine(worked.sys)
-    for _ in range(5):
-        mu = rng.standard_normal(3)
-        direct = lambda_matrix(worked.sys, mu)
-        assert np.abs(C0 + np.einsum("l,lad->ad", mu, Cmu) - direct).max() <= 1e-12
+    for sys in [worked.sys] + [make_instance(rng)[0] for _ in range(3)]:
+        C0, Cmu = lambda_affine(sys)
+        co = coefficients(sys)
+        for _ in range(5):
+            mu = rng.standard_normal(3)
+            want = C0 + np.einsum("l,lad->ad", mu, Cmu)
+            assert np.abs(lambda_matrix(sys, mu) - want).max() <= 1e-12 * np.abs(want).max()
+            rate = np.einsum("l,lad->ad", co.A @ mu + co.b, Cmu)
+            assert (np.abs(lambda_dot0(sys, mu) - rate).max()
+                    <= 1e-12 * max(1.0, np.abs(rate).max()))
 
 
 def test_lambda_dot_worked_and_finite_difference(worked):

@@ -183,21 +183,23 @@ def test_with_energy_derives_afresh(worked):
 def test_with_energy_reuses_energy_independent_parts(pauli, monkeypatch):
     system, init = _two_qubit_composite(pauli)
     weights = weighting_from_sigma(np.eye(system.n))
+    # the sandwich is evaluated at the two probe means, once per system
     calls = []
-    for module in (propagate, model):
-        monkeypatch.setattr(module, "lambda_affine",
-                            lambda sys, f=module.lambda_affine: calls.append(sys) or f(sys))
+    monkeypatch.setattr(propagate, "lambda_sandwich",
+                        lambda sys, mu, f=model.lambda_sandwich: calls.append(sys) or f(sys, mu))
     report = gradient_check(system, init, weights, np.linspace(-0.3, 0.4, system.n))
-    assert len(calls) <= 1
+    assert len(calls) == 2
     assert report.max_rel_dev <= 1e-6
 
     E2 = np.linspace(0.5, -0.2, system.n)
     moved = system.with_energy(E2)
     fresh = SystemParams(sc=system.sc, E=E2, M=system.M, N=system.N)
-    prop, fresh_prop = Propagator.of(moved), Propagator(fresh)
-    assert len(calls) == 2
-    for name in ("A", "b", "lam0", "lam_mu", "alpha", "re_beta", "norm_a", "margin", "rho"):
+    parent, prop, fresh_prop = Propagator.of(system), Propagator.of(moved), Propagator(fresh)
+    assert len(calls) == 4
+    for name in ("A", "b", "Ahat", "D", "alpha", "re_beta", "norm_a", "margin", "rho",
+                 "noiseless", "_coupling_defect"):
         assert np.array_equal(getattr(prop, name), getattr(fresh_prop, name)), name
+    assert prop.co.Atilde is parent.co.Atilde and prop.D is parent.D
 
     # the march maps of the parent's drift are not carried over
     opts = CrossingOptions(step=0.01)
@@ -357,7 +359,7 @@ def test_taylor_rows_match_forward_series(make_instance, case):
     rng = np.random.default_rng(5)
     generic = np.vstack([rng.standard_normal((n1 - 1, n1)), np.eye(n1)[-1]])
     for x in (x0, march.run(x0, 0.0, 37, math.inf).state, generic.T.ravel()):
-        want = forward_taylor(prop, init, Sigma, x.reshape(n1, n1).T, 10)
+        want = forward_taylor(system, init, Sigma, x.reshape(n1, n1).T, 10)
         # relative to the size of each sum: at n = 15 its terms cancel to
         # within 1e-5 of it
         assert (np.abs(rows @ x - want) <= 1e-12 * (np.abs(rows) @ np.abs(x))).all()
@@ -420,7 +422,7 @@ def test_blocked_trajectory_matches_stepwise(make_instance, case, kind, nodes, t
     grid = _grid(kind, nodes, t_max)
     Sigma = _random_weights(system.n, wseed).Sigma
     mu, V, delta = Propagator.of(system).trajectory(init, Sigma, grid)
-    want = stepwise_trajectory(Propagator.of(system), init, Sigma, grid)
+    want = stepwise_trajectory(system, init, Sigma, grid)
     for got, ref in zip((mu, V, delta), want):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.abs(V - V.conj().transpose(0, 2, 1)).max() <= 1e-12 * np.abs(V).max()
