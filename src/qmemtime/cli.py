@@ -128,7 +128,6 @@ _ANALYSIS_DEFAULTS = {
     "step": None,
     "tol": None,
     "horizon": 1e4,
-    "settle": 20.0,
     "margin": 1e-6,
     "sweep": None,
 }
@@ -273,7 +272,6 @@ def parse_config(tree):
         step=_opt_scalar("step"),
         tol=_opt_scalar("tol"),
         horizon=_opt_scalar("horizon") or _ANALYSIS_DEFAULTS["horizon"],
-        settle=_opt_scalar("settle") or _ANALYSIS_DEFAULTS["settle"],
         margin=_opt_scalar("margin") or _ANALYSIS_DEFAULTS["margin"],
     )
 
@@ -312,8 +310,8 @@ def parse_config(tree):
         "weights": norm_weights,
         "analysis": {"grid": norm_grid, "eps": list(eps),
                      "step": crossing.step, "tol": crossing.tol,
-                     "horizon": crossing.horizon, "settle": crossing.settle,
-                     "margin": crossing.margin, "sweep": norm_sweep},
+                     "horizon": crossing.horizon, "margin": crossing.margin,
+                     "sweep": norm_sweep},
         "output": {"path": out_path, "format": out_format},
     }
     return RunConfig(kind=kind, system=system, init=init, weights=weights,
@@ -503,7 +501,6 @@ def _build_parser():
     parser.add_argument("--step", type=float, default=None)
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--horizon", type=float, default=None)
-    parser.add_argument("--settle", type=float, default=None)
     parser.add_argument("--margin", type=float, default=None)
     parser.add_argument("--e1", default=None, help="override subsystem-1 energy (optimize-coupling)")
     parser.add_argument("--e2", default=None, help="override subsystem-2 energy (optimize-coupling)")
@@ -522,7 +519,7 @@ def _apply_overrides(cfg, args):
         cfg.eps = eps
         cfg.tree["analysis"]["eps"] = eps
     updates = {}
-    for key in ("step", "tol", "horizon", "settle", "margin"):
+    for key in ("step", "tol", "horizon", "margin"):
         val = getattr(args, key)
         if val is not None:
             updates[key] = _positive_scalar(val, f"--{key}")

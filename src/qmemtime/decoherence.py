@@ -10,11 +10,16 @@ up-crossing, and refines it by bisection on the exact Taylor expansion of
 Delta.  The rows that test the nodes and expand Delta do not depend on
 eps, so every eps of a curve reuses the march kept by
 :meth:`Propagator.march <qmemtime.propagate.Propagator.march>`, with the
-answer of a fresh search.  An infinite answer is certified only through a
-steady state: the drift must be Hurwitz, the march must pass the settling
-horizon, and the limit deviation must clear the threshold by a margin.
-The quadratic small-eps expansion tau_hat is computed from the
-derivatives of Delta at t = 0.
+answer of a fresh search.
+
+An infinite answer is certified by a provable bound.  For a Hurwitz drift
+Delta(s) - Delta_inf = tr(K E_s), and the Lyapunov norm of the drift
+bounds that by B0 e^{-rate s} (see
+:meth:`DeviationMarch.decay_bound <qmemtime.propagate.DeviationMarch.decay_bound>`).
+When the threshold clears Delta_inf, Delta stays below the threshold from
+the closed-form time t_c at which Delta_inf + B0 e^{-rate t_c} meets it
+less a relative margin, so the march ends at t_c.  The quadratic small-eps
+expansion tau_hat is computed from the derivatives of Delta at t = 0.
 """
 
 from __future__ import annotations
@@ -28,8 +33,7 @@ import numpy as np
 from .errors import (InconclusiveCrossingError, TrivialWeightError,
                      ZeroDiffusionError)
 from .linalg import HURWITZ_TOL
-from .moments import (_delta_rate0, delta_derivatives0, reference_norm,
-                      steady_state)
+from .moments import _delta_rate0, delta_derivatives0, reference_norm
 from .propagate import Propagator
 
 INFINITE = math.inf
@@ -43,17 +47,16 @@ class CrossingOptions:
     """Search controls for :func:`decoherence_time`.
 
     ``step`` and ``tol`` default to 1e-3 and 1e-9 over max(1, ||A||_2);
-    ``horizon`` caps the marched time; ``settle`` multiplies the slowest
-    decay time constant to decide when a Hurwitz system has settled; and
-    ``margin`` is the relative clearance the limit deviation must keep
-    below the threshold to certify an infinite answer.  Every field that
-    is given must be finite and positive.
+    ``horizon`` caps the marched time; and ``margin`` is the relative
+    clearance that the bound Delta_inf + B0 e^{-rate t} on the deviation
+    must keep below the threshold from the time t at which the march ends
+    with an infinite answer.  Every field that is given must be finite and
+    positive.
     """
 
     step: float = None
     tol: float = None
     horizon: float = 1e4
-    settle: float = 20.0
     margin: float = 1e-6
 
     def __post_init__(self):
@@ -99,7 +102,7 @@ def tau_expansion(sys, init, weights):
     ref = reference_norm(init, weights)
     _require_nontrivial(ref, init, weights)
     d1, d2 = delta_derivatives0(sys, init, weights)
-    if d1 <= DIFFUSION_TOL:
+    if d1 <= DIFFUSION_TOL * ref:
         raise ZeroDiffusionError(
             f"weighted initial deviation rate tr(Sigma Re Lambda(0)) = {d1:.3e}; "
             "the linear decoherence-time coefficient is undefined (uncoupled "
@@ -118,8 +121,7 @@ def tau_hat(expansion, epsilon):
 
 
 def _require_nontrivial(ref, init, weights):
-    scale = max(1.0, float(np.abs(weights.Sigma).max()) * float(np.abs(init.P).max()))
-    if ref <= 1e-12 * scale:
+    if ref <= 1e-12 * float(np.abs(weights.Sigma).max()) * float(np.abs(init.P).max()):
         raise TrivialWeightError(
             "the weighted reference norm tr(Sigma P) vanishes; the relative "
             "deviation threshold is undefined (F sqrt(P) = 0)"
@@ -131,10 +133,13 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
 
     Tests Delta at every node of the grid k * ``opts.step`` in order (so
     the first crossing of a non-monotone Delta is the one bracketed), then
-    bisects the bracketing step to ``opts.tol``.  Returns an infinite
-    result only with a steady-state certificate; otherwise, exhausting the
-    horizon raises :class:`InconclusiveCrossingError` carrying the marched
-    supremum.  Non-associative constants raise :class:`StructureDefectError`.
+    bisects the bracketing step to ``opts.tol``.  When the threshold clears
+    Delta_inf and the drift has a Lyapunov norm, the march ends at the
+    certification time t_c past which Delta stays below the threshold, and
+    finding no crossing returns an infinite result.  Otherwise exhausting
+    the horizon raises :class:`InconclusiveCrossingError` carrying the
+    marched supremum.  Non-associative constants raise
+    :class:`StructureDefectError`.
     """
     if not epsilon > 0:
         raise ValueError(f"fidelity parameter must be positive, got {epsilon}")
@@ -149,34 +154,30 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
 
     # Frozen dynamics: the variables are conserved and Delta stays at zero.
     if (np.abs(prop.A).max() <= 1e-14 and np.abs(prop.b).max() <= 1e-14
-            and _delta_rate0(prop, init, weights.Sigma) <= DIFFUSION_TOL * max(1.0, ref)):
+            and _delta_rate0(prop, init, weights.Sigma) <= DIFFUSION_TOL * ref):
         return DecoherenceTime(epsilon=epsilon, value=INFINITE,
                                threshold=threshold, bracket=None)
 
-    hurwitz = prop.margin < -HURWITZ_TOL
-    t_settle = opts.settle / (-prop.margin) if hurwitz else INFINITE
     march, x0 = prop.march(init, weights.Sigma, step)
-
-    def _nodes(t_from, t_to):
-        return max(0, int(math.ceil((t_to - t_from) / step - 1e-12)))
+    # Past t_c, Delta(s) <= Delta_inf + B0 e^{-rate s} <= (1 - margin) threshold.
+    t_c = INFINITE
+    if prop.margin < -HURWITZ_TOL:
+        clear = (1.0 - opts.margin) * threshold - march.limit()
+        bound = march.decay_bound() if clear > 0.0 else None
+        if bound is not None:
+            b0, rate = bound
+            t_c = math.log(b0 / clear) / rate if b0 > clear else 0.0
 
     horizon = float(opts.horizon)
-    first_leg = min(horizon, t_settle)
-    leg = march.run(x0, 0.0, _nodes(0.0, first_leg), threshold)
-    sup_d = leg.sup_delta
-    if not leg.crossed and hurwitz and t_settle <= horizon:
-        ss = steady_state(sys, init, weights)
-        if ss.Delta_inf <= (1.0 - opts.margin) * threshold:
+    nodes = max(0, int(math.ceil(min(horizon, t_c) / step - 1e-12)))
+    leg = march.run(x0, 0.0, nodes, threshold)
+    if not leg.crossed:
+        if t_c <= horizon:
             return DecoherenceTime(epsilon=epsilon, value=INFINITE,
                                    threshold=threshold, bracket=None)
-    if not leg.crossed and first_leg < horizon:
-        leg = march.run(leg.state, leg.t, _nodes(leg.t, horizon), threshold,
-                        leg.chunk)
-        sup_d = max(sup_d, leg.sup_delta)
-    if not leg.crossed:
         raise InconclusiveCrossingError(
-            "no threshold crossing found and no steady-state certificate "
-            "applies", sup_delta=sup_d, horizon=horizon)
+            "no threshold crossing found and no decay certificate applies "
+            "within the horizon", sup_delta=leg.sup_delta, horizon=horizon)
 
     t_lo, t_hi = march.refine(leg.state, leg.t, threshold, tol)
     return DecoherenceTime(epsilon=epsilon, value=0.5 * (t_lo + t_hi),

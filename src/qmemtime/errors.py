@@ -67,8 +67,8 @@ class StationarityError(DomainError):
 
 
 class InconclusiveCrossingError(DomainError):
-    """No threshold crossing was found and no steady-state certificate
-    applies within the marched horizon."""
+    """No threshold crossing was found and no decay certificate applies
+    within the marched horizon."""
 
     def __init__(self, message, sup_delta, horizon):
         self.sup_delta = sup_delta

@@ -3,7 +3,7 @@
 Everything here is a few lines of numpy on matrices of order <= a few
 tens, where robustness beats cleverness: the integrated exponential by a
 Taylor series of a block matrix plus squaring, and the vectorized
-Lyapunov solve, the independent check of the steady state.
+Lyapunov solve behind the decay certificate of an infinite tau.
 """
 
 from __future__ import annotations

@@ -81,11 +81,12 @@ def weighting_from_sigma(Sigma, rank_tol=1e-12):
     Sigma = np.asarray(Sigma, dtype=float)
     if Sigma.ndim != 2 or Sigma.shape[0] != Sigma.shape[1]:
         raise ValueError(f"weighting matrix must be square, got {Sigma.shape}")
-    if np.abs(Sigma - Sigma.T).max() > 1e-10 * max(1.0, np.abs(Sigma).max()):
+    if np.abs(Sigma - Sigma.T).max() > 1e-10 * np.abs(Sigma).max(initial=0.0):
         raise ValueError("weighting matrix is not symmetric")
     Sigma = (Sigma + Sigma.T) / 2.0
     w, v = np.linalg.eigh(Sigma)
-    scale = max(1.0, float(w.max(initial=0.0)))
+    # Floors relative to Sigma's own scale, so s Sigma has the rank of Sigma.
+    scale = float(np.abs(w).max(initial=0.0))
     if w.min(initial=0.0) < -1e-10 * scale:
         raise ValueError(f"weighting matrix is not PSD (min eigenvalue {w.min():.3e})")
     keep = w > rank_tol * scale

@@ -43,7 +43,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import IntegrationError, StructureDefectError
-from .linalg import _require_margin, _taylor_terms, expm_psi, hurwitz_margin, spectral_norm
+from .linalg import (HURWITZ_TOL, _require_margin, _taylor_terms, expm_psi, hurwitz_margin,
+                     solve_lyapunov, spectral_norm)
 from .model import _isolated_drift, coefficients, lambda_sandwich
 
 #: Bytes allowed for a march's table of adjoint rows; this fixes the
@@ -56,6 +57,10 @@ BLOCK = 16
 #: Largest defect of the closure form of Lambda, relative to the size of
 #: its terms, that the propagator accepts.
 CLOSURE_TOL = 1e-10
+
+#: Largest condition number of the Lyapunov solution X whose norm certifies
+#: decay (see :meth:`Propagator.contraction`).
+KAPPA_MAX = 1e8
 
 
 def _horner(coef, s):
@@ -94,8 +99,9 @@ class Propagator:
     [0, 0]] of Phi, ||A||_2, the Hurwitz margin (largest eigenvalue real
     part), the isolated drifts ``D`` with A0 = sum_l E_l D_l, the closure
     alpha + beta . mu and its defect, whether the diffusion vanishes, the
-    maps of :meth:`doubling_maps`, the last :meth:`march` built, and the
-    steady-state :meth:`limits`.  :meth:`of` shares one per system."""
+    maps of :meth:`doubling_maps`, the last :meth:`march` built, the
+    steady-state :meth:`limits` and the Lyapunov norm of
+    :meth:`contraction`.  :meth:`of` shares one per system."""
 
     def __init__(self, sys):
         co = coefficients(sys)
@@ -131,6 +137,7 @@ class Propagator:
         self._march = None
         self._traj_step = None
         self._limits = None
+        self._contraction = None
         self._defect = None
 
     def _with_energy(self, sys):
@@ -203,6 +210,41 @@ class Propagator:
                 arr.setflags(write=False)
             self._limits = (mu_inf, lam_inf, P_inf)
         return self._limits
+
+    def contraction(self):
+        """The Lyapunov norm |x|_X = |X^{1/2} x| in which E_s = e^{sA}
+        decays at a known rate, or None.
+
+        X solves A^T X + X A = -I.  If X > 0 and r = ||A^T X + X A + I||_2
+        <= 1/2, then d/ds |E_s x|_X^2 <= -(1 - r) |E_s x|^2 <= -(1 - r) /
+        lambda_max(X) |E_s x|_X^2, so for every s >= 0
+
+            ||X^{1/2} E_s X^{-1/2}||_2 <= exp(-rate s),   rate = (1 - r) / (2 lambda_max(X))
+
+        (Trefethen & Embree, "Spectra and Pseudospectra", 2005).  Returns
+        (X^{1/2}, X^{-1/2}, rate, kappa(X)), derived once per drift; r
+        includes a bound on the roundoff of the residual.  A drift that is
+        not Hurwitz, or an X that fails the check or has kappa(X) >
+        ``KAPPA_MAX``, has none.
+        """
+        if self._contraction is None:
+            self._contraction = self._lyapunov_norm() or ()
+        return self._contraction or None
+
+    def _lyapunov_norm(self):
+        if self.margin >= -HURWITZ_TOL:
+            return None
+        A, n = self.A, self.n
+        X = solve_lyapunov(A.T, np.eye(n))
+        w, v = np.linalg.eigh(X)
+        if not w[0] > 0.0 or w[-1] > KAPPA_MAX * w[0]:
+            return None
+        res = A.T @ X + X @ A + np.eye(n)
+        r = spectral_norm(res) + 4.0 * n * np.finfo(float).eps * (self.norm_a * w[-1] + 1.0)
+        if r > 0.5:
+            return None
+        root = np.sqrt(w)
+        return v * root @ v.T, v / root @ v.T, (1.0 - r) / (2.0 * w[-1]), w[-1] / w[0]
 
     def lam(self, mu, c=1.0):
         """Diffusion matrix Lambda(mu), Hermitian, or with ``c`` = 0 its
@@ -355,8 +397,7 @@ class MarchResult:
     If ``crossed``, Delta(t) = ``delta`` <= threshold < ``delta_next`` =
     Delta(t + step) and ``state`` belongs to t; otherwise t is the final
     node.  ``sup_delta`` is the largest Delta at the nodes marched below
-    the threshold, the starting node included.  ``chunk`` is the size of
-    the next chunk of nodes to test, for a run that continues this one.
+    the threshold, the starting node included.
     """
 
     crossed: bool
@@ -365,7 +406,6 @@ class MarchResult:
     delta_next: float
     state: np.ndarray
     sup_delta: float
-    chunk: int
 
 
 class DeviationMarch:
@@ -381,7 +421,9 @@ class DeviationMarch:
 
     The rows and the Taylor rows of :meth:`refine` are built once for
     every call that shares the march; a run still tests chunks of 1, 2,
-    4, ... nodes however many rows are kept.
+    4, ... nodes however many rows are kept.  The limit Delta_inf and the
+    bound of :meth:`decay_bound` on the approach to it are kept the same
+    way.
     """
 
     def __init__(self, prop, L, step):
@@ -390,7 +432,7 @@ class DeviationMarch:
         self._table = np.empty((self.cap, L.size))
         self.rows = self._table[:1]
         np.matmul(L, prop.doubling_maps(step, 1)[0], out=self.rows.reshape(L.shape))
-        self._taylor = self._piece = None
+        self._taylor = self._piece = self._limit = self._bound = None
 
     def _taylor_rows(self, terms):
         """The rows L Ahat^k / k!, k = 0 ... ``terms``, with Ahat =
@@ -431,6 +473,36 @@ class DeviationMarch:
     def delta(self, x):
         return float(self.L.ravel() @ x)
 
+    def limit(self):
+        """Delta_inf = <L, Phi_inf^T> = g . mu_inf + L_nn of a Hurwitz
+        drift, with g the last row of L; otherwise NotHurwitzError."""
+        if self._limit is None:
+            self._limit = float(self.L[-1, :-1] @ self.prop.limits()[0] + self.L[-1, -1])
+        return self._limit
+
+    def decay_bound(self):
+        """(B0, rate) with |Delta(s) - Delta_inf| <= B0 e^{-rate s} for
+        every s >= 0, or None where :meth:`Propagator.contraction` has no
+        Lyapunov norm.
+
+        Phi_s^T = [[E_s^T, 0], [w_s^T, 1]] with w_s = (I - E_s) mu_inf, so
+        Delta(s) - Delta_inf = tr(K E_s) with K = L11 - mu_inf g^T, and
+        tr(K E_s) = tr(M X^{1/2} E_s X^{-1/2}) with M = X^{1/2} K X^{-1/2}
+        is at most ||M||_* e^{-rate s}.  B0 is that nuclear norm, raised
+        by a relative allowance of 16 n^2 kappa(X) eps for its roundoff.
+        """
+        if self._bound is None:
+            root = self.prop.contraction()
+            if root is None:
+                self._bound = ()
+            else:
+                Xh, Xih, rate, kappa = root
+                n = self.n1 - 1
+                K = self.L[:n, :n] - np.outer(self.prop.limits()[0], self.L[n, :n])
+                nuclear = float(np.linalg.svd(Xh @ K @ Xih, compute_uv=False).sum())
+                self._bound = (nuclear * (1.0 + 16.0 * n * n * kappa * np.finfo(float).eps), rate)
+        return self._bound or None
+
     def deltas_ahead(self, x, nodes):
         """Delta at the next ``nodes`` nodes after the state x."""
         rows = self.rows
@@ -438,16 +510,15 @@ class DeviationMarch:
             rows = self._grow(rows)
         return rows[:nodes] @ x
 
-    def run(self, x, t0, nsteps, threshold, chunk=1):
+    def run(self, x, t0, nsteps, threshold):
         """March ``nsteps`` nodes from the node t0 (state x) to the first
         node above ``threshold``; non-finite values raise
         :class:`IntegrationError`.
 
-        The nodes are tested in chunks of ``chunk`` nodes, a chunk twice
-        as long after each full one, up to ``cap``; the result's ``chunk``
-        continues that schedule.
+        The nodes are tested in chunks of 1, 2, 4, ... nodes, a chunk
+        twice as long after each full one, up to ``cap``.
         """
-        done = 0
+        done, chunk = 0, 1
         sup = d_prev = self.delta(x)
         while done < nsteps:
             m = min(chunk, nsteps - done)
@@ -462,13 +533,13 @@ class DeviationMarch:
                 if j:
                     sup, d_prev = max(sup, float(d[:j].max())), float(d[j - 1])
                 return MarchResult(True, t0 + (done + j) * self.step, d_prev,
-                                   float(d[j]), self._advance(x, j), sup, chunk)
+                                   float(d[j]), self._advance(x, j), sup)
             sup, d_prev = max(sup, float(d.max())), float(d[-1])
             x = self._advance(x, m)
             done += m
             if m == chunk < self.cap:
                 chunk *= 2
-        return MarchResult(False, t0 + nsteps * self.step, d_prev, math.nan, x, sup, chunk)
+        return MarchResult(False, t0 + nsteps * self.step, d_prev, math.nan, x, sup)
 
     def refine(self, x, t_lo, threshold, tol):
         """Shrink the bracket [t_lo, t_lo + step] of a crossing to width

@@ -73,6 +73,17 @@ def random_instance(sc, rng, m=2, coupling_scale=1.0, mean_scale=0.8):
     return sys, initial_moments(sc, mu0)
 
 
+@pytest.fixture
+def marched_nodes(monkeypatch):
+    """The node counts of the DeviationMarch.run calls made while the test runs."""
+    from qmemtime.propagate import DeviationMarch
+    runs = []
+    run = DeviationMarch.run
+    monkeypatch.setattr(DeviationMarch, "run",
+                        lambda self, *a: runs.append(a[2]) or run(self, *a))
+    return runs
+
+
 @pytest.fixture(scope="session")
 def make_instance(pauli):
     def _make(rng, **kw):

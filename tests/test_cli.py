@@ -241,10 +241,18 @@ def test_config_error_exit_codes(tmp_path, capsys):
     worked = _write(tmp_path, PAULI_WORKED, "worked.json")
     capsys.readouterr()
     for flag, val in (("--eps", "nan"), ("--eps", "0.01,-0.02"), ("--step", "nan"),
-                      ("--tol", "nan"), ("--horizon", "nan"), ("--settle", "nan"),
+                      ("--tol", "nan"), ("--horizon", "nan"), ("--margin", "0"),
                       ("--margin", "nan"), ("--step", "0")):
         assert main(["tau", "--config", worked, flag, val]) == 2
         assert f"config error: {flag}: " in capsys.readouterr().err
+    # the settle-time option is gone: an infinite tau is certified by a bound
+    with pytest.raises(SystemExit) as exc:
+        main(["tau", "--config", worked, "--settle", "20"])
+    assert exc.value.code == 2
+    tree = json.loads(json.dumps(PAULI_WORKED))
+    tree["analysis"]["settle"] = 20.0
+    assert main(["tau", "--config", _write(tmp_path, tree, "settle.json")]) == 2
+    assert "config error: analysis: unknown keys ['settle']" in capsys.readouterr().err
 
     for sweep, field in (
             ({"kind": "eps", "values": [0.01, 0.0]}, "analysis.sweep.values[1]"),

@@ -196,6 +196,31 @@ def test_trivial_weighting_rejected():
         tau_expansion(sys, init, w)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-14, 1e-20])
+def test_weight_scale_invariance(worked, scale):
+    # tau, tau'(0) and tau''(0) do not see the scale of Sigma, and neither
+    # do the floors on tr(Sigma P), Delta'(0) and the rank of Sigma
+    w = weighting_from_sigma(scale * np.eye(3))
+    assert w.nu == 3
+    args = (worked.sys, worked.init)
+    for eps in (0.01, 0.05):
+        want = decoherence_time(*args, worked.weights, eps).value
+        assert decoherence_time(*args, w, eps).value == pytest.approx(want, rel=1e-12)
+    assert decoherence_time(*args, w, 2.5).is_infinite
+    e1, e2 = tau_expansion(*args, worked.weights), tau_expansion(*args, w)
+    assert e2.tau_prime0 == pytest.approx(e1.tau_prime0, rel=1e-12)
+    assert e2.tau_second0 == pytest.approx(e1.tau_second0, rel=1e-12)
+
+
+def test_zero_weighting_rejected(worked):
+    w = weighting_from_sigma(np.zeros((3, 3)))
+    assert w.nu == 0
+    with pytest.raises(TrivialWeightError):
+        decoherence_time(worked.sys, worked.init, w, 0.1)
+    with pytest.raises(TrivialWeightError):
+        tau_expansion(worked.sys, worked.init, w)
+
+
 def test_tau_hat_values(worked):
     expn = tau_expansion(worked.sys, worked.init, worked.weights)
     assert tau_hat(expn, 0.0) == 0.0
@@ -229,10 +254,12 @@ def test_positive_eps_required(worked):
             decoherence_time(worked.sys, worked.init, worked.weights, eps)
     for field, val in (("step", 0.0), ("step", math.nan), ("tol", -1e-9),
                        ("horizon", math.nan), ("horizon", math.inf),
-                       ("settle", 0.0), ("margin", math.nan)):
+                       ("margin", 0.0), ("margin", math.nan)):
         with pytest.raises(ValueError, match=f"CrossingOptions.{field} "):
             decoherence_time(worked.sys, worked.init, worked.weights, 0.01,
                              opts=CrossingOptions(**{field: val}))
+    with pytest.raises(TypeError, match="settle"):
+        CrossingOptions(settle=20.0)
 
 
 def test_options_are_honored(worked):

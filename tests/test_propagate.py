@@ -52,7 +52,6 @@ def test_march_no_crossing_returns_final_state(worked):
     march, x0 = _march(worked.sys, worked.init, worked.weights, h)
     res = march.run(x0, 0.0, 50, 1e9)
     assert not res.crossed
-    assert res.chunk == 32  # after chunks of 1, 2, 4, 8, 16 and 19 nodes
     assert res.t == pytest.approx(50 * h)
     assert math.isnan(res.delta_next)
     traj = moment_trajectory(worked.sys, worked.init, worked.weights,
@@ -320,18 +319,25 @@ def test_threads_share_kept_march(worked):
     assert [got[j] for j in range(len(jobs))] == [{w} for w in want]
 
 
-def test_second_leg_continues_chunk_schedule(worked, monkeypatch):
-    # Delta_inf = 6 sits just below the threshold: no certificate, no
-    # crossing, so the march runs on past the settling time to the horizon
-    runs = []
-    run = DeviationMarch.run
-    monkeypatch.setattr(DeviationMarch, "run", lambda self, *a: runs.append(a) or run(self, *a))
+def test_uncertified_march_is_one_run_to_the_horizon(worked, marched_nodes):
+    # Delta_inf = 6 sits just below the threshold, inside the margin: no
+    # certificate and no crossing, so one run marches to the horizon
     with pytest.raises(InconclusiveCrossingError):
         decoherence_time(worked.sys, worked.init, worked.weights, 2.0 * (1.0 + 1e-7),
                          opts=CrossingOptions(horizon=12.0))
-    first, second = runs
-    march, _ = _march(worked.sys, worked.init, worked.weights, 2.5e-4)  # 1e-3 / ||A||
-    assert second[-1] == march.run(*first).chunk > 1
+    assert marched_nodes == [48000]  # 12 / 2.5e-4, the default step 1e-3 / ||A||
+
+
+def test_certificate_ends_the_march_at_its_closed_form_time(worked, marched_nodes):
+    # threshold 7.5 clears Delta_inf = 6 by 1.5, and B0 = 6 decays at rate
+    # 2 (X = diag(1, 1, 1/2) / 4), so t_c = ln(4) / 2; the settle-time rule
+    # marched 20 / 2 time units, 40,000 nodes
+    assert decoherence_time(worked.sys, worked.init, worked.weights, 2.5).is_infinite
+    march = Propagator.of(worked.sys)._march
+    b0, rate = march.decay_bound()
+    assert b0 == pytest.approx(6.0, rel=1e-12) and rate == pytest.approx(2.0, rel=1e-12)
+    t_c = math.log(b0 / ((1.0 - 1e-6) * 7.5 - 6.0)) / rate
+    assert marched_nodes == [math.ceil(t_c / march.step)] == [2773]
 
 
 def test_march_keeps_maps_and_rows_of_one_step(pauli):
