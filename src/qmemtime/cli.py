@@ -122,23 +122,41 @@ def _structure(node, path):
     return sc, norm
 
 
+def _params(node, energy, coupling, key, path):
+    """The system of the structure ``node`` at ``path``, with the energy
+    ``E<key>`` and the coupling ``M<key>``, ``N<key>``, and its normalized
+    ``system``, ``energy`` and ``coupling`` entries."""
+    sc, norm = _structure(node, path)
+    n = sc.n
+    e = _vector(energy.get(f"E{key}", [0.0] * n), f"energy.E{key}", n)
+    m = (_matrix(coupling[f"M{key}"], f"coupling.M{key}") if f"M{key}" in coupling
+         else np.zeros((2, n)))
+    nv = _vector(coupling.get(f"N{key}", [0.0] * m.shape[0]), f"coupling.N{key}", m.shape[0])
+    try:
+        params = SystemParams(sc=sc, E=e, M=m, N=nv)
+    except ValueError as exc:
+        raise ConfigError(str(exc), field="coupling") from exc
+    return params, norm, {f"E{key}": e.tolist()}, {f"M{key}": m.tolist(), f"N{key}": nv.tolist()}
+
+
+#: The search controls, each an ``analysis`` key and a flag of its own name.
+_CROSSING = dataclasses.fields(CrossingOptions)
+
 _ANALYSIS_DEFAULTS = {
     "grid": {"t_max": 1.0, "points": 201},
     "eps": [0.01],
-    "step": None,
-    "tol": None,
-    "horizon": 1e4,
-    "margin": 1e-6,
+    **{f.name: f.default for f in _CROSSING},
     "sweep": None,
 }
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Parsed configuration plus its normalized JSON tree."""
+    """Parsed configuration plus its normalized JSON tree.  ``system`` is
+    the analysed system, and ``composite`` the composite it is, or None."""
 
-    kind: str                 # "single" | "composite"
-    system: object            # SystemParams | CompositeSystem
+    system: SystemParams
+    composite: object
     init: object
     weights: object
     grid_times: np.ndarray
@@ -146,11 +164,7 @@ class RunConfig:
     crossing: CrossingOptions
     sweep: dict
     out_path: str
-    out_format: str
     tree: dict
-
-    def analysis_system(self):
-        return self.system.as_system() if self.kind == "composite" else self.system
 
 
 def parse_config(tree):
@@ -164,62 +178,36 @@ def parse_config(tree):
     coupling = _want(tree.get("coupling", {}), "coupling", dict)
     init_node = _want(tree.get("init", {}), "init", dict)
 
+    composite = None
     if isinstance(sys_node, dict) and "composite" in sys_node:
         comp_node = _want(sys_node["composite"], "system.composite", dict)
-        sc1, norm1 = _structure(comp_node.get("sub1", "pauli"), "system.composite.sub1")
-        sc2, norm2 = _structure(comp_node.get("sub2", "pauli"), "system.composite.sub2")
-        n1, n2 = sc1.n, sc2.n
-        e1 = _vector(energy.get("E1", [0.0] * n1), "energy.E1", n1)
-        e2 = _vector(energy.get("E2", [0.0] * n2), "energy.E2", n2)
-        e12 = _vector(energy.get("E12", [0.0] * (n1 * n2)), "energy.E12", n1 * n2)
-        m1 = _matrix(coupling.get("M1"), "coupling.M1") if "M1" in coupling else np.zeros((2, n1))
-        n1v = _vector(coupling.get("N1", [0.0] * m1.shape[0]), "coupling.N1", m1.shape[0])
-        m2 = _matrix(coupling.get("M2"), "coupling.M2") if "M2" in coupling else np.zeros((2, n2))
-        n2v = _vector(coupling.get("N2", [0.0] * m2.shape[0]), "coupling.N2", m2.shape[0])
-        try:
-            sub1 = SystemParams(sc=sc1, E=e1, M=m1, N=n1v)
-            sub2 = SystemParams(sc=sc2, E=e2, M=m2, N=n2v)
-        except ValueError as exc:
-            raise ConfigError(str(exc), field="coupling") from exc
-        system = compose(sub1, sub2, e12)
-        n_total = system.as_system().n
-        if "mu0" in init_node:
-            mu0 = _vector(init_node["mu0"], "init.mu0", n_total)
-        else:
-            mu01 = _vector(init_node.get("mu0_1", [0.0] * n1), "init.mu0_1", n1)
-            mu02 = _vector(init_node.get("mu0_2", [0.0] * n2), "init.mu0_2", n2)
-            mu0 = product_mean(mu01, mu02)
+        (sub1, norm1, energy1, coupling1), (sub2, norm2, energy2, coupling2) = (
+            _params(comp_node.get(f"sub{k}", "pauli"), energy, coupling, k,
+                    f"system.composite.sub{k}") for k in "12")
+        e12 = _vector(energy.get("E12", [0.0] * (sub1.n * sub2.n)), "energy.E12",
+                      sub1.n * sub2.n)
+        composite = compose(sub1, sub2, e12)
+        system = composite.system
         norm_system = {"composite": {"sub1": norm1, "sub2": norm2}}
-        norm_energy = {"E1": e1.tolist(), "E2": e2.tolist(), "E12": e12.tolist()}
-        norm_coupling = {"M1": m1.tolist(), "N1": n1v.tolist(),
-                         "M2": m2.tolist(), "N2": n2v.tolist()}
-        kind = "composite"
-        sc_for_init = system.as_system().sc
+        norm_energy = {**energy1, **energy2, "E12": e12.tolist()}
+        norm_coupling = {**coupling1, **coupling2}
     else:
-        sc, norm_sc = _structure(sys_node, "system")
-        n = sc.n
-        e = _vector(energy.get("E", [0.0] * n), "energy.E", n)
-        m = _matrix(coupling.get("M"), "coupling.M") if "M" in coupling else np.zeros((2, n))
-        nv = _vector(coupling.get("N", [0.0] * m.shape[0]), "coupling.N", m.shape[0])
-        try:
-            system = SystemParams(sc=sc, E=e, M=m, N=nv)
-        except ValueError as exc:
-            raise ConfigError(str(exc), field="coupling") from exc
+        system, norm_system, norm_energy, norm_coupling = _params(
+            sys_node, energy, coupling, "", "system")
+    n = system.n
+    if composite is None or "mu0" in init_node:
         mu0 = _vector(init_node.get("mu0", [0.0] * n), "init.mu0", n)
-        kind = "single"
-        norm_system = norm_sc
-        norm_energy = {"E": e.tolist()}
-        norm_coupling = {"M": m.tolist(), "N": nv.tolist()}
-        sc_for_init = sc
-
-    init = initial_moments(sc_for_init, mu0)
+    else:
+        mu0 = product_mean(*(_vector(init_node.get(f"mu0_{k}", [0.0] * sub.n),
+                                     f"init.mu0_{k}", sub.n)
+                             for k, sub in zip("12", (composite.sub1, composite.sub2))))
+    init = initial_moments(system.sc, mu0)
 
     w_node = _want(tree.get("weights", {}), "weights", dict)
-    n_total = system.as_system().n if kind == "composite" else system.n
     if "F" in w_node:
         F = _matrix(w_node["F"], "weights.F")
-        if F.shape[1] != n_total:
-            raise ConfigError(f"factor has {F.shape[1]} columns, expected {n_total}",
+        if F.shape[1] != n:
+            raise ConfigError(f"factor has {F.shape[1]} columns, expected {n}",
                               field="weights.F")
         try:
             weights = weighting_from_factor(F)
@@ -227,8 +215,8 @@ def parse_config(tree):
             raise ConfigError(str(exc), field="weights.F") from exc
         norm_weights = {"F": F.tolist()}
     else:
-        Sigma = (_matrix(w_node["Sigma"], "weights.Sigma", (n_total, n_total))
-                 if "Sigma" in w_node else np.eye(n_total))
+        Sigma = (_matrix(w_node["Sigma"], "weights.Sigma", (n, n))
+                 if "Sigma" in w_node else np.eye(n))
         try:
             weights = weighting_from_sigma(Sigma)
         except ValueError as exc:
@@ -264,19 +252,12 @@ def parse_config(tree):
     eps = [_positive_scalar(v, f"analysis.eps[{i}]") for i, v in enumerate(
         _want(eps_node, "analysis.eps", list))]
 
-    def _opt_scalar(key):
-        val = analysis[key]
-        return None if val is None else _positive_scalar(val, f"analysis.{key}")
-
-    crossing = CrossingOptions(
-        step=_opt_scalar("step"),
-        tol=_opt_scalar("tol"),
-        horizon=_opt_scalar("horizon") or _ANALYSIS_DEFAULTS["horizon"],
-        margin=_opt_scalar("margin") or _ANALYSIS_DEFAULTS["margin"],
-    )
+    # An absent or null control takes its default.
+    crossing = CrossingOptions(**{
+        f.name: f.default if analysis[f.name] is None
+        else _positive_scalar(analysis[f.name], f"analysis.{f.name}") for f in _CROSSING})
 
     sweep = analysis["sweep"]
-    norm_sweep = None
     if sweep is not None:
         _want(sweep, "analysis.sweep", dict)
         s_kind = sweep.get("kind")
@@ -291,33 +272,28 @@ def parse_config(tree):
         if not values:
             raise ConfigError("sweep values are empty", field="analysis.sweep.values")
         s_eps = _positive_scalar(sweep.get("eps", eps[0]), "analysis.sweep.eps")
-        norm_sweep = {"kind": s_kind, "values": values, "eps": s_eps}
-        sweep = norm_sweep
+        sweep = {"kind": s_kind, "values": values, "eps": s_eps}
 
     o_node = _want(tree.get("output", {}), "output", dict)
     out_path = o_node.get("path")
     if out_path is not None and not isinstance(out_path, str):
         raise ConfigError("path must be a string", field="output.path")
-    out_format = o_node.get("format", "csv")
-    if out_format != "csv":
-        raise ConfigError(f"unsupported format {out_format!r}", field="output.format")
+    if o_node.get("format", "csv") != "csv":
+        raise ConfigError(f"unsupported format {o_node['format']!r}", field="output.format")
 
     norm_tree = {
         "system": norm_system,
         "energy": norm_energy,
         "coupling": norm_coupling,
-        "init": {"mu0": np.asarray(mu0).tolist()},
+        "init": {"mu0": mu0.tolist()},
         "weights": norm_weights,
         "analysis": {"grid": norm_grid, "eps": list(eps),
-                     "step": crossing.step, "tol": crossing.tol,
-                     "horizon": crossing.horizon, "margin": crossing.margin,
-                     "sweep": norm_sweep},
-        "output": {"path": out_path, "format": out_format},
+                     **dataclasses.asdict(crossing), "sweep": sweep},
+        "output": {"path": out_path, "format": "csv"},
     }
-    return RunConfig(kind=kind, system=system, init=init, weights=weights,
+    return RunConfig(system=system, composite=composite, init=init, weights=weights,
                      grid_times=grid_times, eps=eps, crossing=crossing,
-                     sweep=sweep, out_path=out_path, out_format=out_format,
-                     tree=norm_tree)
+                     sweep=sweep, out_path=out_path, tree=norm_tree)
 
 
 def load_config(path):
@@ -345,22 +321,22 @@ def _emit(text, out_path):
 
 def _cmd_validate(cfg, args):
     lines = []
-    system = cfg.analysis_system()
-    T = _product_table(system.sc)
-    if cfg.kind == "composite":
+    sc = cfg.system.sc
+    T = _product_table(sc)
+    if cfg.composite is not None:
         tol = 1e-10
-        subs = (cfg.system.sub1, cfg.system.sub2)
+        subs = (cfg.composite.sub1, cfg.composite.sub2)
         joint = _joint_table(*(_product_table(sub.sc) for sub in subs))
         lines.append(f"joint fit residual = {_fmt(np.abs(T - joint).max())}")
     else:
         tol = 1e-12
         # Measure the constants as given: parsing repaired (and bounded) them.
         node = cfg.tree["system"]
-        raw = ((system.sc.alpha, system.sc.beta.sections) if node == "pauli" else
+        raw = ((sc.alpha, sc.beta.sections) if node == "pauli" else
                (node["alpha"], np.add(node["beta_real"], 1j * np.array(node["beta_imag"]))))
         report = validate_structure(*raw)
         lines.append(f"structure ok (worst defect {_fmt(report.worst_defect)})")
-    assoc, ccr = _table_defects(T, system.sc.theta)
+    assoc, ccr = _table_defects(T, sc.theta)
     lines.append(f"algebra {'ok' if assoc <= tol else 'FAIL'} (error {_fmt(assoc)})")
     lines.append(f"CCR {'ok' if ccr <= tol else 'FAIL'} (error {_fmt(ccr)})")
     _emit("".join(f"{ln}\n" for ln in lines), args.out or cfg.out_path)
@@ -380,14 +356,12 @@ def _csv_trajectory(traj):
 
 
 def _cmd_simulate(cfg, args):
-    traj = moment_trajectory(cfg.analysis_system(), cfg.init, cfg.weights,
-                             cfg.grid_times)
+    traj = moment_trajectory(cfg.system, cfg.init, cfg.weights, cfg.grid_times)
     _emit(_csv_trajectory(traj), args.out or cfg.out_path)
 
 
 def _cmd_tau(cfg, args):
-    system = cfg.analysis_system()
-    expn = tau_expansion(system, cfg.init, cfg.weights)
+    expn = tau_expansion(cfg.system, cfg.init, cfg.weights)
     lines = [
         f"ref_norm = {_fmt(expn.ref_norm)}",
         f"delta_dot0 = {_fmt(expn.delta_dot0)}",
@@ -398,11 +372,11 @@ def _cmd_tau(cfg, args):
     for eps in cfg.eps:
         lines.append(f"eps = {_fmt(eps)}")
         lines.append(f"  tau_hat = {_fmt(tau_hat(expn, eps))}")
-        result = decoherence_time(system, cfg.init, cfg.weights, eps,
+        result = decoherence_time(cfg.system, cfg.init, cfg.weights, eps,
                                   opts=cfg.crossing)
         lines.append(f"  threshold = {_fmt(result.threshold)}")
         if result.is_infinite:
-            lines.append("  tau = inf (certified by steady state)")
+            lines.append("  tau = inf (certified)")
         else:
             lo, hi = result.bracket
             lines.append(f"  tau = {_fmt(result.value)}")
@@ -411,8 +385,7 @@ def _cmd_tau(cfg, args):
 
 
 def _cmd_optimize_energy(cfg, args):
-    system = cfg.analysis_system()
-    R, K = rk_matrices(system, cfg.init, cfg.weights)
+    R, K = rk_matrices(cfg.system, cfg.init, cfg.weights)
     od = optimal_energy(R, K)
     lines = ["R:"]
     lines += [f"  {_fmt_vec(row)}" for row in od.R]
@@ -426,10 +399,10 @@ def _cmd_optimize_energy(cfg, args):
 
 
 def _cmd_optimize_coupling(cfg, args):
-    if cfg.kind != "composite":
+    comp = cfg.composite
+    if comp is None:
         raise ConfigError("optimize-coupling requires a composite system config",
                           field="system")
-    comp = cfg.system
     e1 = _cli_vector(args.e1, comp.n1, "--e1") if args.e1 else comp.E1
     e2 = _cli_vector(args.e2, comp.n2, "--e2") if args.e2 else comp.E2
     blocks = partition_rk(comp, cfg.init, cfg.weights)
@@ -445,7 +418,7 @@ def _cmd_optimize_coupling(cfg, args):
 
 
 def _sweep_point(cfg, kind, value, eps):
-    system = cfg.analysis_system()
+    system = cfg.system
     if kind == "gain":
         system = dataclasses.replace(system, M=value * system.M)
     expn = tau_expansion(system, cfg.init, cfg.weights)
@@ -461,7 +434,7 @@ def _cmd_sweep(cfg, args):
         raise ConfigError("missing analysis.sweep block for the sweep command",
                           field="analysis.sweep")
     kind = cfg.sweep["kind"]
-    if kind == "gain" and cfg.kind == "composite":
+    if kind == "gain" and cfg.composite is not None:
         raise ConfigError("gain sweeps are defined for single systems only",
                           field="analysis.sweep.kind")
     values = cfg.sweep["values"]
@@ -498,10 +471,8 @@ def _build_parser():
     parser.add_argument("--out", default=None, help="output path (default: config output.path or stdout)")
     parser.add_argument("--eps", default=None,
                         help="comma-separated fidelity values, overriding analysis.eps")
-    parser.add_argument("--step", type=float, default=None)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--horizon", type=float, default=None)
-    parser.add_argument("--margin", type=float, default=None)
+    for f in _CROSSING:
+        parser.add_argument(f"--{f.name}", type=float, default=None)
     parser.add_argument("--e1", default=None, help="override subsystem-1 energy (optimize-coupling)")
     parser.add_argument("--e2", default=None, help="override subsystem-2 energy (optimize-coupling)")
     parser.add_argument("--dump-config", action="store_true",
@@ -510,23 +481,22 @@ def _build_parser():
 
 
 def _apply_overrides(cfg, args):
+    """``cfg`` with the analysis entries that flags override: each flag is
+    checked under its own name, and the merged tree is parsed again."""
+    updates = {}
     if args.eps:
         try:
             eps = [float(v) for v in args.eps.split(",")]
         except ValueError as exc:
             raise ConfigError("--eps must be a comma-separated number list") from exc
-        eps = [_positive_scalar(e, "--eps") for e in eps]
-        cfg.eps = eps
-        cfg.tree["analysis"]["eps"] = eps
-    updates = {}
-    for key in ("step", "tol", "horizon", "margin"):
-        val = getattr(args, key)
+        updates["eps"] = [_positive_scalar(e, "--eps") for e in eps]
+    for f in _CROSSING:
+        val = getattr(args, f.name)
         if val is not None:
-            updates[key] = _positive_scalar(val, f"--{key}")
-            cfg.tree["analysis"][key] = val
-    if updates:
-        cfg.crossing = dataclasses.replace(cfg.crossing, **updates)
-    return cfg
+            updates[f.name] = _positive_scalar(val, f"--{f.name}")
+    if not updates:
+        return cfg
+    return parse_config({**cfg.tree, "analysis": {**cfg.tree["analysis"], **updates}})
 
 
 _DISPATCH = {

@@ -27,11 +27,11 @@ against adjoint rows (the functional pulled back over 1, 2, ... steps),
 jumps across it by a power of Phi_step, and refines a bracketed node with
 one product against Taylor rows.  Those powers depend only on the system
 and the step, and the rows only on the functional and the step, so a
-:class:`Propagator` keeps them for one step and one functional at a time:
-every eps of a tau(eps) curve reuses them, within ``ROW_BUDGET`` of rows
-per system.  A march still tests chunks of 1, 2, 4, ... nodes in every
-call, so its answer does not depend on which rows an earlier call left.
-The powers that trajectories use are kept the same way.
+:class:`Propagator` keeps one march, with its powers and rows: every eps
+of a tau(eps) curve reuses them, within ``ROW_BUDGET`` of rows per
+system.  A march still tests chunks of 1, 2, 4, ... nodes in every call,
+so its answer does not depend on which rows an earlier call left.  A
+trajectory keeps the powers of its longest run for the next one.
 """
 
 from __future__ import annotations
@@ -75,6 +75,15 @@ def _defect(form, size, sandwich=0.0):
     return np.abs(form - sandwich).max() / max(1.0, size, np.abs(sandwich).max())
 
 
+def _doubled(maps, count, first):
+    """The transition matrices over 1, 2, 4, ... steps: ``maps`` extended to
+    ``count`` of them by squaring, where ``first()`` is the one over one
+    step.  A new tuple, so a reader of the old one is not disturbed."""
+    while len(maps) < count:
+        maps += (maps[-1] @ maps[-1] if maps else first(),)
+    return maps
+
+
 def step_spacings(grid):
     """The spacings of ``grid``, where those within 4 eps grid[-1] above
     the smallest of a group are all replaced by the group's first in grid
@@ -99,8 +108,8 @@ class Propagator:
     [0, 0]] of Phi, ||A||_2, the Hurwitz margin (largest eigenvalue real
     part), the isolated drifts ``D`` with A0 = sum_l E_l D_l, the closure
     alpha + beta . mu and its defect, whether the diffusion vanishes, the
-    maps of :meth:`doubling_maps`, the last :meth:`march` built, the
-    steady-state :meth:`limits` and the Lyapunov norm of
+    last :meth:`march` built, the maps of the last :meth:`trajectory`'s
+    longest run, the steady-state :meth:`limits` and the Lyapunov norm of
     :meth:`contraction`.  :meth:`of` shares one per system."""
 
     def __init__(self, sys):
@@ -133,9 +142,8 @@ class Propagator:
         self.margin = hurwitz_margin(co.A)
         #: Norm bound of Ahat: ||[A b]||_2 <= sqrt(||A||_2^2 + |b|^2).
         self.rho = max(1.0, math.hypot(self.norm_a, float(np.linalg.norm(co.b))))
-        self._doubling = {}
         self._march = None
-        self._traj_step = None
+        self._traj_maps = {}  # {spacing: maps over 2^i spacings}, one entry at most
         self._limits = None
         self._contraction = None
         self._defect = None
@@ -264,31 +272,6 @@ class Propagator:
         Phi[:n, :n], Phi[:n, n], Phi[n, n] = E, psi @ self.b, 1.0
         return Phi
 
-    def doubling_maps(self, step, count):
-        """The first ``count`` transition matrices of :meth:`transition`
-        over 2^i steps of length ``step``.
-
-        They depend only on the system and the step, so they are derived
-        once and kept, for the step of the kept :meth:`march` and that of
-        the longest run of the last :meth:`trajectory`.  Kept tuples are
-        never modified, so a caller reads correct maps from the one it
-        holds even if the kept entry is replaced or dropped meanwhile.
-        """
-        maps = self._doubling.get(step, ())
-        while len(maps) < count:
-            maps += (maps[-1] @ maps[-1] if maps else self.transition(step),)
-            self._doubling[step] = maps
-        return maps
-
-    def _drop_maps(self):
-        """Drop the doubling maps of every step but the kept march's and
-        the one a trajectory keeps."""
-        march = self._march
-        keep = (self._traj_step, march.step if march else None)
-        for step in list(self._doubling):
-            if step not in keep:
-                self._doubling.pop(step, None)
-
     def functional(self, init, Sigma):
         """The matrix L with Delta(t) = <L, Phi_t^T> for the initial
         moments ``init`` and the weighting ``Sigma``.
@@ -314,36 +297,35 @@ class Propagator:
         :meth:`functional`, on the grid k * ``step``, and its state x0 =
         Phi_0 = I at t = 0.
 
-        The last march built is kept, and a later call with the same L and
-        step (another eps) reuses it.  Building another drops the maps of
-        every step but its own and a trajectory's, so a system keeps one
-        row table and the march maps of one step.
+        The last march built is kept, with its maps and rows, and a later
+        call with the same L and step (another eps) reuses it; a new L on
+        the same step reuses its maps.  So a system keeps one row table and
+        the march maps of one step.
         """
         L = self.functional(init, Sigma)
         march = self._march
         if march is None or march.step != step or not np.array_equal(march.L, L):
-            march = self._march = DeviationMarch(self, L, step)
-            self._drop_maps()
+            maps = march.maps if march is not None and march.step == step else ()
+            march = self._march = DeviationMarch(self, L, step, maps)
         return march, np.eye(self.n + 1).ravel()
 
     def trajectory(self, init, Sigma, grid):
         """(mu, V, Delta) at the nodes of ``grid``.
 
-        U_t = Phi_t Z Phi_t^T has the last column (mu_t, 1), so mu, V and
-        Delta are read off U_t and Phi_t^T (see the module docstring).
-        The spacings of :func:`step_spacings` split the grid into runs of
-        equal steps.  Within a run the nodes [k, k + m) come from the nodes
-        [k - m, k) by the map over m steps, with m = 1, 2, 4, ... up to
-        ``BLOCK`` and then m = ``BLOCK`` to the end of the run, so a block
-        of nodes moves by a few matrix products: Phi_t^T by one product
-        from the right, U_t by a sandwich.  Both are kept for the last
-        ``BLOCK`` nodes only, so the output is the only array the size of
-        the grid.  The maps are those of :meth:`doubling_maps`; those of
-        the longest run stay kept for later calls, the others are dropped
-        when they are built.
+        U_t = Phi_t Z Phi_t^T has the last column (mu_t, 1), so mu and V are
+        read off U_t.  The spacings of :func:`step_spacings` split the grid
+        into runs of equal steps.  Within a run the nodes [k, k + m) come
+        from the nodes [k - m, k) by the map M over m = 1, 2, 4, ... steps
+        up to ``BLOCK``, then ``BLOCK``: Phi_t^T moves by one product with
+        M^T, U_t by a sandwich, and Delta = <L, Phi_t^T> by <L (M - I),
+        Phi_t^T>, a sum free of the O(|L|) terms that cancel in Delta at
+        short times.  Phi_t^T and U_t are kept for the last ``BLOCK`` nodes
+        only, so the output is the only array the size of the grid.  The
+        maps over 2^i spacings are built once per spacing in a call; those
+        of the longest run are kept for the next call.
         """
         n, n1, N = self.n, self.n + 1, grid.size
-        L = self.functional(init, Sigma).ravel()
+        L = self.functional(init, Sigma)
         h = step_spacings(grid)
         starts = np.flatnonzero(np.r_[True, h[1:] != h[:-1]]).tolist()
         ends = starts[1:] + [h.size]
@@ -351,11 +333,13 @@ class Propagator:
         levels = BLOCK.bit_length()  # maps over 1, 2, 4, ..., BLOCK steps
         # The maps are built before the output exists, so their work arrays
         # do not add to its size.
-        runs = [(s, e, self.doubling_maps(h[s], min((e - s).bit_length(), levels)))
-                for s, e in zip(starts, ends)]
+        built, runs = dict(self._traj_maps), []
+        for s, e in zip(starts, ends):
+            built[h[s]] = _doubled(built.get(h[s], ()), min((e - s).bit_length(), levels),
+                                   lambda: self.transition(h[s]))
+            runs.append((s, e, built[h[s]]))
         s, e, _ = max(runs, key=lambda run: run[1] - run[0])
-        self._traj_step = h[s] if e - s > 1 else None
-        self._drop_maps()
+        self._traj_maps = {h[s]: built[h[s]]} if e - s > 1 else {}
 
         mu = np.empty((N, n))
         V = np.zeros((N, n, n), dtype=complex) if self.noiseless else np.empty((N, n, n), complex)
@@ -371,16 +355,17 @@ class Propagator:
         for s, e, maps in runs:
             maps2 = np.zeros((len(maps), 2 * n1, 2 * n1))  # M^T kron I_2, on float views
             maps2[:, ::2, ::2] = maps2[:, 1::2, 1::2] = np.transpose(maps, (0, 2, 1))
+            rises = (L @ (maps - np.eye(n1))).reshape(len(maps), -1)  # L (M - I)
             k, i = s + 1, 0  # the node k comes from the node k - 2^i, in slot 0
             while k <= e:
                 M, m = maps[i], 1 << i
                 b = min(m, e + 1 - k)
                 j, dst = (k - s) % BLOCK, slice(k, k + b)
+                delta[dst] = delta[k - m:k - m + b] + PhiT[:b].reshape(b, n1 * n1) @ rises[i]
                 PhiT[j:j + b] = (PhiT[:b].reshape(b * n1, n1) @ M.T).reshape(b, n1, n1)
                 # Phi U Phi^T, both products on real views of the stack U
                 np.matmul(np.matmul(M, U[:b].view(float)).reshape(b * n1, 2 * n1), maps2[i],
                           out=Uf[j * n1:(j + b) * n1])
-                delta[dst] = PhiT[j:j + b].reshape(b, n1 * n1) @ L
                 mu[dst] = U[j:j + b, :n, n].real
                 if not self.noiseless:
                     np.matmul(U[j:j + b, :, n].real, self.moment_f, out=Vf[dst])
@@ -419,19 +404,20 @@ class DeviationMarch:
     product, when a run needs more, up to ``ROW_BUDGET``; the table's
     storage is taken once at that cap, so growing it copies nothing.
 
-    The rows and the Taylor rows of :meth:`refine` are built once for
-    every call that shares the march; a run still tests chunks of 1, 2,
-    4, ... nodes however many rows are kept.  The limit Delta_inf and the
-    bound of :meth:`decay_bound` on the approach to it are kept the same
-    way.
+    The maps over 2^i steps, the rows and the Taylor rows of
+    :meth:`refine` are built once for every call that shares the march; a
+    run still tests chunks of 1, 2, 4, ... nodes however many rows are
+    kept.  The limit Delta_inf and the bound of :meth:`decay_bound` on the
+    approach to it are kept the same way.
     """
 
-    def __init__(self, prop, L, step):
+    def __init__(self, prop, L, step, maps=()):
         self.prop, self.step, self.L, self.n1 = prop, step, L, len(L)
         self.cap = 2 ** max(0, int(math.log2(ROW_BUDGET / (8 * L.size))))
         self._table = np.empty((self.cap, L.size))
         self.rows = self._table[:1]
-        np.matmul(L, prop.doubling_maps(step, 1)[0], out=self.rows.reshape(L.shape))
+        self.maps = maps  # Phi over 1, 2, 4, ... steps, grown by _maps
+        np.matmul(L, self._maps(1)[0], out=self.rows.reshape(L.shape))
         self._taylor = self._piece = self._limit = self._bound = None
 
     def _taylor_rows(self, terms):
@@ -443,12 +429,17 @@ class DeviationMarch:
             rows.append(rows[-1] @ self.prop.Ahat / k)
         return np.array(rows).reshape(terms + 1, -1)
 
+    def _maps(self, count):
+        """The first ``count`` transition matrices over 2^i steps."""
+        maps = self.maps = _doubled(self.maps, count, lambda: self.prop.transition(self.step))
+        return maps
+
     def _push(self, Phi, x):
         """The state x moved by the transition matrix Phi."""
         return (x.reshape(self.n1, self.n1) @ Phi.T).ravel()
 
     def _advance(self, x, nodes):
-        maps = self.prop.doubling_maps(self.step, nodes.bit_length())  # 2^i steps
+        maps = self._maps(nodes.bit_length())
         for i in range(nodes.bit_length()):
             if nodes >> i & 1:
                 x = self._push(maps[i], x)
@@ -464,7 +455,7 @@ class DeviationMarch:
         table = self._table
         if 2 * k > len(table):  # more nodes at once than the cap
             table = self._table = np.concatenate([rows, np.empty_like(rows)])
-        np.matmul(rows.reshape(k * n1, n1), self.prop.doubling_maps(self.step, i + 1)[i],
+        np.matmul(rows.reshape(k * n1, n1), self._maps(i + 1)[i],
                   out=table[k:2 * k].reshape(k * n1, n1))
         if 2 * k > len(self.rows):
             self.rows = table[:2 * k]

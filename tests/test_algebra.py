@@ -174,6 +174,18 @@ def test_construction_repairs_roundoff_defects(pauli):
     assert np.array_equal(th, -np.transpose(th, (0, 2, 1)))
 
 
+@pytest.mark.parametrize("qutrit", [False, True])
+def test_theta_exactly_antisymmetric_after_repair(pauli, qutrit):
+    # Im of each Hermitized section is antisymmetric to the last bit, for
+    # constants with a non-Hermitian perturbation of 5e-13
+    sc = fit_structure_constants(gell_mann_representation(3)).constants if qutrit else pauli
+    beta = sc.beta.sections + 5e-13j * np.random.default_rng(4).uniform(0.0, 1.0, (sc.n,) * 3)
+    assert validate_structure(sc.alpha, beta, tol=1e-13).theta_defect > 1e-13
+    th = StructureConstants(sc.alpha, beta).theta.sections
+    assert np.array_equal(th, -np.transpose(th, (0, 2, 1)))
+    assert np.abs(th - sc.theta.sections).max() <= 5e-13
+
+
 def test_dimension_mismatch_rejected(pauli):
     with pytest.raises(ValueError):
         sections_dot(pauli.beta, np.zeros(4))

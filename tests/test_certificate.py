@@ -2,6 +2,7 @@
 functional, and the Lyapunov-norm bound |Delta(s) - Delta_inf| <= B0
 e^{-rate s} that ends the march at a closed-form time."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_lyapunov, sqrtm
 
+from qmemtime import propagate
 from qmemtime.decoherence import CrossingOptions, decoherence_time
+from qmemtime.errors import InconclusiveCrossingError
 from qmemtime.linalg import expm_psi
 from qmemtime.model import SystemParams
 from qmemtime.moments import (deviation_delta, initial_moments, reference_norm,
@@ -160,3 +163,22 @@ def test_certificate_never_skips_a_scanned_crossing(pauli, a, c, ratio, tilt, n1
     assert result.is_infinite == (crossing is None)
     if crossing is not None:
         assert abs(result.value - crossing) <= step
+
+
+@pytest.mark.parametrize("fault", ["kappa", "residual"])
+def test_no_certificate_without_a_checked_lyapunov_norm(worked, monkeypatch, fault):
+    # The worked X = diag(1, 1, 1/2) / 4 has kappa(X) = 2, and 2X leaves the
+    # residual A^T (2X) + (2X) A + I = -I, so r = 1 > 1/2.  Without a norm,
+    # eps = 2.5 is not certified by t_c = ln(4) / 2, which is within the horizon
+    args, opts = (worked.init, worked.weights, 2.5), CrossingOptions(horizon=2.0)
+    assert decoherence_time(dataclasses.replace(worked.sys), *args, opts=opts).is_infinite
+    if fault == "kappa":
+        monkeypatch.setattr(propagate, "KAPPA_MAX", 1.0)
+    else:
+        monkeypatch.setattr(propagate, "solve_lyapunov",
+                            lambda A, Q, f=propagate.solve_lyapunov: 2.0 * f(A, Q))
+    system = dataclasses.replace(worked.sys)
+    with pytest.raises(InconclusiveCrossingError):
+        decoherence_time(system, *args, opts=opts)
+    prop = Propagator.of(system)
+    assert prop.contraction() is None and prop._march.decay_bound() is None

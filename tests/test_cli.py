@@ -7,6 +7,8 @@ import pytest
 
 from qmemtime.algebra import StructureConstants, pauli_structure
 from qmemtime.cli import main, parse_config
+from qmemtime.decoherence import CrossingOptions, decoherence_time
+from qmemtime.moments import weighting_from_factor
 
 from dense import fit_structure_constants
 from oracles import gell_mann_representation
@@ -302,3 +304,47 @@ def test_located_field_error_message(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "init.mu0" in err
+
+
+def test_crossing_flags_reach_the_search(tmp_path, capsys):
+    worked = _write(tmp_path, PAULI_WORKED)
+    flags = {"step": 1e-4, "tol": 1e-10, "horizon": 50.0, "margin": 1e-3}
+    argv = [a for key, val in flags.items() for a in (f"--{key}", repr(val))]
+    assert main(["tau", "--config", worked, *argv, "--dump-config"]) == 0
+    dumped = json.loads(capsys.readouterr().out)
+    assert {key: dumped["analysis"][key] for key in flags} == flags
+    assert parse_config(dumped).crossing == CrossingOptions(**flags)
+
+    cfg = parse_config(PAULI_WORKED)
+    want = decoherence_time(cfg.system, cfg.init, cfg.weights, 0.01,
+                            opts=CrossingOptions(step=1e-4))
+    assert main(["tau", "--config", worked, "--step", "1e-4"]) == 0
+    lo, hi = want.bracket
+    assert capsys.readouterr().out.endswith(
+        f"  tau = {want.value:.17g}\n  bracket = [{lo:.17g}, {hi:.17g}]\n")
+
+    # eps = 2.5 is certified at t_c = ln(4) / 2; a horizon short of t_c, or
+    # a margin that leaves the bound no clearance, is inconclusive
+    for extra, code in (([], 0), (["--horizon", "0.5"], 1),
+                        (["--margin", "0.5", "--horizon", "2"], 1)):
+        assert main(["tau", "--config", worked, "--eps", "2.5", *extra]) == code
+        captured = capsys.readouterr()
+        assert ("  tau = inf (certified)\n" in captured.out) == (code == 0)
+        assert captured.err.startswith("error: ") == (code == 1)
+
+
+def test_weights_factor_config(tmp_path, capsys):
+    F = [[1.0, 0.5, 0.0], [0.0, 1.0, 0.2]]
+    tree = json.loads(json.dumps(PAULI_WORKED))
+    tree["weights"] = {"F": F}
+    path = _write(tmp_path, tree)
+    assert main(["tau", "--config", path]) == 0
+    cfg = parse_config(PAULI_WORKED)
+    want = decoherence_time(cfg.system, cfg.init, weighting_from_factor(np.array(F)), 0.01)
+    assert f"  tau = {want.value:.17g}\n" in capsys.readouterr().out
+    assert main(["tau", "--config", path, "--dump-config"]) == 0
+    assert json.loads(capsys.readouterr().out)["weights"] == {"F": F}
+
+    tree["weights"] = {"F": [[1.0, 0.5], [0.0, 1.0]]}
+    assert main(["tau", "--config", _write(tmp_path, tree, "columns.json")]) == 2
+    assert capsys.readouterr().err.startswith("config error: weights.F: ")

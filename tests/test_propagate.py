@@ -13,7 +13,8 @@ from qmemtime import model, propagate
 from qmemtime.algebra import StructureConstants, pauli_structure
 from qmemtime.decoherence import (CrossingOptions, decoherence_time,
                                   tau_expansion)
-from qmemtime.errors import InconclusiveCrossingError, StructureDefectError
+from qmemtime.errors import (InconclusiveCrossingError, IntegrationError,
+                             StructureDefectError)
 from qmemtime.interconnect import compose, product_mean
 from qmemtime.linalg import solve_lyapunov
 from qmemtime.model import SystemParams
@@ -45,6 +46,16 @@ def test_march_reports_bracket_state(worked):
     d = deviation_delta(worked.sys, worked.init, worked.weights,
                         np.array([0.0, res.t, res.t + h]))
     assert d[1] <= 0.05 < d[2]
+
+
+def test_march_raises_on_non_finite_deviation(worked):
+    # NaN <= threshold is false, so a NaN node counts as a crossing, and raises
+    prop = Propagator(worked.sys)
+    L = prop.functional(worked.init, worked.weights.Sigma)
+    L[1, 2] = math.nan
+    march = DeviationMarch(prop, L, 1e-3)
+    with pytest.raises(IntegrationError, match="non-finite"):
+        march.run(np.eye(4).ravel(), 0.0, 100, 1e9)
 
 
 def test_march_no_crossing_returns_final_state(worked):
@@ -159,7 +170,7 @@ def test_public_calls_share_one_propagator(worked, monkeypatch):
     args = (system, worked.init, worked.weights)
     tau_expansion(*args)
     assert decoherence_time(*args, 0.05).bracket is not None
-    assert decoherence_time(*args, 5.0).is_infinite  # certified by the steady state
+    assert decoherence_time(*args, 5.0).is_infinite  # certified infinite
     steady_state(*args)
     rk_matrices(*args)
     moment_trajectory(*args, np.linspace(0.0, 1.0, 11))
@@ -341,13 +352,24 @@ def test_certificate_ends_the_march_at_its_closed_form_time(worked, marched_node
 
 
 def test_march_keeps_maps_and_rows_of_one_step(pauli):
+    # the propagator holds one march, and that march the maps of its own
+    # step: Phi over one step, then its repeated squares
     system, init = _two_qubit_composite(pauli)
     weights = weighting_from_sigma(np.eye(system.n))
     prop = Propagator.of(system)
     for step in np.geomspace(2e-4, 2e-3, 20):
         decoherence_time(system, init, weights, 0.05, opts=CrossingOptions(step=step))
-        assert list(prop._doubling) == [step]
-        assert prop._march.step == step
+        march = prop._march
+        assert march.step == step and len(march.rows) <= march.cap
+        assert np.array_equal(march.maps[0], prop.transition(step))
+        for short, long in zip(march.maps, march.maps[1:]):
+            assert np.array_equal(long, short @ short)
+        assert prop._traj_maps == {}
+
+    # a march for another weighting on the same step takes over the maps
+    decoherence_time(system, init, weighting_from_sigma(2.0 * np.eye(system.n)), 0.05,
+                     opts=CrossingOptions(step=step))
+    assert prop._march is not march and prop._march.maps[0] is march.maps[0]
 
 
 @pytest.mark.parametrize("case", [0, 1, "composite"])
@@ -414,6 +436,8 @@ def _composite_case():
 @example(case="qubit-qutrit", kind="uniform", nodes=40, t_max=0.5, wseed=5)
 @example(case="qubit-qutrit", kind="two runs", nodes=40, t_max=2.0, wseed=6)
 @example(case="qubit-qutrit", kind="geometric", nodes=20, t_max=1.0, wseed=7)
+@example(case="qubit-qutrit", kind="geometric", nodes=2, t_max=0.05078125, wseed=0)
+@example(case=1, kind="geometric", nodes=2, t_max=0.5, wseed=2)
 @given(case=st.one_of(st.integers(0, 2 ** 32 - 1),
                       st.sampled_from(["rescaled", "composite", "qubit-qutrit"])),
        kind=st.sampled_from(["uniform", "two runs", "geometric"]),
@@ -424,14 +448,19 @@ def test_blocked_trajectory_matches_stepwise(make_instance, case, kind, nodes, t
     # Lyapunov ODE of V node by node
     system, init = _closure_case(make_instance, case)
     if system.n > 3:
-        nodes = min(nodes, 40)  # each geometric node builds an order n^2 map
+        nodes = min(nodes, 40)  # the oracle builds a step map per distinct spacing
     grid = _grid(kind, nodes, t_max)
     Sigma = _random_weights(system.n, wseed).Sigma
     mu, V, delta = Propagator.of(system).trajectory(init, Sigma, grid)
     want = stepwise_trajectory(system, init, Sigma, grid)
-    for got, ref in zip((mu, V, delta), want):
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert np.abs(V - V.conj().transpose(0, 2, 1)).max() <= 1e-12 * np.abs(V).max()
+    # V = alpha + beta . mu - U cancels O(1) terms, whose roundoff it keeps
+    # even where it is small (short times)
+    S = system.sc.alpha + np.tensordot(want[0], system.sc.beta.sections, 1)
+    scales = (np.abs(want[0]).max(), max(np.abs(want[1]).max(), np.abs(S).max()),
+              np.abs(want[2]).max())
+    for got, ref, scale in zip((mu, V, delta), want, scales):
+        assert np.abs(got - ref).max() <= 1e-12 * scale
+    assert np.abs(V - V.conj().transpose(0, 2, 1)).max() <= 1e-12 * scales[1]
     assert not V[0].any() and delta[0] == 0.0
 
 
@@ -457,19 +486,20 @@ def test_trajectory_keeps_maps_of_one_step(pauli):
     for grid in (np.linspace(0.0, 0.3, 101), np.linspace(0.0, 0.7, 301),
                  _grid("two runs", 200, 1.0)):
         moment_trajectory(system, init, None, grid)
-        assert list(prop._doubling) == [propagate.step_spacings(grid)[-1]]
-    size = sum(Phi.nbytes for Phi in prop._doubling[prop._traj_step])
-    assert size <= 5 * 16 * 16 * 8  # Phi over 1, 2, 4, 8 and 16 steps
+        [(step, maps)] = prop._traj_maps.items()
+        assert step == propagate.step_spacings(grid)[-1]
+    assert sum(Phi.nbytes for Phi in maps) <= 5 * 16 * 16 * 8  # Phi over 1, ..., 16 steps
     moment_trajectory(system, init, None, _grid("geometric", 30, 1.0))
-    assert list(prop._doubling) == []
+    assert prop._traj_maps == {}
 
-    # the march's maps stay kept next to a trajectory's, and the other way round
+    # a march and a trajectory each keep their own maps, whatever ran between
     weights = weighting_from_sigma(np.eye(system.n))
     grid = np.linspace(0.0, 0.5, 501)
     for _ in range(2):
         moment_trajectory(system, init, weights, grid)
         decoherence_time(system, init, weights, 0.05)
-        assert set(prop._doubling) == {propagate.step_spacings(grid)[-1], prop._march.step}
+        assert list(prop._traj_maps) == [propagate.step_spacings(grid)[-1]]
+        assert np.array_equal(prop._march.maps[0], prop.transition(prop._march.step))
 
 
 @functools.lru_cache(maxsize=None)
