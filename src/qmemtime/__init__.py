@@ -11,9 +11,8 @@ its small-threshold expansion over the energy vector of one system or
 the direct coupling vector of two.
 """
 
-from .algebra import (SectionArray, StructureConstants, col, pauli_structure,
-                      sections_diamond, sections_dot, stack_mho,
-                      validate_structure)
+from .algebra import (StructureConstants, col, pauli_structure, sections_diamond,
+                      sections_dot, stack_mho, validate_structure)
 from .decoherence import (INFINITE, CrossingOptions, DecoherenceExpansion,
                           DecoherenceTime, decoherence_time, tau_expansion,
                           tau_hat)

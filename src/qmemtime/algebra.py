@@ -12,9 +12,12 @@ vanish for every family of matrices that realizes them.
 
 Conventions
 -----------
-A three-index array gamma_jkl is stored as a stack of n "sections":
-``stack[l]`` is the n-by-n matrix gamma_(..l) with the third index fixed.
-``col`` is column-major vectorization, so ``col(2 Theta diamond E)`` equals
+A three-index array gamma_jkl is an (n, n, n) ndarray, read-only in
+:class:`StructureConstants`, with ``gamma[l, j, k] = gamma_jkl``.  So ``gamma[l]`` is the "section"
+gamma_(..l), the n-by-n matrix with the third index fixed;
+``gamma[:, :, k].T`` is (gamma_jkl)_{jl}, the middle index fixed; and
+``gamma[:, l, :].T`` is (gamma_lab)_{ab}, the first index fixed.  ``col``
+is column-major vectorization, so ``col(2 Theta diamond E)`` equals
 ``2 mho @ E`` with ``mho`` the vertical stack of Theta sections.
 """
 
@@ -34,63 +37,15 @@ def col(mat):
     return np.asarray(mat).reshape(-1, order="F")
 
 
-class SectionArray:
-    """A complex n-by-n-by-n array stored as a stack of n sections.
-
-    ``sections[l]`` is the matrix gamma_(..l); accessors expose the other
-    two slicing directions so formulas can be transcribed literally.
-    """
-
-    __slots__ = ("sections",)
-
-    def __init__(self, sections):
-        arr = np.asarray(sections)
-        if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[1] != arr.shape[2]:
-            raise ValueError(f"expected an (n, n, n) section stack, got shape {arr.shape}")
-        arr = np.array(arr, dtype=complex if np.iscomplexobj(arr) else float)
-        arr.setflags(write=False)
-        self.sections = arr
-
-    @property
-    def n(self):
-        return self.sections.shape[0]
-
-    def section(self, ell):
-        """Section gamma_l: the matrix (gamma_jkl)_{jk} with l fixed."""
-        return self.sections[ell]
-
-    def mid_slice(self, k):
-        """The matrix (gamma_jkl)_{jl} with the middle index k fixed."""
-        return self.sections[:, :, k].T
-
-    def first_slice(self, ell):
-        """The matrix (gamma_lab)_{ab} with the first index fixed."""
-        return self.sections[:, ell, :].T
-
-    def entry(self, j, k, ell):
-        return self.sections[ell, j, k]
-
-    def __eq__(self, other):
-        return isinstance(other, SectionArray) and np.array_equal(self.sections, other.sections)
-
-    def __repr__(self):
-        return f"SectionArray(n={self.n}, dtype={self.sections.dtype})"
-
-
-def _as_stack(gamma):
-    return gamma.sections if isinstance(gamma, SectionArray) else np.asarray(gamma)
-
-
 def sections_dot(gamma, u):
     """Section-weighted sum: gamma . u = sum_l gamma_l u_l.
 
-    Linear in ``u``; column k of the result equals ``mid_slice(k) @ u``.
+    Linear in ``u``; column k of the result equals ``gamma[:, :, k].T @ u``.
     """
-    stack = _as_stack(gamma)
-    u = np.asarray(u)
-    if u.shape != (stack.shape[0],):
-        raise ValueError(f"vector length {u.shape} does not match {stack.shape[0]} sections")
-    return np.einsum("ljk,l->jk", stack, u)
+    gamma, u = np.asarray(gamma), np.asarray(u)
+    if u.shape != (gamma.shape[0],):
+        raise ValueError(f"vector length {u.shape} does not match {gamma.shape[0]} sections")
+    return np.einsum("ljk,l->jk", gamma, u)
 
 
 def sections_diamond(gamma, u):
@@ -99,11 +54,10 @@ def sections_diamond(gamma, u):
     Related to :func:`sections_dot` by (gamma . u) v = (gamma <> v) u for
     commuting numeric vectors.
     """
-    stack = _as_stack(gamma)
-    u = np.asarray(u)
-    if u.shape != (stack.shape[0],):
-        raise ValueError(f"vector length {u.shape} does not match {stack.shape[0]} sections")
-    return np.einsum("kjl,l->jk", stack, u)
+    gamma, u = np.asarray(gamma), np.asarray(u)
+    if u.shape != (gamma.shape[0],):
+        raise ValueError(f"vector length {u.shape} does not match {gamma.shape[0]} sections")
+    return np.einsum("kjl,l->jk", gamma, u)
 
 
 def stack_mho(theta):
@@ -112,9 +66,8 @@ def stack_mho(theta):
     Satisfies col(Theta <> (2E)) = 2 mho @ E and
     mho.T @ col(S) = sum_k Theta_k.T @ S[:, k].
     """
-    stack = _as_stack(theta)
-    n = stack.shape[0]
-    return stack.reshape(n * n, n)
+    n = len(theta)
+    return np.reshape(theta, (n * n, n))
 
 
 class StructureConstants:
@@ -124,54 +77,50 @@ class StructureConstants:
     ----------
     alpha : (n, n) array_like
         Real symmetric coefficient of the identity in each product.
-    beta : (n, n, n) array_like or SectionArray
-        Stack of complex Hermitian sections beta_l weighting the variables.
+    beta : (n, n, n) array_like
+        Complex Hermitian sections, ``beta[l] = beta_l``, weighting the
+        variables.
 
     Construction symmetrizes alpha and Hermitizes the beta sections when
     the defect is below ``REPAIR_TOL`` and rejects larger defects.  The
-    commutation array ``theta = Im(beta)`` is derived and cached; its
-    sections are real antisymmetric.
+    commutation array ``theta = Im(beta)``, with real antisymmetric
+    sections, and ``re_beta = Re(beta)`` are derived once.  All four
+    arrays are read-only, so whatever is derived from them stays valid.
     """
 
-    __slots__ = ("n", "alpha", "beta", "theta", "re_beta", "mho")
+    __slots__ = ("n", "alpha", "beta", "theta", "re_beta")
 
     def __init__(self, alpha, beta):
         alpha = np.array(np.asarray(alpha), dtype=float)
         if alpha.ndim != 2 or alpha.shape[0] != alpha.shape[1]:
             raise ValueError(f"alpha must be square, got shape {alpha.shape}")
         n = alpha.shape[0]
-        stack = np.array(_as_stack(beta), dtype=complex)
-        if stack.shape != (n, n, n):
-            raise ValueError(f"beta stack shape {stack.shape} does not match n={n}")
+        beta = np.array(beta, dtype=complex)
+        if beta.shape != (n, n, n):
+            raise ValueError(f"beta stack shape {beta.shape} does not match n={n}")
 
-        report = validate_structure(alpha, stack, tol=REPAIR_TOL)
+        report = validate_structure(alpha, beta, tol=REPAIR_TOL)
         if not report.passed:
             raise StructureDefectError(
                 f"structure-constant defect {report.worst_defect:.3e} at {report.worst_index} "
                 f"exceeds repair tolerance {REPAIR_TOL:g}"
             )
 
-        alpha = (alpha + alpha.T) / 2.0
-        stack = (stack + np.conj(np.transpose(stack, (0, 2, 1)))) / 2.0
-
+        self.n = n
+        self.alpha = (alpha + alpha.T) / 2.0
+        self.beta = (beta + np.conj(np.transpose(beta, (0, 2, 1)))) / 2.0
         # Im of a Hermitized section is exactly antisymmetric:
         # (a - b) / 2 == -((b - a) / 2) in IEEE arithmetic.
-        theta = stack.imag.copy()
-
-        self.n = n
-        self.alpha = alpha
-        self.beta = SectionArray(stack)
-        self.theta = SectionArray(theta)
-        self.re_beta = SectionArray(stack.real.copy())
-        self.mho = stack_mho(self.theta)
-        self.alpha.setflags(write=False)
-        self.mho.setflags(write=False)
+        self.theta = self.beta.imag.copy()
+        self.re_beta = self.beta.real.copy()
+        for arr in (self.alpha, self.beta, self.theta, self.re_beta):
+            arr.setflags(write=False)
 
     def __eq__(self, other):
         return (
             isinstance(other, StructureConstants)
             and np.array_equal(self.alpha, other.alpha)
-            and self.beta == other.beta
+            and np.array_equal(self.beta, other.beta)
         )
 
     def __repr__(self):
@@ -205,12 +154,13 @@ def validate_structure(alpha, beta, tol=1e-12):
     """Measure how far (alpha, beta) are from a valid constant set.
 
     Reports the largest asymmetry of alpha, the largest non-Hermiticity
-    over the beta sections, and the largest symmetry defect of the
-    imaginary parts, together with the location of the worst offender.
-    Passes iff every defect is at most ``tol``.
+    over the sections ``beta[l]``, and the largest symmetry defect of their
+    imaginary parts, together with the location of the worst offender,
+    given as (j, k, l) of beta_jkl.  Passes iff every defect is at most
+    ``tol``.
     """
     alpha = np.asarray(alpha, dtype=float)
-    stack = np.asarray(_as_stack(beta), dtype=complex)
+    beta = np.asarray(beta, dtype=complex)
     n = alpha.shape[0]
 
     d_alpha = np.abs(alpha - alpha.T)
@@ -218,13 +168,12 @@ def validate_structure(alpha, beta, tol=1e-12):
     a_idx = tuple(int(i) for i in np.unravel_index(int(d_alpha.argmax()),
                                                    d_alpha.shape)) if n else (0, 0)
 
-    d_beta = np.abs(stack - np.conj(np.transpose(stack, (0, 2, 1))))
+    d_beta = np.abs(beta - np.conj(np.transpose(beta, (0, 2, 1))))
     beta_defect = float(d_beta.max())
     b_flat = np.unravel_index(int(d_beta.argmax()), d_beta.shape)
-    # Stack layout is (section, row, col); report as (row, col, section).
     b_idx = (int(b_flat[1]), int(b_flat[2]), int(b_flat[0]))
 
-    theta = stack.imag
+    theta = beta.imag
     d_theta = np.abs(theta + np.transpose(theta, (0, 2, 1)))
     theta_defect = float(d_theta.max())
     t_flat = np.unravel_index(int(d_theta.argmax()), d_theta.shape)
@@ -261,7 +210,7 @@ def _product_table(sc):
     T = np.zeros((n + 1, n + 1, n + 1), dtype=complex)
     T[0] = T[:, 0] = np.eye(n + 1)
     T[1:, 1:, 0] = sc.alpha
-    T[1:, 1:, 1:] = np.transpose(sc.beta.sections, (1, 2, 0))
+    T[1:, 1:, 1:] = np.transpose(sc.beta, (1, 2, 0))
     return T
 
 
@@ -275,5 +224,5 @@ def _table_defects(T, theta):
     # memory at order n^3.
     assoc = max(float(np.abs(np.tensordot(Ta, T, 1) - T @ Ta).max()) for Ta in T)
     comm = T[1:, 1:] - np.transpose(T[1:, 1:], (1, 0, 2))
-    comm[..., 1:] -= 2j * np.transpose(_as_stack(theta), (1, 2, 0))
+    comm[..., 1:] -= 2j * np.transpose(theta, (1, 2, 0))
     return assoc, float(np.abs(comm).max())

@@ -332,7 +332,7 @@ def _cmd_validate(cfg, args):
         tol = 1e-12
         # Measure the constants as given: parsing repaired (and bounded) them.
         node = cfg.tree["system"]
-        raw = ((sc.alpha, sc.beta.sections) if node == "pauli" else
+        raw = ((sc.alpha, sc.beta) if node == "pauli" else
                (node["alpha"], np.add(node["beta_real"], 1j * np.array(node["beta_imag"]))))
         report = validate_structure(*raw)
         lines.append(f"structure ok (worst defect {_fmt(report.worst_defect)})")
@@ -403,8 +403,8 @@ def _cmd_optimize_coupling(cfg, args):
     if comp is None:
         raise ConfigError("optimize-coupling requires a composite system config",
                           field="system")
-    e1 = _cli_vector(args.e1, comp.n1, "--e1") if args.e1 else comp.E1
-    e2 = _cli_vector(args.e2, comp.n2, "--e2") if args.e2 else comp.E2
+    e1 = _cli_vector(args.e1, comp.n1, "--e1") if args.e1 is not None else comp.E1
+    e2 = _cli_vector(args.e2, comp.n2, "--e2") if args.e2 is not None else comp.E2
     blocks = partition_rk(comp, cfg.init, cfg.weights)
     sol = optimal_direct_coupling(blocks, e1, e2)
     lines = [
@@ -484,7 +484,7 @@ def _apply_overrides(cfg, args):
     """``cfg`` with the analysis entries that flags override: each flag is
     checked under its own name, and the merged tree is parsed again."""
     updates = {}
-    if args.eps:
+    if args.eps is not None:
         try:
             eps = [float(v) for v in args.eps.split(",")]
         except ValueError as exc:

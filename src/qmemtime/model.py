@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import StructureConstants, col, sections_diamond
+from .algebra import StructureConstants, col, sections_diamond, stack_mho
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,6 @@ class CoefficientSet:
     b: np.ndarray
     C: np.ndarray
     d: np.ndarray
-    Mho: np.ndarray
     Omega: np.ndarray
     J: np.ndarray
 
@@ -145,12 +144,12 @@ def coefficients(sys):
     A0 = 2 Theta <> E,
     Atilde = 2 Theta <> (M^T J N)
              + 2 sum_l Theta_l M^T (M theta_(l..) + J M Re(beta)_(l..)),
-    b = -2 mho^T col(M^T J M alpha),
+    b = -2 mho^T col(M^T J M alpha), with mho = stack_mho(Theta),
     C = 2 D J M and d = 2 D J N when an output selector is present.
 
-    The slices theta_(l..) and Re(beta)_(l..) fix the *first* array index,
-    which differs from the sections (third index fixed) for arrays without
-    full index symmetry.
+    The slices theta_(l..) = ``theta[:, l, :].T`` and Re(beta)_(l..) fix
+    the *first* array index, which differs from the sections (third index
+    fixed) for arrays without full index symmetry.
     """
     sc, M, N = sys.sc, sys.M, sys.N
     n, m = sys.n, sys.m
@@ -162,12 +161,12 @@ def coefficients(sys):
     MtJN = M.T @ (J @ N)
     acc = np.zeros((n, n))
     for ell in range(n):
-        inner = M @ theta.first_slice(ell) + J @ (M @ sc.re_beta.first_slice(ell))
-        acc += theta.section(ell) @ (M.T @ inner)
+        inner = M @ theta[:, ell, :].T + J @ (M @ sc.re_beta[:, ell, :].T)
+        acc += theta[ell] @ (M.T @ inner)
     Atilde = 2.0 * sections_diamond(theta, MtJN) + 2.0 * acc
 
     S = M.T @ J @ M @ sc.alpha
-    b = -2.0 * sc.mho.T @ col(S)
+    b = -2.0 * stack_mho(theta).T @ col(S)
 
     C = d = None
     if sys.D is not None:
@@ -175,7 +174,7 @@ def coefficients(sys):
         d = 2.0 * sys.D @ J @ N
 
     return CoefficientSet(A0=A0, Atilde=Atilde, A=A0 + Atilde, b=b, C=C, d=d,
-                          Mho=sc.mho.copy(), Omega=Omega, J=J)
+                          Omega=Omega, J=J)
 
 
 def lambda_sandwich(sys, mu):
@@ -186,8 +185,8 @@ def lambda_sandwich(sys, mu):
     n = sys.n
     Omega, _ = ito_matrix(sys.m)
     G = sys.M.T @ Omega @ sys.M
-    th = sys.sc.theta.sections
-    Pi = sys.sc.alpha + (mu @ sys.sc.beta.sections.reshape(n, n * n)).reshape(n, n)
+    th = sys.sc.theta
+    Pi = sys.sc.alpha + (mu @ sys.sc.beta.reshape(n, n * n)).reshape(n, n)
     W = G @ (Pi @ th.reshape(n, n * n)).reshape(n, n, n)  # G sum_k Pi_jk Theta_k, for each j
     return 4.0 * th.reshape(n * n, n).T @ W.reshape(n * n, n)
 

@@ -109,15 +109,16 @@ class Propagator:
     part), the isolated drifts ``D`` with A0 = sum_l E_l D_l, the closure
     alpha + beta . mu and its defect, whether the diffusion vanishes, the
     last :meth:`march` built, the maps of the last :meth:`trajectory`'s
-    longest run, the steady-state :meth:`limits` and the Lyapunov norm of
-    :meth:`contraction`.  :meth:`of` shares one per system."""
+    longest run, the steady state of :meth:`mean_limit` and :meth:`limits`
+    and the Lyapunov norm of :meth:`contraction`.  :meth:`of` shares one
+    per system."""
 
     def __init__(self, sys):
         co = coefficients(sys)
         self.n = n = sys.n
         sc = sys.sc
-        self.alpha, self.beta, self.re_beta = sc.alpha, sc.beta.sections, sc.re_beta.sections
-        self.D = np.ascontiguousarray(2.0 * sc.theta.sections.transpose(2, 1, 0))  # 2 Theta <> e_l
+        self.alpha, self.beta, self.re_beta = sc.alpha, sc.beta, sc.re_beta
+        self.D = np.ascontiguousarray(2.0 * sc.theta.transpose(2, 1, 0))  # 2 Theta <> e_l
         #: The full second moment alpha + beta . mu is (mu, 1) @ moment_f on
         #: a real view: rows beta_l, then alpha.
         moment = np.concatenate([self.beta, self.alpha[None] + 0j])
@@ -144,7 +145,7 @@ class Propagator:
         self.rho = max(1.0, math.hypot(self.norm_a, float(np.linalg.norm(co.b))))
         self._march = None
         self._traj_maps = {}  # {spacing: maps over 2^i spacings}, one entry at most
-        self._limits = None
+        self._mu_inf = self._limits = None
         self._contraction = None
         self._defect = None
 
@@ -198,23 +199,29 @@ class Propagator:
                 f"(relative defect {self._defect:.3e} > {CLOSURE_TOL:g}); the "
                 f"structure constants are not associative")
 
+    def mean_limit(self):
+        """The steady-state mean mu_inf = -A^{-1} b of a Hurwitz drift,
+        derived by the first call that succeeds and kept read-only; a drift
+        that is not Hurwitz raises :class:`NotHurwitzError` on every call."""
+        _require_margin(self.margin, context="the steady-state mean")
+        if self._mu_inf is None:
+            self._mu_inf = -np.linalg.solve(self.A, self.b)
+            self._mu_inf.setflags(write=False)
+        return self._mu_inf
+
     def limits(self):
         """Steady-state mean, diffusion matrix and second moment
         (mu_inf, Lambda_inf, P_inf) of a Hurwitz drift, read off the closure:
         P_inf = alpha + Re beta . mu_inf - mu_inf mu_inf^T, which solves A P
         + P A^T + Re Lambda_inf = 0 since S' = 0 at A mu_inf + b = 0.
-
-        They depend only on the system, so the first call that succeeds
-        derives them and keeps them, read-only; a drift that is not
-        Hurwitz raises :class:`NotHurwitzError` on every call.
+        Kept like :meth:`mean_limit`, which alone serves the march.
         """
-        _require_margin(self.margin, context="the steady-state mean")
+        mu_inf = self.mean_limit()
         if self._limits is None:
-            mu_inf = -np.linalg.solve(self.A, self.b)
             lam_inf = self.lam(mu_inf)
             P_inf = self.alpha + np.tensordot(mu_inf, self.re_beta, 1) - np.outer(mu_inf, mu_inf)
             P_inf = (P_inf + P_inf.T) / 2.0
-            for arr in (mu_inf, lam_inf, P_inf):
+            for arr in (lam_inf, P_inf):
                 arr.setflags(write=False)
             self._limits = (mu_inf, lam_inf, P_inf)
         return self._limits
@@ -401,8 +408,8 @@ class DeviationMarch:
     them, by a product from the right (with Phi_s^T and Phi_s).  Row j of
     the table holds L Phi_step^(j + 1), so Delta at the next nodes is one
     product of the table with the state.  The rows double, by one matrix
-    product, when a run needs more, up to ``ROW_BUDGET``; the table's
-    storage is taken once at that cap, so growing it copies nothing.
+    product, when a run needs more; ``cap``, fixed by ``ROW_BUDGET``,
+    bounds the nodes tested at once and so the rows.
 
     The maps over 2^i steps, the rows and the Taylor rows of
     :meth:`refine` are built once for every call that shares the march; a
@@ -414,10 +421,8 @@ class DeviationMarch:
     def __init__(self, prop, L, step, maps=()):
         self.prop, self.step, self.L, self.n1 = prop, step, L, len(L)
         self.cap = 2 ** max(0, int(math.log2(ROW_BUDGET / (8 * L.size))))
-        self._table = np.empty((self.cap, L.size))
-        self.rows = self._table[:1]
         self.maps = maps  # Phi over 1, 2, 4, ... steps, grown by _maps
-        np.matmul(L, self._maps(1)[0], out=self.rows.reshape(L.shape))
+        self.rows = (L @ self._maps(1)[0]).reshape(1, -1)
         self._taylor = self._piece = self._limit = self._bound = None
 
     def _taylor_rows(self, terms):
@@ -447,19 +452,14 @@ class DeviationMarch:
 
     def _grow(self, rows):
         """The rows for twice as many nodes as ``rows``, kept for later
-        calls unless longer ones are.  Calls that share this march may grow
-        it at once: each reads only the rows it built or found, and all of
-        them write equal values."""
+        calls unless longer ones are."""
         k, n1 = len(rows), self.n1
         i = k.bit_length() - 1  # the rows span 2^i steps
-        table = self._table
-        if 2 * k > len(table):  # more nodes at once than the cap
-            table = self._table = np.concatenate([rows, np.empty_like(rows)])
-        np.matmul(rows.reshape(k * n1, n1), self._maps(i + 1)[i],
-                  out=table[k:2 * k].reshape(k * n1, n1))
-        if 2 * k > len(self.rows):
-            self.rows = table[:2 * k]
-        return table[:2 * k]
+        ahead = rows.reshape(k * n1, n1) @ self._maps(i + 1)[i]
+        rows = np.concatenate([rows, ahead.reshape(k, -1)])
+        if len(rows) > len(self.rows):
+            self.rows = rows
+        return rows
 
     def delta(self, x):
         return float(self.L.ravel() @ x)
@@ -468,7 +468,7 @@ class DeviationMarch:
         """Delta_inf = <L, Phi_inf^T> = g . mu_inf + L_nn of a Hurwitz
         drift, with g the last row of L; otherwise NotHurwitzError."""
         if self._limit is None:
-            self._limit = float(self.L[-1, :-1] @ self.prop.limits()[0] + self.L[-1, -1])
+            self._limit = float(self.L[-1, :-1] @ self.prop.mean_limit() + self.L[-1, -1])
         return self._limit
 
     def decay_bound(self):
@@ -489,7 +489,7 @@ class DeviationMarch:
             else:
                 Xh, Xih, rate, kappa = root
                 n = self.n1 - 1
-                K = self.L[:n, :n] - np.outer(self.prop.limits()[0], self.L[n, :n])
+                K = self.L[:n, :n] - np.outer(self.prop.mean_limit(), self.L[n, :n])
                 nuclear = float(np.linalg.svd(Xh @ K @ Xih, compute_uv=False).sum())
                 self._bound = (nuclear * (1.0 + 16.0 * n * n * kappa * np.finfo(float).eps), rate)
         return self._bound or None

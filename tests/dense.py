@@ -157,8 +157,8 @@ def check_algebra(rep, sc, tol=1e-10):
     if sc.n != n:
         raise ValueError(f"representation has {n} variables but constants have {sc.n}")
     eye = np.eye(d)
-    beta = sc.beta.sections
-    theta = sc.theta.sections
+    beta = sc.beta
+    theta = sc.theta
 
     prod_err = 0.0
     ccr_err = 0.0

@@ -65,10 +65,10 @@ def lambda_affine(sys):
     Holds for any constants, associative or not."""
     Omega, _ = ito_matrix(sys.m)
     G = sys.M.T @ Omega @ sys.M
-    th = sys.sc.theta.sections
+    th = sys.sc.theta
     T = np.einsum("jba,bc,kcd->jkad", th, G, th, optimize=True)
     C0 = 4.0 * np.einsum("jk,jkad->ad", sys.sc.alpha, T)
-    Cmu = 4.0 * np.einsum("ljk,jkad->lad", sys.sc.beta.sections, T, optimize=True)
+    Cmu = 4.0 * np.einsum("ljk,jkad->lad", sys.sc.beta, T, optimize=True)
     C0 = (C0 + C0.conj().T) / 2.0
     Cmu = (Cmu + np.conj(np.transpose(Cmu, (0, 2, 1)))) / 2.0
     return C0, Cmu
@@ -294,7 +294,7 @@ def forward_taylor(sys, init, Sigma, Phi, terms):
     mu0 = init.mu0
     Pd = init.P - np.outer(mu0, mu0)
     mu = Phi[:n] @ np.r_[mu0, 1.0]
-    S = sys.sc.alpha + np.tensordot(mu, sys.sc.re_beta.sections, axes=1)
+    S = sys.sc.alpha + np.tensordot(mu, sys.sc.re_beta, axes=1)
     E, c = Phi[:n, :n], 1.0
     out = []
     for k in range(terms + 1):

@@ -44,7 +44,7 @@ def criterion(num, title):
 def test_criterion_1_pauli_golden(pauli):
     fit = fit_structure_constants(qubit_representation())
     assert np.abs(fit.constants.alpha - np.eye(3)).max() <= 1e-12
-    assert np.abs(fit.constants.beta.sections - pauli.beta.sections).max() <= 1e-12
+    assert np.abs(fit.constants.beta - pauli.beta).max() <= 1e-12
 
 
 @criterion(2, "algebra and commutation checks, qubit and two-qubit composite")

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmemtime.algebra import (SectionArray, StructureConstants, _product_table,
-                              _table_defects, col, pauli_structure,
-                              sections_diamond, sections_dot, stack_mho,
+from qmemtime.algebra import (StructureConstants, _product_table, _table_defects, col,
+                              pauli_structure, sections_diamond, sections_dot, stack_mho,
                               validate_structure)
 from qmemtime.errors import StructureDefectError
 from qmemtime.interconnect import compose
@@ -23,21 +22,37 @@ THETA3 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 def test_pauli_structure_constants(pauli):
     assert np.array_equal(pauli.alpha, np.eye(3))
-    assert np.array_equal(pauli.theta.section(0), THETA1)
-    assert np.array_equal(pauli.theta.section(1), THETA2)
-    assert np.array_equal(pauli.theta.section(2), THETA3)
-    assert np.array_equal(pauli.beta.sections, 1j * pauli.theta.sections)
+    assert np.array_equal(pauli.theta[0], THETA1)
+    assert np.array_equal(pauli.theta[1], THETA2)
+    assert np.array_equal(pauli.theta[2], THETA3)
+    assert np.array_equal(pauli.beta, 1j * pauli.theta)
 
 
-def test_section_array_slice_consistency():
+def test_constants_are_read_only_arrays(pauli):
+    # a propagator keeps what it derives from the constants of its system
+    for name, ndim in (("alpha", 2), ("beta", 3), ("theta", 3), ("re_beta", 3)):
+        arr = getattr(pauli, name)
+        assert type(arr) is np.ndarray and arr.shape == (3,) * ndim
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+
+
+def test_theta_and_re_beta_are_parts_of_beta():
     rng = np.random.default_rng(0)
-    g = SectionArray(rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4)))
-    for j in range(4):
-        for k in range(4):
-            for ell in range(4):
-                assert g.section(ell)[j, k] == g.entry(j, k, ell)
-                assert g.mid_slice(k)[j, ell] == g.entry(j, k, ell)
-                assert g.first_slice(j)[k, ell] == g.entry(j, k, ell)
+    g = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
+    a = rng.standard_normal((4, 4))
+    sc = StructureConstants(a + a.T, g + np.conj(np.transpose(g, (0, 2, 1))))
+    assert sc.theta.dtype == sc.re_beta.dtype == float
+    assert sc.theta.tobytes() == sc.beta.imag.tobytes()
+    assert sc.re_beta.tobytes() == sc.beta.real.tobytes()
+
+
+def test_structure_constants_equal_by_value(pauli):
+    same = StructureConstants(pauli.alpha.copy(), pauli.beta.copy())
+    assert same is not pauli and same == pauli
+    assert StructureConstants(2.0 * pauli.alpha, pauli.beta) != pauli
+    assert StructureConstants(pauli.alpha, 2.0 * pauli.beta) != pauli
+    assert (pauli == pauli.beta) is False
 
 
 def test_sections_dot_zero(pauli):
@@ -51,7 +66,7 @@ def test_sections_dot_basis_vector_picks_section(pauli):
 def test_sections_dot_matches_loop_oracle(pauli):
     out = sections_dot(pauli.beta, np.array([0.0, 0.0, 4.0]))
     assert np.abs(out - 4j * THETA3).max() == 0.0
-    assert np.abs(out - dot_loop(pauli.beta.sections, [0, 0, 4])).max() == 0.0
+    assert np.abs(out - dot_loop(pauli.beta, [0, 0, 4])).max() == 0.0
 
 
 def test_sections_diamond_zero(pauli):
@@ -102,7 +117,7 @@ def test_stack_mho_zero():
 def test_stack_mho_pauli_rows(pauli):
     mho = stack_mho(pauli.theta)
     assert mho.shape == (9, 3)
-    assert np.array_equal(mho, mho_loop(pauli.theta.sections))
+    assert np.array_equal(mho, mho_loop(pauli.theta))
     assert np.array_equal(mho[0:3], THETA1)
     assert np.array_equal(mho[3:6], THETA2)
     assert np.array_equal(mho[6:9], THETA3)
@@ -116,14 +131,14 @@ def test_mho_vectorization_contract(pauli):
         lhs = col(2.0 * sections_diamond(pauli.theta, E))
         assert np.abs(np.asarray(lhs) - 2.0 * mho @ E).max() <= 1e-14
         S = rng.standard_normal((3, 3))
-        back = sum(pauli.theta.section(k).T @ S[:, k] for k in range(3))
+        back = sum(pauli.theta[k].T @ S[:, k] for k in range(3))
         assert np.abs(mho.T @ col_loop(S) - back).max() <= 1e-14
 
 
 def test_mho_sandwich_kron_identity(pauli):
     rng = np.random.default_rng(5)
     mho = stack_mho(pauli.theta)
-    th = pauli.theta.sections
+    th = pauli.theta
     for _ in range(10):
         P = rng.standard_normal((3, 3))
         P = P + P.T
@@ -135,7 +150,7 @@ def test_mho_sandwich_kron_identity(pauli):
 
 
 def test_validate_structure_pauli_passes(pauli):
-    report = validate_structure(pauli.alpha, pauli.beta.sections, tol=1e-14)
+    report = validate_structure(pauli.alpha, pauli.beta, tol=1e-14)
     assert report.passed
     assert report.worst_defect == 0.0
 
@@ -143,7 +158,7 @@ def test_validate_structure_pauli_passes(pauli):
 def test_validate_structure_locates_alpha_defect(pauli):
     alpha = pauli.alpha.copy()
     alpha[0, 2] += 1e-3
-    report = validate_structure(alpha, pauli.beta.sections, tol=1e-12)
+    report = validate_structure(alpha, pauli.beta, tol=1e-12)
     assert not report.passed
     assert report.worst_index[0] == "alpha"
     assert set(report.worst_index[1:]) == {0, 2}
@@ -151,7 +166,7 @@ def test_validate_structure_locates_alpha_defect(pauli):
 
 
 def test_validate_structure_flags_nonhermitian_section(pauli):
-    beta = pauli.beta.sections.copy()
+    beta = pauli.beta.copy()
     beta[1, 0, 2] += 1e-6
     report = validate_structure(pauli.alpha, beta, tol=1e-9)
     assert not report.passed
@@ -162,15 +177,15 @@ def test_construction_rejects_large_defects(pauli):
     alpha = pauli.alpha.copy()
     alpha[1, 0] += 5e-3
     with pytest.raises(StructureDefectError):
-        StructureConstants(alpha, pauli.beta.sections)
+        StructureConstants(alpha, pauli.beta)
 
 
 def test_construction_repairs_roundoff_defects(pauli):
     alpha = pauli.alpha.copy()
     alpha[1, 0] += 1e-14
-    sc = StructureConstants(alpha, pauli.beta.sections)
+    sc = StructureConstants(alpha, pauli.beta)
     assert np.array_equal(sc.alpha, sc.alpha.T)
-    th = sc.theta.sections
+    th = sc.theta
     assert np.array_equal(th, -np.transpose(th, (0, 2, 1)))
 
 
@@ -179,11 +194,11 @@ def test_theta_exactly_antisymmetric_after_repair(pauli, qutrit):
     # Im of each Hermitized section is antisymmetric to the last bit, for
     # constants with a non-Hermitian perturbation of 5e-13
     sc = fit_structure_constants(gell_mann_representation(3)).constants if qutrit else pauli
-    beta = sc.beta.sections + 5e-13j * np.random.default_rng(4).uniform(0.0, 1.0, (sc.n,) * 3)
+    beta = sc.beta + 5e-13j * np.random.default_rng(4).uniform(0.0, 1.0, (sc.n,) * 3)
     assert validate_structure(sc.alpha, beta, tol=1e-13).theta_defect > 1e-13
-    th = StructureConstants(sc.alpha, beta).theta.sections
+    th = StructureConstants(sc.alpha, beta).theta
     assert np.array_equal(th, -np.transpose(th, (0, 2, 1)))
-    assert np.abs(th - sc.theta.sections).max() <= 5e-13
+    assert np.abs(th - sc.theta).max() <= 5e-13
 
 
 def test_dimension_mismatch_rejected(pauli):
@@ -209,7 +224,7 @@ def _qutrit():
 
 
 def _scaled_spin(alpha_scale, theta_scale):
-    theta = pauli_structure().theta.sections
+    theta = pauli_structure().theta
     return StructureConstants(alpha_scale * np.eye(3), 1j * theta_scale * theta)
 
 
@@ -217,7 +232,7 @@ def _table_cases():
     q = qubit_representation()
     gm, qutrit = _qutrit()
     pauli = pauli_structure()
-    flipped = pauli.theta.sections.copy()
+    flipped = pauli.theta.copy()
     flipped[2, 0, 1], flipped[2, 1, 0] = -1.0, 1.0  # one orientation pair reversed
     return {
         "spin": (q, pauli, True),
@@ -244,7 +259,7 @@ def test_rotated_basis_passes_table_checks(seed, qutrit):
     beta'_m = sum_l R_ml R beta_l R^T, so its table checks pass."""
     sc = _qutrit()[1] if qutrit else pauli_structure()
     R, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((sc.n, sc.n)))
-    beta = np.einsum("ml,ja,kb,lab->mjk", R, R, R, sc.beta.sections)
+    beta = np.einsum("ml,ja,kb,lab->mjk", R, R, R, sc.beta)
     rotated = StructureConstants(R @ sc.alpha @ R.T, beta)
     assert max(_table_defects(_product_table(rotated), rotated.theta)) <= 1e-12
 
@@ -252,7 +267,7 @@ def test_rotated_basis_passes_table_checks(seed, qutrit):
 @pytest.mark.parametrize("c", [0.0, 0.5, -2.0, 3.0])
 def test_scaled_theta_fails_table_checks(pauli, c):
     T = _product_table(pauli)
-    assoc, ccr = _table_defects(T, c * pauli.theta.sections)
+    assoc, ccr = _table_defects(T, c * pauli.theta)
     assert assoc == 0.0
     assert ccr == pytest.approx(2.0 * abs(1.0 - c))
     # Scaling the constants themselves: X_j X_k X_k = c^2 X_j, not X_j.

@@ -55,8 +55,8 @@ def test_validate_reports_defect_of_given_constants(tmp_path, capsys):
     alpha[0][1] += 5e-13  # below the repair tolerance, so the config parses
     tree = json.loads(json.dumps(PAULI_WORKED))
     tree["system"] = {"alpha": alpha.tolist(),
-                      "beta_real": sc.beta.sections.real.tolist(),
-                      "beta_imag": sc.beta.sections.imag.tolist()}
+                      "beta_real": sc.beta.real.tolist(),
+                      "beta_imag": sc.beta.imag.tolist()}
     assert main(["validate", "--config", _write(tmp_path, tree)]) == 0
     first = capsys.readouterr().out.splitlines()[0]
     assert first.startswith("structure ok (worst defect ")
@@ -71,13 +71,13 @@ def test_validate_composite(tmp_path, capsys):
 
 
 def _inline(sc):
-    return {"alpha": sc.alpha.tolist(), "beta_real": sc.beta.sections.real.tolist(),
-            "beta_imag": sc.beta.sections.imag.tolist()}
+    return {"alpha": sc.alpha.tolist(), "beta_real": sc.beta.real.tolist(),
+            "beta_imag": sc.beta.imag.tolist()}
 
 
 def test_validate_rescaled_spin_composite(tmp_path, capsys):
     c = 2.0  # rescaled spin variables X' = cX: associative, not the spin algebra
-    scaled = StructureConstants(c * c * np.eye(3), c * pauli_structure().beta.sections)
+    scaled = StructureConstants(c * c * np.eye(3), c * pauli_structure().beta)
     tree = json.loads(json.dumps(COMPOSITE))
     tree["system"] = {"composite": {"sub1": _inline(scaled), "sub2": "pauli"}}
     code = main(["validate", "--config", _write(tmp_path, tree)])
@@ -89,7 +89,7 @@ def test_validate_rescaled_spin_composite(tmp_path, capsys):
 
 def test_validate_non_associative_structure_fails(tmp_path, capsys):
     # alpha = 2I with the spin theta: (X_1 X_2) X_2 = X_1 but X_1 (X_2 X_2) = 2 X_1.
-    bad = StructureConstants(2.0 * np.eye(3), pauli_structure().beta.sections)
+    bad = StructureConstants(2.0 * np.eye(3), pauli_structure().beta)
     tree = json.loads(json.dumps(PAULI_WORKED))
     tree["system"] = _inline(bad)
     code = main(["validate", "--config", _write(tmp_path, tree)])
@@ -276,6 +276,14 @@ def test_config_error_exit_codes(tmp_path, capsys):
     for flag, val in (("--e1", "nan,0,0"), ("--e2", "0,inf,0")):
         assert main(["optimize-coupling", "--config", composite, flag, val]) == 2
         assert f"config error: {flag}: " in capsys.readouterr().err
+
+    # an empty value is rejected, not taken for a missing flag
+    for command, config, flag in (("tau", worked, "--eps"),
+                                  ("optimize-coupling", composite, "--e1"),
+                                  ("optimize-coupling", composite, "--e2")):
+        assert main([command, "--config", config, flag, ""]) == 2
+        assert f"config error: {flag} must be a comma-separated number list" in \
+            capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_unloaded():

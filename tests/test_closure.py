@@ -56,7 +56,7 @@ def test_closure_forms_match_kronecker_oracles(case):
     else:
         system, init = _composite_case() if case == "composite" else _qubit_qutrit_case()
     if case == "qubit-qutrit":
-        assert np.abs(system.sc.re_beta.sections).max() > 0.1
+        assert np.abs(system.sc.re_beta).max() > 0.1
     system = dataclasses.replace(system)
     weights = _random_weights(system.n, 22)
     mu = 0.3 * np.random.default_rng(23).standard_normal(system.n)
@@ -88,9 +88,9 @@ def test_guard_needs_the_second_mean(kind):
     # the pseudo-random probe mean shows.
     spin = pauli_structure()
     if kind.startswith("alpha I"):
-        bad = StructureConstants(np.eye(3), 2j * spin.theta.sections)
+        bad = StructureConstants(np.eye(3), 2j * spin.theta)
     else:
-        bad = StructureConstants(2.0 * np.eye(3), spin.beta.sections)
+        bad = StructureConstants(2.0 * np.eye(3), spin.beta)
     system = _spin_couplings(bad, 31)
     prop = Propagator(system)
     zero = np.zeros(3)
@@ -112,7 +112,7 @@ def test_guard_needs_the_second_mean(kind):
 
 def test_guard_accepts_associative_constants():
     spin = pauli_structure()
-    rescaled = StructureConstants(4.0 * np.eye(3), 2.0 * spin.beta.sections)  # X' = 2X
+    rescaled = StructureConstants(4.0 * np.eye(3), 2.0 * spin.beta)  # X' = 2X
     for system in (_spin_couplings(spin, 32), _spin_couplings(rescaled, 33),
                    _qubit_qutrit_case()[0]):
         prop = Propagator(system)

@@ -13,6 +13,7 @@ from qmemtime.errors import (InconclusiveCrossingError, TrivialWeightError,
 from qmemtime.model import SystemParams
 from qmemtime.moments import (deviation_delta, initial_moments,
                               weighting_from_sigma)
+from qmemtime.propagate import Propagator
 
 from dense import fit_structure_constants
 from oracles import first_crossing_scan, gell_mann_representation
@@ -40,6 +41,17 @@ def test_crossing_search_skips_second_derivative(worked, monkeypatch):
     assert result.value == pytest.approx(0.009509216904640197, rel=1e-14)
     assert result.bracket == pytest.approx((0.009509216785430909, 0.009509217023849487),
                                            rel=1e-14)
+
+
+def test_certificate_derives_no_diffusion(worked, monkeypatch):
+    # the certificate needs the steady mean alone, not Lambda_inf or P_inf
+    calls = []
+    monkeypatch.setattr(Propagator, "lam",
+                        lambda self, *a, f=Propagator.lam: calls.append(a) or f(self, *a))
+    result = decoherence_time(dataclasses.replace(worked.sys), worked.init,
+                              worked.weights, 2.5)
+    assert result.is_infinite
+    assert calls == []
 
 
 def test_worked_crossing_against_dense_scan(worked):

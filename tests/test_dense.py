@@ -22,7 +22,7 @@ def test_fit_recovers_spin_constants():
     fit = fit_structure_constants(qubit_representation())
     pauli = pauli_structure()
     assert np.abs(fit.constants.alpha - np.eye(3)).max() <= 1e-12
-    assert np.abs(fit.constants.beta.sections - pauli.beta.sections).max() <= 1e-12
+    assert np.abs(fit.constants.beta - pauli.beta).max() <= 1e-12
     assert fit.residual <= 1e-12
 
 
@@ -60,7 +60,7 @@ def test_composite_alpha_block_diagonal():
 def test_composite_theta_sections_antisymmetric():
     q = qubit_representation()
     fit = fit_structure_constants(tensor_representation(q, q))
-    th = fit.constants.theta.sections
+    th = fit.constants.theta
     assert not np.iscomplexobj(th)
     assert np.abs(th + np.transpose(th, (0, 2, 1))).max() <= 1e-12
 
@@ -79,11 +79,11 @@ def test_check_algebra_golden_and_composite():
 
 
 def test_check_algebra_detects_flipped_ccr(pauli):
-    beta = pauli.beta.sections.copy()
+    beta = pauli.beta.copy()
     theta = beta.imag.copy()
     theta[2, 0, 1] = -1.0  # flip one orientation pair
     theta[2, 1, 0] = 1.0
-    bad = StructureConstants(pauli.alpha, pauli.beta.sections.real + 1j * theta)
+    bad = StructureConstants(pauli.alpha, pauli.beta.real + 1j * theta)
     report = check_algebra(qubit_representation(), bad, tol=1e-10)
     assert not report.passed
     assert report.ccr_error > 1e-2

@@ -173,7 +173,7 @@ def test_product_mean_layout():
 
 
 def test_compose_requires_known_representation(pauli):
-    theta = pauli.theta.sections.copy()
+    theta = pauli.theta.copy()
     sc = StructureConstants(2.0 * np.eye(3), 1j * theta)  # rescaled, not spin
     sub = SystemParams(sc=sc, E=np.zeros(3), M=np.zeros((2, 3)), N=np.zeros(2))
     with pytest.raises(RepresentationError):
@@ -187,7 +187,7 @@ def _assert_matches_dense_fit(sc1, sc2, rep1, rep2):
     fit = fit_structure_constants(tensor_representation(rep1, rep2)).constants
     assert closed.n == fit.n == sc1.n + sc2.n + sc1.n * sc2.n
     assert np.abs(closed.alpha - fit.alpha).max() <= 1e-10
-    assert np.abs(closed.beta.sections - fit.beta.sections).max() <= 1e-10
+    assert np.abs(closed.beta - fit.beta).max() <= 1e-10
 
 
 def test_compose_matches_dense_fit_qubit_pair(pauli):
@@ -204,7 +204,7 @@ def test_compose_matches_dense_fit_qubit_qutrit(pauli):
 def test_compose_rescaled_spin(pauli):
     """X' = cX is associative but not the spin algebra, so it composes."""
     c = 2.0
-    sc = StructureConstants(c * c * np.eye(3), c * pauli.beta.sections)
+    sc = StructureConstants(c * c * np.eye(3), c * pauli.beta)
     rep = Representation(tuple(c * x for x in qubit_representation().X))
     _assert_matches_dense_fit(sc, sc, rep, rep)
 

@@ -59,7 +59,7 @@ def test_atilde_uses_first_index_slices():
     secs = (secs + np.conj(np.transpose(secs, (0, 2, 1)))) / 2.0
     alpha = rng.standard_normal((n, n))
     sc = StructureConstants((alpha + alpha.T) / 2.0, secs)
-    th = sc.theta.sections
+    th = sc.theta
     assert np.abs(th[:, 0, :].T - th[0]).max() > 1e-3  # slices differ from sections
 
     M = rng.standard_normal((m, n))
@@ -73,7 +73,7 @@ def test_atilde_uses_first_index_slices():
         for k in range(n):
             for ell in range(n):
                 theta_flat[j, k, ell] = th[ell, j, k]
-                re_beta_flat[j, k, ell] = sc.beta.sections[ell, j, k].real
+                re_beta_flat[j, k, ell] = sc.beta[ell, j, k].real
     acc = np.zeros((n, n))
     for ell in range(n):
         acc += th[ell] @ M.T @ (M @ theta_flat[ell] + J @ M @ re_beta_flat[ell])

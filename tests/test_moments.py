@@ -166,7 +166,7 @@ def test_mean_limit_identity_drift(pauli, worked):
     co = coefficients(worked.sys)
     v = np.array([1.0, -2.0, 0.5])
     synthetic = type(co)(A0=np.zeros((3, 3)), Atilde=-np.eye(3), A=-np.eye(3),
-                         b=v, C=None, d=None, Mho=co.Mho, Omega=co.Omega, J=co.J)
+                         b=v, C=None, d=None, Omega=co.Omega, J=co.J)
     assert np.abs(mean_limit(synthetic) - v).max() <= 1e-14
 
 

@@ -455,7 +455,7 @@ def test_blocked_trajectory_matches_stepwise(make_instance, case, kind, nodes, t
     want = stepwise_trajectory(system, init, Sigma, grid)
     # V = alpha + beta . mu - U cancels O(1) terms, whose roundoff it keeps
     # even where it is small (short times)
-    S = system.sc.alpha + np.tensordot(want[0], system.sc.beta.sections, 1)
+    S = system.sc.alpha + np.tensordot(want[0], system.sc.beta, 1)
     scales = (np.abs(want[0]).max(), max(np.abs(want[1]).max(), np.abs(S).max()),
               np.abs(want[2]).max())
     for got, ref, scale in zip((mu, V, delta), want, scales):
@@ -524,7 +524,7 @@ def _closure_case(make_instance, case):
     rng = np.random.default_rng(case if case != "rescaled" else 7)
     if case == "rescaled":  # X' = 2X: associative, not the spin algebra
         spin = pauli_structure()
-        return random_instance(StructureConstants(4.0 * np.eye(3), 2.0 * spin.beta.sections), rng)
+        return random_instance(StructureConstants(4.0 * np.eye(3), 2.0 * spin.beta), rng)
     return make_instance(rng)
 
 
@@ -589,7 +589,7 @@ def test_limits_match_lyapunov_oracle(make_instance, case):
 def test_non_associative_table_raises_structure_defect(pauli):
     # alpha = 2I with the spin beta: (X_1 X_2) X_2 = X_1 but X_1 (X_2 X_2) = 2 X_1,
     # so S = Re E[X X^T] leaves alpha + Re beta . mu
-    bad = StructureConstants(2.0 * np.eye(3), pauli.beta.sections)
+    bad = StructureConstants(2.0 * np.eye(3), pauli.beta)
     system = SystemParams(sc=bad, E=np.array([0.3, -0.2, 0.5]),
                           M=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), N=np.zeros(2))
     init = initial_moments(bad, np.array([0.2, 0.0, 0.1]))
