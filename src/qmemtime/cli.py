@@ -451,9 +451,9 @@ def _cli_vector(text, length, flag):
     try:
         vals = [float(v) for v in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"{flag} must be a comma-separated number list") from exc
+        raise ConfigError("must be a comma-separated number list", field=flag) from exc
     if len(vals) != length:
-        raise ConfigError(f"{flag} expects {length} entries, got {len(vals)}")
+        raise ConfigError(f"expected {length} entries, got {len(vals)}", field=flag)
     return np.array([_finite_scalar(v, flag) for v in vals])
 
 
@@ -488,7 +488,7 @@ def _apply_overrides(cfg, args):
         try:
             eps = [float(v) for v in args.eps.split(",")]
         except ValueError as exc:
-            raise ConfigError("--eps must be a comma-separated number list") from exc
+            raise ConfigError("must be a comma-separated number list", field="--eps") from exc
         updates["eps"] = [_positive_scalar(e, "--eps") for e in eps]
     for f in _CROSSING:
         val = getattr(args, f.name)

@@ -4,13 +4,13 @@ The decoherence time tau(eps) is the first time the weighted mean-square
 deviation Delta(t) exceeds eps times the reference <Sigma, P> (the
 weighted size of the initial variables), with +infinity when no crossing
 ever occurs.  Delta may be non-monotone, so the search tests every node
-of a fixed-step grid in order, chunk by chunk on the transition matrix of
-the mean (see :mod:`qmemtime.propagate`), brackets the *first*
-up-crossing, and refines it by bisection on the exact Taylor expansion of
-Delta.  The rows that test the nodes and expand Delta do not depend on
-eps, so every eps of a curve reuses the march kept by
-:meth:`Propagator.march <qmemtime.propagate.Propagator.march>`, with the
-answer of a fresh search.
+of a fixed-step grid in order, brackets the *first* up-crossing, and
+refines it by bisection on the exact Taylor expansion of Delta.  The node
+values do not depend on eps: the march kept by :meth:`Propagator.march
+<qmemtime.propagate.Propagator.march>` keeps them in a node table, on a
+fixed schedule of chunks from t = 0 (see :mod:`qmemtime.propagate`), so
+every eps of a curve is one vectorized lookup there, with the answer of
+a fresh search, and only nodes past the table are marched.
 
 An infinite answer is certified by a provable bound.  For a Hurwitz drift
 Delta(s) - Delta_inf = tr(K E_s), and the Lyapunov norm of the drift
@@ -131,15 +131,15 @@ def _require_nontrivial(ref, init, weights):
 def decoherence_time(sys, init, weights, epsilon, opts=None):
     """First time the deviation exceeds ``epsilon`` times the reference.
 
-    Tests Delta at every node of the grid k * ``opts.step`` in order (so
-    the first crossing of a non-monotone Delta is the one bracketed), then
-    bisects the bracketing step to ``opts.tol``.  When the threshold clears
-    Delta_inf and the drift has a Lyapunov norm, the march ends at the
-    certification time t_c past which Delta stays below the threshold, and
-    finding no crossing returns an infinite result.  Otherwise exhausting
-    the horizon raises :class:`InconclusiveCrossingError` carrying the
-    marched supremum.  Non-associative constants raise
-    :class:`StructureDefectError`.
+    Finds the first node above the threshold on the grid k * ``opts.step``,
+    off the march's node table and past it (so the first crossing of a
+    non-monotone Delta is bracketed), and bisects that step to ``opts.tol``.
+    When the threshold clears Delta_inf and the drift has a Lyapunov norm,
+    the march ends at the certification time t_c past which Delta stays
+    below the threshold, and finding no crossing returns an infinite
+    result.  Otherwise exhausting the horizon raises
+    :class:`InconclusiveCrossingError` carrying the marched supremum.
+    Non-associative constants raise :class:`StructureDefectError`.
     """
     if not epsilon > 0:
         raise ValueError(f"fidelity parameter must be positive, got {epsilon}")
@@ -158,7 +158,7 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
         return DecoherenceTime(epsilon=epsilon, value=INFINITE,
                                threshold=threshold, bracket=None)
 
-    march, x0 = prop.march(init, weights.Sigma, step)
+    march = prop.march(init, weights.Sigma, step)
     # Past t_c, Delta(s) <= Delta_inf + B0 e^{-rate s} <= (1 - margin) threshold.
     t_c = INFINITE
     if prop.margin < -HURWITZ_TOL:
@@ -170,7 +170,7 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
 
     horizon = float(opts.horizon)
     nodes = max(0, int(math.ceil(min(horizon, t_c) / step - 1e-12)))
-    leg = march.run(x0, 0.0, nodes, threshold)
+    leg = march.run(nodes, threshold)
     if not leg.crossed:
         if t_c <= horizon:
             return DecoherenceTime(epsilon=epsilon, value=INFINITE,

@@ -22,20 +22,22 @@ equal spacings, the nodes [k, k + m) follow from the nodes [k - m, k) by
 the power of Phi over m steps, for m = 1, 2, 4, ... up to ``BLOCK`` and
 then m = ``BLOCK`` (see :meth:`Propagator.trajectory`).
 
-:class:`DeviationMarch` tests a chunk of grid nodes with one product
-against adjoint rows (the functional pulled back over 1, 2, ... steps),
-jumps across it by a power of Phi_step, and refines a bracketed node with
-one product against Taylor rows.  Those powers depend only on the system
-and the step, and the rows only on the functional and the step, so a
-:class:`Propagator` keeps one march, with its powers and rows: every eps
-of a tau(eps) curve reuses them, within ``ROW_BUDGET`` of rows per
-system.  A march still tests chunks of 1, 2, 4, ... nodes in every call,
-so its answer does not depend on which rows an earlier call left.  A
-trajectory keeps the powers of its longest run for the next one.
+:class:`DeviationMarch` tests the nodes from Phi_0 = I in chunks of 1,
+2, 4, ... up to a cap, then the cap, each with one product against
+adjoint rows (the functional pulled back over 1, 2, ... steps), jumps
+across a chunk by a power of Phi_step, and refines a bracketed node with
+one product against Taylor rows.  The powers depend only on the system
+and the step, the rows only on the functional and the step, and the
+schedule on neither eps nor earlier calls, so the march keeps the node
+values in a table.  A :class:`Propagator` keeps one march: every eps of
+a tau(eps) curve reads its crossing off the table, with the answer of a
+fresh search, and the rows, maps and node values a system keeps are
+bounded by ``ROW_BUDGET``.  A trajectory keeps its longest run's powers.
 """
 
 from __future__ import annotations
 
+import bisect
 import copy
 import math
 from dataclasses import dataclass, replace
@@ -47,8 +49,8 @@ from .linalg import (HURWITZ_TOL, _require_margin, _taylor_terms, expm_psi, hurw
                      solve_lyapunov, spectral_norm)
 from .model import _isolated_drift, coefficients, lambda_sandwich
 
-#: Bytes allowed for a march's table of adjoint rows; this fixes the
-#: longest chunk of nodes tested at once.
+#: Bytes allowed for a march's adjoint rows, which fixes the longest chunk
+#: of nodes tested at once, and again for its table of node values and states.
 ROW_BUDGET = 1 << 20
 
 #: Most grid nodes a trajectory advances by one map (a power of two).
@@ -301,20 +303,20 @@ class Propagator:
 
     def march(self, init, Sigma, step):
         """The :class:`DeviationMarch` of Delta = <L, Phi_t^T>, L of
-        :meth:`functional`, on the grid k * ``step``, and its state x0 =
-        Phi_0 = I at t = 0.
+        :meth:`functional`, on the grid k * ``step``.
 
-        The last march built is kept, with its maps and rows, and a later
-        call with the same L and step (another eps) reuses it; a new L on
-        the same step reuses its maps.  So a system keeps one row table and
-        the march maps of one step.
+        The last march built is kept, with its maps, rows and node table,
+        and a later call with the same L and step (another eps) reuses it;
+        a new L on the same step reuses its maps.  So a system keeps the
+        rows and table of one march, each within ``ROW_BUDGET``, and the
+        march maps of one step.
         """
         L = self.functional(init, Sigma)
         march = self._march
         if march is None or march.step != step or not np.array_equal(march.L, L):
             maps = march.maps if march is not None and march.step == step else ()
             march = self._march = DeviationMarch(self, L, step, maps)
-        return march, np.eye(self.n + 1).ravel()
+        return march
 
     def trajectory(self, init, Sigma, grid):
         """(mu, V, Delta) at the nodes of ``grid``.
@@ -384,12 +386,12 @@ class Propagator:
 
 @dataclass(frozen=True)
 class MarchResult:
-    """Outcome of marching Delta over the nodes t0 + k * step.
+    """Outcome of marching Delta over the nodes k * step from t = 0.
 
     If ``crossed``, Delta(t) = ``delta`` <= threshold < ``delta_next`` =
     Delta(t + step) and ``state`` belongs to t; otherwise t is the final
     node.  ``sup_delta`` is the largest Delta at the nodes marched below
-    the threshold, the starting node included.
+    the threshold, t = 0 included.
     """
 
     crossed: bool
@@ -401,21 +403,23 @@ class MarchResult:
 
 
 class DeviationMarch:
-    """Delta = <L, Phi_t^T> on the node grid k * step, for one functional L.
+    """Delta = <L, Phi_t^T> on the node grid k * step, for one functional L,
+    marched from Phi_0 = I at t = 0.
 
     The state x is Phi_t^T = [[E_t^T, 0], [w_t^T, 1]], flattened; kept
     transposed, it moves over s steps, and a row is pulled back over
     them, by a product from the right (with Phi_s^T and Phi_s).  Row j of
-    the table holds L Phi_step^(j + 1), so Delta at the next nodes is one
-    product of the table with the state.  The rows double, by one matrix
-    product, when a run needs more; ``cap``, fixed by ``ROW_BUDGET``,
-    bounds the nodes tested at once and so the rows.
+    ``rows`` holds L Phi_step^(j + 1), so Delta at a chunk's nodes is one
+    product of the rows with the state at its start.  Chunks have 1, 2,
+    4, ... nodes up to ``cap``, fixed by ``ROW_BUDGET``, then ``cap``,
+    whatever the threshold; the rows double, by one product, as needed.
 
-    The maps over 2^i steps, the rows and the Taylor rows of
-    :meth:`refine` are built once for every call that shares the march; a
-    run still tests chunks of 1, 2, 4, ... nodes however many rows are
-    kept.  The limit Delta_inf and the bound of :meth:`decay_bound` on the
-    approach to it are kept the same way.
+    ``table`` = (d, starts, states) keeps Delta at the nodes 0 ... K in d
+    and Phi_t^T at the chunk starts, the last of which is K; it grows by
+    whole chunks up to the node ``last``, within ``ROW_BUDGET``, and is
+    replaced whole, never written once kept.  The schedule is fixed, so
+    no answer depends on earlier calls.  Maps, rows, table, Taylor rows,
+    Delta_inf and :meth:`decay_bound` serve every call.
     """
 
     def __init__(self, prop, L, step, maps=()):
@@ -423,6 +427,11 @@ class DeviationMarch:
         self.cap = 2 ** max(0, int(math.log2(ROW_BUDGET / (8 * L.size))))
         self.maps = maps  # Phi over 1, 2, 4, ... steps, grown by _maps
         self.rows = (L @ self._maps(1)[0]).reshape(1, -1)
+        x0 = np.eye(self.n1).ravel()
+        self.table = (np.array([self.delta(x0)]), (0,), (x0,))
+        b, c = x0.nbytes, self.cap  # chunks of 1, 2, ..., c nodes, then m of c, fit:
+        m = (ROW_BUDGET - 16 * c - (c.bit_length() + 1) * b) // (8 * c + b)
+        self.last = (2 + m) * c - 1 if m >= 0 else 0
         self._taylor = self._piece = self._limit = self._bound = None
 
     def _taylor_rows(self, terms):
@@ -443,23 +452,26 @@ class DeviationMarch:
         """The state x moved by the transition matrix Phi."""
         return (x.reshape(self.n1, self.n1) @ Phi.T).ravel()
 
-    def _advance(self, x, nodes):
-        maps = self._maps(nodes.bit_length())
-        for i in range(nodes.bit_length()):
-            if nodes >> i & 1:
-                x = self._push(maps[i], x)
+    def _state(self, node, starts, states):
+        """Phi_t^T at ``node``, pushed from the last chunk start up to it."""
+        i = bisect.bisect_right(starts, node) - 1
+        x, rest = states[i], node - starts[i]
+        for i, Phi in enumerate(self._maps(rest.bit_length())):
+            if rest >> i & 1:
+                x = self._push(Phi, x)
         return x
 
-    def _grow(self, rows):
-        """The rows for twice as many nodes as ``rows``, kept for later
-        calls unless longer ones are."""
-        k, n1 = len(rows), self.n1
-        i = k.bit_length() - 1  # the rows span 2^i steps
-        ahead = rows.reshape(k * n1, n1) @ self._maps(i + 1)[i]
-        rows = np.concatenate([rows, ahead.reshape(k, -1)])
+    def _grow(self, count):
+        """The first ``count`` rows, doubled by one product at a time as
+        needed and kept for later calls unless longer ones are."""
+        rows, n1 = self.rows, self.n1
+        while len(rows) < count:
+            k, i = len(rows), len(rows).bit_length() - 1  # the rows span 2^i steps
+            ahead = rows.reshape(k * n1, n1) @ self._maps(i + 1)[i]
+            rows = np.concatenate([rows, ahead.reshape(k, -1)])
         if len(rows) > len(self.rows):
             self.rows = rows
-        return rows
+        return rows[:count]
 
     def delta(self, x):
         return float(self.L.ravel() @ x)
@@ -494,43 +506,50 @@ class DeviationMarch:
                 self._bound = (nuclear * (1.0 + 16.0 * n * n * kappa * np.finfo(float).eps), rate)
         return self._bound or None
 
-    def deltas_ahead(self, x, nodes):
-        """Delta at the next ``nodes`` nodes after the state x."""
-        rows = self.rows
-        while len(rows) < nodes:
-            rows = self._grow(rows)
-        return rows[:nodes] @ x
+    def _keep(self, table, chunks):
+        """Keep ``table`` extended by ``chunks`` (end node, Delta at the nodes,
+        end state) unless a longer one is kept: one copy of d per call."""
+        (d, starts, states), (ends, values, xs) = table, zip(*chunks)
+        if ends[-1] > self.table[1][-1]:
+            self.table = (np.concatenate([d, *values]), starts + ends, states + xs)
 
-    def run(self, x, t0, nsteps, threshold):
-        """March ``nsteps`` nodes from the node t0 (state x) to the first
-        node above ``threshold``; non-finite values raise
-        :class:`IntegrationError`.
-
-        The nodes are tested in chunks of 1, 2, 4, ... nodes, a chunk
-        twice as long after each full one, up to ``cap``.
-        """
-        done, chunk = 0, 1
-        sup = d_prev = self.delta(x)
-        while done < nsteps:
-            m = min(chunk, nsteps - done)
-            d = self.deltas_ahead(x, m)
-            above = ~(d <= threshold)
-            if above.any():
-                j = int(np.argmax(above))
-                if not math.isfinite(d[j]):
+    def run(self, nodes, threshold):
+        """March the nodes 1 ... ``nodes`` to the first node above
+        ``threshold``: the kept ones at once, then chunks from the table's
+        end, kept up to ``last``; non-finite values raise IntegrationError."""
+        d, starts, states = table = self.table
+        lo, k = 0, min(nodes, starts[-1])
+        vals, prev = d[1:k + 1], float(d[0])  # Delta at the nodes lo + 1 ... k, and at lo
+        sup, size, new = prev, 1 << min(len(starts) - 1, self.cap.bit_length() - 1), []
+        while True:
+            below = vals <= threshold  # False at a node above, or not finite
+            if not below.all():
+                j = int(np.argmin(below))  # the node lo + j + 1 is above
+                if not math.isfinite(vals[j]):
                     raise IntegrationError(
                         f"deviation march produced non-finite values near "
-                        f"t={t0 + (done + j) * self.step:.6g} (step {self.step:.3e})")
+                        f"t={(lo + j) * self.step:.6g} (step {self.step:.3e})")
                 if j:
-                    sup, d_prev = max(sup, float(d[:j].max())), float(d[j - 1])
-                return MarchResult(True, t0 + (done + j) * self.step, d_prev,
-                                   float(d[j]), self._advance(x, j), sup)
-            sup, d_prev = max(sup, float(d.max())), float(d[-1])
-            x = self._advance(x, m)
-            done += m
-            if m == chunk < self.cap:
-                chunk *= 2
-        return MarchResult(False, t0 + nsteps * self.step, d_prev, math.nan, x, sup)
+                    sup, prev = max(sup, float(vals[:j].max())), float(vals[j - 1])
+                result = MarchResult(True, (lo + j) * self.step, prev, float(vals[j]),
+                                     self._state(lo + j, starts, states), sup)
+                break
+            if len(vals):
+                sup, prev = max(sup, float(vals.max())), float(vals[-1])
+            if k == nodes:
+                result = MarchResult(False, nodes * self.step, prev, math.nan,
+                                     self._state(nodes, starts, states), sup)
+                break
+            x, i = states[-1], size.bit_length() - 1  # the next chunk, of 2^i nodes
+            d_new, x_end = self._grow(size) @ x, self._push(self._maps(i + 1)[i], x)
+            lo, k = k, min(k + size, nodes)
+            vals, starts, states = d_new[:k - lo], (lo, lo + size), (x, x_end)
+            if lo + size <= self.last:
+                new.append((lo + size, d_new, x_end))
+            size = min(2 * size, self.cap)
+        if new:
+            self._keep(table, new)
+        return result
 
     def refine(self, x, t_lo, threshold, tol):
         """Shrink the bracket [t_lo, t_lo + step] of a crossing to width

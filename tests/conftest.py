@@ -80,7 +80,7 @@ def marched_nodes(monkeypatch):
     runs = []
     run = DeviationMarch.run
     monkeypatch.setattr(DeviationMarch, "run",
-                        lambda self, *a: runs.append(a[2]) or run(self, *a))
+                        lambda self, nodes, *a: runs.append(nodes) or run(self, nodes, *a))
     return runs
 
 

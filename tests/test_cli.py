@@ -273,7 +273,8 @@ def test_config_error_exit_codes(tmp_path, capsys):
         assert "config error: analysis.grid.times: " in capsys.readouterr().err
 
     composite = _write(tmp_path, COMPOSITE, "composite.json")
-    for flag, val in (("--e1", "nan,0,0"), ("--e2", "0,inf,0")):
+    for flag, val in (("--e1", "nan,0,0"), ("--e2", "0,inf,0"), ("--e1", "0,0"),
+                      ("--e2", "0,x,0")):
         assert main(["optimize-coupling", "--config", composite, flag, val]) == 2
         assert f"config error: {flag}: " in capsys.readouterr().err
 
@@ -282,8 +283,7 @@ def test_config_error_exit_codes(tmp_path, capsys):
                                   ("optimize-coupling", composite, "--e1"),
                                   ("optimize-coupling", composite, "--e2")):
         assert main([command, "--config", config, flag, ""]) == 2
-        assert f"config error: {flag} must be a comma-separated number list" in \
-            capsys.readouterr().err
+        assert f"config error: {flag}: " in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -36,8 +36,8 @@ def _march(system, init, weights, step):
 
 def test_march_reports_bracket_state(worked):
     h = 1e-3
-    march, x0 = _march(worked.sys, worked.init, worked.weights, h)
-    res = march.run(x0, 0.0, 1000, 0.05)
+    march = _march(worked.sys, worked.init, worked.weights, h)
+    res = march.run(1000, 0.05)
     assert res.crossed
     assert res.delta <= 0.05 < res.delta_next
     assert res.t / h == pytest.approx(round(res.t / h), abs=1e-9)
@@ -46,6 +46,13 @@ def test_march_reports_bracket_state(worked):
     d = deviation_delta(worked.sys, worked.init, worked.weights,
                         np.array([0.0, res.t, res.t + h]))
     assert d[1] <= 0.05 < d[2]
+    # Delta rises, so the largest value below the threshold is the left
+    # node's; read off the kept table, the result is the same, bitwise
+    assert res.sup_delta == res.delta
+    again = march.run(1000, 0.05)
+    assert (again.t, again.delta, again.delta_next, again.sup_delta) == \
+        (res.t, res.delta, res.delta_next, res.sup_delta)
+    assert np.array_equal(again.state, res.state)
 
 
 def test_march_raises_on_non_finite_deviation(worked):
@@ -55,13 +62,13 @@ def test_march_raises_on_non_finite_deviation(worked):
     L[1, 2] = math.nan
     march = DeviationMarch(prop, L, 1e-3)
     with pytest.raises(IntegrationError, match="non-finite"):
-        march.run(np.eye(4).ravel(), 0.0, 100, 1e9)
+        march.run(100, 1e9)
 
 
 def test_march_no_crossing_returns_final_state(worked):
     h = 1e-3
-    march, x0 = _march(worked.sys, worked.init, worked.weights, h)
-    res = march.run(x0, 0.0, 50, 1e9)
+    march = _march(worked.sys, worked.init, worked.weights, h)
+    res = march.run(50, 1e9)
     assert not res.crossed
     assert res.t == pytest.approx(50 * h)
     assert math.isnan(res.delta_next)
@@ -86,6 +93,8 @@ def _two_qubit_composite(pauli):
 
 @pytest.mark.parametrize("case", [0, 1, "composite"])
 def test_chunked_delta_matches_stepwise(make_instance, pauli, case):
+    # the node table, filled chunk by chunk, against one push by the map
+    # over one step per node
     if case == "composite":
         system, init = _two_qubit_composite(pauli)
     else:
@@ -94,18 +103,22 @@ def test_chunked_delta_matches_stepwise(make_instance, pauli, case):
     prop = Propagator(system)
     h = 1e-3 / max(1.0, prop.norm_a)
     nodes = 700
-    march, x0 = prop.march(init, weights.Sigma, h)
-    chunked = march.deltas_ahead(x0, nodes)
+    march = prop.march(init, weights.Sigma, h)
+    march.run(nodes, math.inf)
+    d, starts, states = march.table
+    assert starts[-1] >= nodes and len(states) == len(starts)
 
-    stepwise, x = [], x0
-    for k in range(nodes):
-        x = march.run(x, k * h, 1, math.inf).state
+    stepwise, x = [], states[0]
+    for k in range(1, starts[-1] + 1):
+        x = march._push(march.maps[0], x)
         stepwise.append(march.delta(x))
-    assert np.abs(chunked - stepwise).max() <= 1e-10
+        if k in starts:
+            assert np.abs(states[starts.index(k)] - x).max() <= 1e-10
+    assert np.abs(d[1:starts[-1] + 1] - stepwise).max() <= 1e-10
 
     grid = np.arange(nodes + 1) * h
     traj = deviation_delta(system, init, weights, grid)
-    assert np.abs(chunked - traj[1:]).max() <= 1e-10
+    assert np.abs(d[1:nodes + 1] - traj[1:]).max() <= 1e-10
 
 
 def test_refine_long_step_matches_default(worked):
@@ -282,6 +295,71 @@ def test_decoherence_times_independent_of_history(pauli, case, calls, other_step
         assert _outcome(system, *args) == _outcome(dataclasses.replace(system), *args)
 
 
+#: The ends 2^i - 1 of the schedule's chunks, where a node table can end.
+_CHUNK_ENDS = [2 ** i - 1 for i in range(1, 15)]
+
+
+@settings(max_examples=10, deadline=None)
+@example(calls=[(1000, None), (1023, None), (500, 0.5), (5000, None), (300, None),
+                (16383, 0.9), (1023, 0.999)], data=None)
+@given(calls=st.lists(st.tuples(st.one_of(st.integers(1, 20000), st.sampled_from(_CHUNK_ENDS)),
+                                st.one_of(st.none(), st.floats(0.05, 0.999))),
+                      min_size=2, max_size=6),
+       data=st.data())
+def test_tau_curve_bitwise_independent_of_node_table(worked, calls, data):
+    # A tau(eps) curve on the worked system, whose Delta rises at every
+    # node, so a threshold between the values at the nodes b - 1 and b
+    # first crosses at b.  Whatever the table holds when a call comes, the
+    # crossing lies inside it, at its end or past it, and a horizon that
+    # is a share of b * step stops the march inside the table or past it.
+    # Each outcome (value and bracket, or the supremum of an inconclusive
+    # march) equals, bitwise, that of a fresh copy of the system, in the
+    # drawn order and in a shuffled one.
+    prop = Propagator(worked.sys)
+    step = 1e-3 / prop.norm_a
+    march = prop.march(worked.init, worked.weights.Sigma, step)
+    march.run(20000, math.inf)
+    d = march.table[0]
+    ref = reference_norm(worked.init, worked.weights)
+    jobs = [(0.5 * (d[b - 1] + d[b]) / ref,
+             CrossingOptions() if share is None else CrossingOptions(horizon=share * b * step))
+            for b, share in calls]
+    want = [_outcome(dataclasses.replace(worked.sys), worked.init, *job) for job in jobs]
+    for (b, share), got in zip(calls, want):
+        if share is None:
+            assert (b - 1) * step <= got[1][0] < got[1][1] <= b * step
+    drawn = range(len(jobs))
+    shuffled = drawn[::-1] if data is None else data.draw(st.permutations(drawn))
+    for order in (drawn, shuffled):
+        system = dataclasses.replace(worked.sys)
+        assert {j: _outcome(system, worked.init, *jobs[j]) for j in order} == dict(enumerate(want))
+
+
+def test_march_past_the_table_budget(worked, marched_nodes):
+    # Horizon 40 is 160,000 nodes of the default step 2.5e-4, past the
+    # 122,880 node values that fit in ROW_BUDGET with the states at the
+    # chunk starts.  Delta_inf = 6 sits inside the margin below the
+    # threshold, so the march runs to the horizon: cold, it fills the table
+    # and goes on without storing; warm, it goes on from the full table.
+    system = dataclasses.replace(worked.sys)
+    eps, opts = 2.0 * (1.0 + 1e-7), CrossingOptions(horizon=40.0)
+    cold = _outcome(system, worked.init, eps, opts)
+    march = Propagator.of(system)._march
+    d, starts, states = table = march.table
+    assert starts[-1] == march.last < marched_nodes[0] == 160000
+    assert d.nbytes + sum(x.nbytes for x in states) <= propagate.ROW_BUDGET
+    assert _outcome(system, worked.init, eps, opts) == cold and march.table is table
+    assert cold[0] == "inconclusive" and cold[1] == pytest.approx(6.0, rel=1e-12)
+
+    # On a step of 2e-5, the threshold 5.99 crosses near t = 3.0, past the
+    # table's end near t = 2.5; the threshold 3 crosses inside it.
+    opts = CrossingOptions(step=2e-5)
+    for eps in (5.99 / 3.0, 1.0, 5.99 / 3.0):
+        got = _outcome(system, worked.init, eps, opts)
+        assert got == _outcome(dataclasses.replace(system), worked.init, eps, opts)
+    assert got[0] > 2.9 and Propagator.of(system)._march.table[1][-1] * 2e-5 < 2.5
+
+
 def test_second_eps_reuses_kept_rows(worked, monkeypatch):
     system = dataclasses.replace(worked.sys)
     args = (worked.init, worked.weights)
@@ -361,6 +439,8 @@ def test_march_keeps_maps_and_rows_of_one_step(pauli):
         decoherence_time(system, init, weights, 0.05, opts=CrossingOptions(step=step))
         march = prop._march
         assert march.step == step and len(march.rows) <= march.cap
+        d, _, states = march.table
+        assert d.nbytes + sum(x.nbytes for x in states) <= propagate.ROW_BUDGET
         assert np.array_equal(march.maps[0], prop.transition(step))
         for short, long in zip(march.maps, march.maps[1:]):
             assert np.array_equal(long, short @ short)
@@ -380,13 +460,13 @@ def test_taylor_rows_match_forward_series(make_instance, case):
         system, init = make_instance(np.random.default_rng(case))
     prop = Propagator(system)
     Sigma = weighting_from_sigma(np.eye(system.n)).Sigma
-    march, x0 = prop.march(init, Sigma, 0.01)
+    march = prop.march(init, Sigma, 0.01)
     rows = march._taylor_rows(10)
     n1 = system.n + 1
     # a generic transition matrix too: the closure holds for every mean
     rng = np.random.default_rng(5)
     generic = np.vstack([rng.standard_normal((n1 - 1, n1)), np.eye(n1)[-1]])
-    for x in (x0, march.run(x0, 0.0, 37, math.inf).state, generic.T.ravel()):
+    for x in (march.run(0, math.inf).state, march.run(37, math.inf).state, generic.T.ravel()):
         want = forward_taylor(system, init, Sigma, x.reshape(n1, n1).T, 10)
         # relative to the size of each sum: at n = 15 its terms cancel to
         # within 1e-5 of it
@@ -553,12 +633,11 @@ def test_march_delta_matches_trajectory(make_instance, case, wseed, frac):
     ref = reference_norm(init, weights)
     prop = Propagator.of(system)
     step, nodes = 1e-3 / max(1.0, prop.norm_a), 300
-    march, x0 = prop.march(init, weights.Sigma, step)
+    march = prop.march(init, weights.Sigma, step)
     grid = np.arange(nodes + 1) * step
     want = prop.trajectory(init, weights.Sigma, grid)[2]
-    got = np.r_[march.delta(x0), march.deltas_ahead(x0, nodes)]
-    assert np.abs(got - want).max() <= 1e-13 * ref
-    end = march.run(x0, 0.0, nodes, math.inf).state
+    end = march.run(nodes, math.inf).state
+    assert np.abs(march.table[0][:nodes + 1] - want).max() <= 1e-13 * ref
     assert abs(march.delta(end) - want[-1]) <= 1e-13 * ref
 
     threshold = frac * want.max()
