@@ -16,8 +16,8 @@ from .algebra import (StructureConstants, col, pauli_structure, sections_diamond
 from .decoherence import (INFINITE, CrossingOptions, DecoherenceExpansion,
                           DecoherenceTime, decoherence_time, tau_expansion,
                           tau_hat)
-from .errors import (AdmissibilityError, ConfigError, DegenerateBasisError,
-                     DomainError, InconclusiveCrossingError, IntegrationError,
+from .errors import (AdmissibilityError, ConfigError, DomainError,
+                     InconclusiveCrossingError, IntegrationError,
                      InternalConsistencyError, NotHurwitzError, QmemtimeError,
                      RepresentationError, StationarityError,
                      StructureDefectError, TrivialWeightError,
@@ -28,10 +28,9 @@ from .model import (CoefficientSet, SystemParams, coefficients, ito_matrix,
                     lambda_dot0, lambda_matrix)
 from .moments import (InitialMoments, MomentTrajectory, SteadyState,
                       WeightingSpec, delta_derivatives0, deviation_delta,
-                      initial_moments, mean_limit, mean_trajectory,
-                      moment_trajectory, psi_matrix, reference_norm,
-                      second_moment_V, steady_state, weighting_from_factor,
-                      weighting_from_sigma)
+                      initial_moments, moment_trajectory, psi_matrix,
+                      reference_norm, second_moment_V, steady_state,
+                      weighting_from_factor, weighting_from_sigma)
 from .optimize import (GradientReport, OptimalityData, SuboptimalityReport,
                        gradient_check, optimal_energy, rk_matrices,
                        suboptimal_tau_report)

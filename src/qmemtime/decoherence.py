@@ -67,6 +67,10 @@ class CrossingOptions:
                                  f"and positive, got {val}")
 
 
+#: The controls of a search given no options, built once.
+_DEFAULT_OPTS = CrossingOptions()
+
+
 @dataclass(frozen=True)
 class DecoherenceTime:
     """A located first crossing, or a certified infinite answer."""
@@ -143,7 +147,7 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
     """
     if not epsilon > 0:
         raise ValueError(f"fidelity parameter must be positive, got {epsilon}")
-    opts = opts or CrossingOptions()
+    opts = opts or _DEFAULT_OPTS
     ref = reference_norm(init, weights)
     _require_nontrivial(ref, init, weights)
     threshold = epsilon * ref

@@ -35,14 +35,6 @@ class RepresentationError(DomainError):
     """No matrix family realizes the algebra (products not closed, or not associative)."""
 
 
-class DegenerateBasisError(DomainError):
-    """The matrices (I, X_1..X_n) are linearly dependent; the fit is singular.
-
-    The package builds no matrix representation, so nothing in it raises
-    this; the dense least-squares fit of the test suite does.
-    """
-
-
 class AdmissibilityError(DomainError):
     """An initial mean produces an indefinite second-moment matrix."""
 

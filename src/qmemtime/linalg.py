@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import NotHurwitzError
 
-__all__ = ["expm_psi", "solve_lyapunov", "spectral_norm", "hurwitz_margin",
-           "require_hurwitz"]
+__all__ = ["expm_psi", "solve_lyapunov", "spectral_norm", "hurwitz_margin"]
 
 #: Eigenvalue real parts must be below -HURWITZ_TOL to certify decay.
 HURWITZ_TOL = 1e-10
@@ -89,16 +88,10 @@ def hurwitz_margin(A):
     return float(np.linalg.eigvals(np.asarray(A, dtype=float)).real.max())
 
 
-def require_hurwitz(A, context=""):
-    """Return -max Re(eig) or raise :class:`NotHurwitzError`."""
-    return _require_margin(hurwitz_margin(A), context)
-
-
 def _require_margin(margin, context):
-    """:func:`require_hurwitz` for a known :func:`hurwitz_margin`."""
+    """Raise :class:`NotHurwitzError` unless the :func:`hurwitz_margin`
+    ``margin`` is below -HURWITZ_TOL."""
     if margin >= -HURWITZ_TOL:
-        where = f" for {context}" if context else ""
         raise NotHurwitzError(
-            f"drift matrix is not Hurwitz{where}: max Re(eig) = {margin:.3e}"
+            f"drift matrix is not Hurwitz for {context}: max Re(eig) = {margin:.3e}"
         )
-    return -margin

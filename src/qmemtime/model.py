@@ -3,8 +3,8 @@
 Given structure constants, an energy vector E, and affine coupling
 parameters (M, N), this module assembles the coefficient set of the
 moment dynamics: the isolated drift A0 = 2 Theta <> E, the coupling
-contribution Atilde (quadratic in M, N), the drift offset b, the optional
-selected-output pair (C, d), and the averaged diffusion matrix
+contribution Atilde (quadratic in M, N), the drift offset b, and the
+averaged diffusion matrix
 
     Lambda(mu) = 4 mho^T ((alpha + beta . mu) kron (M^T Omega M)) mho,
 
@@ -29,16 +29,14 @@ class SystemParams:
     """A concrete system: constants plus energy and coupling parameters.
 
     ``M`` has one row per field channel (an even count, since the field
-    noise comes in conjugate quadrature pairs), ``N`` is the constant
-    offset of the coupling, and ``D``, when present, selects conjugate
-    pairs of rows of a permutation for the observed outputs.
+    noise comes in conjugate quadrature pairs) and ``N`` is the constant
+    offset of the coupling.
     """
 
     sc: StructureConstants
     E: np.ndarray
     M: np.ndarray
     N: np.ndarray
-    D: np.ndarray = None
 
     def __post_init__(self):
         n = self.sc.n
@@ -59,11 +57,6 @@ class SystemParams:
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "N", N)
-        if self.D is not None:
-            D = np.ascontiguousarray(np.asarray(self.D, dtype=float))
-            _check_output_selector(D, m)
-            D.setflags(write=False)
-            object.__setattr__(self, "D", D)
 
     @property
     def n(self):
@@ -82,26 +75,6 @@ class SystemParams:
         if prop is not None:
             moved.__dict__["_propagator"] = prop._with_energy(moved)
         return moved
-
-
-def _check_output_selector(D, m):
-    r = D.shape[0]
-    if D.ndim != 2 or D.shape[1] != m:
-        raise ValueError(f"output selector has shape {D.shape}, expected (r, {m})")
-    if r % 2 != 0 or r > m:
-        raise ValueError(f"output count r={r} must be even and <= m={m}")
-    if not np.all((D == 0.0) | (D == 1.0)) or not np.all(D.sum(axis=1) == 1.0):
-        raise ValueError("output selector rows must each contain a single unit entry")
-    cols = np.argmax(D, axis=1)
-    if len(set(cols.tolist())) != r:
-        raise ValueError("output selector rows must select distinct channels")
-    # Rows must keep quadrature partners together: channel pairs (2a, 2a+1).
-    for i in range(0, r, 2):
-        if cols[i] % 2 != 0 or cols[i + 1] != cols[i] + 1:
-            raise ValueError(
-                f"output rows {i},{i + 1} select channels {cols[i]},{cols[i + 1]}; "
-                "conjugate pairs (2a, 2a+1) are required"
-            )
 
 
 def ito_matrix(m):
@@ -126,10 +99,6 @@ class CoefficientSet:
     Atilde: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    C: np.ndarray
-    d: np.ndarray
-    Omega: np.ndarray
-    J: np.ndarray
 
 
 def _isolated_drift(sys):
@@ -144,8 +113,7 @@ def coefficients(sys):
     A0 = 2 Theta <> E,
     Atilde = 2 Theta <> (M^T J N)
              + 2 sum_l Theta_l M^T (M theta_(l..) + J M Re(beta)_(l..)),
-    b = -2 mho^T col(M^T J M alpha), with mho = stack_mho(Theta),
-    C = 2 D J M and d = 2 D J N when an output selector is present.
+    b = -2 mho^T col(M^T J M alpha), with mho = stack_mho(Theta).
 
     The slices theta_(l..) = ``theta[:, l, :].T`` and Re(beta)_(l..) fix
     the *first* array index, which differs from the sections (third index
@@ -154,7 +122,7 @@ def coefficients(sys):
     sc, M, N = sys.sc, sys.M, sys.N
     n, m = sys.n, sys.m
     theta = sc.theta
-    Omega, J = ito_matrix(m)
+    _, J = ito_matrix(m)
 
     A0 = _isolated_drift(sys)
 
@@ -168,13 +136,7 @@ def coefficients(sys):
     S = M.T @ J @ M @ sc.alpha
     b = -2.0 * stack_mho(theta).T @ col(S)
 
-    C = d = None
-    if sys.D is not None:
-        C = 2.0 * sys.D @ J @ M
-        d = 2.0 * sys.D @ J @ N
-
-    return CoefficientSet(A0=A0, Atilde=Atilde, A=A0 + Atilde, b=b, C=C, d=d,
-                          Omega=Omega, J=J)
+    return CoefficientSet(A0=A0, Atilde=Atilde, A=A0 + Atilde, b=b)
 
 
 def lambda_sandwich(sys, mu):

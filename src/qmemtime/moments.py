@@ -26,8 +26,8 @@ import numpy as np
 from .algebra import sections_dot
 from .errors import (AdmissibilityError, IntegrationError,
                      InternalConsistencyError)
-from .linalg import expm_psi, require_hurwitz
-from .propagate import Propagator, step_spacings
+from .linalg import expm_psi
+from .propagate import Propagator
 
 #: Mean-square deviations in [-NEG_DELTA_TOL, 0) are clipped to zero;
 #: anything more negative indicates an internal inconsistency.
@@ -173,27 +173,6 @@ def moment_trajectory(sys, init, weights, grid):
             f"{prop.norm_a:.3e}, grid spacing {np.diff(grid).max():.3e})"
         )
     return MomentTrajectory(grid=grid, mu=mu, V=V, Delta=_clean_delta(delta))
-
-
-def mean_trajectory(coeffs, init, grid):
-    """Mean along ``grid`` by exact steps e^{hA} mu + psi(h) b, one per
-    spacing h of :func:`~qmemtime.propagate.step_spacings`."""
-    grid = _validate_grid(grid)
-    out = np.empty((grid.size, init.mu0.size))
-    out[0] = mu = init.mu0
-    steps = {}
-    for k, h in enumerate(step_spacings(grid).tolist(), start=1):
-        if h not in steps:
-            steps[h] = expm_psi(coeffs.A, h)
-        Eh, ph = steps[h]
-        out[k] = mu = Eh @ mu + ph @ coeffs.b
-    return out
-
-
-def mean_limit(coeffs):
-    """Steady-state mean -A^{-1} b; raises NotHurwitzError otherwise."""
-    require_hurwitz(coeffs.A, context="the steady-state mean")
-    return -np.linalg.solve(coeffs.A, coeffs.b)
 
 
 def second_moment_V(sys, init, grid):

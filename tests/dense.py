@@ -15,9 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from qmemtime.algebra import StructureConstants
-from qmemtime.errors import DegenerateBasisError, RepresentationError
+from qmemtime.errors import DomainError, RepresentationError
 
 HERMITICITY_TOL = 1e-12
+
+
+class DegenerateBasisError(DomainError):
+    """The matrices (I, X_1..X_n) are linearly dependent; the fit is singular."""
 
 
 @dataclass(frozen=True)

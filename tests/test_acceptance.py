@@ -15,8 +15,7 @@ from qmemtime.interconnect import (compose, optimal_direct_coupling,
 from qmemtime.linalg import spectral_norm
 from qmemtime.model import SystemParams, coefficients, lambda_matrix
 from qmemtime.moments import (delta_derivatives0, deviation_delta,
-                              initial_moments, mean_limit,
-                              second_moment_V, steady_state,
+                              initial_moments, second_moment_V, steady_state,
                               weighting_from_sigma)
 from qmemtime.optimize import gradient_check, optimal_energy, rk_matrices
 
@@ -105,8 +104,8 @@ def test_criterion_5_worked_example(worked):
     assert np.abs(K - worked.K).max() <= 1e-10
     assert optimal_energy(R, K).zero_energy_optimal
 
-    assert np.abs(mean_limit(co) - worked.mu_inf).max() <= 1e-10
     ss = steady_state(worked.sys, init, weights)
+    assert np.abs(ss.mu_inf - worked.mu_inf).max() <= 1e-10
     assert np.abs(ss.P_inf - worked.P_inf).max() <= 1e-10
     assert abs(ss.Delta_inf - worked.delta_inf) <= 1e-10
 

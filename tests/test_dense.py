@@ -3,10 +3,10 @@ import pytest
 from scipy.linalg import expm as sexpm
 
 from qmemtime.algebra import StructureConstants, pauli_structure, sections_diamond
-from qmemtime.errors import DegenerateBasisError
 
-from dense import (Representation, check_algebra, fit_structure_constants,
-                   qubit_representation, tensor_representation)
+from dense import (DegenerateBasisError, Representation, check_algebra,
+                   fit_structure_constants, qubit_representation,
+                   tensor_representation)
 
 
 def test_qubit_matrices_exact():

@@ -91,24 +91,6 @@ def test_offset_vector_against_literal_stacking(pauli, worked):
     assert np.abs(worked.co.b - expected).max() == 0.0
 
 
-def test_output_coefficients_from_selector(pauli, worked):
-    D = np.eye(2)
-    sys = SystemParams(sc=pauli, E=np.zeros(3), M=worked.M,
-                       N=np.array([0.5, -0.25]), D=D)
-    co = coefficients(sys)
-    _, J = ito_matrix(2)
-    assert np.abs(co.C - 2.0 * D @ J @ worked.M).max() == 0.0
-    assert np.abs(co.d - 2.0 * D @ J @ sys.N).max() == 0.0
-    no_d = coefficients(worked.sys)
-    assert no_d.C is None and no_d.d is None
-
-
-def test_output_selector_validation(pauli, worked):
-    bad = np.array([[0.0, 1.0], [1.0, 0.0]])  # splits a quadrature pair
-    with pytest.raises(ValueError):
-        SystemParams(sc=pauli, E=np.zeros(3), M=worked.M, N=np.zeros(2), D=bad)
-
-
 def test_lambda_zero_coupling(pauli):
     sys = SystemParams(sc=pauli, E=np.zeros(3), M=np.zeros((2, 3)), N=np.zeros(2))
     assert np.all(lambda_matrix(sys, np.zeros(3)) == 0)

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm as sexpm
 
-from qmemtime import moments, propagate
+from qmemtime import propagate
 from qmemtime.errors import (AdmissibilityError, IntegrationError,
                              NotHurwitzError)
 from qmemtime.linalg import expm_psi, solve_lyapunov, spectral_norm
 from qmemtime.model import SystemParams, coefficients
 from qmemtime.moments import (delta_derivatives0, deviation_delta,
-                              initial_moments, mean_limit,
-                              mean_trajectory, moment_trajectory, psi_matrix,
+                              initial_moments, moment_trajectory, psi_matrix,
                               reference_norm, second_moment_V, steady_state,
                               weighting_from_factor, weighting_from_sigma)
 
@@ -114,13 +113,13 @@ def test_psi_rejects_negative_time(worked):
 def test_mean_constant_when_uncoupled(pauli):
     sys = SystemParams(sc=pauli, E=np.zeros(3), M=np.zeros((2, 3)), N=np.zeros(2))
     init = initial_moments(pauli, np.array([0.3, 0.0, -0.2]))
-    mu = mean_trajectory(coefficients(sys), init, np.linspace(0.0, 2.0, 9))
+    mu = moment_trajectory(sys, init, None, np.linspace(0.0, 2.0, 9)).mu
     assert np.abs(mu - init.mu0).max() <= 1e-14
 
 
 def test_mean_worked_closed_form(worked):
     grid = np.linspace(0.0, 2.0, 21)
-    mu = mean_trajectory(worked.co, worked.init, grid)
+    mu = moment_trajectory(worked.sys, worked.init, None, grid).mu
     expected = np.column_stack([np.zeros_like(grid), np.zeros_like(grid),
                                 1.0 - np.exp(-4.0 * grid)])
     assert np.abs(mu - expected).max() <= 1e-12
@@ -130,44 +129,13 @@ def test_mean_matches_ode_oracle(make_instance):
     rng = np.random.default_rng(22)
     sys, init = make_instance(rng)
     co = coefficients(sys)
-    mu = mean_trajectory(co, init, np.array([0.0, 0.8]))
+    mu = moment_trajectory(sys, init, None, np.array([0.0, 0.8])).mu
     assert np.abs(mu[-1] - mean_rk4(co, init.mu0, 0.8)).max() <= 1e-9
 
 
-def test_mean_one_exponential_per_spacing(make_instance, monkeypatch):
-    rng = np.random.default_rng(23)
-    sys, init = make_instance(rng)
-    co = coefficients(sys)
-    grid = np.array([0.0, 0.25, 0.5, 0.625, 0.75, 1.25, 1.5, 1.625])
-    expected = []
-    for t in grid:
-        Et, pt = expm_psi(co.A, t)
-        expected.append(Et @ init.mu0 + pt @ co.b)
-    calls = []
-    monkeypatch.setattr(moments, "expm_psi",
-                        lambda A, t: calls.append(t) or expm_psi(A, t))
-    mu = mean_trajectory(co, init, grid)
-    assert sorted(calls) == [0.125, 0.25, 0.5]
-    assert np.abs(mu - expected).max() <= 1e-12
-
-
 def test_mean_limit_worked(worked):
-    assert np.abs(mean_limit(worked.co) - worked.mu_inf).max() <= 1e-12
-
-
-def test_mean_limit_requires_hurwitz(pauli):
-    sys = SystemParams(sc=pauli, E=np.array([0.0, 0.0, 1.0]),
-                       M=np.zeros((2, 3)), N=np.zeros(2))
-    with pytest.raises(NotHurwitzError):
-        mean_limit(coefficients(sys))
-
-
-def test_mean_limit_identity_drift(pauli, worked):
-    co = coefficients(worked.sys)
-    v = np.array([1.0, -2.0, 0.5])
-    synthetic = type(co)(A0=np.zeros((3, 3)), Atilde=-np.eye(3), A=-np.eye(3),
-                         b=v, C=None, d=None, Omega=co.Omega, J=co.J)
-    assert np.abs(mean_limit(synthetic) - v).max() <= 1e-14
+    mu_inf = propagate.Propagator.of(worked.sys).mean_limit()
+    assert np.abs(mu_inf - worked.mu_inf).max() <= 1e-12
 
 
 # -- second moment ------------------------------------------------------------
@@ -367,7 +335,7 @@ def test_isolated_mean_energy_conserved(pauli):
     E = rng.standard_normal(3)
     sys = SystemParams(sc=pauli, E=E, M=np.zeros((2, 3)), N=np.zeros(2))
     init = initial_moments(pauli, np.array([0.3, -0.4, 0.2]))
-    mu = mean_trajectory(coefficients(sys), init, np.linspace(0.0, 3.0, 16))
+    mu = moment_trajectory(sys, init, None, np.linspace(0.0, 3.0, 16)).mu
     energies = mu @ E
     assert np.abs(energies - energies[0]).max() <= 1e-10
 
