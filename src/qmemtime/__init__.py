@@ -25,14 +25,12 @@ from .errors import (AdmissibilityError, ConfigError, DomainError,
 from .interconnect import (BlockOptimality, CompositeSystem, compose,
                            optimal_direct_coupling, partition_rk, product_mean)
 from .model import (CoefficientSet, SystemParams, coefficients, ito_matrix,
-                    lambda_dot0, lambda_matrix)
+                    lambda_matrix)
 from .moments import (InitialMoments, MomentTrajectory, SteadyState,
                       WeightingSpec, delta_derivatives0, deviation_delta,
-                      initial_moments, moment_trajectory, psi_matrix,
-                      reference_norm, second_moment_V, steady_state,
-                      weighting_from_factor, weighting_from_sigma)
-from .optimize import (GradientReport, OptimalityData, SuboptimalityReport,
-                       gradient_check, optimal_energy, rk_matrices,
-                       suboptimal_tau_report)
+                      initial_moments, moment_trajectory, reference_norm,
+                      steady_state, weighting_from_factor, weighting_from_sigma)
+from .optimize import (GradientReport, OptimalityData, gradient_check,
+                       optimal_energy, rk_matrices)
 
 __version__ = "0.1.0"

@@ -143,10 +143,11 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
     below the threshold, and finding no crossing returns an infinite
     result.  Otherwise exhausting the horizon raises
     :class:`InconclusiveCrossingError` carrying the marched supremum.
-    Non-associative constants raise :class:`StructureDefectError`.
+    Non-associative constants raise :class:`StructureDefectError`, and an
+    ``epsilon`` that is not finite and positive raises ValueError.
     """
-    if not epsilon > 0:
-        raise ValueError(f"fidelity parameter must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"fidelity parameter must be finite and positive, got {epsilon}")
     opts = opts or _DEFAULT_OPTS
     ref = reference_norm(init, weights)
     _require_nontrivial(ref, init, weights)
@@ -157,8 +158,7 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
     tol = opts.tol if opts.tol is not None else 1e-9 / max(1.0, prop.norm_a)
 
     # Frozen dynamics: the variables are conserved and Delta stays at zero.
-    if (np.abs(prop.A).max() <= 1e-14 and np.abs(prop.b).max() <= 1e-14
-            and _delta_rate0(prop, init, weights.Sigma) <= DIFFUSION_TOL * ref):
+    if prop.frozen and _delta_rate0(prop, init, weights.Sigma) <= DIFFUSION_TOL * ref:
         return DecoherenceTime(epsilon=epsilon, value=INFINITE,
                                threshold=threshold, bracket=None)
 

@@ -67,14 +67,9 @@ class SystemParams:
         return self.M.shape[0]
 
     def with_energy(self, E):
-        """This system with the energy vector ``E``.  If the dynamics of
-        this system are derived already, the new system takes over their
-        energy-independent parts and derives only the drift."""
-        moved = replace(self, E=np.asarray(E, dtype=float))
-        prop = self.__dict__.get("_propagator")
-        if prop is not None:
-            moved.__dict__["_propagator"] = prop._with_energy(moved)
-        return moved
+        """This system with the energy vector ``E``: a new instance, which
+        derives its own dynamics."""
+        return replace(self, E=E)
 
 
 def ito_matrix(m):
@@ -101,12 +96,6 @@ class CoefficientSet:
     b: np.ndarray
 
 
-def _isolated_drift(sys):
-    """The drift A0 = 2 Theta <> E of the uncoupled system, the one
-    coefficient that depends on the energy vector."""
-    return 2.0 * sections_diamond(sys.sc.theta, sys.E)
-
-
 def coefficients(sys):
     """Assemble the coefficient set of ``sys``.
 
@@ -124,7 +113,7 @@ def coefficients(sys):
     theta = sc.theta
     _, J = ito_matrix(m)
 
-    A0 = _isolated_drift(sys)
+    A0 = 2.0 * sections_diamond(theta, sys.E)
 
     MtJN = M.T @ (J @ N)
     acc = np.zeros((n, n))
@@ -162,14 +151,3 @@ def lambda_matrix(sys, mu):
     """
     from .propagate import Propagator  # propagate builds on this module
     return Propagator.of(sys).lam(np.asarray(mu, dtype=float))
-
-
-def lambda_dot0(sys, mu0):
-    """Time derivative of Lambda along the mean flow, at t = 0.
-
-    Lambda is affine in the mean and the mean satisfies mu' = A mu + b,
-    so this is the linear part of Lambda at A mu0 + b.
-    """
-    from .propagate import Propagator
-    prop = Propagator.of(sys)
-    return prop.lam(prop.A @ np.asarray(mu0, dtype=float) + prop.b, 0.0)

@@ -26,7 +26,6 @@ import numpy as np
 from .algebra import sections_dot
 from .errors import (AdmissibilityError, IntegrationError,
                      InternalConsistencyError)
-from .linalg import expm_psi
 from .propagate import Propagator
 
 #: Mean-square deviations in [-NEG_DELTA_TOL, 0) are clipped to zero;
@@ -124,13 +123,6 @@ class MomentTrajectory:
     Delta: np.ndarray
 
 
-def psi_matrix(A, t):
-    """Integral of e^{sA} over [0, t], valid for singular A."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    return expm_psi(A, t)[1]
-
-
 def _validate_grid(grid):
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size < 2:
@@ -153,7 +145,7 @@ def _clean_delta(delta):
 
 def moment_trajectory(sys, init, weights, grid):
     """Propagate (mu, V, Delta) over ``grid``; the workhorse behind
-    :func:`second_moment_V`, :func:`deviation_delta`, and the CLI export.
+    :func:`deviation_delta` and the CLI export.
 
     ``weights`` may be None when only (mu, V) are of interest; Delta is
     then reported for Sigma = I.  Constants that are not associative
@@ -173,11 +165,6 @@ def moment_trajectory(sys, init, weights, grid):
             f"{prop.norm_a:.3e}, grid spacing {np.diff(grid).max():.3e})"
         )
     return MomentTrajectory(grid=grid, mu=mu, V=V, Delta=_clean_delta(delta))
-
-
-def second_moment_V(sys, init, grid):
-    """Second moment V(t_k) of the noise response along ``grid``."""
-    return moment_trajectory(sys, init, None, grid).V
 
 
 def deviation_delta(sys, init, weights, grid):

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import decoherence_time, tau_expansion, tau_hat
-from .errors import InconclusiveCrossingError, StationarityError
+from .errors import StationarityError
 from .moments import delta_derivatives0
 from .propagate import Propagator
 
@@ -133,54 +132,3 @@ def gradient_check(sys, init, weights, E_probe):
     scale = max(1.0, float(np.abs(analytic).max()))
     return GradientReport(E_probe=E_probe, analytic=analytic, numeric=numeric,
                           max_abs_dev=max_abs, max_rel_dev=max_abs / scale)
-
-
-@dataclass(frozen=True)
-class SuboptimalEntry:
-    label: str
-    E: np.ndarray
-    delta_ddot0: float
-    tau_hat: float
-    tau: float  # may be inf; None when the search was inconclusive
-
-
-@dataclass(frozen=True)
-class SuboptimalityReport:
-    """tau-hat and tau at the stationary energy and at comparison points.
-
-    The quadratic approximation is maximal at the stationary energy by
-    construction (that is asserted here); the ordering of the exact tau
-    values is reported as data and not asserted.
-    """
-
-    epsilon: float
-    entries: tuple
-    tau_hat_maximal: bool
-
-
-def suboptimal_tau_report(sys, init, weights, eps, comparisons=(), opts=None):
-    """Evaluate tau-hat and tau at the optimal energy and at the supplied
-    comparison energies."""
-    R, K = rk_matrices(sys, init, weights)
-    best = optimal_energy(R, K)
-    energies = [("optimal", best.E_star)]
-    energies += [(f"comparison[{i}]", np.asarray(E, dtype=float))
-                 for i, E in enumerate(comparisons)]
-
-    entries = []
-    for label, E in energies:
-        sys_e = sys.with_energy(E)
-        expn = tau_expansion(sys_e, init, weights)
-        t_hat = tau_hat(expn, eps)
-        try:
-            tau = decoherence_time(sys_e, init, weights, eps, opts=opts).value
-        except InconclusiveCrossingError:
-            tau = None
-        entries.append(SuboptimalEntry(label=label, E=E,
-                                       delta_ddot0=expn.delta_ddot0,
-                                       tau_hat=t_hat, tau=tau))
-    ref = entries[0].tau_hat
-    slack = 1e-12 * max(1.0, abs(ref))
-    maximal = all(ref >= e.tau_hat - slack for e in entries)
-    return SuboptimalityReport(epsilon=eps, entries=tuple(entries),
-                               tau_hat_maximal=maximal)

@@ -38,16 +38,15 @@ bounded by ``ROW_BUDGET``.  A trajectory keeps its longest run's powers.
 from __future__ import annotations
 
 import bisect
-import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IntegrationError, StructureDefectError
 from .linalg import (HURWITZ_TOL, _require_margin, _taylor_terms, expm_psi, hurwitz_margin,
                      solve_lyapunov, spectral_norm)
-from .model import _isolated_drift, coefficients, lambda_sandwich
+from .model import coefficients, lambda_sandwich
 
 #: Bytes allowed for a march's adjoint rows, which fixes the longest chunk
 #: of nodes tested at once, and again for its table of node values and states.
@@ -105,18 +104,19 @@ def step_spacings(grid):
 
 
 class Propagator:
-    """The moment dynamics of one system, derived once: its coefficient
-    set ``co`` with drift A, offset b and generator ``Ahat`` = [[A, b],
-    [0, 0]] of Phi, ||A||_2, the Hurwitz margin (largest eigenvalue real
-    part), the isolated drifts ``D`` with A0 = sum_l E_l D_l, the closure
-    alpha + beta . mu and its defect, whether the diffusion vanishes, the
+    """The moment dynamics of one system, derived once, by the constructor:
+    its coefficient set ``co`` with drift A, offset b and generator
+    ``Ahat`` = [[A, b], [0, 0]] of Phi, ||A||_2, the Hurwitz margin
+    (largest eigenvalue real part), the isolated drifts ``D`` with A0 =
+    sum_l E_l D_l, the closure alpha + beta . mu and its defect, whether
+    the diffusion vanishes and whether A and b do.  Kept as used: the
     last :meth:`march` built, the maps of the last :meth:`trajectory`'s
     longest run, the steady state of :meth:`mean_limit` and :meth:`limits`
     and the Lyapunov norm of :meth:`contraction`.  :meth:`of` shares one
     per system."""
 
     def __init__(self, sys):
-        co = coefficients(sys)
+        self.co = co = coefficients(sys)
         self.n = n = sys.n
         sc = sys.sc
         self.alpha, self.beta, self.re_beta = sc.alpha, sc.beta, sc.re_beta
@@ -125,43 +125,31 @@ class Propagator:
         #: a real view: rows beta_l, then alpha.
         moment = np.concatenate([self.beta, self.alpha[None] + 0j])
         self.moment_f = np.ascontiguousarray(moment).view(float).reshape(n + 1, -1)
-        self._set_drift(co)
-        # Both forms of Lambda are affine in mu: agreement at 0 and at a fixed pseudo-
-        # random Weyl sequence (no numpy.random import) is a randomized test (Freivalds 1977)
-        self._probes = (np.zeros(n), 2.0 * (np.arange(1, n + 1) * 0.6180339887498949 % 1.0) - 1.0)
-        sandwiches = [lambda_sandwich(sys, mu) for mu in self._probes]
-        #: No diffusion at any mean, so V is identically zero.
-        self.noiseless = not any(s.any() for s in sandwiches)
-        self._coupling_defect = max(_defect(*self._closure_form(co.Atilde, co.b, mu), s)
-                                    for mu, s in zip(self._probes, sandwiches))
-
-    def _set_drift(self, co):
-        """Take the coefficient set ``co`` and derive what depends on A."""
-        self.co = co
         self.A, self.b = co.A, co.b
-        self.Ahat = np.zeros((self.n + 1, self.n + 1))
+        self.Ahat = np.zeros((n + 1, n + 1))
         self.Ahat[:-1, :-1], self.Ahat[:-1, -1] = co.A, co.b
         self.norm_a = spectral_norm(co.A)
         self.margin = hurwitz_margin(co.A)
         #: Norm bound of Ahat: ||[A b]||_2 <= sqrt(||A||_2^2 + |b|^2).
         self.rho = max(1.0, math.hypot(self.norm_a, float(np.linalg.norm(co.b))))
+        #: Neither drift nor offset, so the mean stays at mu0.
+        self.frozen = bool(np.abs(co.A).max() <= 1e-14 and np.abs(co.b).max() <= 1e-14)
         self._march = None
         self._traj_maps = {}  # {spacing: maps over 2^i spacings}, one entry at most
         self._mu_inf = self._limits = None
         self._contraction = None
-        self._defect = None
-
-    def _with_energy(self, sys):
-        """The dynamics of ``sys``, this system at another energy vector.
-
-        Only the isolated drift A0 depends on the energy, so the new
-        instance shares the coupling drift, the offset, the isolated drifts
-        and the sandwich part of the closure check, and derives the rest.
-        """
-        prop = copy.copy(self)
-        A0 = _isolated_drift(sys)
-        prop._set_drift(replace(self.co, A0=A0, A=A0 + self.co.Atilde))
-        return prop
+        # Both forms of Lambda are affine in mu: agreement at 0 and at a fixed pseudo-
+        # random Weyl sequence (no numpy.random import) is a randomized test (Freivalds 1977)
+        probes = (np.zeros(n), 2.0 * (np.arange(1, n + 1) * 0.6180339887498949 % 1.0) - 1.0)
+        sandwiches = [lambda_sandwich(sys, mu) for mu in probes]
+        #: No diffusion at any mean, so V is identically zero.
+        self.noiseless = not any(s.any() for s in sandwiches)
+        #: The relative defect of the closure at the probe means: the form
+        #: with the coupling drift against the sandwich, and the isolated
+        #: form with A0, which vanishes on a closed algebra.
+        self._defect = max(*(_defect(*self._closure_form(co.Atilde, co.b, mu), s)
+                             for mu, s in zip(probes, sandwiches)),
+                           *(_defect(*self._closure_form(co.A0, probes[0], mu)) for mu in probes))
 
     @classmethod
     def of(cls, sys):
@@ -169,32 +157,25 @@ class Propagator:
 
         A ``SystemParams`` is frozen with read-only arrays, so the kept
         dynamics cannot go stale; ``replace`` and ``with_energy`` make new
-        instances with their own, where ``with_energy`` of a system whose
-        dynamics exist reuses the energy-independent parts.
+        instances, which derive their own.
         """
         prop = sys.__dict__.get("_propagator")
         if prop is None:
             prop = sys.__dict__["_propagator"] = cls(sys)
         return prop
 
-    def _closure_form(self, A, b, mu, c=1.0):
-        """The closure form t - X - X^H, with t = beta . (A mu + c b), X = A S
-        + b mu^T and S = c alpha + beta . mu, and the largest of its terms."""
+    def _closure_form(self, A, b, mu):
+        """The closure form t - X - X^H, with t = beta . (A mu + b), X = A S
+        + b mu^T and S = alpha + beta . mu, and the largest of its terms."""
         beta = self.beta.reshape(self.n, -1)
-        t = ((A @ mu + c * b) @ beta).reshape(self.alpha.shape)
-        X = A @ (c * self.alpha + (mu @ beta).reshape(t.shape)) + np.outer(b, mu)
+        t = ((A @ mu + b) @ beta).reshape(self.alpha.shape)
+        X = A @ (self.alpha + (mu @ beta).reshape(t.shape)) + np.outer(b, mu)
         return t - X - X.conj().T, max(np.abs(t).max(), np.abs(X).max())
 
     def _require_closure(self):
         """Raise :class:`StructureDefectError` unless the closure form of
-        Lambda (see :meth:`lam`) matches the sandwich at the probe means,
-        checked once per system, and its isolated part beta . (A0 mu) - A0
-        S - S A0^T vanishes there, checked once per drift."""
-        if self._defect is None:
-            zero = self._probes[0]
-            self._defect = max(self._coupling_defect,
-                               *(_defect(*self._closure_form(self.co.A0, zero, mu))
-                                 for mu in self._probes))
+        Lambda (see :meth:`lam`) matches the sandwich at the probe means
+        and its isolated part beta . (A0 mu) - A0 S - S A0^T vanishes there."""
         if self._defect > CLOSURE_TOL:
             raise StructureDefectError(
                 f"the second moment leaves the product closure alpha + beta . mu "
@@ -263,14 +244,13 @@ class Propagator:
         root = np.sqrt(w)
         return v * root @ v.T, v / root @ v.T, (1.0 - r) / (2.0 * w[-1]), w[-1] / w[0]
 
-    def lam(self, mu, c=1.0):
-        """Diffusion matrix Lambda(mu), Hermitian, or with ``c`` = 0 its
-        linear part at ``mu``: the closure form with the coupling drift
-        Atilde.  The form with the drift A adds the isolated part, which
+    def lam(self, mu):
+        """Diffusion matrix Lambda(mu), Hermitian: the closure form with the
+        coupling drift Atilde.  The form with the drift A adds the isolated part, which
         vanishes as the isolated flow preserves products; without it Lambda
         is exactly zero without coupling, at any energy."""
         self._require_closure()
-        return self._closure_form(self.co.Atilde, self.b, mu, c)[0]
+        return self._closure_form(self.co.Atilde, self.b, mu)[0]
 
     def transition(self, h):
         """The transition matrix Phi_h = exp(h [[A, b], [0, 0]]), which
@@ -306,16 +286,14 @@ class Propagator:
         :meth:`functional`, on the grid k * ``step``.
 
         The last march built is kept, with its maps, rows and node table,
-        and a later call with the same L and step (another eps) reuses it;
-        a new L on the same step reuses its maps.  So a system keeps the
-        rows and table of one march, each within ``ROW_BUDGET``, and the
-        march maps of one step.
+        and a later call with the same L and step (another eps) reuses it.
+        So a system keeps the maps, rows and table of one march, the rows
+        and the table each within ``ROW_BUDGET``.
         """
         L = self.functional(init, Sigma)
         march = self._march
         if march is None or march.step != step or not np.array_equal(march.L, L):
-            maps = march.maps if march is not None and march.step == step else ()
-            march = self._march = DeviationMarch(self, L, step, maps)
+            march = self._march = DeviationMarch(self, L, step)
         return march
 
     def trajectory(self, init, Sigma, grid):
@@ -422,10 +400,10 @@ class DeviationMarch:
     Delta_inf and :meth:`decay_bound` serve every call.
     """
 
-    def __init__(self, prop, L, step, maps=()):
+    def __init__(self, prop, L, step):
         self.prop, self.step, self.L, self.n1 = prop, step, L, len(L)
         self.cap = 2 ** max(0, int(math.log2(ROW_BUDGET / (8 * L.size))))
-        self.maps = maps  # Phi over 1, 2, 4, ... steps, grown by _maps
+        self.maps = ()  # Phi over 1, 2, 4, ... steps, grown by _maps
         self.rows = (L @ self._maps(1)[0]).reshape(1, -1)
         x0 = np.eye(self.n1).ravel()
         self.table = (np.array([self.delta(x0)]), (0,), (x0,))

@@ -15,7 +15,7 @@ from qmemtime.interconnect import (compose, optimal_direct_coupling,
 from qmemtime.linalg import spectral_norm
 from qmemtime.model import SystemParams, coefficients, lambda_matrix
 from qmemtime.moments import (delta_derivatives0, deviation_delta,
-                              initial_moments, second_moment_V, steady_state,
+                              initial_moments, moment_trajectory, steady_state,
                               weighting_from_sigma)
 from qmemtime.optimize import gradient_check, optimal_energy, rk_matrices
 
@@ -118,7 +118,7 @@ def test_criterion_6_ode_vs_quadrature(pauli):
         sys, init = random_instance(pauli, rng, coupling_scale=0.6)
         h = 0.01 / max(1.0, spectral_norm(coefficients(sys).A))
         grid = np.array([0.0, 0.5, 1.25, 2.0])
-        V = second_moment_V(sys, init, grid)
+        V = moment_trajectory(sys, init, None, grid).V
         for i, t in enumerate(grid[1:], start=1):
             Vq = v_quadrature(sys, init, t, int(np.ceil(t / (h / 2.0))))
             rel = np.linalg.norm(V[i] - Vq) / max(np.linalg.norm(Vq), 1e-12)

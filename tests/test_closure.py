@@ -14,7 +14,7 @@ from qmemtime import model, propagate
 from qmemtime.algebra import StructureConstants, pauli_structure
 from qmemtime.decoherence import decoherence_time, tau_expansion
 from qmemtime.errors import StructureDefectError
-from qmemtime.model import SystemParams, coefficients, lambda_dot0, lambda_matrix
+from qmemtime.model import SystemParams, coefficients, lambda_matrix
 from qmemtime.moments import (delta_derivatives0, initial_moments,
                               moment_trajectory, weighting_from_sigma)
 from qmemtime.optimize import rk_matrices
@@ -41,7 +41,8 @@ def _check_against_oracles(system, init, weights, mu):
     co = coefficients(system)
     v = co.A @ mu + co.b  # the rate of the mean at mu
     scale = np.abs(Cmu).max() * max(1.0, np.abs(v).max())
-    assert np.abs(lambda_dot0(system, mu) - np.tensordot(v, Cmu, axes=1)).max() <= 1e-12 * scale
+    rate = lambda_matrix(system, v) - lambda_matrix(system, np.zeros(system.n))  # Lambda is affine
+    assert np.abs(rate - np.tensordot(v, Cmu, axes=1)).max() <= 1e-12 * scale
     d1, d2 = delta_derivatives0(system, init, weights)
     d1_ref, d2_ref = delta_derivatives_affine(system, init, weights)
     assert abs(d1 - d1_ref) <= 1e-12 * d1_ref
@@ -98,7 +99,7 @@ def test_guard_needs_the_second_mean(kind):
                                     model.lambda_sandwich(system, zero)),
                   propagate._defect(*prop._closure_form(prop.co.A0, zero, zero)))
     assert at_zero <= CLOSURE_TOL
-    assert prop._coupling_defect > 1e-3
+    assert prop._defect > 1e-3
     init = initial_moments(bad, np.array([0.05, 0.0, 0.02]))
     weights = weighting_from_sigma(np.eye(3))
     for call in (lambda: decoherence_time(system, init, weights, 0.1),

@@ -261,7 +261,7 @@ def test_monotone_over_random_instances(make_instance):
 
 
 def test_positive_eps_required(worked):
-    for eps in (0.0, -0.01, math.nan):
+    for eps in (0.0, -0.01, math.nan, math.inf):
         with pytest.raises(ValueError, match="fidelity"):
             decoherence_time(worked.sys, worked.init, worked.weights, eps)
     for field, val in (("step", 0.0), ("step", math.nan), ("tol", -1e-9),

@@ -12,8 +12,8 @@ from qmemtime.errors import (AdmissibilityError, IntegrationError,
 from qmemtime.linalg import expm_psi, solve_lyapunov, spectral_norm
 from qmemtime.model import SystemParams, coefficients
 from qmemtime.moments import (delta_derivatives0, deviation_delta,
-                              initial_moments, moment_trajectory, psi_matrix,
-                              reference_norm, second_moment_V, steady_state,
+                              initial_moments, moment_trajectory,
+                              reference_norm, steady_state,
                               weighting_from_factor, weighting_from_sigma)
 
 from oracles import (delta_upsilon, mean_rk4, psi_simpson, v_quadrature)
@@ -59,11 +59,11 @@ def test_weighting_rejects_bad_inputs():
 # -- integrated exponential ---------------------------------------------------
 
 def test_psi_zero_drift():
-    assert np.abs(psi_matrix(np.zeros((3, 3)), 2.5) - 2.5 * np.eye(3)).max() <= 1e-14
+    assert np.abs(expm_psi(np.zeros((3, 3)), 2.5)[1] - 2.5 * np.eye(3)).max() <= 1e-14
 
 
 def test_psi_diagonal_long_time_limit(worked):
-    psi = psi_matrix(worked.A, 60.0)
+    psi = expm_psi(worked.A, 60.0)[1]
     assert np.abs(psi - np.diag([0.5, 0.5, 0.25])).max() <= 1e-12
 
 
@@ -71,14 +71,14 @@ def test_psi_matches_quadrature(worked):
     rng = np.random.default_rng(21)
     A = rng.standard_normal((3, 3))
     for t in (0.3, 1.1):
-        assert np.abs(psi_matrix(A, t) - psi_simpson(A, t, 800)).max() <= 1e-7
-    assert np.abs(psi_matrix(worked.A, 0.0)).max() == 0.0
+        assert np.abs(expm_psi(A, t)[1] - psi_simpson(A, t, 800)).max() <= 1e-7
+    assert np.abs(expm_psi(worked.A, 0.0)[1]).max() == 0.0
 
 
 def test_psi_derivative_is_exponential(worked):
     h = 1e-6
     t = 0.7
-    fd = (psi_matrix(worked.A, t + h) - psi_matrix(worked.A, t - h)) / (2 * h)
+    fd = (expm_psi(worked.A, t + h)[1] - expm_psi(worked.A, t - h)[1]) / (2 * h)
     assert np.abs(fd - sexpm(worked.A * t)).max() <= 1e-8
 
 
@@ -101,11 +101,6 @@ def test_expm_psi_matches_block_expm(n, seed, scale, abscissa, singular, t):
     for got, want in zip(expm_psi(A, t), (ref[:n, :n], ref[:n, n:])):
         err = np.linalg.norm(got - want, 1)
         assert err <= 1e-10 * max(1.0, np.linalg.norm(want, 1))
-
-
-def test_psi_rejects_negative_time(worked):
-    with pytest.raises(ValueError):
-        psi_matrix(worked.A, -0.1)
 
 
 # -- mean dynamics ------------------------------------------------------------
@@ -144,7 +139,7 @@ def test_v_zero_without_coupling(pauli):
     sys = SystemParams(sc=pauli, E=np.array([0.2, 0.0, 0.4]),
                        M=np.zeros((2, 3)), N=np.zeros(2))
     init = initial_moments(pauli, np.zeros(3))
-    V = second_moment_V(sys, init, np.linspace(0.0, 1.0, 11))
+    V = moment_trajectory(sys, init, None, np.linspace(0.0, 1.0, 11)).V
     assert np.abs(V).max() == 0.0
 
 
@@ -155,7 +150,7 @@ def test_v_matches_quadrature_on_random_instances(make_instance):
         co = coefficients(sys)
         h = min(0.5, 0.01 / max(1.0, spectral_norm(co.A)))
         grid = np.array([0.0, 0.5, 2.0])
-        V = second_moment_V(sys, init, grid)
+        V = moment_trajectory(sys, init, None, grid).V
         for i, t in enumerate(grid[1:], start=1):
             Vq = v_quadrature(sys, init, t, int(np.ceil(t / (h / 2.0))))
             rel = np.linalg.norm(V[i] - Vq) / max(np.linalg.norm(Vq), 1e-12)
@@ -166,27 +161,29 @@ def test_v_worked_scalar_component(worked):
     """V_33 obeys v' = -8v + 8 e^{-4t}, whose solution is
     2(e^{-4t} - e^{-8t}); solved by hand as an independent check."""
     grid = np.linspace(0.0, 1.0, 11)
-    V = second_moment_V(worked.sys, worked.init, grid)
+    V = moment_trajectory(worked.sys, worked.init, None, grid).V
     expected = 2.0 * (np.exp(-4.0 * grid) - np.exp(-8.0 * grid))
     assert np.abs(V[:, 2, 2].real - expected).max() <= 1e-8
 
 
 def test_v_initial_derivatives(worked):
     """V(h) expands as Lambda(0) h + (A L + L A^T + L'(0)) h^2 / 2."""
-    from qmemtime.model import lambda_dot0, lambda_matrix
+    from qmemtime.model import lambda_matrix
 
     lam0 = lambda_matrix(worked.sys, worked.init.mu0)
-    lamd = lambda_dot0(worked.sys, worked.init.mu0)
+    # Lambda is affine in the mean, so its rate is its linear part at A mu0 + b
+    lamd = (lambda_matrix(worked.sys, worked.co.A @ worked.init.mu0 + worked.co.b)
+            - lambda_matrix(worked.sys, np.zeros(3)))
     vddot = worked.A @ lam0 + lam0 @ worked.A.T + lamd
     for h in (1e-3, 5e-4):
-        V = second_moment_V(worked.sys, worked.init, np.array([0.0, h]))[-1]
+        V = moment_trajectory(worked.sys, worked.init, None, np.array([0.0, h])).V[-1]
         quad = lam0 * h + 0.5 * vddot * h * h
         assert np.abs(V - quad).max() <= 200.0 * h ** 3
 
 
 def test_v_converges_to_steady_state(worked):
     t_end = 10.0 / 2.0  # ten slowest-decay time constants
-    V = second_moment_V(worked.sys, worked.init, np.array([0.0, t_end]))
+    V = moment_trajectory(worked.sys, worked.init, None, np.array([0.0, t_end])).V
     assert np.linalg.norm(V[-1].real - worked.P_inf) <= 1e-4 * max(
         1.0, np.linalg.norm(worked.P_inf))
 
@@ -194,7 +191,7 @@ def test_v_converges_to_steady_state(worked):
 def test_v_is_hermitian_psd_along_trajectory(make_instance):
     rng = np.random.default_rng(24)
     sys, init = make_instance(rng)
-    V = second_moment_V(sys, init, np.linspace(0.0, 1.5, 7))
+    V = moment_trajectory(sys, init, None, np.linspace(0.0, 1.5, 7)).V
     assert np.abs(V[0]).max() == 0.0
     for vk in V:
         assert np.abs(vk - vk.conj().T).max() <= 1e-10

@@ -4,8 +4,7 @@ import pytest
 from qmemtime.errors import StationarityError
 from qmemtime.model import SystemParams, lambda_matrix
 from qmemtime.moments import delta_derivatives0, weighting_from_sigma
-from qmemtime.optimize import (gradient_check, optimal_energy, rk_matrices,
-                               suboptimal_tau_report)
+from qmemtime.optimize import gradient_check, optimal_energy, rk_matrices
 
 from oracles import k_kron
 
@@ -155,30 +154,3 @@ def test_zero_k_means_zero_energy_stationary(worked):
     assert np.abs(K).max() <= 1e-12
     report = gradient_check(worked.sys, worked.init, worked.weights, np.zeros(3))
     assert np.abs(report.numeric).max() <= 1e-8
-
-
-def test_suboptimal_report_worked(worked):
-    report = suboptimal_tau_report(
-        worked.sys, worked.init, worked.weights, eps=0.01,
-        comparisons=[np.zeros(3), np.array([1.0, 0.0, 0.0]),
-                     np.array([0.0, 0.0, 1.0])])
-    assert report.tau_hat_maximal
-    best = report.entries[0]
-    assert np.abs(best.E).max() <= 1e-12
-    for entry in report.entries[1:]:
-        assert best.tau_hat >= entry.tau_hat - 1e-12
-    # the zero-energy comparison coincides with the optimum
-    assert report.entries[1].tau_hat == pytest.approx(best.tau_hat, abs=1e-15)
-    assert all(e.tau is not None for e in report.entries)
-
-
-def test_suboptimal_quadratic_convexity(make_instance):
-    rng = np.random.default_rng(34)
-    sys, init = make_instance(rng)
-    w = weighting_from_sigma(np.eye(3))
-    R, K = rk_matrices(sys, init, w)
-    od = optimal_energy(R, K)
-    report = suboptimal_tau_report(
-        sys, init, w, eps=0.05,
-        comparisons=[od.E_star + rng.standard_normal(3) for _ in range(3)])
-    assert report.tau_hat_maximal
