@@ -5,17 +5,18 @@ deviation Delta(t) exceeds eps times the reference <Sigma, P> (the
 weighted size of the initial variables), with +infinity when no crossing
 ever occurs.  Delta may be non-monotone, so the search tests every node
 of a fixed-step grid in order, brackets the *first* up-crossing, and
-refines it by bisection on the exact Taylor expansion of Delta.  The node
-values do not depend on eps: the march kept by :meth:`Propagator.march
-<qmemtime.propagate.Propagator.march>` keeps them in a node table, on a
-fixed schedule of chunks from t = 0 (see :mod:`qmemtime.propagate`), so
-every eps of a curve is one vectorized lookup there, with the answer of
-a fresh search, and only nodes past the table are marched.
+refines it by bisection on the exact Taylor expansion of Delta, in one
+call.  The node values do not depend on eps: the march kept by
+:meth:`Propagator.march <qmemtime.propagate.Propagator.march>` keeps
+them in a node table, on a fixed schedule of chunks from t = 0 (see
+:mod:`qmemtime.propagate`), so every eps of a curve is one vectorized
+lookup there, with the answer of a fresh search, and only nodes past the
+table are marched.
 
 An infinite answer is certified by a provable bound.  For a Hurwitz drift
 Delta(s) - Delta_inf = tr(K E_s), and the Lyapunov norm of the drift
 bounds that by B0 e^{-rate s} (see
-:meth:`DeviationMarch.decay_bound <qmemtime.propagate.DeviationMarch.decay_bound>`).
+:attr:`DeviationMarch.decay_bound <qmemtime.propagate.DeviationMarch.decay_bound>`).
 When the threshold clears Delta_inf, Delta stays below the threshold from
 the closed-form time t_c at which Delta_inf + B0 e^{-rate t_c} meets it
 less a relative margin, so the march ends at t_c.  The quadratic small-eps
@@ -135,13 +136,13 @@ def _require_nontrivial(ref, init, weights):
 def decoherence_time(sys, init, weights, epsilon, opts=None):
     """First time the deviation exceeds ``epsilon`` times the reference.
 
-    Finds the first node above the threshold on the grid k * ``opts.step``,
-    off the march's node table and past it (so the first crossing of a
-    non-monotone Delta is bracketed), and bisects that step to ``opts.tol``.
-    When the threshold clears Delta_inf and the drift has a Lyapunov norm,
-    the march ends at the certification time t_c past which Delta stays
-    below the threshold, and finding no crossing returns an infinite
-    result.  Otherwise exhausting the horizon raises
+    One crossing call per eps finds the first node above the threshold on
+    the grid k * ``opts.step``, off the march's node table and past it (so
+    the first crossing of a non-monotone Delta is bracketed), and bisects
+    that step to ``opts.tol``.  When the threshold clears Delta_inf and the
+    drift has a Lyapunov norm, the march ends at the certification time t_c
+    past which Delta stays below the threshold, and finding no crossing
+    returns an infinite result.  Otherwise exhausting the horizon raises
     :class:`InconclusiveCrossingError` carrying the marched supremum.
     Non-associative constants raise :class:`StructureDefectError`, and an
     ``epsilon`` that is not finite and positive raises ValueError.
@@ -166,23 +167,21 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
     # Past t_c, Delta(s) <= Delta_inf + B0 e^{-rate s} <= (1 - margin) threshold.
     t_c = INFINITE
     if prop.margin < -HURWITZ_TOL:
-        clear = (1.0 - opts.margin) * threshold - march.limit()
-        bound = march.decay_bound() if clear > 0.0 else None
+        clear = (1.0 - opts.margin) * threshold - march.limit
+        bound = march.decay_bound if clear > 0.0 else None
         if bound is not None:
             b0, rate = bound
             t_c = math.log(b0 / clear) / rate if b0 > clear else 0.0
 
     horizon = float(opts.horizon)
     nodes = max(0, int(math.ceil(min(horizon, t_c) / step - 1e-12)))
-    leg = march.run(nodes, threshold)
-    if not leg.crossed:
+    bracket, sup = march.first_crossing(nodes, threshold, tol)
+    if bracket is None:
         if t_c <= horizon:
             return DecoherenceTime(epsilon=epsilon, value=INFINITE,
                                    threshold=threshold, bracket=None)
         raise InconclusiveCrossingError(
             "no threshold crossing found and no decay certificate applies "
-            "within the horizon", sup_delta=leg.sup_delta, horizon=horizon)
-
-    t_lo, t_hi = march.refine(leg.state, leg.t, threshold, tol)
-    return DecoherenceTime(epsilon=epsilon, value=0.5 * (t_lo + t_hi),
-                           threshold=threshold, bracket=(t_lo, t_hi))
+            "within the horizon", sup_delta=sup, horizon=horizon)
+    return DecoherenceTime(epsilon=epsilon, value=0.5 * (bracket[0] + bracket[1]),
+                           threshold=threshold, bracket=bracket)

@@ -148,7 +148,7 @@ def partition_rk(composite, init, weights):
     return BlockOptimality(R1=R[b3, b1], R2=R[b3, b2], R12=R[b3, b3], K12=K[b3])
 
 
-def optimal_direct_coupling(blocks, E1, E2, tol=None):
+def optimal_direct_coupling(blocks, E1, E2):
     """Solve 2 R12 E12 + Q = 0 with Q = K12 + 2(R1 E1 + R2 E2).
 
     Positive definite R12 gives the unique solution -R12^{-1} Q / 2;
@@ -159,6 +159,6 @@ def optimal_direct_coupling(blocks, E1, E2, tol=None):
     E1 = np.asarray(E1, dtype=float)
     E2 = np.asarray(E2, dtype=float)
     Q = blocks.K12 + 2.0 * (blocks.R1 @ E1 + blocks.R2 @ E2)
-    od = optimal_energy(blocks.R12, Q, tol=tol)
+    od = optimal_energy(blocks.R12, Q)
     return replace(blocks, Q=Q, E12_star=od.E_star, residual=od.residual,
                    unique=od.unique, null_dim=od.null_dim)

@@ -52,7 +52,9 @@ class SystemParams:
             raise ValueError(f"coupling channel count m={m} must be even and >= 2")
         if N.shape != (m,):
             raise ValueError(f"coupling offset has shape {N.shape}, expected ({m},)")
-        for arr in (E, M, N):
+        for name, arr in (("energy vector", E), ("coupling matrix", M), ("coupling offset", N)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has non-finite entries")
             arr.setflags(write=False)
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "M", M)

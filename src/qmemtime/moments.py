@@ -32,6 +32,12 @@ from .propagate import Propagator
 #: anything more negative indicates an internal inconsistency.
 NEG_DELTA_TOL = 1e-10
 
+#: An admissible mean gives an initial Pi with no eigenvalue below -this.
+ADMISSIBILITY_TOL = 1e-10
+
+#: A weighting's eigenvalues up to this share of the largest count as zero.
+RANK_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class InitialMoments:
@@ -47,19 +53,21 @@ class InitialMoments:
     Pi: np.ndarray
 
 
-def initial_moments(sc, mu0, tol=1e-10):
+def initial_moments(sc, mu0):
     """Build :class:`InitialMoments`, rejecting inadmissible means."""
     mu0 = np.ascontiguousarray(np.asarray(mu0, dtype=float))
     if mu0.shape != (sc.n,):
         raise ValueError(f"initial mean has shape {mu0.shape}, expected ({sc.n},)")
+    if not np.isfinite(mu0).all():
+        raise ValueError("initial mean has non-finite entries")
     P = sc.alpha + sections_dot(sc.re_beta, mu0)
     P = (P + P.T) / 2.0
     Pi = P + 1j * sections_dot(sc.theta, mu0)
     lam_min = float(np.linalg.eigvalsh(Pi).min())
-    if lam_min < -tol:
+    if lam_min < -ADMISSIBILITY_TOL:
         raise AdmissibilityError(
             f"initial mean gives an indefinite second-moment matrix "
-            f"(min eigenvalue {lam_min:.3e} < -{tol:g})"
+            f"(min eigenvalue {lam_min:.3e} < -{ADMISSIBILITY_TOL:g})"
         )
     for arr in (mu0, P, Pi):
         arr.setflags(write=False)
@@ -75,11 +83,13 @@ class WeightingSpec:
     nu: int
 
 
-def weighting_from_sigma(Sigma, rank_tol=1e-12):
+def weighting_from_sigma(Sigma):
     """Factor a PSD weighting matrix as Sigma = F^T F."""
     Sigma = np.asarray(Sigma, dtype=float)
     if Sigma.ndim != 2 or Sigma.shape[0] != Sigma.shape[1]:
         raise ValueError(f"weighting matrix must be square, got {Sigma.shape}")
+    if not np.isfinite(Sigma).all():
+        raise ValueError("weighting matrix has non-finite entries")
     if np.abs(Sigma - Sigma.T).max() > 1e-10 * np.abs(Sigma).max(initial=0.0):
         raise ValueError("weighting matrix is not symmetric")
     Sigma = (Sigma + Sigma.T) / 2.0
@@ -88,7 +98,7 @@ def weighting_from_sigma(Sigma, rank_tol=1e-12):
     scale = float(np.abs(w).max(initial=0.0))
     if w.min(initial=0.0) < -1e-10 * scale:
         raise ValueError(f"weighting matrix is not PSD (min eigenvalue {w.min():.3e})")
-    keep = w > rank_tol * scale
+    keep = w > RANK_TOL * scale
     F = np.sqrt(w[keep])[:, None] * v[:, keep].T
     if np.abs(Sigma - F.T @ F).max() > 1e-10 * scale:
         raise InternalConsistencyError("weighting factorization residual above 1e-10")
@@ -102,6 +112,8 @@ def weighting_from_factor(F):
     F = np.asarray(F, dtype=float)
     if F.ndim != 2:
         raise ValueError("factor must be a 2-d array")
+    if not np.isfinite(F).all():
+        raise ValueError("factor has non-finite entries")
     if np.linalg.matrix_rank(F) < F.shape[0]:
         raise ValueError("factor rows are linearly dependent; full row rank required")
     Sigma = F.T @ F
@@ -205,19 +217,15 @@ class SteadyState:
 def steady_state(sys, init, weights):
     """Steady-state (mu, P, Lambda, Delta) for a Hurwitz drift.
 
-    P_inf solves A P + P A^T + Re Lambda_inf = 0; the limit deviation is
-    <Sigma, P> - 2 mu_inf^T Sigma mu0 + |F mu_inf|^2 + <Sigma, P_inf>,
-    whose sign is not asserted (the cross term may be negative).  The
-    limits of the system are derived once, by
-    :meth:`Propagator.limits <qmemtime.propagate.Propagator.limits>`, and
-    returned read-only; only Delta_inf is computed per call.
+    P_inf solves A P + P A^T + Re Lambda_inf = 0.  The limits of the system
+    are derived once, by :attr:`Propagator.limits
+    <qmemtime.propagate.Propagator.limits>`, and returned read-only; only
+    Delta_inf, whose sign is not asserted, is computed per call, by the
+    :meth:`~qmemtime.propagate.Propagator.deviation_limit` the march reads.
     """
-    mu_inf, lam_inf, P_inf = Propagator.of(sys).limits()
-    Sigma = weights.Sigma
-    delta_inf = float(np.sum(Sigma * init.P)
-                      - 2.0 * mu_inf @ Sigma @ init.mu0
-                      + mu_inf @ Sigma @ mu_inf
-                      + np.sum(Sigma * P_inf))
+    prop = Propagator.of(sys)
+    mu_inf, lam_inf, P_inf = prop.limits
+    delta_inf = prop.deviation_limit(prop.functional(init, weights.Sigma))
     return SteadyState(mu_inf=mu_inf, P_inf=P_inf, Lambda_inf=lam_inf,
                        Delta_inf=delta_inf)
 

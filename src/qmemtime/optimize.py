@@ -22,6 +22,9 @@ from .errors import StationarityError
 from .moments import delta_derivatives0
 from .propagate import Propagator
 
+#: Eigenvalues of R up to this share of its mean eigenvalue count as zero.
+STATIONARITY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class OptimalityData:
@@ -59,21 +62,20 @@ def rk_matrices(sys, init, weights):
     return R, K
 
 
-def optimal_energy(R, K, tol=None):
+def optimal_energy(R, K):
     """Solve the stationarity system 2RE + K = 0.
 
-    With R positive definite (smallest eigenvalue above ``tol``) the
-    solution is unique.  A singular R yields the minimum-norm solution
-    flagged non-unique with its null-space dimension, provided K lies in
-    the range of R; otherwise the inputs are inconsistent with convexity
-    and :class:`StationarityError` is raised.  ``tol`` defaults to the
-    scale-aware 1e-10 * trace(R)/n.
+    With R positive definite (smallest eigenvalue above the scale-aware
+    tol = ``STATIONARITY_TOL`` trace(R) / n) the solution is unique.  A
+    singular R yields the minimum-norm solution flagged non-unique with
+    its null-space dimension, provided K lies in the range of R; otherwise
+    the inputs are inconsistent with convexity and
+    :class:`StationarityError` is raised.
     """
     R = np.asarray(R, dtype=float)
     K = np.asarray(K, dtype=float)
     n = R.shape[0]
-    if tol is None:
-        tol = 1e-10 * float(np.trace(R)) / n
+    tol = STATIONARITY_TOL * float(np.trace(R)) / n
     w, v = np.linalg.eigh((R + R.T) / 2.0)
     ktol = max(tol, 1e-12 * max(1.0, float(np.abs(K).max(initial=0.0))))
 

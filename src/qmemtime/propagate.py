@@ -22,24 +22,25 @@ equal spacings, the nodes [k, k + m) follow from the nodes [k - m, k) by
 the power of Phi over m steps, for m = 1, 2, 4, ... up to ``BLOCK`` and
 then m = ``BLOCK`` (see :meth:`Propagator.trajectory`).
 
-:class:`DeviationMarch` tests the nodes from Phi_0 = I in chunks of 1,
-2, 4, ... up to a cap, then the cap, each with one product against
-adjoint rows (the functional pulled back over 1, 2, ... steps), jumps
-across a chunk by a power of Phi_step, and refines a bracketed node with
-one product against Taylor rows.  The powers depend only on the system
-and the step, the rows only on the functional and the step, and the
-schedule on neither eps nor earlier calls, so the march keeps the node
-values in a table.  A :class:`Propagator` keeps one march: every eps of
-a tau(eps) curve reads its crossing off the table, with the answer of a
-fresh search, and the rows, maps and node values a system keeps are
-bounded by ``ROW_BUDGET``.  A trajectory keeps its longest run's powers.
+:meth:`DeviationMarch.first_crossing` tests the nodes from Phi_0 = I in
+chunks of 1, 2, 4, ... up to a cap, then the cap, each with one product
+against adjoint rows (the functional pulled back over 1, 2, ... steps),
+jumps across a chunk by a power of Phi_step, and refines the first node
+above the threshold, the one state it pushes, by Taylor rows.  The powers
+depend only on the system and the step, the rows only on the functional
+and the step, and the schedule on neither eps nor earlier calls, so the
+march keeps the node values in a table.  A :class:`Propagator` keeps one
+march: every eps of a tau(eps) curve reads its crossing off the table,
+with the answer of a fresh search, and the rows, maps and node values a
+system keeps are bounded by ``ROW_BUDGET``.  A trajectory keeps its
+longest run's powers.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,10 +111,10 @@ class Propagator:
     (largest eigenvalue real part), the isolated drifts ``D`` with A0 =
     sum_l E_l D_l, the closure alpha + beta . mu and its defect, whether
     the diffusion vanishes and whether A and b do.  Kept as used: the
-    last :meth:`march` built, the maps of the last :meth:`trajectory`'s
-    longest run, the steady state of :meth:`mean_limit` and :meth:`limits`
-    and the Lyapunov norm of :meth:`contraction`.  :meth:`of` shares one
-    per system."""
+    last :meth:`march` built and the maps of the last :meth:`trajectory`'s
+    longest run; the steady state (:attr:`mean_limit`, :attr:`limits`) and
+    the Lyapunov norm (:attr:`contraction`) are cached properties, derived
+    on first read.  :meth:`of` shares one per system."""
 
     def __init__(self, sys):
         self.co = co = coefficients(sys)
@@ -136,8 +137,6 @@ class Propagator:
         self.frozen = bool(np.abs(co.A).max() <= 1e-14 and np.abs(co.b).max() <= 1e-14)
         self._march = None
         self._traj_maps = {}  # {spacing: maps over 2^i spacings}, one entry at most
-        self._mu_inf = self._limits = None
-        self._contraction = None
         # Both forms of Lambda are affine in mu: agreement at 0 and at a fixed pseudo-
         # random Weyl sequence (no numpy.random import) is a randomized test (Freivalds 1977)
         probes = (np.zeros(n), 2.0 * (np.arange(1, n + 1) * 0.6180339887498949 % 1.0) - 1.0)
@@ -182,33 +181,33 @@ class Propagator:
                 f"(relative defect {self._defect:.3e} > {CLOSURE_TOL:g}); the "
                 f"structure constants are not associative")
 
+    @functools.cached_property
     def mean_limit(self):
         """The steady-state mean mu_inf = -A^{-1} b of a Hurwitz drift,
-        derived by the first call that succeeds and kept read-only; a drift
-        that is not Hurwitz raises :class:`NotHurwitzError` on every call."""
+        read-only; a drift that is not Hurwitz raises
+        :class:`NotHurwitzError` on every read."""
         _require_margin(self.margin, context="the steady-state mean")
-        if self._mu_inf is None:
-            self._mu_inf = -np.linalg.solve(self.A, self.b)
-            self._mu_inf.setflags(write=False)
-        return self._mu_inf
+        mu_inf = -np.linalg.solve(self.A, self.b)
+        mu_inf.setflags(write=False)
+        return mu_inf
 
+    @functools.cached_property
     def limits(self):
         """Steady-state mean, diffusion matrix and second moment
         (mu_inf, Lambda_inf, P_inf) of a Hurwitz drift, read off the closure:
         P_inf = alpha + Re beta . mu_inf - mu_inf mu_inf^T, which solves A P
         + P A^T + Re Lambda_inf = 0 since S' = 0 at A mu_inf + b = 0.
-        Kept like :meth:`mean_limit`, which alone serves the march.
+        Read-only like :attr:`mean_limit`, which alone serves the march.
         """
-        mu_inf = self.mean_limit()
-        if self._limits is None:
-            lam_inf = self.lam(mu_inf)
-            P_inf = self.alpha + np.tensordot(mu_inf, self.re_beta, 1) - np.outer(mu_inf, mu_inf)
-            P_inf = (P_inf + P_inf.T) / 2.0
-            for arr in (lam_inf, P_inf):
-                arr.setflags(write=False)
-            self._limits = (mu_inf, lam_inf, P_inf)
-        return self._limits
+        mu_inf = self.mean_limit
+        lam_inf = self.lam(mu_inf)
+        P_inf = self.alpha + np.tensordot(mu_inf, self.re_beta, 1) - np.outer(mu_inf, mu_inf)
+        P_inf = (P_inf + P_inf.T) / 2.0
+        for arr in (lam_inf, P_inf):
+            arr.setflags(write=False)
+        return mu_inf, lam_inf, P_inf
 
+    @functools.cached_property
     def contraction(self):
         """The Lyapunov norm |x|_X = |X^{1/2} x| in which E_s = e^{sA}
         decays at a known rate, or None.
@@ -219,17 +218,12 @@ class Propagator:
 
             ||X^{1/2} E_s X^{-1/2}||_2 <= exp(-rate s),   rate = (1 - r) / (2 lambda_max(X))
 
-        (Trefethen & Embree, "Spectra and Pseudospectra", 2005).  Returns
+        (Trefethen & Embree, "Spectra and Pseudospectra", 2005).  It is
         (X^{1/2}, X^{-1/2}, rate, kappa(X)), derived once per drift; r
         includes a bound on the roundoff of the residual.  A drift that is
         not Hurwitz, or an X that fails the check or has kappa(X) >
         ``KAPPA_MAX``, has none.
         """
-        if self._contraction is None:
-            self._contraction = self._lyapunov_norm() or ()
-        return self._contraction or None
-
-    def _lyapunov_norm(self):
         if self.margin >= -HURWITZ_TOL:
             return None
         A, n = self.A, self.n
@@ -281,14 +275,19 @@ class Propagator:
         L[n, :n], L[n, n] = g, np.sum(Sigma * (self.alpha + init.P))
         return L
 
+    def deviation_limit(self, L):
+        """Delta_inf = <L, Phi_inf^T> = g . mu_inf + L_nn of a Hurwitz drift,
+        g the last row of the functional L; otherwise NotHurwitzError."""
+        return float(L[-1, :-1] @ self.mean_limit + L[-1, -1])
+
     def march(self, init, Sigma, step):
         """The :class:`DeviationMarch` of Delta = <L, Phi_t^T>, L of
         :meth:`functional`, on the grid k * ``step``.
 
-        The last march built is kept, with its maps, rows and node table,
-        and a later call with the same L and step (another eps) reuses it.
-        So a system keeps the maps, rows and table of one march, the rows
-        and the table each within ``ROW_BUDGET``.
+        The last march built is kept, with its maps, rows, node table and
+        cached properties, and a later call with the same L and step (another
+        eps) reuses it.  So a system keeps the maps, rows and table of one
+        march, the rows and the table each within ``ROW_BUDGET``.
         """
         L = self.functional(init, Sigma)
         march = self._march
@@ -362,27 +361,9 @@ class Propagator:
         return mu, V, delta
 
 
-@dataclass(frozen=True)
-class MarchResult:
-    """Outcome of marching Delta over the nodes k * step from t = 0.
-
-    If ``crossed``, Delta(t) = ``delta`` <= threshold < ``delta_next`` =
-    Delta(t + step) and ``state`` belongs to t; otherwise t is the final
-    node.  ``sup_delta`` is the largest Delta at the nodes marched below
-    the threshold, t = 0 included.
-    """
-
-    crossed: bool
-    t: float
-    delta: float
-    delta_next: float
-    state: np.ndarray
-    sup_delta: float
-
-
 class DeviationMarch:
     """Delta = <L, Phi_t^T> on the node grid k * step, for one functional L,
-    marched from Phi_0 = I at t = 0.
+    marched from Phi_0 = I at t = 0 by :meth:`first_crossing`.
 
     The state x is Phi_t^T = [[E_t^T, 0], [w_t^T, 1]], flattened; kept
     transposed, it moves over s steps, and a row is pulled back over
@@ -396,8 +377,10 @@ class DeviationMarch:
     and Phi_t^T at the chunk starts, the last of which is K; it grows by
     whole chunks up to the node ``last``, within ``ROW_BUDGET``, and is
     replaced whole, never written once kept.  The schedule is fixed, so
-    no answer depends on earlier calls.  Maps, rows, table, Taylor rows,
-    Delta_inf and :meth:`decay_bound` serve every call.
+    no answer depends on earlier calls.  Maps, rows and table serve every
+    call, and so do the cached properties: Delta_inf (:attr:`limit`),
+    :attr:`decay_bound`, and the Taylor rows and piece map of the
+    refinement, which cuts a step into ``pieces`` of ``width`` at most 1 / rho.
     """
 
     def __init__(self, prop, L, step):
@@ -410,7 +393,8 @@ class DeviationMarch:
         b, c = x0.nbytes, self.cap  # chunks of 1, 2, ..., c nodes, then m of c, fit:
         m = (ROW_BUDGET - 16 * c - (c.bit_length() + 1) * b) // (8 * c + b)
         self.last = (2 + m) * c - 1 if m >= 0 else 0
-        self._taylor = self._piece = self._limit = self._bound = None
+        self.pieces = max(1, math.ceil(step * prop.rho))
+        self.width = step / self.pieces
 
     def _taylor_rows(self, terms):
         """The rows L Ahat^k / k!, k = 0 ... ``terms``, with Ahat =
@@ -420,6 +404,16 @@ class DeviationMarch:
         for k in range(1, terms + 1):
             rows.append(rows[-1] @ self.prop.Ahat / k)
         return np.array(rows).reshape(terms + 1, -1)
+
+    @functools.cached_property
+    def _taylor(self):
+        """The Taylor rows summed over one piece of a refined step."""
+        return self._taylor_rows(_taylor_terms(self.width * self.prop.rho))
+
+    @functools.cached_property
+    def _piece(self):
+        """The transition matrix over one piece of a refined step."""
+        return self.prop.transition(self.width)
 
     def _maps(self, count):
         """The first ``count`` transition matrices over 2^i steps."""
@@ -454,16 +448,15 @@ class DeviationMarch:
     def delta(self, x):
         return float(self.L.ravel() @ x)
 
+    @functools.cached_property
     def limit(self):
-        """Delta_inf = <L, Phi_inf^T> = g . mu_inf + L_nn of a Hurwitz
-        drift, with g the last row of L; otherwise NotHurwitzError."""
-        if self._limit is None:
-            self._limit = float(self.L[-1, :-1] @ self.prop.mean_limit() + self.L[-1, -1])
-        return self._limit
+        """Delta_inf of L (see :meth:`Propagator.deviation_limit`)."""
+        return self.prop.deviation_limit(self.L)
 
+    @functools.cached_property
     def decay_bound(self):
         """(B0, rate) with |Delta(s) - Delta_inf| <= B0 e^{-rate s} for
-        every s >= 0, or None where :meth:`Propagator.contraction` has no
+        every s >= 0, or None where :attr:`Propagator.contraction` has no
         Lyapunov norm.
 
         Phi_s^T = [[E_s^T, 0], [w_s^T, 1]] with w_s = (I - E_s) mu_inf, so
@@ -472,17 +465,14 @@ class DeviationMarch:
         is at most ||M||_* e^{-rate s}.  B0 is that nuclear norm, raised
         by a relative allowance of 16 n^2 kappa(X) eps for its roundoff.
         """
-        if self._bound is None:
-            root = self.prop.contraction()
-            if root is None:
-                self._bound = ()
-            else:
-                Xh, Xih, rate, kappa = root
-                n = self.n1 - 1
-                K = self.L[:n, :n] - np.outer(self.prop.mean_limit(), self.L[n, :n])
-                nuclear = float(np.linalg.svd(Xh @ K @ Xih, compute_uv=False).sum())
-                self._bound = (nuclear * (1.0 + 16.0 * n * n * kappa * np.finfo(float).eps), rate)
-        return self._bound or None
+        root = self.prop.contraction
+        if root is None:
+            return None
+        Xh, Xih, rate, kappa = root
+        n = self.n1 - 1
+        K = self.L[:n, :n] - np.outer(self.prop.mean_limit, self.L[n, :n])
+        nuclear = float(np.linalg.svd(Xh @ K @ Xih, compute_uv=False).sum())
+        return nuclear * (1.0 + 16.0 * n * n * kappa * np.finfo(float).eps), rate
 
     def _keep(self, table, chunks):
         """Keep ``table`` extended by ``chunks`` (end node, Delta at the nodes,
@@ -491,14 +481,21 @@ class DeviationMarch:
         if ends[-1] > self.table[1][-1]:
             self.table = (np.concatenate([d, *values]), starts + ends, states + xs)
 
-    def run(self, nodes, threshold):
-        """March the nodes 1 ... ``nodes`` to the first node above
-        ``threshold``: the kept ones at once, then chunks from the table's
-        end, kept up to ``last``; non-finite values raise IntegrationError."""
+    def first_crossing(self, nodes, threshold, tol):
+        """The first node of 1 ... ``nodes`` above ``threshold``, as the
+        bracket (t_lo, t_hi) of its crossing refined to width ``tol`` (see
+        :meth:`_refine`), or None when no node is above; and the largest
+        Delta at the nodes marched below the threshold, t = 0 included.
+
+        The kept nodes are tested at once, then chunks from the table's
+        end, kept up to ``last``; non-finite values raise IntegrationError.
+        Only a crossing's left node needs its state, pushed from the chunk
+        start before it.
+        """
         d, starts, states = table = self.table
         lo, k = 0, min(nodes, starts[-1])
-        vals, prev = d[1:k + 1], float(d[0])  # Delta at the nodes lo + 1 ... k, and at lo
-        sup, size, new = prev, 1 << min(len(starts) - 1, self.cap.bit_length() - 1), []
+        vals, sup = d[1:k + 1], float(d[0])  # Delta at the nodes lo + 1 ... k, and at 0
+        size, new, bracket = 1 << min(len(starts) - 1, self.cap.bit_length() - 1), [], None
         while True:
             below = vals <= threshold  # False at a node above, or not finite
             if not below.all():
@@ -508,15 +505,13 @@ class DeviationMarch:
                         f"deviation march produced non-finite values near "
                         f"t={(lo + j) * self.step:.6g} (step {self.step:.3e})")
                 if j:
-                    sup, prev = max(sup, float(vals[:j].max())), float(vals[j - 1])
-                result = MarchResult(True, (lo + j) * self.step, prev, float(vals[j]),
-                                     self._state(lo + j, starts, states), sup)
+                    sup = max(sup, float(vals[:j].max()))
+                bracket = self._refine(self._state(lo + j, starts, states), (lo + j) * self.step,
+                                       threshold, tol)
                 break
             if len(vals):
-                sup, prev = max(sup, float(vals.max())), float(vals[-1])
+                sup = max(sup, float(vals.max()))
             if k == nodes:
-                result = MarchResult(False, nodes * self.step, prev, math.nan,
-                                     self._state(nodes, starts, states), sup)
                 break
             x, i = states[-1], size.bit_length() - 1  # the next chunk, of 2^i nodes
             d_new, x_end = self._grow(size) @ x, self._push(self._maps(i + 1)[i], x)
@@ -527,32 +522,25 @@ class DeviationMarch:
             size = min(2 * size, self.cap)
         if new:
             self._keep(table, new)
-        return result
+        return bracket, sup
 
-    def refine(self, x, t_lo, threshold, tol):
+    def _refine(self, x, t_lo, threshold, tol):
         """Shrink the bracket [t_lo, t_lo + step] of a crossing to width
         ``tol`` by bisection on the exact Taylor expansion of Delta about
         the left node (state x), keeping Delta(lo) <= threshold < Delta(hi).
 
-        A step longer than 1 / rho is cut into pieces that are searched in
-        order, so the series is only summed where it converges fast; the
+        A step longer than 1 / rho is cut into ``pieces`` that are searched
+        in order, so the series is only summed where it converges fast; the
         state crosses a piece by the exact map over it.
         """
-        t_end = t_lo + self.step
-        pieces = max(1, math.ceil(self.step * self.prop.rho))
-        width = self.step / pieces
-        if self._taylor is None:
-            self._taylor = self._taylor_rows(_taylor_terms(width * self.prop.rho))
-        a = t_lo
-        for i in range(pieces):
+        t_end, width, a = t_lo + self.step, self.width, t_lo
+        for i in range(self.pieces):
             coef = (self._taylor @ x).tolist()
-            if i == pieces - 1:
+            if i == self.pieces - 1:
                 hi = t_end
             elif _horner(coef, width) > threshold:
                 hi = a + width
             else:
-                if self._piece is None:
-                    self._piece = self.prop.transition(width)
                 x = self._push(self._piece, x)
                 a += width
                 continue

@@ -75,12 +75,13 @@ def random_instance(sc, rng, m=2, coupling_scale=1.0, mean_scale=0.8):
 
 @pytest.fixture
 def marched_nodes(monkeypatch):
-    """The node counts of the DeviationMarch.run calls made while the test runs."""
+    """The node counts of the DeviationMarch.first_crossing calls made while
+    the test runs."""
     from qmemtime.propagate import DeviationMarch
     runs = []
-    run = DeviationMarch.run
-    monkeypatch.setattr(DeviationMarch, "run",
-                        lambda self, nodes, *a: runs.append(nodes) or run(self, nodes, *a))
+    find = DeviationMarch.first_crossing
+    monkeypatch.setattr(DeviationMarch, "first_crossing",
+                        lambda self, nodes, *a: runs.append(nodes) or find(self, nodes, *a))
     return runs
 
 

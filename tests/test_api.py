@@ -60,6 +60,10 @@ REMOVED = [
     ("qmemtime.optimize", "SuboptimalityReport"),
     ("qmemtime.propagate", "Propagator._with_energy"),
     ("qmemtime.propagate", "Propagator._set_drift"),
+    ("qmemtime.propagate", "MarchResult"),
+    ("qmemtime.propagate", "DeviationMarch.run"),
+    ("qmemtime.propagate", "DeviationMarch.refine"),
+    ("qmemtime.propagate", "Propagator._lyapunov_norm"),
 ]
 
 

@@ -42,7 +42,7 @@ def test_identity_e_against_trajectory(worked, make_instance):
     for sys, init, w in _cases(worked, make_instance, 5, 11):
         prop = Propagator.of(sys)
         L = prop.functional(init, w.Sigma)
-        mu_inf = prop.limits()[0]
+        mu_inf = prop.limits[0]
         K = L[:-1, :-1] - np.outer(mu_inf, L[-1, :-1])
         d_inf = float(L[-1, :-1] @ mu_inf + L[-1, -1])
         delta = deviation_delta(sys, init, w, grid)
@@ -54,7 +54,7 @@ def test_limit_read_off_functional(worked, make_instance):
     for sys, init, w in _cases(worked, make_instance, 5, 12):
         march = Propagator.of(sys).march(init, w.Sigma, 1e-3)
         want = steady_state(sys, init, w).Delta_inf
-        assert march.limit() == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert march.limit == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_lyapunov_norm_against_scipy(worked, make_instance):
@@ -62,7 +62,7 @@ def test_lyapunov_norm_against_scipy(worked, make_instance):
     # the contraction bound and B0 = ||X^{1/2} K X^{-1/2}||_* independently
     for sys, init, w in _cases(worked, make_instance, 6, 14):
         prop = Propagator.of(sys)
-        Xh, Xih, rate, kappa = prop.contraction()
+        Xh, Xih, rate, kappa = prop.contraction
         X = solve_continuous_lyapunov(prop.A.T, -np.eye(3))
         root = sqrtm(X).real
         assert np.abs(Xh - root).max() <= 1e-10 * np.abs(root).max()
@@ -72,10 +72,10 @@ def test_lyapunov_norm_against_scipy(worked, make_instance):
             norm = np.linalg.norm(root @ E @ np.linalg.inv(root), 2)
             assert norm <= np.exp(-rate * t) * (1 + 1e-12)
         march = prop.march(init, w.Sigma, 1e-3)
-        L, mu_inf = march.L, prop.limits()[0]
+        L, mu_inf = march.L, prop.limits[0]
         K = L[:-1, :-1] - np.outer(mu_inf, L[-1, :-1])
         nuclear = np.linalg.svd(root @ K @ np.linalg.inv(root), compute_uv=False).sum()
-        b0 = march.decay_bound()[0]
+        b0 = march.decay_bound[0]
         assert nuclear <= b0 <= nuclear * (1 + 1e-10)
 
 
@@ -83,12 +83,12 @@ def test_bound_holds_on_dense_scan(worked, make_instance):
     checked = 0
     for sys, init, w in _cases(worked, make_instance, 8, 13):
         march = Propagator.of(sys).march(init, w.Sigma, 1e-3)
-        bound = march.decay_bound()
+        bound = march.decay_bound
         if bound is None:
             continue
         b0, rate = bound
         grid = np.linspace(0.0, 8.0 / rate, 4001)
-        gap = np.abs(deviation_delta(sys, init, w, grid) - march.limit())
+        gap = np.abs(deviation_delta(sys, init, w, grid) - march.limit)
         assert np.all(gap <= b0 * np.exp(-rate * grid) + 1e-12 * max(1.0, b0))
         checked += 1
     assert checked >= 6
@@ -140,13 +140,13 @@ def test_certificate_never_skips_a_scanned_crossing(pauli, a, c, ratio, tilt, n1
     assume(prop.margin < -1e-2)
     step = 1e-3 / max(1.0, prop.norm_a)
     march = prop.march(init, weights.Sigma, step)
-    bound = march.decay_bound()
+    bound = march.decay_bound
     assume(bound is not None)
     b0, rate = bound
-    kappa = prop.contraction()[3]
+    kappa = prop.contraction[3]
     target(math.log10(kappa), label="log10 kappa(X)")
 
-    d_inf = march.limit()
+    d_inf = march.limit
     grid = np.arange(int(12.0 / rate / step)) * step
     scan = deviation_delta(sys, init, weights, grid)
     assert np.all(np.abs(scan - d_inf) <= b0 * np.exp(-rate * grid) + 1e-12 * max(1.0, b0))
@@ -181,4 +181,4 @@ def test_no_certificate_without_a_checked_lyapunov_norm(worked, monkeypatch, fau
     with pytest.raises(InconclusiveCrossingError):
         decoherence_time(system, *args, opts=opts)
     prop = Propagator.of(system)
-    assert prop.contraction() is None and prop._march.decay_bound() is None
+    assert prop.contraction is None and prop._march.decay_bound is None

@@ -224,3 +224,14 @@ def test_system_params_validation(pauli):
         SystemParams(sc=pauli, E=np.zeros(3), M=np.zeros((3, 3)), N=np.zeros(3))
     with pytest.raises(ValueError):
         SystemParams(sc=pauli, E=np.zeros(3), M=np.zeros((2, 3)), N=np.zeros(3))
+
+
+@pytest.mark.parametrize("field", ["E", "M", "N"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_system_params_rejects_non_finite(pauli, field, bad):
+    # NaN energies used to fail deep in the SVD of ||A||_2
+    fields = {"E": np.zeros(3), "M": np.eye(3)[:2], "N": np.zeros(2)}
+    fields[field] = fields[field].copy()
+    fields[field].flat[0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        SystemParams(sc=pauli, **fields)

@@ -9,6 +9,7 @@ from scipy.linalg import expm as sexpm
 from qmemtime import propagate
 from qmemtime.errors import (AdmissibilityError, IntegrationError,
                              NotHurwitzError)
+from qmemtime.interconnect import compose, product_mean
 from qmemtime.linalg import expm_psi, solve_lyapunov, spectral_norm
 from qmemtime.model import SystemParams, coefficients
 from qmemtime.moments import (delta_derivatives0, deviation_delta,
@@ -54,6 +55,19 @@ def test_weighting_rejects_bad_inputs():
         weighting_from_sigma(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(ValueError):
         weighting_from_factor(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("build", ["mu0", "Sigma", "F"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_inputs_reject_non_finite(pauli, build, bad):
+    # a NaN Sigma used to give an empty factor and a NaN Delta_inf, and an
+    # infinite one a TrivialWeightError; a NaN mean failed in eigvalsh
+    value = {"mu0": np.zeros(3), "Sigma": np.eye(3), "F": np.eye(3)[:2]}[build]
+    value.flat[-1] = bad
+    call = {"mu0": lambda v: initial_moments(pauli, v), "Sigma": weighting_from_sigma,
+            "F": weighting_from_factor}[build]
+    with pytest.raises(ValueError, match="non-finite"):
+        call(value)
 
 
 # -- integrated exponential ---------------------------------------------------
@@ -129,7 +143,7 @@ def test_mean_matches_ode_oracle(make_instance):
 
 
 def test_mean_limit_worked(worked):
-    mu_inf = propagate.Propagator.of(worked.sys).mean_limit()
+    mu_inf = propagate.Propagator.of(worked.sys).mean_limit
     assert np.abs(mu_inf - worked.mu_inf).max() <= 1e-12
 
 
@@ -345,6 +359,30 @@ def test_steady_state_worked(worked):
     assert np.abs(ss.Lambda_inf.real - worked.re_lambda_inf).max() <= 1e-12
     assert np.abs(ss.P_inf - worked.P_inf).max() <= 1e-10
     assert abs(ss.Delta_inf - worked.delta_inf) <= 1e-10
+
+
+def test_delta_inf_matches_second_moment_form(pauli, make_instance):
+    # Delta_inf = <Sigma, P> - 2 mu_inf^T Sigma mu0 + |F mu_inf|^2 + <Sigma, P_inf>,
+    # the limit of E|F (X_t - X_0)|^2, against g . mu_inf + L_nn read off
+    # the functional; the composite has a nonzero Re beta, which spin lacks
+    rng = np.random.default_rng(31)
+    sub = SystemParams(sc=pauli, E=np.array([0.1, 0.0, 0.2]), M=np.eye(3)[:2],
+                       N=np.array([0.0, 0.1]))
+    composite = compose(sub, sub, 0.3 * np.ones(9)).as_system()
+    cases = [(composite, initial_moments(composite.sc,
+                                         product_mean([0.1, 0.0, 0.2], [0.0, -0.1, 0.3])))]
+    while len(cases) < 5:
+        sys, init = make_instance(rng)
+        if propagate.Propagator.of(sys).margin < -1e-3:
+            cases.append((sys, init))
+    for sys, init in cases:
+        G = rng.standard_normal((sys.n, sys.n))
+        w = weighting_from_sigma(G @ G.T / sys.n)
+        ss = steady_state(sys, init, w)
+        Sigma, mu_inf, mu0 = w.Sigma, ss.mu_inf, init.mu0
+        want = (np.sum(Sigma * init.P) - 2.0 * mu_inf @ Sigma @ mu0
+                + mu_inf @ Sigma @ mu_inf + np.sum(Sigma * ss.P_inf))
+        assert ss.Delta_inf == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_steady_state_requires_hurwitz(pauli):

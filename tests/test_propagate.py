@@ -34,25 +34,27 @@ def _march(system, init, weights, step):
     return Propagator(system).march(init, weights.Sigma, step)
 
 
-def test_march_reports_bracket_state(worked):
-    h = 1e-3
+def _state_at(march, node):
+    """Phi_t^T at ``node``, pushed from the march's kept chunk starts."""
+    return march._state(node, *march.table[1:])
+
+
+def test_first_crossing_brackets_a_grid_step(worked):
+    h, tol = 1e-3, 1e-12
     march = _march(worked.sys, worked.init, worked.weights, h)
-    res = march.run(1000, 0.05)
-    assert res.crossed
-    assert res.delta <= 0.05 < res.delta_next
-    assert res.t / h == pytest.approx(round(res.t / h), abs=1e-9)
-    # the returned state reproduces the left deviation value
-    assert march.delta(res.state) == pytest.approx(res.delta, abs=1e-12)
-    d = deviation_delta(worked.sys, worked.init, worked.weights,
-                        np.array([0.0, res.t, res.t + h]))
-    assert d[1] <= 0.05 < d[2]
+    (lo, hi), sup = march.first_crossing(1000, 0.05, tol)
+    k = math.floor(lo / h)  # the left node of the bracketed step
+    assert k * h <= lo < hi <= (k + 1) * h and hi - lo <= tol
+    d = march.table[0]
+    assert d[k] <= 0.05 < d[k + 1]
+    # the state at the left node reproduces its deviation value
+    assert march.delta(_state_at(march, k)) == pytest.approx(d[k], abs=1e-12)
+    ends = deviation_delta(worked.sys, worked.init, worked.weights, np.array([0.0, lo, hi]))
+    assert ends[1] <= 0.05 < ends[2]
     # Delta rises, so the largest value below the threshold is the left
     # node's; read off the kept table, the result is the same, bitwise
-    assert res.sup_delta == res.delta
-    again = march.run(1000, 0.05)
-    assert (again.t, again.delta, again.delta_next, again.sup_delta) == \
-        (res.t, res.delta, res.delta_next, res.sup_delta)
-    assert np.array_equal(again.state, res.state)
+    assert sup == d[k]
+    assert march.first_crossing(1000, 0.05, tol) == ((lo, hi), sup)
 
 
 def test_march_raises_on_non_finite_deviation(worked):
@@ -62,24 +64,41 @@ def test_march_raises_on_non_finite_deviation(worked):
     L[1, 2] = math.nan
     march = DeviationMarch(prop, L, 1e-3)
     with pytest.raises(IntegrationError, match="non-finite"):
-        march.run(100, 1e9)
+        march.first_crossing(100, 1e9, 1e-9)
 
 
-def test_march_no_crossing_returns_final_state(worked):
+def test_march_no_crossing_returns_supremum(worked):
     h = 1e-3
     march = _march(worked.sys, worked.init, worked.weights, h)
-    res = march.run(50, 1e9)
-    assert not res.crossed
-    assert res.t == pytest.approx(50 * h)
-    assert math.isnan(res.delta_next)
+    bracket, sup = march.first_crossing(50, 1e9, 1e-9)
+    assert bracket is None
     traj = moment_trajectory(worked.sys, worked.init, worked.weights,
-                             np.array([0.0, 50 * h]))
-    assert march.delta(res.state) == pytest.approx(traj.Delta[-1], abs=1e-12)
-    assert res.delta == pytest.approx(traj.Delta[-1], abs=1e-12)
-    # the state is Phi_t^T, and Phi_t maps (mu0, 1) to (mu_t, 1)
+                             np.arange(51) * h)
+    assert sup == pytest.approx(traj.Delta.max(), abs=1e-12)
+    # the kept state is Phi_t^T, and Phi_t maps (mu0, 1) to (mu_t, 1)
+    state = _state_at(march, 50)
+    assert march.delta(state) == pytest.approx(traj.Delta[-1], abs=1e-12)
     n = worked.sys.n
-    Phi = res.state.reshape(n + 1, n + 1).T
+    Phi = state.reshape(n + 1, n + 1).T
     assert np.abs(Phi[:n] @ np.r_[worked.init.mu0, 1.0] - traj.mu[-1]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("eps, horizon", [(2.5, 1e4), (2.0 * (1.0 + 1e-7), 0.5)])
+def test_no_crossing_pushes_no_state(worked, monkeypatch, eps, horizon):
+    # A march that ends below the threshold (certified at eps 2.5, then
+    # inconclusive on a short horizon) needs no state: read off the kept
+    # table, it pushes none
+    system, opts = dataclasses.replace(worked.sys), CrossingOptions(horizon=horizon)
+    args = (worked.init, eps, opts)
+    before = _outcome(system, *args)
+    calls = []
+    for name in ("_push", "_state"):
+        monkeypatch.setattr(DeviationMarch, name,
+                            lambda self, *a, f=getattr(DeviationMarch, name), name=name:
+                            calls.append(name) or f(self, *a))
+    assert _outcome(system, *args) == before
+    assert calls == []
+    assert before[0] == (math.inf if horizon > 1.0 else "inconclusive")
 
 
 def _two_qubit_composite(pauli):
@@ -104,7 +123,7 @@ def test_chunked_delta_matches_stepwise(make_instance, pauli, case):
     h = 1e-3 / max(1.0, prop.norm_a)
     nodes = 700
     march = prop.march(init, weights.Sigma, h)
-    march.run(nodes, math.inf)
+    march.first_crossing(nodes, math.inf, 1e-9)
     d, starts, states = march.table
     assert starts[-1] >= nodes and len(states) == len(starts)
 
@@ -297,7 +316,7 @@ def test_tau_curve_bitwise_independent_of_node_table(worked, calls, data):
     prop = Propagator(worked.sys)
     step = 1e-3 / prop.norm_a
     march = prop.march(worked.init, worked.weights.Sigma, step)
-    march.run(20000, math.inf)
+    march.first_crossing(20000, math.inf, 1e-9)
     d = march.table[0]
     ref = reference_norm(worked.init, worked.weights)
     jobs = [(0.5 * (d[b - 1] + d[b]) / ref,
@@ -402,7 +421,7 @@ def test_certificate_ends_the_march_at_its_closed_form_time(worked, marched_node
     # marched 20 / 2 time units, 40,000 nodes
     assert decoherence_time(worked.sys, worked.init, worked.weights, 2.5).is_infinite
     march = Propagator.of(worked.sys)._march
-    b0, rate = march.decay_bound()
+    b0, rate = march.decay_bound
     assert b0 == pytest.approx(6.0, rel=1e-12) and rate == pytest.approx(2.0, rel=1e-12)
     t_c = math.log(b0 / ((1.0 - 1e-6) * 7.5 - 6.0)) / rate
     assert marched_nodes == [math.ceil(t_c / march.step)] == [2773]
@@ -448,7 +467,8 @@ def test_taylor_rows_match_forward_series(make_instance, case):
     # a generic transition matrix too: the closure holds for every mean
     rng = np.random.default_rng(5)
     generic = np.vstack([rng.standard_normal((n1 - 1, n1)), np.eye(n1)[-1]])
-    for x in (march.run(0, math.inf).state, march.run(37, math.inf).state, generic.T.ravel()):
+    march.first_crossing(37, math.inf, 1e-9)
+    for x in (_state_at(march, 0), _state_at(march, 37), generic.T.ravel()):
         want = forward_taylor(system, init, Sigma, x.reshape(n1, n1).T, 10)
         # relative to the size of each sum: at n = 15 its terms cancel to
         # within 1e-5 of it
@@ -618,9 +638,10 @@ def test_march_delta_matches_trajectory(make_instance, case, wseed, frac):
     march = prop.march(init, weights.Sigma, step)
     grid = np.arange(nodes + 1) * step
     want = prop.trajectory(init, weights.Sigma, grid)[2]
-    end = march.run(nodes, math.inf).state
+    sup = march.first_crossing(nodes, math.inf, 1e-9)[1]
     assert np.abs(march.table[0][:nodes + 1] - want).max() <= 1e-13 * ref
-    assert abs(march.delta(end) - want[-1]) <= 1e-13 * ref
+    assert abs(march.delta(_state_at(march, nodes)) - want[-1]) <= 1e-13 * ref
+    assert sup == march.table[0][:nodes + 1].max()
 
     threshold = frac * want.max()
     assume(np.abs(want - threshold).min() > 1e-9 * ref)
@@ -640,7 +661,7 @@ def test_limits_match_lyapunov_oracle(make_instance, case):
     system, init = _closure_case(make_instance, case)
     prop = Propagator.of(system)
     assert prop.margin < -1e-3
-    mu_inf, lam_inf, P_inf = prop.limits()
+    mu_inf, lam_inf, P_inf = prop.limits
     want = solve_lyapunov(prop.A, lam_inf.real)
     assert np.abs(P_inf - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
     ss = steady_state(system, init, _random_weights(system.n, 4))
