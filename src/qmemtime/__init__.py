@@ -30,7 +30,6 @@ from .moments import (InitialMoments, MomentTrajectory, SteadyState,
                       WeightingSpec, delta_derivatives0, deviation_delta,
                       initial_moments, moment_trajectory, reference_norm,
                       steady_state, weighting_from_factor, weighting_from_sigma)
-from .optimize import (GradientReport, OptimalityData, gradient_check,
-                       optimal_energy, rk_matrices)
+from .optimize import OptimalityData, optimal_energy, rk_matrices
 
 __version__ = "0.1.0"

@@ -23,6 +23,8 @@ is column-major vectorization, so ``col(2 Theta diamond E)`` equals
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import StructureDefectError
@@ -127,37 +129,30 @@ class StructureConstants:
         return f"StructureConstants(n={self.n})"
 
 
+@dataclass(frozen=True)
 class StructureReport:
     """Result of :func:`validate_structure`; never raises."""
 
-    __slots__ = ("alpha_asymmetry", "beta_nonhermiticity", "theta_defect",
-                 "worst_defect", "worst_index", "tol", "passed")
+    alpha_asymmetry: float
+    beta_nonhermiticity: float
+    worst_defect: float
+    worst_index: tuple
+    tol: float
 
-    def __init__(self, alpha_asymmetry, beta_nonhermiticity, theta_defect,
-                 worst_defect, worst_index, tol):
-        self.alpha_asymmetry = alpha_asymmetry
-        self.beta_nonhermiticity = beta_nonhermiticity
-        self.theta_defect = theta_defect
-        self.worst_defect = worst_defect
-        self.worst_index = worst_index
-        self.tol = tol
-        self.passed = worst_defect <= tol
-
-    def __repr__(self):
-        status = "pass" if self.passed else "FAIL"
-        return (f"StructureReport({status}, alpha={self.alpha_asymmetry:.3e}, "
-                f"beta={self.beta_nonhermiticity:.3e}, theta={self.theta_defect:.3e}, "
-                f"worst={self.worst_index})")
+    @property
+    def passed(self):
+        return self.worst_defect <= self.tol
 
 
 def validate_structure(alpha, beta, tol=1e-12):
     """Measure how far (alpha, beta) are from a valid constant set.
 
-    Reports the largest asymmetry of alpha, the largest non-Hermiticity
-    over the sections ``beta[l]``, and the largest symmetry defect of their
-    imaginary parts, together with the location of the worst offender,
-    given as (j, k, l) of beta_jkl.  Passes iff every defect is at most
-    ``tol``.
+    Reports the largest asymmetry of alpha and the largest non-Hermiticity
+    over the sections ``beta[l]``, together with the location of the worst
+    offender, given as (j, k, l) of beta_jkl.  Passes iff both are at most
+    ``tol``.  The symmetry defect |Im beta + Im beta^T| of the imaginary
+    parts is the imaginary part of the non-Hermiticity, so it is never
+    larger and needs no report of its own.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=complex)
@@ -173,20 +168,9 @@ def validate_structure(alpha, beta, tol=1e-12):
     b_flat = np.unravel_index(int(d_beta.argmax()), d_beta.shape)
     b_idx = (int(b_flat[1]), int(b_flat[2]), int(b_flat[0]))
 
-    theta = beta.imag
-    d_theta = np.abs(theta + np.transpose(theta, (0, 2, 1)))
-    theta_defect = float(d_theta.max())
-    t_flat = np.unravel_index(int(d_theta.argmax()), d_theta.shape)
-    t_idx = (int(t_flat[1]), int(t_flat[2]), int(t_flat[0]))
-
-    defects = [
-        (alpha_defect, ("alpha",) + a_idx),
-        (beta_defect, ("beta",) + b_idx),
-        (theta_defect, ("theta",) + t_idx),
-    ]
-    worst_defect, worst_index = max(defects, key=lambda d: d[0])
-    return StructureReport(alpha_defect, beta_defect, theta_defect,
-                           worst_defect, worst_index, tol)
+    worst_defect, worst_index = max([(alpha_defect, ("alpha",) + a_idx),
+                                     (beta_defect, ("beta",) + b_idx)], key=lambda d: d[0])
+    return StructureReport(alpha_defect, beta_defect, worst_defect, worst_index, tol)
 
 
 def pauli_structure():

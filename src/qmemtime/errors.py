@@ -69,7 +69,7 @@ class InconclusiveCrossingError(DomainError):
 
 
 class IntegrationError(DomainError):
-    """A fixed-step integration produced non-finite values."""
+    """The moment dynamics produced non-finite values."""
 
 
 class InternalConsistencyError(QmemtimeError):

@@ -53,10 +53,6 @@ class CompositeSystem:
     def E2(self):
         return self.system.E[self.blocks[1]]
 
-    @property
-    def E12(self):
-        return self.system.E[self.blocks[2]]
-
     def as_system(self):
         """The composite as an ordinary system for all downstream analysis."""
         return self.system

@@ -19,6 +19,7 @@ same closure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +35,6 @@ NEG_DELTA_TOL = 1e-10
 
 #: An admissible mean gives an initial Pi with no eigenvalue below -this.
 ADMISSIBILITY_TOL = 1e-10
-
-#: A weighting's eigenvalues up to this share of the largest count as zero.
-RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,15 +74,14 @@ def initial_moments(sc, mu0):
 
 @dataclass(frozen=True)
 class WeightingSpec:
-    """Weighting matrix Sigma = F^T F with a full-row-rank factor F."""
+    """A checked weighting matrix Sigma: real, symmetric and PSD."""
 
     Sigma: np.ndarray
-    F: np.ndarray
-    nu: int
 
 
 def weighting_from_sigma(Sigma):
-    """Factor a PSD weighting matrix as Sigma = F^T F."""
+    """Check a weighting matrix: square, finite, symmetric and PSD, each to
+    a floor relative to its own scale, so s Sigma passes iff Sigma does."""
     Sigma = np.asarray(Sigma, dtype=float)
     if Sigma.ndim != 2 or Sigma.shape[0] != Sigma.shape[1]:
         raise ValueError(f"weighting matrix must be square, got {Sigma.shape}")
@@ -93,22 +90,15 @@ def weighting_from_sigma(Sigma):
     if np.abs(Sigma - Sigma.T).max() > 1e-10 * np.abs(Sigma).max(initial=0.0):
         raise ValueError("weighting matrix is not symmetric")
     Sigma = (Sigma + Sigma.T) / 2.0
-    w, v = np.linalg.eigh(Sigma)
-    # Floors relative to Sigma's own scale, so s Sigma has the rank of Sigma.
-    scale = float(np.abs(w).max(initial=0.0))
-    if w.min(initial=0.0) < -1e-10 * scale:
+    w = np.linalg.eigvalsh(Sigma)
+    if w.min(initial=0.0) < -1e-10 * float(np.abs(w).max(initial=0.0)):
         raise ValueError(f"weighting matrix is not PSD (min eigenvalue {w.min():.3e})")
-    keep = w > RANK_TOL * scale
-    F = np.sqrt(w[keep])[:, None] * v[:, keep].T
-    if np.abs(Sigma - F.T @ F).max() > 1e-10 * scale:
-        raise InternalConsistencyError("weighting factorization residual above 1e-10")
     Sigma.setflags(write=False)
-    F.setflags(write=False)
-    return WeightingSpec(Sigma=Sigma, F=F, nu=int(keep.sum()))
+    return WeightingSpec(Sigma=Sigma)
 
 
 def weighting_from_factor(F):
-    """Wrap an explicit full-row-rank factor F."""
+    """The weighting Sigma = F^T F of an explicit full-row-rank factor F."""
     F = np.asarray(F, dtype=float)
     if F.ndim != 2:
         raise ValueError("factor must be a 2-d array")
@@ -118,10 +108,8 @@ def weighting_from_factor(F):
         raise ValueError("factor rows are linearly dependent; full row rank required")
     Sigma = F.T @ F
     Sigma = (Sigma + Sigma.T) / 2.0
-    F = F.copy()
     Sigma.setflags(write=False)
-    F.setflags(write=False)
-    return WeightingSpec(Sigma=Sigma, F=F, nu=F.shape[0])
+    return WeightingSpec(Sigma=Sigma)
 
 
 @dataclass(frozen=True)
@@ -196,11 +184,16 @@ def delta_derivatives0(sys, init, weights):
     The first is <Sigma, Re Lambda(mu0)> and is nonnegative.  Delta(t) =
     <L, Phi_t^T> (see :mod:`qmemtime.propagate`), so the second is <L,
     (Ahat^2)^T> for the generator Ahat = [[A, b], [0, 0]] of Phi: quadratic
-    and convex in the energy vector through A.
+    and convex in the energy vector through A.  A drift so large that
+    the second is not a finite double raises :class:`IntegrationError`.
     """
     prop = Propagator.of(sys)
     L = prop.functional(init, weights.Sigma)
-    d2 = float(np.sum(L * (prop.Ahat @ prop.Ahat).T))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = float(np.sum(L * (prop.Ahat @ prop.Ahat).T))
+    if not math.isfinite(d2):
+        raise IntegrationError(f"the second deviation derivative at t = 0 overflows "
+                               f"(drift norm {prop.norm_a:.3e})")
     return _delta_rate0(prop, init, weights.Sigma), d2
 
 

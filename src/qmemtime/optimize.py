@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StationarityError
-from .moments import delta_derivatives0
 from .propagate import Propagator
 
 #: Eigenvalues of R up to this share of its mean eigenvalue count as zero.
@@ -101,36 +100,3 @@ def optimal_energy(R, K):
     return OptimalityData(R=R, K=K, E_star=e_star, residual=residual,
                           zero_energy_optimal=zero_opt, unique=unique,
                           null_dim=null_dim)
-
-
-@dataclass(frozen=True)
-class GradientReport:
-    """Analytic vs central-difference gradient of the quadratic growth."""
-
-    E_probe: np.ndarray
-    analytic: np.ndarray
-    numeric: np.ndarray
-    max_abs_dev: float
-    max_rel_dev: float
-
-
-def gradient_check(sys, init, weights, E_probe):
-    """Compare 8(2RE + K) with central differences of the second
-    deviation derivative; report-only."""
-    E_probe = np.asarray(E_probe, dtype=float)
-    R, K = rk_matrices(sys, init, weights)
-    analytic = 8.0 * (2.0 * R @ E_probe + K)
-
-    h = 1e-5 * (1.0 + float(np.abs(E_probe).max(initial=0.0)))
-    numeric = np.empty_like(analytic)
-    for k in range(E_probe.size):
-        bump = np.zeros_like(E_probe)
-        bump[k] = h
-        _, up = delta_derivatives0(sys.with_energy(E_probe + bump), init, weights)
-        _, dn = delta_derivatives0(sys.with_energy(E_probe - bump), init, weights)
-        numeric[k] = (up - dn) / (2.0 * h)
-
-    max_abs = float(np.abs(analytic - numeric).max())
-    scale = max(1.0, float(np.abs(analytic).max()))
-    return GradientReport(E_probe=E_probe, analytic=analytic, numeric=numeric,
-                          max_abs_dev=max_abs, max_rel_dev=max_abs / scale)

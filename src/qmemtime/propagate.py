@@ -19,21 +19,22 @@ functional of :meth:`Propagator.functional`.
 
 A trajectory moves a whole block of grid nodes at once: within a run of
 equal spacings, the nodes [k, k + m) follow from the nodes [k - m, k) by
-the power of Phi over m steps, for m = 1, 2, 4, ... up to ``BLOCK`` and
-then m = ``BLOCK`` (see :meth:`Propagator.trajectory`).
+the map Phi over m steps, for m = 1, 2, 4, ... up to ``BLOCK`` and then
+m = ``BLOCK`` (see :meth:`Propagator.trajectory`).  Each map over 2^i
+steps is its own exponential, whose roundoff does not grow with i.
 
 :meth:`DeviationMarch.first_crossing` tests the nodes from Phi_0 = I in
 chunks of 1, 2, 4, ... up to a cap, then the cap, each with one product
 against adjoint rows (the functional pulled back over 1, 2, ... steps),
-jumps across a chunk by a power of Phi_step, and refines the first node
-above the threshold, the one state it pushes, by Taylor rows.  The powers
-depend only on the system and the step, the rows only on the functional
+jumps across a chunk by the map over its steps, and refines the first
+node above the threshold, the one state it pushes, by Taylor rows.  The
+maps depend only on the system and the step, the rows only on the functional
 and the step, and the schedule on neither eps nor earlier calls, so the
 march keeps the node values in a table.  A :class:`Propagator` keeps one
 march: every eps of a tau(eps) curve reads its crossing off the table,
 with the answer of a fresh search, and the rows, maps and node values a
 system keeps are bounded by ``ROW_BUDGET``.  A trajectory keeps its
-longest run's powers.
+longest run's maps.
 """
 
 from __future__ import annotations
@@ -75,15 +76,6 @@ def _horner(coef, s):
 def _defect(form, size, sandwich=0.0):
     """|``form`` - ``sandwich``| relative to the size of their terms."""
     return np.abs(form - sandwich).max() / max(1.0, size, np.abs(sandwich).max())
-
-
-def _doubled(maps, count, first):
-    """The transition matrices over 1, 2, 4, ... steps: ``maps`` extended to
-    ``count`` of them by squaring, where ``first()`` is the one over one
-    step.  A new tuple, so a reader of the old one is not disturbed."""
-    while len(maps) < count:
-        maps += (maps[-1] @ maps[-1] if maps else first(),)
-    return maps
 
 
 def step_spacings(grid):
@@ -321,8 +313,9 @@ class Propagator:
         # do not add to its size.
         built, runs = dict(self._traj_maps), []
         for s, e in zip(starts, ends):
-            built[h[s]] = _doubled(built.get(h[s], ()), min((e - s).bit_length(), levels),
-                                   lambda: self.transition(h[s]))
+            maps = built.get(h[s], ())
+            built[h[s]] = maps + tuple(self.transition(h[s] * 2 ** i) for i in
+                                       range(len(maps), min((e - s).bit_length(), levels)))
             runs.append((s, e, built[h[s]]))
         s, e, _ = max(runs, key=lambda run: run[1] - run[0])
         self._traj_maps = {h[s]: built[h[s]]} if e - s > 1 else {}
@@ -397,12 +390,13 @@ class DeviationMarch:
         self.width = step / self.pieces
 
     def _taylor_rows(self, terms):
-        """The rows L Ahat^k / k!, k = 0 ... ``terms``, with Ahat =
+        """The rows L (width Ahat)^k / k!, k = 0 ... ``terms``, with Ahat =
         [[A, b], [0, 0]] the generator of Phi: their product with a state x
-        gives the Taylor coefficients of Delta in time about x."""
-        rows = [self.L]
+        gives the Taylor coefficients of Delta about x in the time over
+        ``width``.  width ||Ahat|| <= 1, so no row outgrows L at any drift."""
+        rows, scaled = [self.L], self.width * self.prop.Ahat
         for k in range(1, terms + 1):
-            rows.append(rows[-1] @ self.prop.Ahat / k)
+            rows.append(rows[-1] @ scaled / k)
         return np.array(rows).reshape(terms + 1, -1)
 
     @functools.cached_property
@@ -416,8 +410,14 @@ class DeviationMarch:
         return self.prop.transition(self.width)
 
     def _maps(self, count):
-        """The first ``count`` transition matrices over 2^i steps."""
-        maps = self.maps = _doubled(self.maps, count, lambda: self.prop.transition(self.step))
+        """The first ``count`` transition matrices over 2^i steps, each its own
+        exponential: a map squared i times would carry i roundings of the
+        map over one step.  A new tuple, so a reader of the old one is not
+        disturbed."""
+        maps = self.maps
+        if len(maps) < count:
+            maps = self.maps = maps + tuple(self.prop.transition(self.step * 2 ** i)
+                                            for i in range(len(maps), count))
         return maps
 
     def _push(self, Phi, x):
@@ -538,7 +538,7 @@ class DeviationMarch:
             coef = (self._taylor @ x).tolist()
             if i == self.pieces - 1:
                 hi = t_end
-            elif _horner(coef, width) > threshold:
+            elif _horner(coef, 1.0) > threshold:
                 hi = a + width
             else:
                 x = self._push(self._piece, x)
@@ -549,7 +549,7 @@ class DeviationMarch:
                 if hi - lo <= tol:
                     break
                 mid = 0.5 * (lo + hi)
-                if _horner(coef, mid - a) > threshold:
+                if _horner(coef, (mid - a) / width) > threshold:
                     hi = mid
                 else:
                     lo = mid

@@ -7,12 +7,17 @@ stepping, and dense scans instead of bisection.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm as sexpm
 
+from qmemtime.decoherence import CrossingOptions, decoherence_time
 from qmemtime.linalg import _taylor_terms
 from qmemtime.model import coefficients, ito_matrix
+from qmemtime.moments import delta_derivatives0
+from qmemtime.optimize import rk_matrices
+from qmemtime.propagate import Propagator
 
 from dense import Representation
 
@@ -340,3 +345,60 @@ def gell_mann_representation(d):
         diag[:ell], diag[ell] = 1.0, -float(ell)
         mats.append(np.sqrt(2.0 / (ell * (ell + 1))) * np.diag(diag).astype(complex))
     return Representation(tuple(mats), label=f"su({d})")
+
+
+@dataclass(frozen=True)
+class GradientReport:
+    """Analytic vs central-difference gradient of the quadratic growth."""
+
+    E_probe: np.ndarray
+    analytic: np.ndarray
+    numeric: np.ndarray
+    max_abs_dev: float
+    max_rel_dev: float
+
+
+def gradient_check(sys, init, weights, E_probe):
+    """Compare 8(2RE + K) with central differences of the second
+    deviation derivative; report-only."""
+    E_probe = np.asarray(E_probe, dtype=float)
+    R, K = rk_matrices(sys, init, weights)
+    analytic = 8.0 * (2.0 * R @ E_probe + K)
+
+    h = 1e-5 * (1.0 + float(np.abs(E_probe).max(initial=0.0)))
+    numeric = np.empty_like(analytic)
+    for k in range(E_probe.size):
+        bump = np.zeros_like(E_probe)
+        bump[k] = h
+        _, up = delta_derivatives0(sys.with_energy(E_probe + bump), init, weights)
+        _, dn = delta_derivatives0(sys.with_energy(E_probe - bump), init, weights)
+        numeric[k] = (up - dn) / (2.0 * h)
+
+    max_abs = float(np.abs(analytic - numeric).max())
+    scale = max(1.0, float(np.abs(analytic).max()))
+    return GradientReport(E_probe=E_probe, analytic=analytic, numeric=numeric,
+                          max_abs_dev=max_abs, max_rel_dev=max_abs / scale)
+
+
+def tau_energy_gradient(sys, init, weights, eps):
+    """The exact gradient dtau/dE of the decoherence time tau(eps) over the
+    energy vector, at a transversal first crossing.
+
+    Delta(t) = tr(L Phi_t) with Phi_t = exp(t Ahat), and only the block A0 =
+    sum_l E_l D_l of Ahat depends on E, so dDelta(t)/dE_l = tr(W_t D_l)
+    over the upper-left block of W_t = int_0^t Phi_{t-s} L Phi_s ds, the
+    upper-right block of exp(t [[Ahat, L], [0, Ahat]]) (Van Loan, IEEE TAC
+    23(3), 1978).  At the crossing dtau/dE = -dDelta(tau)/dE / Delta'(tau),
+    with Delta'(tau) = tr(L Ahat Phi_tau).  tau is located to 1e-14.
+    """
+    tau = decoherence_time(sys, init, weights, eps, CrossingOptions(tol=1e-14)).value
+    prop = Propagator.of(sys)
+    n, n1, Ahat = sys.n, sys.n + 1, prop.Ahat
+    L = prop.functional(init, weights.Sigma)
+    block = np.zeros((2 * n1, 2 * n1))
+    block[:n1, :n1] = block[n1:, n1:] = Ahat
+    block[:n1, n1:] = L
+    Z = sexpm(tau * block)
+    W11, Phi = Z[:n, n1:n1 + n], Z[:n1, :n1]
+    partials = np.einsum("ij,lji->l", W11, prop.D)
+    return -partials / np.trace(L @ Ahat @ Phi)

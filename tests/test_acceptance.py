@@ -17,12 +17,12 @@ from qmemtime.model import SystemParams, coefficients, lambda_matrix
 from qmemtime.moments import (delta_derivatives0, deviation_delta,
                               initial_moments, moment_trajectory, steady_state,
                               weighting_from_sigma)
-from qmemtime.optimize import gradient_check, optimal_energy, rk_matrices
+from qmemtime.optimize import optimal_energy, rk_matrices
 
 from conftest import random_instance
 from dense import (check_algebra, fit_structure_constants,
                    qubit_representation, tensor_representation)
-from oracles import v_quadrature
+from oracles import gradient_check, v_quadrature
 
 
 def criterion(num, title):

@@ -170,7 +170,7 @@ def test_validate_structure_flags_nonhermitian_section(pauli):
     beta[1, 0, 2] += 1e-6
     report = validate_structure(pauli.alpha, beta, tol=1e-9)
     assert not report.passed
-    assert report.worst_index[0] in ("beta", "theta")
+    assert report.worst_index[0] == "beta"
 
 
 def test_construction_rejects_large_defects(pauli):
@@ -195,10 +195,23 @@ def test_theta_exactly_antisymmetric_after_repair(pauli, qutrit):
     # constants with a non-Hermitian perturbation of 5e-13
     sc = fit_structure_constants(gell_mann_representation(3)).constants if qutrit else pauli
     beta = sc.beta + 5e-13j * np.random.default_rng(4).uniform(0.0, 1.0, (sc.n,) * 3)
-    assert validate_structure(sc.alpha, beta, tol=1e-13).theta_defect > 1e-13
+    assert validate_structure(sc.alpha, beta, tol=1e-13).beta_nonhermiticity > 1e-13
     th = StructureConstants(sc.alpha, beta).theta
     assert np.array_equal(th, -np.transpose(th, (0, 2, 1)))
     assert np.abs(th - sc.theta).max() <= 5e-13
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1e-300, 1e-13, 1.0, 1e300]))
+def test_theta_defect_never_exceeds_beta_defect(seed, scale):
+    # Im(beta - conj(beta^T)) is Im beta + Im beta^T to the last bit, so the
+    # report's beta defect bounds the symmetry defect of theta entry by entry
+    rng = np.random.default_rng(seed)
+    beta = scale * (rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3)))
+    d_theta = np.abs(beta.imag + np.transpose(beta.imag, (0, 2, 1)))
+    d_beta = np.abs(beta - np.conj(np.transpose(beta, (0, 2, 1))))
+    assert (d_beta >= d_theta).all()
+    assert validate_structure(np.eye(3), beta).beta_nonhermiticity == d_beta.max()
 
 
 def test_dimension_mismatch_rejected(pauli):

@@ -8,8 +8,8 @@ from qmemtime import decoherence, moments
 from qmemtime.algebra import StructureConstants
 from qmemtime.decoherence import (CrossingOptions, decoherence_time,
                                   tau_expansion, tau_hat)
-from qmemtime.errors import (InconclusiveCrossingError, TrivialWeightError,
-                             ZeroDiffusionError)
+from qmemtime.errors import (InconclusiveCrossingError, IntegrationError,
+                             TrivialWeightError, ZeroDiffusionError)
 from qmemtime.model import SystemParams
 from qmemtime.moments import (deviation_delta, initial_moments,
                               weighting_from_sigma)
@@ -134,6 +134,38 @@ def test_rotation_without_crossing_is_inconclusive(pauli):
     assert abs(err.value.sup_delta - 8.0) <= 1e-6  # oscillation peak
 
 
+def test_near_tangent_threshold_has_no_finite_tau(pauli):
+    # from mu0 = (0.5, 0, 0) the isolated spin has Delta = 4 - 4 cos 2t <= 8;
+    # a march whose maps over 2^i steps are squares of the one-step map
+    # drifts above 8 + 1e-10 and finds tau = 2822.72
+    sys = SystemParams(sc=pauli, E=np.array([0.0, 0.0, 1.0]),
+                       M=np.zeros((2, 3)), N=np.zeros(2))
+    init = initial_moments(pauli, np.array([0.5, 0.0, 0.0]))
+    w = weighting_from_sigma(np.eye(3))
+    with pytest.raises(InconclusiveCrossingError) as err:
+        decoherence_time(sys, init, w, (8.0 + 1e-10) / 3.0)
+    assert abs(err.value.sup_delta - 8.0) <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e40, 1e100, 1e300])
+def test_tau_follows_energy_scaling_at_huge_drifts(worked, scale):
+    # tau |E| does not depend on |E| along E = (|E|, 0, 0); unscaled Taylor
+    # rows overflowed from |E| = 1e40 on, and gave tau = 1.95e-41 there
+    def tau_times(e):
+        sys = worked.sys.with_energy(np.array([e, 0.0, 0.0]))
+        return decoherence_time(sys, worked.init, worked.weights, 0.1).value * e
+
+    # the bracket is 2.5e-9 of tau wide
+    assert tau_times(scale) == pytest.approx(tau_times(1e16), rel=1e-8)
+
+
+def test_expansion_with_overflowing_curvature_raises(worked):
+    # Delta''(0) is about 1e600 here
+    sys = worked.sys.with_energy(np.array([1e300, 0.0, 0.0]))
+    with pytest.raises(IntegrationError, match="overflows"):
+        tau_expansion(sys, worked.init, worked.weights)
+
+
 def test_expansion_worked_values(worked):
     expn = tau_expansion(worked.sys, worked.init, worked.weights)
     assert expn.delta_dot0 == pytest.approx(16.0, abs=1e-12)
@@ -211,9 +243,11 @@ def test_trivial_weighting_rejected():
 @pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-14, 1e-20])
 def test_weight_scale_invariance(worked, scale):
     # tau, tau'(0) and tau''(0) do not see the scale of Sigma, and neither
-    # do the floors on tr(Sigma P), Delta'(0) and the rank of Sigma
+    # do the floors on tr(Sigma P), Delta'(0) and the PSD check of Sigma
     w = weighting_from_sigma(scale * np.eye(3))
-    assert w.nu == 3
+    weighting_from_sigma(scale * np.diag([1.0, 1.0, -1e-11]))
+    with pytest.raises(ValueError, match="not PSD"):
+        weighting_from_sigma(scale * np.diag([1.0, 1.0, -1e-9]))
     args = (worked.sys, worked.init)
     for eps in (0.01, 0.05):
         want = decoherence_time(*args, worked.weights, eps).value
@@ -226,7 +260,6 @@ def test_weight_scale_invariance(worked, scale):
 
 def test_zero_weighting_rejected(worked):
     w = weighting_from_sigma(np.zeros((3, 3)))
-    assert w.nu == 0
     with pytest.raises(TrivialWeightError):
         decoherence_time(worked.sys, worked.init, w, 0.1)
     with pytest.raises(TrivialWeightError):

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from qmemtime.decoherence import CrossingOptions, decoherence_time
 from qmemtime.errors import StationarityError
+from qmemtime.interconnect import (compose, optimal_direct_coupling,
+                                   partition_rk, product_mean)
 from qmemtime.model import SystemParams, lambda_matrix
-from qmemtime.moments import delta_derivatives0, weighting_from_sigma
-from qmemtime.optimize import gradient_check, optimal_energy, rk_matrices
+from qmemtime.moments import (delta_derivatives0, initial_moments,
+                              weighting_from_sigma)
+from qmemtime.optimize import optimal_energy, rk_matrices
 
-from oracles import k_kron
+from oracles import gradient_check, k_kron, tau_energy_gradient
 
 
 def test_rk_worked_example(worked):
@@ -154,3 +158,65 @@ def test_zero_k_means_zero_energy_stationary(worked):
     assert np.abs(K).max() <= 1e-12
     report = gradient_check(worked.sys, worked.init, worked.weights, np.zeros(3))
     assert np.abs(report.numeric).max() <= 1e-8
+
+
+def test_tau_gradient_matches_central_differences(make_instance):
+    sys, init = make_instance(np.random.default_rng(3))
+    w = weighting_from_sigma(np.eye(3))
+    opts, h = CrossingOptions(tol=1e-14), 1e-4
+    numeric = np.empty(3)
+    for k in range(3):
+        bump = np.zeros(3)
+        bump[k] = h
+        up, dn = (decoherence_time(sys.with_energy(sys.E + s * bump), init, w, 0.1, opts).value
+                  for s in (1.0, -1.0))
+        numeric[k] = (up - dn) / (2.0 * h)
+    exact = tau_energy_gradient(sys, init, w, 0.1)
+    assert np.abs(exact - numeric).max() <= 1e-4 * np.abs(exact).max()
+
+
+def _tau_gradient_ratios(sys, init, w, E, block=slice(None)):
+    """max |dtau/dE| over ``block`` at eps 0.02 over that at 0.01, and at
+    0.01 over that at 0.005."""
+    g = [np.abs(tau_energy_gradient(sys.with_energy(E), init, w, eps)[block]).max()
+         for eps in (0.02, 0.01, 0.005)]
+    return g[0] / g[1], g[1] / g[2]
+
+
+def _perfbench_composite(pauli):
+    """The two-qubit composite of the benchmark's composite workload."""
+    sub1 = SystemParams(sc=pauli, E=np.array([0.1, 0.0, 0.2]),
+                        M=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), N=np.array([0.0, 0.1]))
+    sub2 = SystemParams(sc=pauli, E=np.array([0.0, 0.3, 0.0]),
+                        M=0.7 * np.random.default_rng(0).standard_normal((2, 3)),
+                        N=np.array([0.2, 0.0]))
+    comp = compose(sub1, sub2, np.zeros(9))
+    init = initial_moments(comp.system.sc, product_mean([0.1, 0.0, 0.2], [0.0, -0.1, 0.3]))
+    return comp, init, weighting_from_sigma(np.eye(comp.system.n))
+
+
+def test_optimum_is_stationary_for_exact_tau_to_its_order(make_instance, pauli):
+    # tau - tau_hat is O(eps^3) and only the eps^2 term of tau_hat depends on
+    # E, so at its optimum dtau/dE is O(eps^3), against O(eps^2) elsewhere
+    sys, init = make_instance(np.random.default_rng(3))
+    w = weighting_from_sigma(np.eye(3))
+    E_star = optimal_energy(*rk_matrices(sys, init, w)).E_star
+    assert min(_tau_gradient_ratios(sys, init, w, E_star)) > 6.0
+    assert all(3.0 <= r <= 5.5 for r in _tau_gradient_ratios(sys, init, w, np.zeros(3)))
+
+    comp, init, w = _perfbench_composite(pauli)
+    E12_star = optimal_direct_coupling(partition_rk(comp, init, w), comp.E1, comp.E2).E12_star
+    product = comp.blocks[2]
+    for E12, low, high in ((E12_star, 6.0, np.inf), (np.zeros(9), 3.0, 5.5)):
+        E = np.concatenate([comp.E1, comp.E2, E12])
+        assert all(low <= r <= high
+                   for r in _tau_gradient_ratios(comp.system, init, w, E, product))
+
+
+def test_zero_k_energy_is_stationary_for_exact_tau(worked):
+    # W_tau is diagonal on the variables and each D_l has a zero diagonal,
+    # so every tr(W_tau D_l) is a sum of exact zeros
+    assert optimal_energy(*rk_matrices(worked.sys, worked.init, worked.weights)).zero_energy_optimal
+    for eps in (0.02, 0.01, 0.005):
+        grad = tau_energy_gradient(worked.sys, worked.init, worked.weights, eps)
+        assert np.abs(grad).max() == 0.0

@@ -21,13 +21,13 @@ from qmemtime.model import SystemParams
 from qmemtime.moments import (deviation_delta, initial_moments,
                               moment_trajectory, reference_norm,
                               steady_state, weighting_from_sigma)
-from qmemtime.optimize import gradient_check, rk_matrices
+from qmemtime.optimize import rk_matrices
 from qmemtime.propagate import DeviationMarch, Propagator
 
 from conftest import random_instance
 from dense import fit_structure_constants
 from oracles import (first_crossing_scan, forward_taylor, gell_mann_representation,
-                     stepwise_trajectory)
+                     gradient_check, stepwise_trajectory)
 
 
 def _march(system, init, weights, step):
@@ -239,15 +239,18 @@ def test_decoherence_times_share_doubling_maps(worked, monkeypatch):
 
     shared = decoherence_time(system, *args, 0.05)
     assert calls == []
-    fresh = decoherence_time(dataclasses.replace(system), *args, 0.05)
-    assert len(calls) == 1  # Phi over one step; its powers are products
+    copy = dataclasses.replace(system)
+    fresh = decoherence_time(copy, *args, 0.05)
+    # Phi over 1, 2, 4, ... steps, each its own exponential
+    step, count = Propagator.of(copy)._march.step, len(Propagator.of(copy)._march.maps)
+    assert count > 1 and calls == [step * 2 ** i for i in range(count)]
     assert (shared.value, shared.bracket) == (fresh.value, fresh.bracket)
 
     # another step derives its own maps, once
     opts = CrossingOptions(step=1e-3)
     calls.clear()
     own = decoherence_time(system, *args, 0.05, opts=opts)
-    assert calls == [1e-3]
+    assert calls == [1e-3 * 2 ** i for i in range(len(Propagator.of(system)._march.maps))]
     calls.clear()
     assert decoherence_time(system, *args, 0.05, opts=opts) == own
     assert calls == []
@@ -429,7 +432,7 @@ def test_certificate_ends_the_march_at_its_closed_form_time(worked, marched_node
 
 def test_march_keeps_maps_and_rows_of_one_step(pauli):
     # the propagator holds one march, and that march the maps of its own
-    # step: Phi over one step, then its repeated squares
+    # step: Phi over 1, 2, 4, ... steps, each its own exponential
     system, init = _two_qubit_composite(pauli)
     weights = weighting_from_sigma(np.eye(system.n))
     prop = Propagator.of(system)
@@ -439,9 +442,9 @@ def test_march_keeps_maps_and_rows_of_one_step(pauli):
         assert march.step == step and len(march.rows) <= march.cap
         d, _, states = march.table
         assert d.nbytes + sum(x.nbytes for x in states) <= propagate.ROW_BUDGET
-        assert np.array_equal(march.maps[0], prop.transition(step))
-        for short, long in zip(march.maps, march.maps[1:]):
-            assert np.array_equal(long, short @ short)
+        assert len(march.maps) > 1
+        for i, Phi in enumerate(march.maps):
+            assert np.array_equal(Phi, prop.transition(step * 2 ** i))
         assert prop._traj_maps == {}
 
     # a march for another weighting on the same step builds its own maps,
@@ -469,7 +472,9 @@ def test_taylor_rows_match_forward_series(make_instance, case):
     generic = np.vstack([rng.standard_normal((n1 - 1, n1)), np.eye(n1)[-1]])
     march.first_crossing(37, math.inf, 1e-9)
     for x in (_state_at(march, 0), _state_at(march, 37), generic.T.ravel()):
-        want = forward_taylor(system, init, Sigma, x.reshape(n1, n1).T, 10)
+        # the rows give the coefficients in the time over the piece width
+        want = (forward_taylor(system, init, Sigma, x.reshape(n1, n1).T, 10)
+                * march.width ** np.arange(11))
         # relative to the size of each sum: at n = 15 its terms cancel to
         # within 1e-5 of it
         assert (np.abs(rows @ x - want) <= 1e-12 * (np.abs(rows) @ np.abs(x))).all()
@@ -485,13 +490,21 @@ def test_uniform_grid_builds_one_step_map(pauli, monkeypatch):
     monkeypatch.setattr(propagate, "expm_psi",
                         lambda A, h, f=propagate.expm_psi: steps.append(h) or f(A, h))
     shared = deviation_delta(system, init, weights, grid)
-    assert len(steps) == 1
+    # the maps over 1, 2, 4, 8 and 16 spacings of the one shared spacing,
+    # each its own exponential
+    h = propagate.step_spacings(grid)[0]
+    assert steps == [h * 2 ** i for i in range(5)]
+    prop = Propagator.of(system)
+    assert all(np.array_equal(Phi, prop.transition(h * 2 ** i))
+               for i, Phi in enumerate(prop._traj_maps[h]))
 
-    # one map per distinct float spacing, as without the shared rule; a
-    # fresh system, since the first call's map is kept on this one
+    # one map over a spacing per distinct float spacing, as without the
+    # shared rule; a fresh system, since the first call's maps are kept on
+    # this one
+    del steps[:]
     monkeypatch.setattr(propagate, "step_spacings", np.diff)
     per_spacing = deviation_delta(dataclasses.replace(system), init, weights, grid)
-    assert len(steps) == 1 + len(set(np.diff(grid).tolist()))
+    assert sorted(s for s in steps if s < 1.5e-3) == sorted(set(np.diff(grid).tolist()))
     assert np.abs(shared - per_spacing).max() <= 1e-12 * np.abs(per_spacing).max()
 
 
