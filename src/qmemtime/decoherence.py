@@ -6,12 +6,12 @@ weighted size of the initial variables), with +infinity when no crossing
 ever occurs.  Delta may be non-monotone, so the search tests every node
 of a fixed-step grid in order, brackets the *first* up-crossing, and
 refines it by bisection on the exact Taylor expansion of Delta, in one
-call.  The node values do not depend on eps: the march kept by
-:meth:`Propagator.march <qmemtime.propagate.Propagator.march>` keeps
-them in a node table, on a fixed schedule of chunks from t = 0 (see
-:mod:`qmemtime.propagate`), so every eps of a curve is one vectorized
-lookup there, with the answer of a fresh search, and only nodes past the
-table are marched.
+call.  Only the threshold depends on eps: the march that
+:meth:`Propagator.march <qmemtime.propagate.Propagator.march>` keeps for
+one initial moments and weighting object holds the reference norm and the
+running maximum of Delta at the nodes of a fixed chunk schedule from t = 0
+(see :mod:`qmemtime.propagate`), so every eps of a curve is one binary
+search there, with the answer of a fresh search.
 
 An infinite answer is certified by a provable bound.  For a Hurwitz drift
 Delta(s) - Delta_inf = tr(K E_s), and the Lyapunov norm of the drift
@@ -29,12 +29,9 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import (InconclusiveCrossingError, TrivialWeightError,
-                     ZeroDiffusionError)
+from .errors import InconclusiveCrossingError, ZeroDiffusionError
 from .linalg import HURWITZ_TOL
-from .moments import _delta_rate0, delta_derivatives0, reference_norm
+from .moments import _delta_rate0, _reference, delta_derivatives0
 from .propagate import Propagator
 
 INFINITE = math.inf
@@ -104,8 +101,7 @@ def tau_expansion(sys, init, weights):
     deviation rate; tau''(0) = -Delta''(0) tau'(0)^2 / Delta'(0) follows
     from matching the quadratic expansions of Delta and tau.
     """
-    ref = reference_norm(init, weights)
-    _require_nontrivial(ref, init, weights)
+    ref = _reference(init, weights)
     d1, d2 = delta_derivatives0(sys, init, weights)
     if d1 <= DIFFUSION_TOL * ref:
         raise ZeroDiffusionError(
@@ -125,14 +121,6 @@ def tau_hat(expansion, epsilon):
     return expansion.tau_prime0 * epsilon + 0.5 * expansion.tau_second0 * epsilon ** 2
 
 
-def _require_nontrivial(ref, init, weights):
-    if ref <= 1e-12 * float(np.abs(weights.Sigma).max()) * float(np.abs(init.P).max()):
-        raise TrivialWeightError(
-            "the weighted reference norm tr(Sigma P) vanishes; the relative "
-            "deviation threshold is undefined (F sqrt(P) = 0)"
-        )
-
-
 def decoherence_time(sys, init, weights, epsilon, opts=None):
     """First time the deviation exceeds ``epsilon`` times the reference.
 
@@ -150,20 +138,17 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"fidelity parameter must be finite and positive, got {epsilon}")
     opts = opts or _DEFAULT_OPTS
-    ref = reference_norm(init, weights)
-    _require_nontrivial(ref, init, weights)
-    threshold = epsilon * ref
-
     prop = Propagator.of(sys)
     step = opts.step if opts.step is not None else 1e-3 / max(1.0, prop.norm_a)
     tol = opts.tol if opts.tol is not None else 1e-9 / max(1.0, prop.norm_a)
+    march = prop.march(init, weights, step)
+    threshold = epsilon * march.ref
 
     # Frozen dynamics: the variables are conserved and Delta stays at zero.
-    if prop.frozen and _delta_rate0(prop, init, weights.Sigma) <= DIFFUSION_TOL * ref:
+    if prop.frozen and _delta_rate0(prop, init, weights.Sigma) <= DIFFUSION_TOL * march.ref:
         return DecoherenceTime(epsilon=epsilon, value=INFINITE,
                                threshold=threshold, bracket=None)
 
-    march = prop.march(init, weights.Sigma, step)
     # Past t_c, Delta(s) <= Delta_inf + B0 e^{-rate s} <= (1 - margin) threshold.
     t_c = INFINITE
     if prop.margin < -HURWITZ_TOL:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra import sections_dot
 from .errors import (AdmissibilityError, IntegrationError,
-                     InternalConsistencyError)
+                     InternalConsistencyError, TrivialWeightError)
 from .propagate import Propagator
 
 #: Mean-square deviations in [-NEG_DELTA_TOL, 0) are clipped to zero;
@@ -43,12 +43,16 @@ class InitialMoments:
 
     Pi = P + i Theta . mu0 is the second-moment matrix of the initial
     variables and must be PSD (up to roundoff) for mu0 to be admissible;
-    P = Re Pi = alpha + Re(beta) . mu0.
+    P = Re Pi = alpha + Re(beta) . mu0.  The three arrays are read-only.
     """
 
     mu0: np.ndarray
     P: np.ndarray
     Pi: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.mu0, self.P, self.Pi):
+            arr.setflags(write=False)
 
 
 def initial_moments(sc, mu0):
@@ -67,16 +71,17 @@ def initial_moments(sc, mu0):
             f"initial mean gives an indefinite second-moment matrix "
             f"(min eigenvalue {lam_min:.3e} < -{ADMISSIBILITY_TOL:g})"
         )
-    for arr in (mu0, P, Pi):
-        arr.setflags(write=False)
     return InitialMoments(mu0=mu0, P=P, Pi=Pi)
 
 
 @dataclass(frozen=True)
 class WeightingSpec:
-    """A checked weighting matrix Sigma: real, symmetric and PSD."""
+    """A checked weighting matrix Sigma: real, symmetric, PSD and read-only."""
 
     Sigma: np.ndarray
+
+    def __post_init__(self):
+        self.Sigma.setflags(write=False)
 
 
 def weighting_from_sigma(Sigma):
@@ -93,7 +98,6 @@ def weighting_from_sigma(Sigma):
     w = np.linalg.eigvalsh(Sigma)
     if w.min(initial=0.0) < -1e-10 * float(np.abs(w).max(initial=0.0)):
         raise ValueError(f"weighting matrix is not PSD (min eigenvalue {w.min():.3e})")
-    Sigma.setflags(write=False)
     return WeightingSpec(Sigma=Sigma)
 
 
@@ -108,7 +112,6 @@ def weighting_from_factor(F):
         raise ValueError("factor rows are linearly dependent; full row rank required")
     Sigma = F.T @ F
     Sigma = (Sigma + Sigma.T) / 2.0
-    Sigma.setflags(write=False)
     return WeightingSpec(Sigma=Sigma)
 
 
@@ -227,3 +230,12 @@ def reference_norm(init, weights):
     """The weighted size <Sigma, P> = ||F sqrt(P)||^2 of the initial
     variables, against which deviations are measured."""
     return float(np.sum(weights.Sigma * init.P))
+
+
+def _reference(init, weights):
+    """:func:`reference_norm`, or TrivialWeightError where it vanishes."""
+    ref = reference_norm(init, weights)
+    if ref <= 1e-12 * float(np.abs(weights.Sigma).max()) * float(np.abs(init.P).max()):
+        raise TrivialWeightError("the weighted reference norm tr(Sigma P) vanishes; the relative "
+                                 "deviation threshold is undefined (F sqrt(P) = 0)")
+    return ref

@@ -23,18 +23,20 @@ the map Phi over m steps, for m = 1, 2, 4, ... up to ``BLOCK`` and then
 m = ``BLOCK`` (see :meth:`Propagator.trajectory`).  Each map over 2^i
 steps is its own exponential, whose roundoff does not grow with i.
 
-:meth:`DeviationMarch.first_crossing` tests the nodes from Phi_0 = I in
+:meth:`DeviationMarch.first_crossing` marches the nodes from Phi_0 = I in
 chunks of 1, 2, 4, ... up to a cap, then the cap, each with one product
 against adjoint rows (the functional pulled back over 1, 2, ... steps),
 jumps across a chunk by the map over its steps, and refines the first
 node above the threshold, the one state it pushes, by Taylor rows.  The
 maps depend only on the system and the step, the rows only on the functional
 and the step, and the schedule on neither eps nor earlier calls, so the
-march keeps the node values in a table.  A :class:`Propagator` keeps one
-march: every eps of a tau(eps) curve reads its crossing off the table,
-with the answer of a fresh search, and the rows, maps and node values a
-system keeps are bounded by ``ROW_BUDGET``.  A trajectory keeps its
-longest run's maps.
+march keeps the running maximum of Delta at the nodes in a table, where
+the first node above a threshold is one binary search.  A
+:class:`Propagator` keeps one march, for the frozen initial moments and
+weighting objects it serves: every eps of a tau(eps) curve reads its
+crossing off the table, with the answer of a fresh search, and the rows,
+maps and table a system keeps are bounded by ``ROW_BUDGET``.  A trajectory
+keeps its longest run's maps.
 """
 
 from __future__ import annotations
@@ -272,19 +274,19 @@ class Propagator:
         g the last row of the functional L; otherwise NotHurwitzError."""
         return float(L[-1, :-1] @ self.mean_limit + L[-1, -1])
 
-    def march(self, init, Sigma, step):
-        """The :class:`DeviationMarch` of Delta = <L, Phi_t^T>, L of
-        :meth:`functional`, on the grid k * ``step``.
-
-        The last march built is kept, with its maps, rows, node table and
-        cached properties, and a later call with the same L and step (another
-        eps) reuses it.  So a system keeps the maps, rows and table of one
-        march, the rows and the table each within ``ROW_BUDGET``.
+    def march(self, init, weights, step):
+        """The :class:`DeviationMarch` of Delta for ``init`` and ``weights``
+        on the grid k * ``step``.  The last march built is kept, with its
+        maps, rows, node table and cached properties, for another eps on the
+        same ``init`` and ``weights`` objects (read-only arrays) and an
+        equal step; new objects, equal or not, build their own.  So a system
+        keeps the maps, rows and table of one march, the rows and table each
+        within ``ROW_BUDGET``.
         """
-        L = self.functional(init, Sigma)
         march = self._march
-        if march is None or march.step != step or not np.array_equal(march.L, L):
-            march = self._march = DeviationMarch(self, L, step)
+        if not (march and march.init is init and march.weights is weights
+                and march.step == step):
+            march = self._march = DeviationMarch(self, init, weights, step)
         return march
 
     def trajectory(self, init, Sigma, grid):
@@ -355,8 +357,10 @@ class Propagator:
 
 
 class DeviationMarch:
-    """Delta = <L, Phi_t^T> on the node grid k * step, for one functional L,
-    marched from Phi_0 = I at t = 0 by :meth:`first_crossing`.
+    """Delta = <L, Phi_t^T> on the node grid k * step for the frozen
+    ``init`` and ``weights``, marched from Phi_0 = I at t = 0 by
+    :meth:`first_crossing`.  Their reference norm ``ref`` (TrivialWeightError
+    where it vanishes) is derived first, then L of :meth:`Propagator.functional`.
 
     The state x is Phi_t^T = [[E_t^T, 0], [w_t^T, 1]], flattened; kept
     transposed, it moves over s steps, and a row is pulled back over
@@ -366,18 +370,23 @@ class DeviationMarch:
     4, ... nodes up to ``cap``, fixed by ``ROW_BUDGET``, then ``cap``,
     whatever the threshold; the rows double, by one product, as needed.
 
-    ``table`` = (d, starts, states) keeps Delta at the nodes 0 ... K in d
-    and Phi_t^T at the chunk starts, the last of which is K; it grows by
-    whole chunks up to the node ``last``, within ``ROW_BUDGET``, and is
-    replaced whole, never written once kept.  The schedule is fixed, so
-    no answer depends on earlier calls.  Maps, rows and table serve every
-    call, and so do the cached properties: Delta_inf (:attr:`limit`),
-    :attr:`decay_bound`, and the Taylor rows and piece map of the
-    refinement, which cuts a step into ``pieces`` of ``width`` at most 1 / rho.
+    ``table`` = (r, starts, states) keeps Delta(0) in r[0], the largest
+    Delta at the nodes 1 ... k in r[k] for k = 1 ... K, and Phi_t^T at the
+    chunk starts, the last of which is K; it grows by whole chunks up to
+    the node ``last``, within ``ROW_BUDGET``, and is replaced whole, never
+    written once kept.  The schedule is fixed, so no answer depends on
+    earlier calls.  Maps, rows and table serve every call, and so do the
+    cached properties: Delta_inf (:attr:`limit`), :attr:`decay_bound`, and
+    the Taylor rows and piece map of the refinement, which cuts a step into
+    ``pieces`` of ``width`` at most 1 / rho.
     """
 
-    def __init__(self, prop, L, step):
-        self.prop, self.step, self.L, self.n1 = prop, step, L, len(L)
+    def __init__(self, prop, init, weights, step):
+        from .moments import _reference  # moments builds on this module
+        self.prop, self.init, self.weights, self.step = prop, init, weights, step
+        self.ref = _reference(init, weights)
+        self.L = L = prop.functional(init, weights.Sigma)
+        self.n1 = len(L)
         self.cap = 2 ** max(0, int(math.log2(ROW_BUDGET / (8 * L.size))))
         self.maps = ()  # Phi over 1, 2, 4, ... steps, grown by _maps
         self.rows = (L @ self._maps(1)[0]).reshape(1, -1)
@@ -474,55 +483,49 @@ class DeviationMarch:
         nuclear = float(np.linalg.svd(Xh @ K @ Xih, compute_uv=False).sum())
         return nuclear * (1.0 + 16.0 * n * n * kappa * np.finfo(float).eps), rate
 
-    def _keep(self, table, chunks):
-        """Keep ``table`` extended by ``chunks`` (end node, Delta at the nodes,
-        end state) unless a longer one is kept: one copy of d per call."""
-        (d, starts, states), (ends, values, xs) = table, zip(*chunks)
-        if ends[-1] > self.table[1][-1]:
-            self.table = (np.concatenate([d, *values]), starts + ends, states + xs)
-
     def first_crossing(self, nodes, threshold, tol):
         """The first node of 1 ... ``nodes`` above ``threshold``, as the
         bracket (t_lo, t_hi) of its crossing refined to width ``tol`` (see
         :meth:`_refine`), or None when no node is above; and the largest
         Delta at the nodes marched below the threshold, t = 0 included.
 
-        The kept nodes are tested at once, then chunks from the table's
-        end, kept up to ``last``; non-finite values raise IntegrationError.
-        Only a crossing's left node needs its state, pushed from the chunk
-        start before it.
+        The first node above is the first whose running maximum r is: one
+        binary search of the kept nodes, then of each chunk from the
+        table's end.  The chunks up to ``last`` extend the table, one copy
+        of r per call, unless a longer one is kept by then.  r carries a NaN
+        on, which sorts above every threshold as an infinity does, so a
+        non-finite node raises IntegrationError.  Only a crossing's left
+        node needs its state, pushed from the chunk start before it.
         """
-        d, starts, states = table = self.table
+        r, starts, states = table = self.table
         lo, k = 0, min(nodes, starts[-1])
-        vals, sup = d[1:k + 1], float(d[0])  # Delta at the nodes lo + 1 ... k, and at 0
+        vals, top = r[1:k + 1], -math.inf  # r at the nodes lo + 1 ... k, and at lo (-inf at 0)
         size, new, bracket = 1 << min(len(starts) - 1, self.cap.bit_length() - 1), [], None
         while True:
-            below = vals <= threshold  # False at a node above, or not finite
-            if not below.all():
-                j = int(np.argmin(below))  # the node lo + j + 1 is above
+            j = int(np.searchsorted(vals, threshold, side="right"))  # node lo + j + 1 is above
+            top = float(vals[j - 1]) if j else top
+            if j < len(vals):
                 if not math.isfinite(vals[j]):
                     raise IntegrationError(
                         f"deviation march produced non-finite values near "
                         f"t={(lo + j) * self.step:.6g} (step {self.step:.3e})")
-                if j:
-                    sup = max(sup, float(vals[:j].max()))
                 bracket = self._refine(self._state(lo + j, starts, states), (lo + j) * self.step,
                                        threshold, tol)
                 break
-            if len(vals):
-                sup = max(sup, float(vals.max()))
             if k == nodes:
                 break
             x, i = states[-1], size.bit_length() - 1  # the next chunk, of 2^i nodes
-            d_new, x_end = self._grow(size) @ x, self._push(self._maps(i + 1)[i], x)
+            run = np.maximum(np.maximum.accumulate(self._grow(size) @ x), top)
+            x_end = self._push(self._maps(i + 1)[i], x)
             lo, k = k, min(k + size, nodes)
-            vals, starts, states = d_new[:k - lo], (lo, lo + size), (x, x_end)
+            vals, starts, states = run[:k - lo], (lo, lo + size), (x, x_end)
             if lo + size <= self.last:
-                new.append((lo + size, d_new, x_end))
+                new.append((lo + size, run, x_end))
             size = min(2 * size, self.cap)
-        if new:
-            self._keep(table, new)
-        return bracket, sup
+        if new and new[-1][0] > self.table[1][-1]:
+            ends, values, xs = zip(*new)
+            self.table = (np.concatenate([r, *values]), table[1] + ends, table[2] + xs)
+        return bracket, max(float(r[0]), top)
 
     def _refine(self, x, t_lo, threshold, tol):
         """Shrink the bracket [t_lo, t_lo + step] of a crossing to width

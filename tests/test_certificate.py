@@ -52,7 +52,7 @@ def test_identity_e_against_trajectory(worked, make_instance):
 
 def test_limit_read_off_functional(worked, make_instance):
     for sys, init, w in _cases(worked, make_instance, 5, 12):
-        march = Propagator.of(sys).march(init, w.Sigma, 1e-3)
+        march = Propagator.of(sys).march(init, w, 1e-3)
         want = steady_state(sys, init, w).Delta_inf
         assert march.limit == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -71,7 +71,7 @@ def test_lyapunov_norm_against_scipy(worked, make_instance):
             E = expm_psi(prop.A, t)[0]
             norm = np.linalg.norm(root @ E @ np.linalg.inv(root), 2)
             assert norm <= np.exp(-rate * t) * (1 + 1e-12)
-        march = prop.march(init, w.Sigma, 1e-3)
+        march = prop.march(init, w, 1e-3)
         L, mu_inf = march.L, prop.limits[0]
         K = L[:-1, :-1] - np.outer(mu_inf, L[-1, :-1])
         nuclear = np.linalg.svd(root @ K @ np.linalg.inv(root), compute_uv=False).sum()
@@ -82,7 +82,7 @@ def test_lyapunov_norm_against_scipy(worked, make_instance):
 def test_bound_holds_on_dense_scan(worked, make_instance):
     checked = 0
     for sys, init, w in _cases(worked, make_instance, 8, 13):
-        march = Propagator.of(sys).march(init, w.Sigma, 1e-3)
+        march = Propagator.of(sys).march(init, w, 1e-3)
         bound = march.decay_bound
         if bound is None:
             continue
@@ -139,7 +139,7 @@ def test_certificate_never_skips_a_scanned_crossing(pauli, a, c, ratio, tilt, n1
     prop = Propagator.of(sys)
     assume(prop.margin < -1e-2)
     step = 1e-3 / max(1.0, prop.norm_a)
-    march = prop.march(init, weights.Sigma, step)
+    march = prop.march(init, weights, step)
     bound = march.decay_bound
     assume(bound is not None)
     b0, rate = bound

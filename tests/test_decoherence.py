@@ -9,7 +9,8 @@ from qmemtime.algebra import StructureConstants
 from qmemtime.decoherence import (CrossingOptions, decoherence_time,
                                   tau_expansion, tau_hat)
 from qmemtime.errors import (InconclusiveCrossingError, IntegrationError,
-                             TrivialWeightError, ZeroDiffusionError)
+                             StructureDefectError, TrivialWeightError,
+                             ZeroDiffusionError)
 from qmemtime.model import SystemParams
 from qmemtime.moments import (deviation_delta, initial_moments,
                               weighting_from_sigma)
@@ -264,6 +265,23 @@ def test_zero_weighting_rejected(worked):
         decoherence_time(worked.sys, worked.init, w, 0.1)
     with pytest.raises(TrivialWeightError):
         tau_expansion(worked.sys, worked.init, w)
+
+
+def test_trivial_weighting_raises_before_structure_defect(pauli):
+    # alpha = 2I with the spin beta is not associative (see
+    # test_non_associative_table_raises_structure_defect); a weighting of
+    # zero is checked first, by tau and by its expansion
+    bad = StructureConstants(2.0 * np.eye(3), pauli.beta)
+    system = SystemParams(sc=bad, E=np.array([0.3, -0.2, 0.5]),
+                          M=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), N=np.zeros(2))
+    init = initial_moments(bad, np.array([0.2, 0.0, 0.1]))
+    for _ in range(2):
+        with pytest.raises(TrivialWeightError):
+            decoherence_time(system, init, weighting_from_sigma(np.zeros((3, 3))), 0.1)
+        with pytest.raises(TrivialWeightError):
+            tau_expansion(system, init, weighting_from_sigma(np.zeros((3, 3))))
+    with pytest.raises(StructureDefectError):
+        decoherence_time(system, init, weighting_from_sigma(np.eye(3)), 0.1)
 
 
 def test_tau_hat_values(worked):

@@ -12,8 +12,8 @@ from qmemtime.errors import (AdmissibilityError, IntegrationError,
 from qmemtime.interconnect import compose, product_mean
 from qmemtime.linalg import expm_psi, solve_lyapunov, spectral_norm
 from qmemtime.model import SystemParams, coefficients
-from qmemtime.moments import (delta_derivatives0, deviation_delta,
-                              initial_moments, moment_trajectory,
+from qmemtime.moments import (InitialMoments, WeightingSpec, delta_derivatives0,
+                              deviation_delta, initial_moments, moment_trajectory,
                               reference_norm, steady_state,
                               weighting_from_factor, weighting_from_sigma)
 
@@ -44,6 +44,19 @@ def test_weighting_factorization_round_trip():
     assert np.abs(w.Sigma - F.T @ F).max() <= 1e-12
     # a rank-2 Sigma = F^T F is PSD, and passes its check unchanged
     assert np.array_equal(weighting_from_sigma(w.Sigma).Sigma, w.Sigma)
+
+
+def test_inputs_built_directly_are_read_only(pauli):
+    # a propagator keeps the march of the init and weights objects it was
+    # given, so their arrays cannot change under it, however they are built
+    init = InitialMoments(mu0=np.zeros(3), P=np.eye(3), Pi=np.eye(3) + 0j)
+    weights = WeightingSpec(Sigma=np.eye(3))
+    built = (initial_moments(pauli, np.zeros(3)), weighting_from_sigma(np.eye(3)),
+             weighting_from_factor(np.eye(3)[:2]))
+    for owner in (init, weights, *built):
+        for field in dataclasses.fields(owner):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(owner, field.name)[0] = 1.0
 
 
 def test_weighting_rejects_bad_inputs():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qmemtime import propagate
+from qmemtime import moments, propagate
 from qmemtime.algebra import StructureConstants, pauli_structure
 from qmemtime.decoherence import (CrossingOptions, decoherence_time,
                                   tau_expansion)
@@ -31,7 +31,7 @@ from oracles import (first_crossing_scan, forward_taylor, gell_mann_representati
 
 
 def _march(system, init, weights, step):
-    return Propagator(system).march(init, weights.Sigma, step)
+    return Propagator(system).march(init, weights, step)
 
 
 def _state_at(march, node):
@@ -45,26 +45,36 @@ def test_first_crossing_brackets_a_grid_step(worked):
     (lo, hi), sup = march.first_crossing(1000, 0.05, tol)
     k = math.floor(lo / h)  # the left node of the bracketed step
     assert k * h <= lo < hi <= (k + 1) * h and hi - lo <= tol
-    d = march.table[0]
-    assert d[k] <= 0.05 < d[k + 1]
-    # the state at the left node reproduces its deviation value
-    assert march.delta(_state_at(march, k)) == pytest.approx(d[k], abs=1e-12)
+    r = march.table[0]  # the running maximum of Delta at the nodes 1 ... K
+    assert r[k] <= 0.05 < r[k + 1]
+    # the states at the nodes up to the right one reproduce it
+    pushed = [march.delta(_state_at(march, i)) for i in range(1, k + 2)]
+    assert np.abs(r[1:k + 2] - np.maximum.accumulate(pushed)).max() <= 1e-12
     ends = deviation_delta(worked.sys, worked.init, worked.weights, np.array([0.0, lo, hi]))
     assert ends[1] <= 0.05 < ends[2]
     # Delta rises, so the largest value below the threshold is the left
     # node's; read off the kept table, the result is the same, bitwise
-    assert sup == d[k]
+    assert sup == r[k]
     assert march.first_crossing(1000, 0.05, tol) == ((lo, hi), sup)
 
 
 def test_march_raises_on_non_finite_deviation(worked):
-    # NaN <= threshold is false, so a NaN node counts as a crossing, and raises
-    prop = Propagator(worked.sys)
-    L = prop.functional(worked.init, worked.weights.Sigma)
-    L[1, 2] = math.nan
-    march = DeviationMarch(prop, L, 1e-3)
-    with pytest.raises(IntegrationError, match="non-finite"):
-        march.first_crossing(100, 1e9, 1e-9)
+    # A NaN node, carried on by the running maximum, and an infinite one sort
+    # above every threshold, so each counts as a crossing, and raises, read
+    # off the kept table or marched past ``last``.  A bad row 5 of 8 makes
+    # node 13, in the chunk of the nodes 8 ... 15, the first bad one.
+    for bad in (math.nan, math.inf):
+        for kept in (True, False):
+            march = _march(worked.sys, worked.init, worked.weights, 1e-3)
+            march.rows = march._grow(8).copy()
+            march.rows[5] = 0.0
+            march.rows[5, 0] = bad  # times the positive x[0] = E_t[0, 0]
+            march.last = march.last if kept else 0
+            bracket, sup = march.first_crossing(12, 1e9, 1e-9)
+            assert bracket is None and math.isfinite(sup)
+            assert march.table[1][-1] == (15 if kept else 0)
+            with pytest.raises(IntegrationError, match="non-finite values near t=0.012 "):
+                march.first_crossing(100, 1e9, 1e-9)
 
 
 def test_march_no_crossing_returns_supremum(worked):
@@ -101,6 +111,78 @@ def test_no_crossing_pushes_no_state(worked, monkeypatch, eps, horizon):
     assert before[0] == (math.inf if horizon > 1.0 else "inconclusive")
 
 
+def test_running_maximum_finds_first_crossing_of_oscillation(pauli):
+    # The isolated spin precesses: Delta = 4 - 4 cos 2t peaks at 8 at the
+    # odd multiples of pi / 2.  On a step of 0.02 the largest node value of
+    # each hump rises from hump to hump, so a threshold between two of them
+    # first crosses in the later hump, and one below them in the first.
+    system = SystemParams(sc=pauli, E=np.array([0.0, 0.0, 1.0]), M=np.zeros((2, 3)),
+                          N=np.zeros(2))
+    init = initial_moments(pauli, np.array([0.5, 0.0, 0.0]))
+    weights = weighting_from_sigma(np.eye(3))
+    step, nodes = 0.02, 500  # t = 10, past three peaks
+    grid = np.arange(nodes + 1) * step
+    dense = deviation_delta(system, init, weights, grid)
+    assert np.abs(dense - (4.0 - 4.0 * np.cos(2.0 * grid))).max() <= 1e-12
+    kept = Propagator(system).march(init, weights, step)
+    kept.first_crossing(nodes, math.inf, 1e-9)
+    assert kept.table[1][-1] >= nodes
+    assert np.abs(kept.table[0][:nodes + 1] - np.maximum.accumulate(dense)).max() <= 1e-10
+
+    peaks = [dense[(grid >= i * math.pi) & (grid < (i + 1) * math.pi)].max() for i in range(3)]
+    assert peaks[0] < peaks[1] < peaks[2]
+    for threshold in (1.0, 4.0, 7.99, *(0.5 * (a + b) for a, b in zip(peaks, peaks[1:]))):
+        i = int(np.argmax(dense > threshold))  # the first node above
+        fresh, past = (Propagator(system).march(init, weights, step) for _ in range(2))
+        past.last = 0  # marches every chunk past the table
+        for march in (kept, fresh, past):
+            (lo, hi), sup = march.first_crossing(nodes, threshold, 1e-12)
+            assert grid[i - 1] <= lo < hi <= grid[i]
+            assert sup == pytest.approx(dense[:i].max(), abs=1e-10)
+        assert (i * step > math.pi) == (threshold > peaks[0])
+
+
+def test_warm_call_derives_nothing_per_input(worked, monkeypatch):
+    # The kept march holds the reference norm and the functional of its
+    # init and weights objects: a further eps derives neither, and answers
+    # as a fresh copy of the system does, which derives each once
+    system = dataclasses.replace(worked.sys)
+    args = (worked.init, worked.weights)
+    decoherence_time(system, *args, 1.2)
+    calls = []
+    monkeypatch.setattr(Propagator, "functional", lambda self, *a, f=Propagator.functional:
+                        calls.append("functional") or f(self, *a))
+    monkeypatch.setattr(moments, "reference_norm", lambda *a, f=moments.reference_norm:
+                        calls.append("reference_norm") or f(*a))
+    eps_list = (0.6, 0.05, 2.5, 1.2)
+    got = [decoherence_time(system, *args, eps) for eps in eps_list]
+    assert calls == []
+    assert got == [decoherence_time(dataclasses.replace(system), *args, eps) for eps in eps_list]
+    assert calls == ["reference_norm", "functional"] * len(eps_list)
+
+
+def test_new_input_objects_build_their_own_march(worked):
+    # The march is kept for the init and weights objects, not their values:
+    # equal copies build their own, and so does an init with another mean,
+    # whose answers are those of a fresh propagator
+    system = dataclasses.replace(worked.sys)
+    prop = Propagator.of(system)
+    first = decoherence_time(system, worked.init, worked.weights, 0.05)
+    for init, weights in ((dataclasses.replace(worked.init), worked.weights),
+                          (worked.init, dataclasses.replace(worked.weights))):
+        march = prop._march
+        assert decoherence_time(system, init, weights, 0.05) == first
+        assert prop._march is not march
+        assert prop._march.init is init and prop._march.weights is weights
+    moved = dataclasses.replace(worked.init, mu0=np.array([0.1, 0.2, -0.3]))
+    assert not moved.mu0.flags.writeable
+    for eps in (0.05, 0.6):
+        got = decoherence_time(system, moved, worked.weights, eps)
+        assert prop._march.init is moved
+        assert got == decoherence_time(dataclasses.replace(system), moved, worked.weights, eps)
+    assert got != decoherence_time(system, worked.init, worked.weights, 0.6)
+
+
 def _two_qubit_composite(pauli):
     sub = SystemParams(sc=pauli, E=np.array([0.1, 0.0, 0.2]),
                        M=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
@@ -113,7 +195,8 @@ def _two_qubit_composite(pauli):
 @pytest.mark.parametrize("case", [0, 1, "composite"])
 def test_chunked_delta_matches_stepwise(make_instance, pauli, case):
     # the node table, filled chunk by chunk, against one push by the map
-    # over one step per node
+    # over one step per node and the dense trajectory: Delta rises over
+    # these nodes, but the table holds its running maximum
     if case == "composite":
         system, init = _two_qubit_composite(pauli)
     else:
@@ -122,7 +205,7 @@ def test_chunked_delta_matches_stepwise(make_instance, pauli, case):
     prop = Propagator(system)
     h = 1e-3 / max(1.0, prop.norm_a)
     nodes = 700
-    march = prop.march(init, weights.Sigma, h)
+    march = prop.march(init, weights, h)
     march.first_crossing(nodes, math.inf, 1e-9)
     d, starts, states = march.table
     assert starts[-1] >= nodes and len(states) == len(starts)
@@ -133,11 +216,12 @@ def test_chunked_delta_matches_stepwise(make_instance, pauli, case):
         stepwise.append(march.delta(x))
         if k in starts:
             assert np.abs(states[starts.index(k)] - x).max() <= 1e-10
-    assert np.abs(d[1:starts[-1] + 1] - stepwise).max() <= 1e-10
+    # the table keeps the running maximum of Delta at the nodes
+    assert np.abs(d[1:starts[-1] + 1] - np.maximum.accumulate(stepwise)).max() <= 1e-10
 
     grid = np.arange(nodes + 1) * h
     traj = deviation_delta(system, init, weights, grid)
-    assert np.abs(d[1:nodes + 1] - traj[1:]).max() <= 1e-10
+    assert np.abs(d[1:nodes + 1] - np.maximum.accumulate(traj[1:])).max() <= 1e-10
 
 
 def test_refine_long_step_matches_default(worked):
@@ -258,8 +342,14 @@ def test_decoherence_times_share_doubling_maps(worked, monkeypatch):
     assert (own.value, own.bracket) == (fresh.value, fresh.bracket)
 
 
+@functools.lru_cache(maxsize=None)
+def _identity_weights(n):
+    # one object per size, so calls on one system share its kept march
+    return weighting_from_sigma(np.eye(n))
+
+
 def _outcome(system, init, eps, opts):
-    weights = weighting_from_sigma(np.eye(system.n))
+    weights = _identity_weights(system.n)
     try:
         res = decoherence_time(system, init, weights, eps, opts=opts)
     except InconclusiveCrossingError as exc:
@@ -318,7 +408,7 @@ def test_tau_curve_bitwise_independent_of_node_table(worked, calls, data):
     # drawn order and in a shuffled one.
     prop = Propagator(worked.sys)
     step = 1e-3 / prop.norm_a
-    march = prop.march(worked.init, worked.weights.Sigma, step)
+    march = prop.march(worked.init, worked.weights, step)
     march.first_crossing(20000, math.inf, 1e-9)
     d = march.table[0]
     ref = reference_norm(worked.init, worked.weights)
@@ -463,8 +553,9 @@ def test_taylor_rows_match_forward_series(make_instance, case):
     else:
         system, init = make_instance(np.random.default_rng(case))
     prop = Propagator(system)
-    Sigma = weighting_from_sigma(np.eye(system.n)).Sigma
-    march = prop.march(init, Sigma, 0.01)
+    weights = weighting_from_sigma(np.eye(system.n))
+    Sigma = weights.Sigma
+    march = prop.march(init, weights, 0.01)
     rows = march._taylor_rows(10)
     n1 = system.n + 1
     # a generic transition matrix too: the closure holds for every mean
@@ -648,13 +739,19 @@ def test_march_delta_matches_trajectory(make_instance, case, wseed, frac):
     ref = reference_norm(init, weights)
     prop = Propagator.of(system)
     step, nodes = 1e-3 / max(1.0, prop.norm_a), 300
-    march = prop.march(init, weights.Sigma, step)
+    march = prop.march(init, weights, step)
     grid = np.arange(nodes + 1) * step
     want = prop.trajectory(init, weights.Sigma, grid)[2]
     sup = march.first_crossing(nodes, math.inf, 1e-9)[1]
-    assert np.abs(march.table[0][:nodes + 1] - want).max() <= 1e-13 * ref
+    # Delta at the kept nodes, read off the rows and the chunk-start states
+    # as the march read it; the table keeps its running maximum
+    r, starts, states = march.table
+    d = np.concatenate([r[:1], *(march._grow(e - s) @ x
+                                 for s, e, x in zip(starts, starts[1:], states))])
+    assert np.array_equal(r[1:], np.maximum.accumulate(d[1:]))
+    assert np.abs(d[:nodes + 1] - want).max() <= 1e-13 * ref
     assert abs(march.delta(_state_at(march, nodes)) - want[-1]) <= 1e-13 * ref
-    assert sup == march.table[0][:nodes + 1].max()
+    assert sup == d[:nodes + 1].max()
 
     threshold = frac * want.max()
     assume(np.abs(want - threshold).min() > 1e-9 * ref)
