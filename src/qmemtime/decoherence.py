@@ -8,10 +8,11 @@ of a fixed-step grid in order, brackets the *first* up-crossing, and
 refines it by bisection on the exact Taylor expansion of Delta, in one
 call.  Only the threshold depends on eps: the march that
 :meth:`Propagator.march <qmemtime.propagate.Propagator.march>` keeps for
-one initial moments and weighting object holds the reference norm and the
-running maximum of Delta at the nodes of a fixed chunk schedule from t = 0
-(see :mod:`qmemtime.propagate`), so every eps of a curve is one binary
-search there, with the answer of a fresh search.
+one initial moments and weighting object holds the reference norm, the
+running maximum of Delta at the nodes and its Taylor coefficients on the
+intervals of the grid from t = 0 (see :mod:`qmemtime.propagate`), so every
+eps of a curve is one binary search and one bisection there, with the
+answer of a fresh search.
 
 An infinite answer is certified by a provable bound.  For a Hurwitz drift
 Delta(s) - Delta_inf = tr(K E_s), and the Lyapunov norm of the drift
@@ -44,12 +45,13 @@ DIFFUSION_TOL = 1e-14
 class CrossingOptions:
     """Search controls for :func:`decoherence_time`.
 
-    ``step`` and ``tol`` default to 1e-3 and 1e-9 over max(1, ||A||_2);
-    ``horizon`` caps the marched time; and ``margin`` is the relative
-    clearance that the bound Delta_inf + B0 e^{-rate t} on the deviation
-    must keep below the threshold from the time t at which the march ends
-    with an infinite answer.  Every field that is given must be finite and
-    positive.
+    ``step`` and ``tol`` default to 1e-3 and 1e-9 over max(1, ||A||_2), and
+    a step longer than 1 / (2 rho), with rho = max(1, ||[A b]||_2), is cut
+    into ceil(2 step rho) equal node spacings; ``horizon`` caps the marched
+    time; and ``margin`` is the relative clearance that the bound Delta_inf
+    + B0 e^{-rate t} on the deviation must keep below the threshold from the
+    time t at which the march ends with an infinite answer.  Every field
+    that is given must be finite and positive.
     """
 
     step: float = None
@@ -125,7 +127,7 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
     """First time the deviation exceeds ``epsilon`` times the reference.
 
     One crossing call per eps finds the first node above the threshold on
-    the grid k * ``opts.step``, off the march's node table and past it (so
+    the grid of ``opts.step``, off the march's node table and past it (so
     the first crossing of a non-monotone Delta is bracketed), and bisects
     that step to ``opts.tol``.  When the threshold clears Delta_inf and the
     drift has a Lyapunov norm, the march ends at the certification time t_c
@@ -159,7 +161,7 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
             t_c = math.log(b0 / clear) / rate if b0 > clear else 0.0
 
     horizon = float(opts.horizon)
-    nodes = max(0, int(math.ceil(min(horizon, t_c) / step - 1e-12)))
+    nodes = max(0, int(math.ceil(min(horizon, t_c) / march.h - 1e-12)))
     bracket, sup = march.first_crossing(nodes, threshold, tol)
     if bracket is None:
         if t_c <= horizon:

@@ -23,25 +23,27 @@ the map Phi over m steps, for m = 1, 2, 4, ... up to ``BLOCK`` and then
 m = ``BLOCK`` (see :meth:`Propagator.trajectory`).  Each map over 2^i
 steps is its own exponential, whose roundoff does not grow with i.
 
-:meth:`DeviationMarch.first_crossing` marches the nodes from Phi_0 = I in
-chunks of 1, 2, 4, ... up to a cap, then the cap, each with one product
-against adjoint rows (the functional pulled back over 1, 2, ... steps),
-jumps across a chunk by the map over its steps, and refines the first
-node above the threshold, the one state it pushes, by Taylor rows.  The
-maps depend only on the system and the step, the rows only on the functional
-and the step, and the schedule on neither eps nor earlier calls, so the
-march keeps the running maximum of Delta at the nodes in a table, where
-the first node above a threshold is one binary search.  A
+:meth:`DeviationMarch.first_crossing` cuts the node grid into intervals
+of width at most 1 / (2 rho), rho a norm bound of the generator, on each
+of which Delta is one polynomial whose coefficients are the product of
+the interval's starting state with Taylor rows.  It marches chunks of
+``CHUNK`` intervals from Phi_0 = I: their states are one product with the
+maps over 0 ... ``CHUNK`` intervals, their coefficients a second and the
+node values a third, with a table of powers.  The first node above the
+threshold is refined by bisection on the polynomial of its interval.
+Maps, rows and powers depend only on the system, the functional and the
+step, so the march keeps the running maximum of Delta at the nodes and
+the coefficients of the intervals in a table, where the first crossing
+of a threshold is one binary search and a bisection.  A
 :class:`Propagator` keeps one march, for the frozen initial moments and
 weighting objects it serves: every eps of a tau(eps) curve reads its
-crossing off the table, with the answer of a fresh search, and the rows,
-maps and table a system keeps are bounded by ``ROW_BUDGET``.  A trajectory
-keeps its longest run's maps.
+crossing off the table, with the answer of a fresh search, and the
+powers and the table a system keeps are bounded by ``ROW_BUDGET``.  A
+trajectory keeps its longest run's maps.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 
@@ -52,12 +54,15 @@ from .linalg import (HURWITZ_TOL, _require_margin, _taylor_terms, expm_psi, hurw
                      solve_lyapunov, spectral_norm)
 from .model import coefficients, lambda_sandwich
 
-#: Bytes allowed for a march's adjoint rows, which fixes the longest chunk
-#: of nodes tested at once, and again for its table of node values and states.
+#: Bytes allowed for a march's table of powers with the node values of one
+#: chunk, which caps the nodes per interval, and again for its kept table.
 ROW_BUDGET = 1 << 20
 
 #: Most grid nodes a trajectory advances by one map (a power of two).
 BLOCK = 16
+
+#: Intervals a march advances by one map.
+CHUNK = 16
 
 #: Largest defect of the closure form of Lambda, relative to the size of
 #: its terms, that the propagator accepts.
@@ -276,12 +281,13 @@ class Propagator:
 
     def march(self, init, weights, step):
         """The :class:`DeviationMarch` of Delta for ``init`` and ``weights``
-        on the grid k * ``step``.  The last march built is kept, with its
-        maps, rows, node table and cached properties, for another eps on the
-        same ``init`` and ``weights`` objects (read-only arrays) and an
-        equal step; new objects, equal or not, build their own.  So a system
-        keeps the maps, rows and table of one march, the rows and table each
-        within ``ROW_BUDGET``.
+        on the grid k * ``step``, a step longer than 1 / (2 rho) cut into
+        equal spacings.  The last march built is kept, with its maps, rows,
+        powers, table and cached properties, for another eps on the same
+        ``init`` and ``weights`` objects (read-only arrays) and an equal
+        step; new objects, equal or not, build their own.  So a system keeps
+        the maps, rows, powers and table of one march, the powers and the
+        table each within ``ROW_BUDGET``.
         """
         march = self._march
         if not (march and march.init is init and march.weights is weights
@@ -357,28 +363,30 @@ class Propagator:
 
 
 class DeviationMarch:
-    """Delta = <L, Phi_t^T> on the node grid k * step for the frozen
+    """Delta = <L, Phi_t^T> on the node grid k * ``h`` for the frozen
     ``init`` and ``weights``, marched from Phi_0 = I at t = 0 by
     :meth:`first_crossing`.  Their reference norm ``ref`` (TrivialWeightError
     where it vanishes) is derived first, then L of :meth:`Propagator.functional`.
 
-    The state x is Phi_t^T = [[E_t^T, 0], [w_t^T, 1]], flattened; kept
-    transposed, it moves over s steps, and a row is pulled back over
-    them, by a product from the right (with Phi_s^T and Phi_s).  Row j of
-    ``rows`` holds L Phi_step^(j + 1), so Delta at a chunk's nodes is one
-    product of the rows with the state at its start.  Chunks have 1, 2,
-    4, ... nodes up to ``cap``, fixed by ``ROW_BUDGET``, then ``cap``,
-    whatever the threshold; the rows double, by one product, as needed.
+    The spacing ``h`` is the ``step``, cut into ceil(2 step rho) equal
+    spacings where it is longer than 1 / (2 rho).  The grid is cut into
+    intervals of ``m`` nodes, of ``width`` m h <= 1 / (2 rho), with m capped
+    so that ``powers`` and the node values of one chunk fit ``ROW_BUDGET``.
+    On an interval from a with state x = Phi_a, flattened, Delta(a + s
+    width) for s in [0, 1] is the polynomial with the coefficients ``T``
+    @ x, T holding the rows (L (width Ahat)^k / k!)^T for k up to
+    _taylor_terms(width rho): scaled by the width, no row outgrows L at any
+    drift.  Row j of ``powers`` holds ((j + 1) / m)^k, so the nodes of an
+    interval are one product with its coefficients.  ``jumps`` stacks Phi
+    over 0 ... ``CHUNK`` intervals.
 
-    ``table`` = (r, starts, states) keeps Delta(0) in r[0], the largest
-    Delta at the nodes 1 ... k in r[k] for k = 1 ... K, and Phi_t^T at the
-    chunk starts, the last of which is K; it grows by whole chunks up to
-    the node ``last``, within ``ROW_BUDGET``, and is replaced whole, never
-    written once kept.  The schedule is fixed, so no answer depends on
-    earlier calls.  Maps, rows and table serve every call, and so do the
-    cached properties: Delta_inf (:attr:`limit`), :attr:`decay_bound`, and
-    the Taylor rows and piece map of the refinement, which cuts a step into
-    ``pieces`` of ``width`` at most 1 / rho.
+    ``table`` = (r, coef, x) keeps Delta(0) in r[0], the largest Delta at
+    the nodes 1 ... k in r[k] for k = 1 ... K, the coefficients of the
+    intervals up to K, and Phi at K; it grows by whole chunks up to the node
+    ``last``, within ``ROW_BUDGET``, and is replaced whole, never written
+    once kept.  Nothing in it depends on a threshold or on earlier calls.
+    It serves every call, and so do the cached properties Delta_inf
+    (:attr:`limit`) and :attr:`decay_bound`.
     """
 
     def __init__(self, prop, init, weights, step):
@@ -386,76 +394,43 @@ class DeviationMarch:
         self.prop, self.init, self.weights, self.step = prop, init, weights, step
         self.ref = _reference(init, weights)
         self.L = L = prop.functional(init, weights.Sigma)
-        self.n1 = len(L)
-        self.cap = 2 ** max(0, int(math.log2(ROW_BUDGET / (8 * L.size))))
-        self.maps = ()  # Phi over 1, 2, 4, ... steps, grown by _maps
-        self.rows = (L @ self._maps(1)[0]).reshape(1, -1)
-        x0 = np.eye(self.n1).ravel()
-        self.table = (np.array([self.delta(x0)]), (0,), (x0,))
-        b, c = x0.nbytes, self.cap  # chunks of 1, 2, ..., c nodes, then m of c, fit:
-        m = (ROW_BUDGET - 16 * c - (c.bit_length() + 1) * b) // (8 * c + b)
-        self.last = (2 + m) * c - 1 if m >= 0 else 0
-        self.pieces = max(1, math.ceil(step * prop.rho))
-        self.width = step / self.pieces
+        self.n1 = n1 = len(L)
+        rho = prop.rho
+        self.h = h = step / max(1, math.ceil(2.0 * step * rho))
+        cap = ROW_BUDGET // (8 * (_taylor_terms(0.5) + 1 + CHUNK))
+        self.m = m = max(1, min(int(0.5 / (h * rho)), cap))
+        self.width = width = m * h
+        self.T = self._taylor_rows(_taylor_terms(width * rho))
+        self.powers = np.vander(np.arange(1, m + 1) / m, len(self.T), increasing=True)
+        # Phi over 0 ... CHUNK intervals: products of the map over one, but
+        # the map over a chunk, chained by the march, is its own exponential,
+        # lest the CHUNK roundings of a product build up in every later state
+        one = prop.transition(width)
+        maps = [np.eye(n1)]
+        for _ in range(CHUNK - 1):
+            maps.append(one @ maps[-1])
+        self.jumps = np.concatenate([*maps, prop.transition(CHUNK * width)])
+        x0 = np.eye(n1).ravel()
+        self.table = (np.array([float(self.T[0] @ x0)]), np.empty((0, len(self.T))), x0)
+        # the chunks that fit the table with Delta(0) and the end state
+        fit = (ROW_BUDGET // 8 - 1 - x0.size) // (CHUNK * (m + len(self.T)))
+        self.last = max(0, fit) * CHUNK * m
 
     def _taylor_rows(self, terms):
-        """The rows L (width Ahat)^k / k!, k = 0 ... ``terms``, with Ahat =
-        [[A, b], [0, 0]] the generator of Phi: their product with a state x
-        gives the Taylor coefficients of Delta about x in the time over
-        ``width``.  width ||Ahat|| <= 1, so no row outgrows L at any drift."""
-        rows, scaled = [self.L], self.width * self.prop.Ahat
+        """The rows (L (width Ahat)^k / k!)^T, flattened, k = 0 ... ``terms``:
+        row k times the state Phi_a, flattened, is the coefficient of s^k of
+        Delta(a + s width), Ahat = [[A, b], [0, 0]] the generator of Phi."""
+        rows, scaled = [self.L.T], self.width * self.prop.Ahat.T
         for k in range(1, terms + 1):
-            rows.append(rows[-1] @ scaled / k)
+            rows.append(scaled @ rows[-1] / k)
         return np.array(rows).reshape(terms + 1, -1)
 
-    @functools.cached_property
-    def _taylor(self):
-        """The Taylor rows summed over one piece of a refined step."""
-        return self._taylor_rows(_taylor_terms(self.width * self.prop.rho))
-
-    @functools.cached_property
-    def _piece(self):
-        """The transition matrix over one piece of a refined step."""
-        return self.prop.transition(self.width)
-
-    def _maps(self, count):
-        """The first ``count`` transition matrices over 2^i steps, each its own
-        exponential: a map squared i times would carry i roundings of the
-        map over one step.  A new tuple, so a reader of the old one is not
-        disturbed."""
-        maps = self.maps
-        if len(maps) < count:
-            maps = self.maps = maps + tuple(self.prop.transition(self.step * 2 ** i)
-                                            for i in range(len(maps), count))
-        return maps
-
-    def _push(self, Phi, x):
-        """The state x moved by the transition matrix Phi."""
-        return (x.reshape(self.n1, self.n1) @ Phi.T).ravel()
-
-    def _state(self, node, starts, states):
-        """Phi_t^T at ``node``, pushed from the last chunk start up to it."""
-        i = bisect.bisect_right(starts, node) - 1
-        x, rest = states[i], node - starts[i]
-        for i, Phi in enumerate(self._maps(rest.bit_length())):
-            if rest >> i & 1:
-                x = self._push(Phi, x)
-        return x
-
-    def _grow(self, count):
-        """The first ``count`` rows, doubled by one product at a time as
-        needed and kept for later calls unless longer ones are."""
-        rows, n1 = self.rows, self.n1
-        while len(rows) < count:
-            k, i = len(rows), len(rows).bit_length() - 1  # the rows span 2^i steps
-            ahead = rows.reshape(k * n1, n1) @ self._maps(i + 1)[i]
-            rows = np.concatenate([rows, ahead.reshape(k, -1)])
-        if len(rows) > len(self.rows):
-            self.rows = rows
-        return rows[:count]
-
-    def delta(self, x):
-        return float(self.L.ravel() @ x)
+    def _chunk(self, x):
+        """The coefficients of the ``CHUNK`` intervals from the state x, and
+        the state at their end: two products."""
+        n1 = self.n1
+        states = (self.jumps @ x.reshape(n1, n1)).reshape(CHUNK + 1, -1)
+        return states[:-1] @ self.T.T, states[-1].copy()
 
     @functools.cached_property
     def limit(self):
@@ -492,15 +467,14 @@ class DeviationMarch:
         The first node above is the first whose running maximum r is: one
         binary search of the kept nodes, then of each chunk from the
         table's end.  The chunks up to ``last`` extend the table, one copy
-        of r per call, unless a longer one is kept by then.  r carries a NaN
+        per call, unless a longer one is kept by then.  r carries a NaN
         on, which sorts above every threshold as an infinity does, so a
-        non-finite node raises IntegrationError.  Only a crossing's left
-        node needs its state, pushed from the chunk start before it.
+        non-finite node raises IntegrationError.
         """
-        r, starts, states = table = self.table
-        lo, k = 0, min(nodes, starts[-1])
+        r, coef, x = table = self.table
+        m, lo, k = self.m, 0, min(nodes, len(r) - 1)
         vals, top = r[1:k + 1], -math.inf  # r at the nodes lo + 1 ... k, and at lo (-inf at 0)
-        size, new, bracket = 1 << min(len(starts) - 1, self.cap.bit_length() - 1), [], None
+        new, bracket = [], None
         while True:
             j = int(np.searchsorted(vals, threshold, side="right"))  # node lo + j + 1 is above
             top = float(vals[j - 1]) if j else top
@@ -508,52 +482,35 @@ class DeviationMarch:
                 if not math.isfinite(vals[j]):
                     raise IntegrationError(
                         f"deviation march produced non-finite values near "
-                        f"t={(lo + j) * self.step:.6g} (step {self.step:.3e})")
-                bracket = self._refine(self._state(lo + j, starts, states), (lo + j) * self.step,
-                                       threshold, tol)
+                        f"t={(lo + j) * self.h:.6g} (step {self.h:.3e})")
+                bracket = self._refine(coef[j // m], lo + j, threshold, tol)
                 break
             if k == nodes:
                 break
-            x, i = states[-1], size.bit_length() - 1  # the next chunk, of 2^i nodes
-            run = np.maximum(np.maximum.accumulate(self._grow(size) @ x), top)
-            x_end = self._push(self._maps(i + 1)[i], x)
-            lo, k = k, min(k + size, nodes)
-            vals, starts, states = run[:k - lo], (lo, lo + size), (x, x_end)
-            if lo + size <= self.last:
-                new.append((lo + size, run, x_end))
-            size = min(2 * size, self.cap)
-        if new and new[-1][0] > self.table[1][-1]:
-            ends, values, xs = zip(*new)
-            self.table = (np.concatenate([r, *values]), table[1] + ends, table[2] + xs)
+            coef, x = self._chunk(x)
+            run = (coef @ self.powers.T).ravel()
+            run = np.maximum(np.maximum.accumulate(run, out=run), top, out=run)
+            lo, k = k, min(k + run.size, nodes)
+            vals = run[:k - lo]
+            if lo + run.size <= self.last:
+                new.append((run, coef, x))
+        if new and len(table[1]) + len(new) * CHUNK > len(self.table[1]):
+            runs, coefs, xs = zip(*new)
+            self.table = (np.concatenate([r, *runs]), np.concatenate([table[1], *coefs]), xs[-1])
         return bracket, max(float(r[0]), top)
 
-    def _refine(self, x, t_lo, threshold, tol):
-        """Shrink the bracket [t_lo, t_lo + step] of a crossing to width
-        ``tol`` by bisection on the exact Taylor expansion of Delta about
-        the left node (state x), keeping Delta(lo) <= threshold < Delta(hi).
-
-        A step longer than 1 / rho is cut into ``pieces`` that are searched
-        in order, so the series is only summed where it converges fast; the
-        state crosses a piece by the exact map over it.
-        """
-        t_end, width, a = t_lo + self.step, self.width, t_lo
-        for i in range(self.pieces):
-            coef = (self._taylor @ x).tolist()
-            if i == self.pieces - 1:
-                hi = t_end
-            elif _horner(coef, 1.0) > threshold:
-                hi = a + width
+    def _refine(self, coef, node, threshold, tol):
+        """Shrink the bracket [t_lo, t_lo + h] of a crossing from ``node`` to
+        width ``tol`` by bisection on Delta, the polynomial ``coef`` of its
+        interval, keeping Delta(lo) <= threshold < Delta(hi)."""
+        lo = node * self.h
+        hi, a, coef = lo + self.h, node // self.m * self.width, coef.tolist()
+        for _ in range(200):
+            if hi - lo <= tol:
+                break
+            mid = 0.5 * (lo + hi)
+            if _horner(coef, (mid - a) / self.width) > threshold:
+                hi = mid
             else:
-                x = self._push(self._piece, x)
-                a += width
-                continue
-            lo = a
-            for _ in range(200):
-                if hi - lo <= tol:
-                    break
-                mid = 0.5 * (lo + hi)
-                if _horner(coef, (mid - a) / width) > threshold:
-                    hi = mid
-                else:
-                    lo = mid
-            return lo, hi
+                lo = mid
+        return lo, hi

@@ -68,6 +68,9 @@ REMOVED = [
     ("qmemtime.moments", "RANK_TOL"),
     ("qmemtime.interconnect", "CompositeSystem.E12"),
     ("qmemtime.propagate", "_doubled"),
+    *(("qmemtime.propagate", f"DeviationMarch.{name}")
+      for name in ("_grow", "_state", "_maps", "_piece", "_taylor", "_push", "delta")),
+    ("qmemtime.propagate", "bisect"),
 ]
 
 

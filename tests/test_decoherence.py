@@ -138,14 +138,17 @@ def test_rotation_without_crossing_is_inconclusive(pauli):
 def test_near_tangent_threshold_has_no_finite_tau(pauli):
     # from mu0 = (0.5, 0, 0) the isolated spin has Delta = 4 - 4 cos 2t <= 8;
     # a march whose maps over 2^i steps are squares of the one-step map
-    # drifts above 8 + 1e-10 and finds tau = 2822.72
+    # drifts above 8 + 1e-10 and finds tau = 2822.72, and one that pushes
+    # its state across every 2^i steps by their own map drifts above
+    # 8 + 1e-11 and finds tau = 9536.30
     sys = SystemParams(sc=pauli, E=np.array([0.0, 0.0, 1.0]),
                        M=np.zeros((2, 3)), N=np.zeros(2))
     init = initial_moments(pauli, np.array([0.5, 0.0, 0.0]))
     w = weighting_from_sigma(np.eye(3))
-    with pytest.raises(InconclusiveCrossingError) as err:
-        decoherence_time(sys, init, w, (8.0 + 1e-10) / 3.0)
-    assert abs(err.value.sup_delta - 8.0) <= 1e-10
+    for threshold in (8.0 + 1e-10, 8.0 + 1e-11):
+        with pytest.raises(InconclusiveCrossingError) as err:
+            decoherence_time(sys, init, w, threshold / 3.0)
+        assert abs(err.value.sup_delta - 8.0) <= 1e-10
 
 
 @pytest.mark.parametrize("scale", [1e40, 1e100, 1e300])

@@ -3,6 +3,7 @@ import functools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,9 +35,9 @@ def _march(system, init, weights, step):
     return Propagator(system).march(init, weights, step)
 
 
-def _state_at(march, node):
-    """Phi_t^T at ``node``, pushed from the march's kept chunk starts."""
-    return march._state(node, *march.table[1:])
+def _delta_at(march, node):
+    """Delta at ``node`` of the march's grid, off an exponential of its own."""
+    return float(np.sum(march.L * march.prop.transition(node * march.h).T))
 
 
 def test_first_crossing_brackets_a_grid_step(worked):
@@ -47,9 +48,9 @@ def test_first_crossing_brackets_a_grid_step(worked):
     assert k * h <= lo < hi <= (k + 1) * h and hi - lo <= tol
     r = march.table[0]  # the running maximum of Delta at the nodes 1 ... K
     assert r[k] <= 0.05 < r[k + 1]
-    # the states at the nodes up to the right one reproduce it
-    pushed = [march.delta(_state_at(march, i)) for i in range(1, k + 2)]
-    assert np.abs(r[1:k + 2] - np.maximum.accumulate(pushed)).max() <= 1e-12
+    # Delta at the nodes up to the right one reproduces it
+    direct = [_delta_at(march, i) for i in range(1, k + 2)]
+    assert np.abs(r[1:k + 2] - np.maximum.accumulate(direct)).max() <= 1e-12
     ends = deviation_delta(worked.sys, worked.init, worked.weights, np.array([0.0, lo, hi]))
     assert ends[1] <= 0.05 < ends[2]
     # Delta rises, so the largest value below the threshold is the left
@@ -61,18 +62,17 @@ def test_first_crossing_brackets_a_grid_step(worked):
 def test_march_raises_on_non_finite_deviation(worked):
     # A NaN node, carried on by the running maximum, and an infinite one sort
     # above every threshold, so each counts as a crossing, and raises, read
-    # off the kept table or marched past ``last``.  A bad row 5 of 8 makes
-    # node 13, in the chunk of the nodes 8 ... 15, the first bad one.
+    # off the kept table or marched past ``last``.  A bad row 12 of the
+    # powers makes node 13 of the first interval the first bad one.
     for bad in (math.nan, math.inf):
         for kept in (True, False):
             march = _march(worked.sys, worked.init, worked.weights, 1e-3)
-            march.rows = march._grow(8).copy()
-            march.rows[5] = 0.0
-            march.rows[5, 0] = bad  # times the positive x[0] = E_t[0, 0]
+            march.powers = march.powers.copy()
+            march.powers[12, 1] = bad  # times the positive width Delta'(0) = 16 width
             march.last = march.last if kept else 0
             bracket, sup = march.first_crossing(12, 1e9, 1e-9)
             assert bracket is None and math.isfinite(sup)
-            assert march.table[1][-1] == (15 if kept else 0)
+            assert len(march.table[0]) - 1 == (propagate.CHUNK * march.m if kept else 0)
             with pytest.raises(IntegrationError, match="non-finite values near t=0.012 "):
                 march.first_crossing(100, 1e9, 1e-9)
 
@@ -85,11 +85,14 @@ def test_march_no_crossing_returns_supremum(worked):
     traj = moment_trajectory(worked.sys, worked.init, worked.weights,
                              np.arange(51) * h)
     assert sup == pytest.approx(traj.Delta.max(), abs=1e-12)
-    # the kept state is Phi_t^T, and Phi_t maps (mu0, 1) to (mu_t, 1)
-    state = _state_at(march, 50)
-    assert march.delta(state) == pytest.approx(traj.Delta[-1], abs=1e-12)
+    # the kept state is Phi_t at the table's end, and Phi_t maps (mu0, 1)
+    # to (mu_t, 1)
+    r, _, state = march.table
+    t = (len(r) - 1) * h
+    traj = moment_trajectory(worked.sys, worked.init, worked.weights, np.array([0.0, t]))
     n = worked.sys.n
-    Phi = state.reshape(n + 1, n + 1).T
+    Phi = state.reshape(n + 1, n + 1)
+    assert np.sum(march.L * Phi.T) == pytest.approx(traj.Delta[-1], abs=1e-12)
     assert np.abs(Phi[:n] @ np.r_[worked.init.mu0, 1.0] - traj.mu[-1]).max() <= 1e-12
 
 
@@ -97,12 +100,12 @@ def test_march_no_crossing_returns_supremum(worked):
 def test_no_crossing_pushes_no_state(worked, monkeypatch, eps, horizon):
     # A march that ends below the threshold (certified at eps 2.5, then
     # inconclusive on a short horizon) needs no state: read off the kept
-    # table, it pushes none
+    # table, it marches no chunk and refines nothing
     system, opts = dataclasses.replace(worked.sys), CrossingOptions(horizon=horizon)
     args = (worked.init, eps, opts)
     before = _outcome(system, *args)
     calls = []
-    for name in ("_push", "_state"):
+    for name in ("_chunk", "_refine"):
         monkeypatch.setattr(DeviationMarch, name,
                             lambda self, *a, f=getattr(DeviationMarch, name), name=name:
                             calls.append(name) or f(self, *a))
@@ -116,9 +119,7 @@ def test_running_maximum_finds_first_crossing_of_oscillation(pauli):
     # odd multiples of pi / 2.  On a step of 0.02 the largest node value of
     # each hump rises from hump to hump, so a threshold between two of them
     # first crosses in the later hump, and one below them in the first.
-    system = SystemParams(sc=pauli, E=np.array([0.0, 0.0, 1.0]), M=np.zeros((2, 3)),
-                          N=np.zeros(2))
-    init = initial_moments(pauli, np.array([0.5, 0.0, 0.0]))
+    system, init = _isolated_spin(pauli)
     weights = weighting_from_sigma(np.eye(3))
     step, nodes = 0.02, 500  # t = 10, past three peaks
     grid = np.arange(nodes + 1) * step
@@ -126,7 +127,7 @@ def test_running_maximum_finds_first_crossing_of_oscillation(pauli):
     assert np.abs(dense - (4.0 - 4.0 * np.cos(2.0 * grid))).max() <= 1e-12
     kept = Propagator(system).march(init, weights, step)
     kept.first_crossing(nodes, math.inf, 1e-9)
-    assert kept.table[1][-1] >= nodes
+    assert len(kept.table[0]) - 1 >= nodes
     assert np.abs(kept.table[0][:nodes + 1] - np.maximum.accumulate(dense)).max() <= 1e-10
 
     peaks = [dense[(grid >= i * math.pi) & (grid < (i + 1) * math.pi)].max() for i in range(3)]
@@ -207,17 +208,17 @@ def test_chunked_delta_matches_stepwise(make_instance, pauli, case):
     nodes = 700
     march = prop.march(init, weights, h)
     march.first_crossing(nodes, math.inf, 1e-9)
-    d, starts, states = march.table
-    assert starts[-1] >= nodes and len(states) == len(starts)
+    d, coef, state = march.table
+    end = len(d) - 1
+    assert end >= nodes and end == len(coef) * march.m
 
-    stepwise, x = [], states[0]
-    for k in range(1, starts[-1] + 1):
-        x = march._push(march.maps[0], x)
-        stepwise.append(march.delta(x))
-        if k in starts:
-            assert np.abs(states[starts.index(k)] - x).max() <= 1e-10
+    stepwise, Phi, step_map = [], np.eye(system.n + 1), prop.transition(h)
+    for _ in range(end):
+        Phi = step_map @ Phi
+        stepwise.append(np.sum(march.L * Phi.T))
+    assert np.abs(state - Phi.ravel()).max() <= 1e-10
     # the table keeps the running maximum of Delta at the nodes
-    assert np.abs(d[1:starts[-1] + 1] - np.maximum.accumulate(stepwise)).max() <= 1e-10
+    assert np.abs(d[1:] - np.maximum.accumulate(stepwise)).max() <= 1e-10
 
     grid = np.arange(nodes + 1) * h
     traj = deviation_delta(system, init, weights, grid)
@@ -225,14 +226,15 @@ def test_chunked_delta_matches_stepwise(make_instance, pauli, case):
 
 
 def test_refine_long_step_matches_default(worked):
-    # a step of 0.5 spans three Taylor pieces of the worked generator
-    # [[A, b], [0, 0]] (norm bound hypot(||A||, |b|) = hypot(4, 4));
-    # tau(0.05) lies in the first and tau(1.0) = 0.27 in the second
+    # a step of 0.5 is longer than 1 / (2 rho) of the worked generator
+    # [[A, b], [0, 0]] (norm bound hypot(||A||, |b|) = hypot(4, 4)), so it
+    # is cut into six spacings; tau(0.05) lies in the first and tau(1.0) =
+    # 0.27 in the fourth
     prop = Propagator.of(worked.sys)
     Ahat = np.zeros((4, 4))
     Ahat[:3, :3], Ahat[:3, 3] = prop.A, prop.b
     assert np.linalg.norm(Ahat, 2) <= prop.rho * (1.0 + 1e-12)
-    assert math.ceil(0.5 * prop.rho) == 3
+    assert prop.march(worked.init, worked.weights, 0.5).h == 0.5 / 6
     for eps in (0.05, 1.0):
         ref = decoherence_time(worked.sys, worked.init, worked.weights, eps)
         long = decoherence_time(worked.sys, worked.init, worked.weights, eps,
@@ -243,6 +245,41 @@ def test_refine_long_step_matches_default(worked):
         d = deviation_delta(worked.sys, worked.init, worked.weights,
                             np.array([0.0, lo, hi]))
         assert d[1] <= long.threshold < d[2]
+
+
+def _isolated_spin(pauli):
+    # Delta = 4 - 4 cos 2t from mu0 = (0.5, 0, 0), with peaks of 8 at the
+    # odd multiples of pi / 2
+    system = SystemParams(sc=pauli, E=np.array([0.0, 0.0, 1.0]), M=np.zeros((2, 3)),
+                          N=np.zeros(2))
+    return system, initial_moments(pauli, np.array([0.5, 0.0, 0.0]))
+
+
+def test_long_step_hides_no_hump(pauli):
+    # Every node k pi of a step pi has Delta = 0, under the threshold 6 of
+    # eps 2; cut into spacings of at most 1 / (2 rho), the step finds the
+    # first crossing at pi / 3
+    system, init = _isolated_spin(pauli)
+    got = decoherence_time(system, init, weighting_from_sigma(np.eye(3)), 2.0,
+                           opts=CrossingOptions(step=math.pi, horizon=50.0))
+    tol = 1e-9 / Propagator.of(system).norm_a
+    assert abs(got.value - math.pi / 3.0) <= tol
+
+
+def test_tiny_step_stays_bounded(worked):
+    # A step of 1e-7 asks for about 880,000 nodes per interval of width
+    # 1 / (2 rho); capped, the powers and the table stay within their budget
+    system = dataclasses.replace(worked.sys)
+    args = (worked.init, worked.weights, 0.05)
+    want = decoherence_time(worked.sys, *args)
+    tracemalloc.start()
+    try:
+        got = decoherence_time(system, *args, opts=CrossingOptions(step=1e-7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * propagate.ROW_BUDGET
+    assert abs(got.value - want.value) <= 2e-9 / Propagator.of(system).norm_a
 
 
 def _damped_spin(pauli, omega, gamma):
@@ -313,7 +350,7 @@ def test_gradient_check_on_composite(pauli):
     assert report.max_rel_dev <= 1e-6
 
 
-def test_decoherence_times_share_doubling_maps(worked, monkeypatch):
+def test_decoherence_times_share_chunk_maps(worked, monkeypatch):
     system = dataclasses.replace(worked.sys)
     args = (worked.init, worked.weights)
     decoherence_time(system, *args, 0.5)
@@ -325,16 +362,18 @@ def test_decoherence_times_share_doubling_maps(worked, monkeypatch):
     assert calls == []
     copy = dataclasses.replace(system)
     fresh = decoherence_time(copy, *args, 0.05)
-    # Phi over 1, 2, 4, ... steps, each its own exponential
-    step, count = Propagator.of(copy)._march.step, len(Propagator.of(copy)._march.maps)
-    assert count > 1 and calls == [step * 2 ** i for i in range(count)]
+    # Phi over one interval and over a chunk, each its own exponential
+    width = Propagator.of(copy)._march.width
+    assert calls == [width, propagate.CHUNK * width]
     assert (shared.value, shared.bracket) == (fresh.value, fresh.bracket)
 
     # another step derives its own maps, once
     opts = CrossingOptions(step=1e-3)
     calls.clear()
     own = decoherence_time(system, *args, 0.05, opts=opts)
-    assert calls == [1e-3 * 2 ** i for i in range(len(Propagator.of(system)._march.maps))]
+    width = Propagator.of(system)._march.width
+    assert width == 1e-3 * Propagator.of(system)._march.m
+    assert calls == [width, propagate.CHUNK * width]
     calls.clear()
     assert decoherence_time(system, *args, 0.05, opts=opts) == own
     assert calls == []
@@ -386,13 +425,15 @@ def test_decoherence_times_independent_of_history(pauli, case, calls, other_step
         assert _outcome(system, *args) == _outcome(dataclasses.replace(system), *args)
 
 
-#: The ends 2^i - 1 of the schedule's chunks, where a node table can end.
-_CHUNK_ENDS = [2 ** i - 1 for i in range(1, 15)]
+#: Nodes at and next to the ends of the worked system's intervals (353
+#: nodes at its default step) and of its chunks of 16 intervals, where a
+#: node table can end.
+_CHUNK_ENDS = [k * 353 + d for k in (1, 2, 16, 32, 48) for d in (-1, 0, 1)]
 
 
 @settings(max_examples=10, deadline=None)
-@example(calls=[(1000, None), (1023, None), (500, 0.5), (5000, None), (300, None),
-                (16383, 0.9), (1023, 0.999)], data=None)
+@example(calls=[(1000, None), (5648, None), (500, 0.5), (5000, None), (300, None),
+                (16944, 0.9), (5649, 0.999), (353, None)], data=None)
 @given(calls=st.lists(st.tuples(st.one_of(st.integers(1, 20000), st.sampled_from(_CHUNK_ENDS)),
                                 st.one_of(st.none(), st.floats(0.05, 0.999))),
                       min_size=2, max_size=6),
@@ -411,6 +452,7 @@ def test_tau_curve_bitwise_independent_of_node_table(worked, calls, data):
     march = prop.march(worked.init, worked.weights, step)
     march.first_crossing(20000, math.inf, 1e-9)
     d = march.table[0]
+    assert march.m == 353
     ref = reference_norm(worked.init, worked.weights)
     jobs = [(0.5 * (d[b - 1] + d[b]) / ref,
              CrossingOptions() if share is None else CrossingOptions(horizon=share * b * step))
@@ -428,46 +470,56 @@ def test_tau_curve_bitwise_independent_of_node_table(worked, calls, data):
 
 def test_march_past_the_table_budget(worked, marched_nodes):
     # Horizon 40 is 160,000 nodes of the default step 2.5e-4, past the
-    # 122,880 node values that fit in ROW_BUDGET with the states at the
-    # chunk starts.  Delta_inf = 6 sits inside the margin below the
-    # threshold, so the march runs to the horizon: cold, it fills the table
-    # and goes on without storing; warm, it goes on from the full table.
+    # 124,256 node values (22 chunks of 16 intervals of 353 nodes) that fit
+    # in ROW_BUDGET with the coefficients of their intervals.  Delta_inf = 6
+    # sits inside the margin below the threshold, so the march runs to the
+    # horizon: cold, it fills the table and goes on without storing; warm,
+    # it goes on from the full table.
     system = dataclasses.replace(worked.sys)
     eps, opts = 2.0 * (1.0 + 1e-7), CrossingOptions(horizon=40.0)
     cold = _outcome(system, worked.init, eps, opts)
     march = Propagator.of(system)._march
-    d, starts, states = table = march.table
-    assert starts[-1] == march.last < marched_nodes[0] == 160000
-    assert d.nbytes + sum(x.nbytes for x in states) <= propagate.ROW_BUDGET
+    d, coef, state = table = march.table
+    assert len(d) - 1 == march.last == 124256 < marched_nodes[0] == 160000
+    assert d.nbytes + coef.nbytes + state.nbytes <= propagate.ROW_BUDGET
     assert _outcome(system, worked.init, eps, opts) == cold and march.table is table
     assert cold[0] == "inconclusive" and cold[1] == pytest.approx(6.0, rel=1e-12)
 
     # On a step of 2e-5, the threshold 5.99 crosses near t = 3.0, past the
-    # table's end near t = 2.5; the threshold 3 crosses inside it.
+    # table's end near t = 2.4; the threshold 3 crosses inside it.
     opts = CrossingOptions(step=2e-5)
     for eps in (5.99 / 3.0, 1.0, 5.99 / 3.0):
         got = _outcome(system, worked.init, eps, opts)
         assert got == _outcome(dataclasses.replace(system), worked.init, eps, opts)
-    assert got[0] > 2.9 and Propagator.of(system)._march.table[1][-1] * 2e-5 < 2.5
+    assert got[0] > 2.9 and (len(Propagator.of(system)._march.table[0]) - 1) * 2e-5 < 2.5
 
 
 def test_second_eps_reuses_kept_rows(worked, monkeypatch):
+    # A crossing inside the kept table is one binary search of its running
+    # maximum and a bisection on the kept coefficients of its interval: no
+    # rows, no chunk, no exponential and no state
     system = dataclasses.replace(worked.sys)
     args = (worked.init, worked.weights)
-    decoherence_time(system, *args, 1.2)
-    calls = []
-    for name in ("_grow", "_taylor_rows"):
-        monkeypatch.setattr(DeviationMarch, name,
-                            lambda self, *a, f=getattr(DeviationMarch, name), name=name:
+    decoherence_time(system, *args, 1.9)
+    march = Propagator.of(system)._march
+    calls, refined = [], []
+    for owner, name in ((DeviationMarch, "_chunk"), (DeviationMarch, "_taylor_rows"),
+                        (Propagator, "transition")):
+        monkeypatch.setattr(owner, name, lambda self, *a, f=getattr(owner, name), name=name:
                             calls.append(name) or f(self, *a))
-    for eps in (0.6, 0.05, 1.2):
-        assert decoherence_time(system, *args, eps).bracket is not None
-    assert calls == []
+    monkeypatch.setattr(DeviationMarch, "_refine", lambda self, coef, *a, f=DeviationMarch._refine:
+                        refined.append(coef) or f(self, coef, *a))
+    eps_list = (0.6, 0.05, 1.2)
+    got = [decoherence_time(system, *args, eps) for eps in eps_list]
+    assert calls == [] and Propagator.of(system)._march is march
+    assert len(refined) == 3 and all(coef.base is march.table[1] for coef in refined)
+    assert got == [decoherence_time(dataclasses.replace(system), *args, eps) for eps in eps_list]
 
     # the rows belong to the initial moments: another init rebuilds them
+    calls.clear()
     other = initial_moments(system.sc, np.array([0.1, 0.2, -0.3]))
     decoherence_time(system, other, worked.weights, 0.6)
-    assert calls.count("_grow") >= 1 and calls.count("_taylor_rows") == 1
+    assert calls.count("_chunk") >= 1 and calls.count("_taylor_rows") == 1
 
 
 def test_threads_share_kept_march(worked):
@@ -522,28 +574,34 @@ def test_certificate_ends_the_march_at_its_closed_form_time(worked, marched_node
 
 def test_march_keeps_maps_and_rows_of_one_step(pauli):
     # the propagator holds one march, and that march the maps of its own
-    # step: Phi over 1, 2, 4, ... steps, each its own exponential
+    # step: Phi over 0 ... CHUNK intervals, products of the map over one but
+    # the map over a chunk, which is its own exponential
     system, init = _two_qubit_composite(pauli)
     weights = weighting_from_sigma(np.eye(system.n))
     prop = Propagator.of(system)
+    chunk, n1 = propagate.CHUNK, system.n + 1
     for step in np.geomspace(2e-4, 2e-3, 20):
         decoherence_time(system, init, weights, 0.05, opts=CrossingOptions(step=step))
         march = prop._march
-        assert march.step == step and len(march.rows) <= march.cap
-        d, _, states = march.table
-        assert d.nbytes + sum(x.nbytes for x in states) <= propagate.ROW_BUDGET
-        assert len(march.maps) > 1
-        for i, Phi in enumerate(march.maps):
-            assert np.array_equal(Phi, prop.transition(step * 2 ** i))
+        assert march.step == step == march.h and march.width * prop.rho <= 0.5
+        assert march.powers.nbytes + chunk * march.m * 8 <= propagate.ROW_BUDGET
+        d, coef, state = march.table
+        assert d.nbytes + coef.nbytes + state.nbytes <= propagate.ROW_BUDGET
+        maps = march.jumps.reshape(chunk + 1, n1, n1)
+        assert np.array_equal(maps[0], np.eye(n1))
+        assert np.array_equal(maps[1], prop.transition(march.width))
+        assert np.array_equal(maps[chunk], prop.transition(chunk * march.width))
+        for k in range(2, chunk + 1):
+            assert np.abs(maps[k] - prop.transition(k * march.width)).max() <= 1e-13
         assert prop._traj_maps == {}
 
     # a march for another weighting on the same step builds its own maps,
     # bitwise those of the last march
     decoherence_time(system, init, weighting_from_sigma(2.0 * np.eye(system.n)), 0.05,
                      opts=CrossingOptions(step=step))
-    maps = prop._march.maps
-    assert prop._march is not march and maps[0] is not march.maps[0]
-    assert all(np.array_equal(a, b) for a, b in zip(maps, march.maps))
+    jumps = prop._march.jumps
+    assert prop._march is not march and jumps is not march.jumps
+    assert np.array_equal(jumps, march.jumps)
 
 
 @pytest.mark.parametrize("case", [0, 1, "composite"])
@@ -561,11 +619,10 @@ def test_taylor_rows_match_forward_series(make_instance, case):
     # a generic transition matrix too: the closure holds for every mean
     rng = np.random.default_rng(5)
     generic = np.vstack([rng.standard_normal((n1 - 1, n1)), np.eye(n1)[-1]])
-    march.first_crossing(37, math.inf, 1e-9)
-    for x in (_state_at(march, 0), _state_at(march, 37), generic.T.ravel()):
-        # the rows give the coefficients in the time over the piece width
-        want = (forward_taylor(system, init, Sigma, x.reshape(n1, n1).T, 10)
-                * march.width ** np.arange(11))
+    for Phi in (np.eye(n1), prop.transition(37 * march.h), generic):
+        # the rows give the coefficients in the time over the interval width
+        x = Phi.ravel()
+        want = forward_taylor(system, init, Sigma, Phi, 10) * march.width ** np.arange(11)
         # relative to the size of each sum: at n = 15 its terms cancel to
         # within 1e-5 of it
         assert (np.abs(rows @ x - want) <= 1e-12 * (np.abs(rows) @ np.abs(x))).all()
@@ -685,7 +742,8 @@ def test_trajectory_keeps_maps_of_one_step(pauli):
         moment_trajectory(system, init, weights, grid)
         decoherence_time(system, init, weights, 0.05)
         assert list(prop._traj_maps) == [propagate.step_spacings(grid)[-1]]
-        assert np.array_equal(prop._march.maps[0], prop.transition(prop._march.step))
+        assert np.array_equal(prop._march.jumps[system.n + 1:2 * system.n + 2],
+                              prop.transition(prop._march.width))
 
 
 @functools.lru_cache(maxsize=None)
@@ -727,11 +785,11 @@ def _random_weights(n, seed):
                       st.sampled_from(["rescaled", "composite", "qubit-qutrit"])),
        wseed=st.integers(0, 2 ** 32 - 1), frac=st.floats(0.2, 0.95))
 def test_march_delta_matches_trajectory(make_instance, case, wseed, frac):
-    # The march reads Delta = <L, Phi_t^T> off rows pulled back by powers
-    # of Phi_step and by pushes of its state; the trajectory reads it off
-    # Phi_t^T moved block by block.  Both share L, so they agree to
-    # roundoff; the trajectory's Delta is checked against the Lyapunov ODE
-    # in test_blocked_trajectory_matches_stepwise.  A generic weighting:
+    # The march reads Delta = <L, Phi_t^T> off the Taylor polynomial of each
+    # interval; the trajectory reads it off Phi_t^T moved block by block.
+    # Both share L, so they agree to roundoff; the trajectory's Delta is
+    # checked against the Lyapunov ODE in
+    # test_blocked_trajectory_matches_stepwise.  A generic weighting:
     # <I, Re beta_l> vanishes for spin and Gell-Mann composites, so
     # Sigma = I would not see the Re beta part of S.
     system, init = _closure_case(make_instance, case)
@@ -743,14 +801,15 @@ def test_march_delta_matches_trajectory(make_instance, case, wseed, frac):
     grid = np.arange(nodes + 1) * step
     want = prop.trajectory(init, weights.Sigma, grid)[2]
     sup = march.first_crossing(nodes, math.inf, 1e-9)[1]
-    # Delta at the kept nodes, read off the rows and the chunk-start states
+    # Delta at the kept nodes, read off the kept coefficients chunk by chunk
     # as the march read it; the table keeps its running maximum
-    r, starts, states = march.table
-    d = np.concatenate([r[:1], *(march._grow(e - s) @ x
-                                 for s, e, x in zip(starts, starts[1:], states))])
+    r, coef, _ = march.table
+    chunks = np.split(coef, len(coef) // propagate.CHUNK)
+    d = np.concatenate([r[:1], *((c @ march.powers.T).ravel() for c in chunks)])
     assert np.array_equal(r[1:], np.maximum.accumulate(d[1:]))
     assert np.abs(d[:nodes + 1] - want).max() <= 1e-13 * ref
-    assert abs(march.delta(_state_at(march, nodes)) - want[-1]) <= 1e-13 * ref
+    # each interval's polynomial starts where the one before ends
+    assert np.abs(coef[1:, 0] - d[march.m:-1:march.m]).max() <= 1e-13 * ref
     assert sup == d[:nodes + 1].max()
 
     threshold = frac * want.max()
