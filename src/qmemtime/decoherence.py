@@ -5,13 +5,15 @@ deviation Delta(t) exceeds eps times the reference <Sigma, P> (the
 weighted size of the initial variables), with +infinity when no crossing
 ever occurs.  Delta may be non-monotone, so the search tests every node
 of a fixed-step grid in order, brackets the *first* up-crossing, and
-refines it by bisection on the exact Taylor expansion of Delta, in one
-call.  Only the threshold depends on eps: the march that
+refines it by safeguarded Newton on the exact Taylor expansion of Delta,
+in one call: to the root to roundoff where a bracket about it is
+confirmed, otherwise to a bracket of width at most tol.  Only the
+threshold depends on eps: the march that
 :meth:`Propagator.march <qmemtime.propagate.Propagator.march>` keeps for
 one initial moments and weighting object holds the reference norm, the
 running maximum of Delta at the nodes and its Taylor coefficients on the
 intervals of the grid from t = 0 (see :mod:`qmemtime.propagate`), so every
-eps of a curve is one binary search and one bisection there, with the
+eps of a curve is one binary search and one refinement there, with the
 answer of a fresh search.
 
 An infinite answer is certified by a provable bound.  For a Hurwitz drift
@@ -128,12 +130,14 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
 
     One crossing call per eps finds the first node above the threshold on
     the grid of ``opts.step``, off the march's node table and past it (so
-    the first crossing of a non-monotone Delta is bracketed), and bisects
-    that step to ``opts.tol``.  When the threshold clears Delta_inf and the
-    drift has a Lyapunov norm, the march ends at the certification time t_c
-    past which Delta stays below the threshold, and finding no crossing
-    returns an infinite result.  Otherwise exhausting the horizon raises
-    :class:`InconclusiveCrossingError` carrying the marched supremum.
+    the first crossing of a non-monotone Delta is bracketed), and refines
+    its crossing by safeguarded Newton: the value is the root to roundoff,
+    or where no bracket about it is confirmed, the midpoint of a bracket of
+    width at most ``opts.tol``.  When the threshold clears Delta_inf and
+    the drift has a Lyapunov norm, the march ends at the certification
+    time t_c past which Delta stays below the threshold, and finding no
+    crossing returns an infinite result.  Otherwise exhausting the horizon
+    raises :class:`InconclusiveCrossingError` carrying the marched supremum.
     Non-associative constants raise :class:`StructureDefectError`, and an
     ``epsilon`` that is not finite and positive raises ValueError.
     """

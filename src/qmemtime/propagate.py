@@ -29,17 +29,17 @@ of which Delta is one polynomial whose coefficients are the product of
 the interval's starting state with Taylor rows.  It marches chunks of
 ``CHUNK`` intervals from Phi_0 = I: their states are one product with the
 maps over 0 ... ``CHUNK`` intervals, their coefficients a second and the
-node values a third, with a table of powers.  The first node above the
-threshold is refined by bisection on the polynomial of its interval.
-Maps, rows and powers depend only on the system, the functional and the
-step, so the march keeps the running maximum of Delta at the nodes and
-the coefficients of the intervals in a table, where the first crossing
-of a threshold is one binary search and a bisection.  A
-:class:`Propagator` keeps one march, for the frozen initial moments and
-weighting objects it serves: every eps of a tau(eps) curve reads its
-crossing off the table, with the answer of a fresh search, and the
-powers and the table a system keeps are bounded by ``ROW_BUDGET``.  A
-trajectory keeps its longest run's maps.
+node values a third, with a table of powers.  The crossing before the
+first node above the threshold is refined by safeguarded Newton on the
+polynomial of its interval.  Maps, rows and powers depend only on the
+system, the functional and the step, so the march keeps the running
+maximum of Delta at the nodes and the coefficients of the intervals in a
+table, where the first crossing of a threshold is one binary search and
+a Newton refinement.  A :class:`Propagator` keeps one march, for the
+frozen initial moments and weighting objects it serves: every eps of a
+tau(eps) curve reads its crossing off the table, with the answer of a
+fresh search, and the powers and the table a system keeps are bounded
+by ``ROW_BUDGET``.  A trajectory keeps its longest run's maps.
 """
 
 from __future__ import annotations
@@ -74,10 +74,12 @@ KAPPA_MAX = 1e8
 
 
 def _horner(coef, s):
-    acc = 0.0
+    """The polynomial with the coefficients ``coef`` and its derivative at s."""
+    p = dp = 0.0
     for c in reversed(coef):
-        acc = acc * s + c
-    return acc
+        dp = dp * s + p
+        p = p * s + c
+    return p, dp
 
 
 def _defect(form, size, sandwich=0.0):
@@ -476,7 +478,7 @@ class DeviationMarch:
         vals, top = r[1:k + 1], -math.inf  # r at the nodes lo + 1 ... k, and at lo (-inf at 0)
         new, bracket = [], None
         while True:
-            j = int(np.searchsorted(vals, threshold, side="right"))  # node lo + j + 1 is above
+            j = int(vals.searchsorted(threshold, side="right"))  # node lo + j + 1 is above
             top = float(vals[j - 1]) if j else top
             if j < len(vals):
                 if not math.isfinite(vals[j]):
@@ -501,16 +503,34 @@ class DeviationMarch:
 
     def _refine(self, coef, node, threshold, tol):
         """Shrink the bracket [t_lo, t_lo + h] of a crossing from ``node`` to
-        width ``tol`` by bisection on Delta, the polynomial ``coef`` of its
-        interval, keeping Delta(lo) <= threshold < Delta(hi)."""
-        lo = node * self.h
-        hi, a, coef = lo + self.h, node // self.m * self.width, coef.tolist()
+        width at most ``tol`` on Delta, the polynomial ``coef`` of its
+        interval, keeping Delta(lo) <= threshold < Delta(hi): safeguarded
+        Newton (rtsafe, Press et al., "Numerical Recipes" 9.4) from the
+        midpoint, each iterate narrowing [lo, hi] by its sign and a step out
+        of it a bisection.  Once a step is at most tol / 8, at most two
+        evaluations confirm [x - tol / 4, x + tol / 4] about the iterate x,
+        clipped to the step; else, or after 16 iterates, [lo, hi] is
+        bisected."""
+        W, lo = self.width, node * self.h
+        hi, a, coef = lo + self.h, node // self.m * W, coef.tolist()
+        start, end, x = lo, hi, 0.5 * (lo + hi)
+        for _ in range(16):
+            f, df = _horner(coef, (x - a) / W)
+            f -= threshold
+            lo, hi = (lo, x) if f > 0 else (x, hi)
+            xn = x - f * W / df if df else math.nan
+            if not lo <= xn <= hi:
+                xn = 0.5 * (lo + hi)
+            if abs(xn - x) <= tol / 8:
+                b0, b1 = max(start, xn - tol / 4), min(end, xn + tol / 4)
+                if ((b0 == start or _horner(coef, (b0 - a) / W)[0] <= threshold)
+                        and (b1 == end or _horner(coef, (b1 - a) / W)[0] > threshold)):
+                    return b0, b1
+                break
+            x = xn
         for _ in range(200):
             if hi - lo <= tol:
                 break
             mid = 0.5 * (lo + hi)
-            if _horner(coef, (mid - a) / self.width) > threshold:
-                hi = mid
-            else:
-                lo = mid
+            lo, hi = (lo, mid) if _horner(coef, (mid - a) / W)[0] > threshold else (mid, hi)
         return lo, hi

@@ -3,7 +3,7 @@
 Everything here deliberately takes a different route from the library:
 explicit index loops instead of einsum, Kronecker products instead of
 section double sums, Simpson quadrature of integral forms instead of ODE
-stepping, and dense scans instead of bisection.
+stepping, dense scans and closed forms instead of the crossing search.
 """
 
 import math
@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm as sexpm
+from scipy.optimize import brentq
 
 from qmemtime.decoherence import CrossingOptions, decoherence_time
 from qmemtime.linalg import _taylor_terms
-from qmemtime.model import coefficients, ito_matrix
+from qmemtime.model import SystemParams, coefficients, ito_matrix
 from qmemtime.moments import delta_derivatives0
 from qmemtime.optimize import rk_matrices
 from qmemtime.propagate import Propagator
@@ -326,6 +327,59 @@ def first_crossing_scan(grid, delta_vals, threshold):
     t0, t1 = grid[i - 1], grid[i]
     d0, d1 = delta_vals[i - 1], delta_vals[i]
     return float(t0 + (threshold - d0) / (d1 - d0) * (t1 - t0))
+
+
+def closed_form_system(sc, family, params):
+    """The Pauli-structure system of a closed-form family (see
+    :func:`closed_form_delta`): the rotation has the energy ``params`` and
+    no coupling, dephasing the energy (0, 0, Ez) and the coupling row (0,
+    0, g) for ``params`` = (g, Ez)."""
+    if family == "rotation":
+        return SystemParams(sc=sc, E=np.asarray(params, float), M=np.zeros((2, 3)),
+                            N=np.zeros(2))
+    g, ez = params
+    return SystemParams(sc=sc, E=np.array([0.0, 0.0, ez]),
+                        M=np.array([[0.0, 0.0, g], [0.0, 0.0, 0.0]]), N=np.zeros(2))
+
+
+def _rates(family, params):
+    """(gamma, omega) of Delta = 4 - 4 e^{-gamma t} cos(omega t)."""
+    if family == "rotation":
+        return 0.0, 2.0 * float(np.linalg.norm(params))
+    g, ez = params
+    return 2.0 * g * g, 2.0 * abs(ez)
+
+
+def closed_form_delta(family, params, t):
+    """Delta(t) = 4 - 4 e^{-gamma t} cos(omega t) of a closed-form family on
+    the Pauli structure with Sigma = I, for every admissible mean: the
+    rotation (no coupling), gamma = 0 and omega = 2|E|; dephasing,
+    gamma = 2 g^2 and omega = 2 |Ez|.  Summed as 4 (1 - e^{-gamma t}) +
+    8 e^{-gamma t} sin^2(omega t / 2), whose terms do not cancel."""
+    gamma, omega = _rates(family, params)
+    t = np.asarray(t, dtype=float)
+    return 4.0 * (-np.expm1(-gamma * t) + 2.0 * np.exp(-gamma * t) * np.sin(0.5 * omega * t) ** 2)
+
+
+def first_hump(family, params):
+    """The time and value of the first maximum of :func:`closed_form_delta`,
+    the largest: Delta' = 4 e^{-gamma t} (gamma cos omega t + omega sin
+    omega t) first vanishes from above at omega t = pi - atan(gamma / omega)."""
+    gamma, omega = _rates(family, params)
+    t1 = (math.pi - math.atan2(gamma, omega)) / omega
+    return t1, float(closed_form_delta(family, params, t1))
+
+
+def exact_first_crossing(family, params, threshold):
+    """The first time :func:`closed_form_delta` exceeds ``threshold`` > 0, or
+    +inf: Delta rises from 0 to its largest value on [0, t1], t1 the first
+    maximum, so the crossing is the one root there (Brent), to a relative
+    4 eps."""
+    t1, top = first_hump(family, params)
+    if threshold >= top:
+        return math.inf
+    return brentq(lambda t: float(closed_form_delta(family, params, t)) - threshold,
+                  0.0, t1, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
 
 
 def gell_mann_representation(d):

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qmemtime import decoherence, moments
+from qmemtime import decoherence, moments, propagate
 from qmemtime.algebra import StructureConstants
 from qmemtime.decoherence import (CrossingOptions, decoherence_time,
                                   tau_expansion, tau_hat)
@@ -17,7 +19,8 @@ from qmemtime.moments import (deviation_delta, initial_moments,
 from qmemtime.propagate import Propagator
 
 from dense import fit_structure_constants
-from oracles import first_crossing_scan, gell_mann_representation
+from oracles import (closed_form_delta, closed_form_system, exact_first_crossing,
+                     first_crossing_scan, first_hump, gell_mann_representation)
 
 
 def test_frozen_system_never_decoheres(pauli):
@@ -39,9 +42,96 @@ def test_crossing_search_skips_second_derivative(worked, monkeypatch):
     result = decoherence_time(dataclasses.replace(worked.sys), worked.init,
                               worked.weights, 0.05)
     assert calls == []
-    assert result.value == pytest.approx(0.009509216904640197, rel=1e-14)
-    assert result.bracket == pytest.approx((0.009509216785430909, 0.009509217023849487),
+    # the root of <L, expm(t Ahat)^T> = 0.15 to 40 digits (mpmath.findroot)
+    assert result.value == pytest.approx(0.00950921686406664, rel=1e-14)
+    assert result.bracket == pytest.approx((0.009509216801566642, 0.009509216926566642),
                                            rel=1e-14)
+
+
+def _counted_evaluations(monkeypatch):
+    calls = []
+    monkeypatch.setattr(propagate, "_horner",
+                        lambda *a, f=propagate._horner: calls.append(a) or f(*a))
+    return calls
+
+
+def test_worked_crossings_take_few_evaluations(worked, monkeypatch):
+    # Newton from the midpoint with a confirmed bracket: a fall back to
+    # bisection would take about 20 evaluations of the interval polynomial
+    system = dataclasses.replace(worked.sys)
+    calls = _counted_evaluations(monkeypatch)
+    for eps in (1e-3, 0.01, 0.05, 0.2, 1.0, 1.9):
+        calls.clear()
+        result = decoherence_time(system, worked.init, worked.weights, eps)
+        assert result.bracket is not None and 1 <= len(calls) <= 6
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-8])
+def test_near_tangent_crossing_keeps_bracket(pauli, delta):
+    # Delta = 4 - 4 cos 2t peaks at 8 at t = pi / 2; the node 1000 lies
+    # 1e-5 past the peak, so the step before it holds the hump top, and
+    # the crossing of 8 - delta sits where Delta' is 16 sqrt(delta / 8)
+    system = closed_form_system(pauli, "rotation", (0.0, 0.0, 1.0))
+    init = initial_moments(pauli, np.array([0.5, 0.0, 0.0]))
+    w = weighting_from_sigma(np.eye(3))
+    tol = 1e-9 / 2.0
+    opts = CrossingOptions(step=(0.5 * math.pi + 1e-5) / 1000.0, tol=tol)
+    result = decoherence_time(system, init, w, (8.0 - delta) / 3.0, opts)
+    lo, hi = result.bracket
+    assert lo <= result.value <= hi and hi - lo <= tol
+    assert 999 * opts.step <= lo and hi <= 1000 * opts.step * (1.0 + 1e-15)
+    d = deviation_delta(system, init, w, np.array([0.0, lo, hi]))
+    assert d[1] <= result.threshold < d[2]
+
+
+@pytest.mark.parametrize("power, tol_steps", [(3, 1e-6), (9, 0.25)])
+def test_refine_falls_back_to_bisection(worked, monkeypatch, power, tol_steps):
+    # Delta = s^power on the first interval crosses 0 at t = 0, where
+    # Newton converges linearly, by (power - 1) / power a step: s^3 from
+    # h / 2 reaches no step of tol / 8 in 16 iterates, and the iterate that
+    # s^9 stops at lies more than tol / 4 past the root, so its bracket is
+    # not confirmed.  Both bisect on from the narrowed bracket.
+    march = Propagator.of(worked.sys).march(worked.init, worked.weights, 1e-3)
+    coef, tol = np.eye(power + 1)[power], tol_steps * march.h
+    calls = _counted_evaluations(monkeypatch)
+    lo, hi = march._refine(coef, 0, 0.0, tol)
+    assert 0.0 <= lo < hi <= march.h and hi - lo <= tol
+    assert lo ** power <= 0.0 < hi ** power
+    if power == 3:  # 16 iterates, then bisection
+        assert len(calls) > 16
+
+
+def test_deviation_matches_closed_forms(pauli):
+    # the rotation about a unit axis and dephasing, to t = 20
+    rng = np.random.default_rng(5)
+    w, grid = weighting_from_sigma(np.eye(3)), np.linspace(0.0, 20.0, 2001)
+    for family in ("rotation", "dephasing"):
+        for _ in range(5):
+            axis = rng.standard_normal(3)
+            params = (axis / np.linalg.norm(axis) if family == "rotation"
+                      else (rng.uniform(0.1, 1.0), rng.uniform(-2.0, 2.0)))
+            mu0 = rng.uniform(-0.5, 0.5, 3)
+            delta = deviation_delta(closed_form_system(pauli, family, params),
+                                    initial_moments(pauli, mu0), w, grid)
+            assert np.abs(delta - closed_form_delta(family, params, grid)).max() <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["rotation", "dephasing"]), size=st.floats(0.1, 10.0),
+       axis=st.tuples(*3 * [st.floats(-1.0, 1.0)]), mean=st.tuples(*3 * [st.floats(-0.5, 0.5)]),
+       frac=st.floats(1e-3, 0.9))
+def test_tau_is_the_exact_first_crossing(pauli, family, size, axis, mean, frac):
+    # below the first hump maximum, Delta rises to the crossing without a
+    # tangent; the answer is the root, not a point of a tol-wide bracket
+    norm = float(np.linalg.norm(axis))
+    assume(norm >= 0.1)
+    params = size * np.array(axis) / norm if family == "rotation" else (axis[0], size)
+    threshold = frac * first_hump(family, params)[1]
+    result = decoherence_time(closed_form_system(pauli, family, params),
+                              initial_moments(pauli, np.array(mean)),
+                              weighting_from_sigma(np.eye(3)), threshold / 3.0)
+    exact = exact_first_crossing(family, params, threshold)
+    assert result.value == pytest.approx(exact, rel=1e-12)
 
 
 def test_certificate_derives_no_diffusion(worked, monkeypatch):

@@ -496,7 +496,7 @@ def test_march_past_the_table_budget(worked, marched_nodes):
 
 def test_second_eps_reuses_kept_rows(worked, monkeypatch):
     # A crossing inside the kept table is one binary search of its running
-    # maximum and a bisection on the kept coefficients of its interval: no
+    # maximum and a refinement on the kept coefficients of its interval: no
     # rows, no chunk, no exponential and no state
     system = dataclasses.replace(worked.sys)
     args = (worked.init, worked.weights)
