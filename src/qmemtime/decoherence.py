@@ -8,22 +8,24 @@ of a fixed-step grid in order, brackets the *first* up-crossing, and
 refines it by safeguarded Newton on the exact Taylor expansion of Delta,
 in one call: to the root to roundoff where a bracket about it is
 confirmed, otherwise to a bracket of width at most tol.  Only the
-threshold depends on eps: the march that
-:meth:`Propagator.march <qmemtime.propagate.Propagator.march>` keeps for
-one initial moments and weighting object holds the reference norm, the
-running maximum of Delta at the nodes and its Taylor coefficients on the
-intervals of the grid from t = 0 (see :mod:`qmemtime.propagate`), so every
-eps of a curve is one binary search and one refinement there, with the
-answer of a fresh search.
+threshold depends on eps: the :class:`~qmemtime.propagate.Deviation` that
+:meth:`Propagator.deviation <qmemtime.propagate.Propagator.deviation>`
+keeps for one initial moments and weighting object holds the reference
+norm, Delta_inf, the decay bound, the derivatives of Delta at t = 0 and
+one march, whose table keeps the running maximum of Delta at the nodes
+and its Taylor coefficients on the intervals of the grid from t = 0 (see
+:mod:`qmemtime.propagate`).  So every eps of a curve is one binary search
+and one refinement there, with the answer of a fresh search, and a
+further expansion derives nothing.
 
 An infinite answer is certified by a provable bound.  For a Hurwitz drift
 Delta(s) - Delta_inf = tr(K E_s), and the Lyapunov norm of the drift
 bounds that by B0 e^{-rate s} (see
-:attr:`DeviationMarch.decay_bound <qmemtime.propagate.DeviationMarch.decay_bound>`).
+:attr:`Deviation.decay_bound <qmemtime.propagate.Deviation.decay_bound>`).
 When the threshold clears Delta_inf, Delta stays below the threshold from
 the closed-form time t_c at which Delta_inf + B0 e^{-rate t_c} meets it
 less a relative margin, so the march ends at t_c.  The quadratic small-eps
-expansion tau_hat is computed from the derivatives of Delta at t = 0.
+expansion tau_hat is read off the derivatives of Delta at t = 0.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .errors import InconclusiveCrossingError, ZeroDiffusionError
+from .errors import InconclusiveCrossingError, IntegrationError, ZeroDiffusionError
 from .linalg import HURWITZ_TOL
-from .moments import _delta_rate0, _reference, delta_derivatives0
 from .propagate import Propagator
 
 INFINITE = math.inf
@@ -105,8 +106,8 @@ def tau_expansion(sys, init, weights):
     deviation rate; tau''(0) = -Delta''(0) tau'(0)^2 / Delta'(0) follows
     from matching the quadratic expansions of Delta and tau.
     """
-    ref = _reference(init, weights)
-    d1, d2 = delta_derivatives0(sys, init, weights)
+    dev = Propagator.of(sys).deviation(init, weights)
+    ref, d2, d1 = dev.ref, dev.ddot0, dev.rate0
     if d1 <= DIFFUSION_TOL * ref:
         raise ZeroDiffusionError(
             f"weighted initial deviation rate tr(Sigma Re Lambda(0)) = {d1:.3e}; "
@@ -115,6 +116,8 @@ def tau_expansion(sys, init, weights):
         )
     tau1 = ref / d1
     tau2 = -d2 * tau1 * tau1 / d1
+    if not math.isfinite(tau2):
+        raise IntegrationError(f"tau''(0) overflows (Delta''(0) = {d2:.3e}, Delta'(0) = {d1:.3e})")
     return DecoherenceExpansion(delta_dot0=d1, delta_ddot0=d2,
                                 tau_prime0=tau1, tau_second0=tau2,
                                 ref_norm=ref)
@@ -147,25 +150,30 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
     prop = Propagator.of(sys)
     step = opts.step if opts.step is not None else 1e-3 / max(1.0, prop.norm_a)
     tol = opts.tol if opts.tol is not None else 1e-9 / max(1.0, prop.norm_a)
-    march = prop.march(init, weights, step)
-    threshold = epsilon * march.ref
+    dev = prop.deviation(init, weights)
+    threshold = epsilon * dev.ref
+    march = dev.march(step)
 
     # Frozen dynamics: the variables are conserved and Delta stays at zero.
-    if prop.frozen and _delta_rate0(prop, init, weights.Sigma) <= DIFFUSION_TOL * march.ref:
+    if prop.frozen and dev.rate0 <= DIFFUSION_TOL * dev.ref:
         return DecoherenceTime(epsilon=epsilon, value=INFINITE,
                                threshold=threshold, bracket=None)
 
     # Past t_c, Delta(s) <= Delta_inf + B0 e^{-rate s} <= (1 - margin) threshold.
     t_c = INFINITE
     if prop.margin < -HURWITZ_TOL:
-        clear = (1.0 - opts.margin) * threshold - march.limit
-        bound = march.decay_bound if clear > 0.0 else None
+        clear = (1.0 - opts.margin) * threshold - dev.limit
+        bound = dev.decay_bound if clear > 0.0 else None
         if bound is not None:
             b0, rate = bound
             t_c = math.log(b0 / clear) / rate if b0 > clear else 0.0
 
     horizon = float(opts.horizon)
-    nodes = max(0, int(math.ceil(min(horizon, t_c) / march.h - 1e-12)))
+    nodes = min(horizon, t_c) / march.h
+    if not math.isfinite(nodes):
+        raise IntegrationError(f"the march to t = {min(horizon, t_c):.6g} in steps of "
+                               f"{march.h:.3e} overflows the node count")
+    nodes = max(0, int(math.ceil(nodes - 1e-12)))
     bracket, sup = march.first_crossing(nodes, threshold, tol)
     if bracket is None:
         if t_c <= horizon:

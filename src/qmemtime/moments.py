@@ -19,14 +19,12 @@ same closure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import sections_dot
-from .errors import (AdmissibilityError, IntegrationError,
-                     InternalConsistencyError, TrivialWeightError)
+from .errors import AdmissibilityError, IntegrationError, InternalConsistencyError
 from .propagate import Propagator
 
 #: Mean-square deviations in [-NEG_DELTA_TOL, 0) are clipped to zero;
@@ -158,9 +156,10 @@ def moment_trajectory(sys, init, weights, grid):
     grid = _validate_grid(grid)
     prop = Propagator.of(sys)
     Sigma = weights.Sigma if weights is not None else np.eye(sys.n)
-    mu, V, delta = prop.trajectory(init, Sigma, grid)
-    # min and max carry a NaN through and show an infinity, with no
-    # temporary the size of V.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, V, delta = prop.trajectory(init, Sigma, grid)
+    # An overflow shows here: min and max carry a NaN through and show an
+    # infinity, with no temporary the size of V.
     Vr = V.view(float)
     if not np.isfinite([Vr.min(), Vr.max(), mu.min(), mu.max()]).all():
         raise IntegrationError(
@@ -175,12 +174,6 @@ def deviation_delta(sys, init, weights, grid):
     return moment_trajectory(sys, init, weights, grid).Delta
 
 
-def _delta_rate0(prop, init, Sigma):
-    """The first right-hand derivative <Sigma, Re Lambda(mu0)> of Delta at
-    t = 0."""
-    return float(np.sum(Sigma * prop.lam(init.mu0).real))
-
-
 def delta_derivatives0(sys, init, weights):
     """First two right-hand derivatives of Delta at t = 0.
 
@@ -190,14 +183,9 @@ def delta_derivatives0(sys, init, weights):
     and convex in the energy vector through A.  A drift so large that
     the second is not a finite double raises :class:`IntegrationError`.
     """
-    prop = Propagator.of(sys)
-    L = prop.functional(init, weights.Sigma)
-    with np.errstate(over="ignore", invalid="ignore"):
-        d2 = float(np.sum(L * (prop.Ahat @ prop.Ahat).T))
-    if not math.isfinite(d2):
-        raise IntegrationError(f"the second deviation derivative at t = 0 overflows "
-                               f"(drift norm {prop.norm_a:.3e})")
-    return _delta_rate0(prop, init, weights.Sigma), d2
+    dev = Propagator.of(sys).deviation(init, weights)
+    d2 = dev.ddot0
+    return dev.rate0, d2
 
 
 @dataclass(frozen=True)
@@ -215,13 +203,13 @@ def steady_state(sys, init, weights):
 
     P_inf solves A P + P A^T + Re Lambda_inf = 0.  The limits of the system
     are derived once, by :attr:`Propagator.limits
-    <qmemtime.propagate.Propagator.limits>`, and returned read-only; only
-    Delta_inf, whose sign is not asserted, is computed per call, by the
-    :meth:`~qmemtime.propagate.Propagator.deviation_limit` the march reads.
+    <qmemtime.propagate.Propagator.limits>`, and returned read-only, and
+    Delta_inf, whose sign is not asserted, once for ``init`` and ``weights``
+    by the :class:`~qmemtime.propagate.Deviation` that the march reads.
     """
     prop = Propagator.of(sys)
     mu_inf, lam_inf, P_inf = prop.limits
-    delta_inf = prop.deviation_limit(prop.functional(init, weights.Sigma))
+    delta_inf = prop.deviation(init, weights).limit
     return SteadyState(mu_inf=mu_inf, P_inf=P_inf, Lambda_inf=lam_inf,
                        Delta_inf=delta_inf)
 
@@ -230,12 +218,3 @@ def reference_norm(init, weights):
     """The weighted size <Sigma, P> = ||F sqrt(P)||^2 of the initial
     variables, against which deviations are measured."""
     return float(np.sum(weights.Sigma * init.P))
-
-
-def _reference(init, weights):
-    """:func:`reference_norm`, or TrivialWeightError where it vanishes."""
-    ref = reference_norm(init, weights)
-    if ref <= 1e-12 * float(np.abs(weights.Sigma).max()) * float(np.abs(init.P).max()):
-        raise TrivialWeightError("the weighted reference norm tr(Sigma P) vanishes; the relative "
-                                 "deviation threshold is undefined (F sqrt(P) = 0)")
-    return ref

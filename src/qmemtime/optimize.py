@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StationarityError
+from .errors import IntegrationError, StationarityError
 from .propagate import Propagator
 
 #: Eigenvalues of R up to this share of its mean eigenvalue count as zero.
@@ -48,16 +48,19 @@ def rk_matrices(sys, init, weights):
     and its gradient 8K at E = 0 give R_jk = (tr(L11 D_j D_k) + tr(L11 D_k
     D_j)) / 16, which is mho^T (P kron Sigma) mho, and K_j = (tr(L11 (D_j
     Atilde + Atilde D_j)) + g^T D_j b) / 8: O(n^4) flops, O(n^3) memory.
-    Both are independent of the energy vector of ``sys``.
+    Both are independent of the energy vector of ``sys``; an overflow raises IntegrationError.
     """
     prop = Propagator.of(sys)
     n, D, At = sys.n, prop.D, prop.co.Atilde
-    L = prop.functional(init, weights.Sigma)
+    L = prop.deviation(init, weights).L
     L11, g = L[:n, :n], L[n, :n]
-    # tr(L11 D_j D_k) = <(L11 D_j)^T, D_k>
-    T = (D.transpose(0, 2, 1) @ L11.T).reshape(n, n * n) @ D.reshape(n, n * n).T
-    R = (T + T.T) / 16.0
-    K = D.reshape(n, n * n) @ ((At @ L11 + L11 @ At).T + np.outer(g, prop.b)).ravel() / 8.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        # tr(L11 D_j D_k) = <(L11 D_j)^T, D_k>
+        T = (D.transpose(0, 2, 1) @ L11.T).reshape(n, n * n) @ D.reshape(n, n * n).T
+        R = (T + T.T) / 16.0
+        K = D.reshape(n, n * n) @ ((At @ L11 + L11 @ At).T + np.outer(g, prop.b)).ravel() / 8.0
+    if not (np.isfinite(R).all() and np.isfinite(K).all()):
+        raise IntegrationError(f"(R, K) overflow a double (drift norm {prop.norm_a:.3e})")
     return R, K
 
 

@@ -35,11 +35,12 @@ polynomial of its interval.  Maps, rows and powers depend only on the
 system, the functional and the step, so the march keeps the running
 maximum of Delta at the nodes and the coefficients of the intervals in a
 table, where the first crossing of a threshold is one binary search and
-a Newton refinement.  A :class:`Propagator` keeps one march, for the
-frozen initial moments and weighting objects it serves: every eps of a
-tau(eps) curve reads its crossing off the table, with the answer of a
-fresh search, and the powers and the table a system keeps are bounded
-by ``ROW_BUDGET``.  A trajectory keeps its longest run's maps.
+a Newton refinement.  A :class:`Propagator` keeps one :class:`Deviation`
+for the frozen initial moments and weighting objects it serves, with
+what depends on them alone, such as L and Delta_inf, and one march:
+every eps of a tau(eps) curve reads its crossing off the table, with the
+answer of a fresh search, and the powers and the table a system keeps
+are bounded by ``ROW_BUDGET``.  A trajectory keeps its longest run's maps.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import math
 
 import numpy as np
 
-from .errors import IntegrationError, StructureDefectError
+from .errors import IntegrationError, NotHurwitzError, StructureDefectError, TrivialWeightError
 from .linalg import (HURWITZ_TOL, _require_margin, _taylor_terms, expm_psi, hurwitz_margin,
                      solve_lyapunov, spectral_norm)
 from .model import coefficients, lambda_sandwich
@@ -111,15 +112,24 @@ class Propagator:
     ``Ahat`` = [[A, b], [0, 0]] of Phi, ||A||_2, the Hurwitz margin
     (largest eigenvalue real part), the isolated drifts ``D`` with A0 =
     sum_l E_l D_l, the closure alpha + beta . mu and its defect, whether
-    the diffusion vanishes and whether A and b do.  Kept as used: the
-    last :meth:`march` built and the maps of the last :meth:`trajectory`'s
-    longest run; the steady state (:attr:`mean_limit`, :attr:`limits`) and
-    the Lyapunov norm (:attr:`contraction`) are cached properties, derived
-    on first read.  :meth:`of` shares one per system."""
+    the diffusion vanishes and whether A and b do; a drift that overflows
+    a double raises IntegrationError.  Kept as used: the last
+    :meth:`deviation` record, with its march, and the maps of the last
+    :meth:`trajectory`'s longest run; the steady state (:attr:`mean_limit`,
+    :attr:`limits`) and the Lyapunov norm (:attr:`contraction`) are cached
+    properties, derived on first read.  :meth:`of` shares one per system."""
 
     def __init__(self, sys):
-        self.co = co = coefficients(sys)
         self.n = n = sys.n
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.co = co = coefficients(sys)
+            self.Ahat = np.zeros((n + 1, n + 1))
+            self.Ahat[:-1, :-1], self.Ahat[:-1, -1] = co.A, co.b
+            self.norm_a = spectral_norm(co.A) if np.isfinite(self.Ahat).all() else math.inf
+            #: Norm bound of Ahat: ||[A b]||_2 <= sqrt(||A||_2^2 + |b|^2).
+            self.rho = max(1.0, math.hypot(self.norm_a, float(np.linalg.norm(co.b))))
+        if not math.isfinite(self.rho):
+            raise IntegrationError(f"the drift overflows a double (||A||_2 = {self.norm_a:.3e})")
         sc = sys.sc
         self.alpha, self.beta, self.re_beta = sc.alpha, sc.beta, sc.re_beta
         self.D = np.ascontiguousarray(2.0 * sc.theta.transpose(2, 1, 0))  # 2 Theta <> e_l
@@ -128,15 +138,10 @@ class Propagator:
         moment = np.concatenate([self.beta, self.alpha[None] + 0j])
         self.moment_f = np.ascontiguousarray(moment).view(float).reshape(n + 1, -1)
         self.A, self.b = co.A, co.b
-        self.Ahat = np.zeros((n + 1, n + 1))
-        self.Ahat[:-1, :-1], self.Ahat[:-1, -1] = co.A, co.b
-        self.norm_a = spectral_norm(co.A)
         self.margin = hurwitz_margin(co.A)
-        #: Norm bound of Ahat: ||[A b]||_2 <= sqrt(||A||_2^2 + |b|^2).
-        self.rho = max(1.0, math.hypot(self.norm_a, float(np.linalg.norm(co.b))))
         #: Neither drift nor offset, so the mean stays at mu0.
         self.frozen = bool(np.abs(co.A).max() <= 1e-14 and np.abs(co.b).max() <= 1e-14)
-        self._march = None
+        self._deviation = None
         self._traj_maps = {}  # {spacing: maps over 2^i spacings}, one entry at most
         # Both forms of Lambda are affine in mu: agreement at 0 and at a fixed pseudo-
         # random Weyl sequence (no numpy.random import) is a randomized test (Freivalds 1977)
@@ -188,7 +193,10 @@ class Propagator:
         read-only; a drift that is not Hurwitz raises
         :class:`NotHurwitzError` on every read."""
         _require_margin(self.margin, context="the steady-state mean")
-        mu_inf = -np.linalg.solve(self.A, self.b)
+        try:
+            mu_inf = -np.linalg.solve(self.A, self.b)
+        except np.linalg.LinAlgError as err:
+            raise NotHurwitzError(f"the drift is singular to working precision ({err})") from err
         mu_inf.setflags(write=False)
         return mu_inf
 
@@ -276,26 +284,12 @@ class Propagator:
         L[n, :n], L[n, n] = g, np.sum(Sigma * (self.alpha + init.P))
         return L
 
-    def deviation_limit(self, L):
-        """Delta_inf = <L, Phi_inf^T> = g . mu_inf + L_nn of a Hurwitz drift,
-        g the last row of the functional L; otherwise NotHurwitzError."""
-        return float(L[-1, :-1] @ self.mean_limit + L[-1, -1])
-
-    def march(self, init, weights, step):
-        """The :class:`DeviationMarch` of Delta for ``init`` and ``weights``
-        on the grid k * ``step``, a step longer than 1 / (2 rho) cut into
-        equal spacings.  The last march built is kept, with its maps, rows,
-        powers, table and cached properties, for another eps on the same
-        ``init`` and ``weights`` objects (read-only arrays) and an equal
-        step; new objects, equal or not, build their own.  So a system keeps
-        the maps, rows, powers and table of one march, the powers and the
-        table each within ``ROW_BUDGET``.
-        """
-        march = self._march
-        if not (march and march.init is init and march.weights is weights
-                and march.step == step):
-            march = self._march = DeviationMarch(self, init, weights, step)
-        return march
+    def deviation(self, init, weights):
+        """The :class:`Deviation` of ``init`` and ``weights``, kept for these objects."""
+        dev = self._deviation
+        if not (dev and dev.init is init and dev.weights is weights):
+            dev = self._deviation = Deviation(self, init, weights)
+        return dev
 
     def trajectory(self, init, Sigma, grid):
         """(mu, V, Delta) at the nodes of ``grid``.
@@ -364,11 +358,87 @@ class Propagator:
         return mu, V, delta
 
 
+class Deviation:
+    """What Delta has for the frozen ``init`` and ``weights`` objects (others,
+    equal or not, build their own) that depends on neither eps nor the
+    step, each cached on first read: :attr:`ref`, :attr:`L`, :attr:`rate0`,
+    :attr:`ddot0`, :attr:`limit` (Delta_inf), :attr:`decay_bound` and one
+    :meth:`march`.  A read that raises keeps nothing, so it raises again."""
+
+    def __init__(self, prop, init, weights):
+        self.prop, self.init, self.weights = prop, init, weights
+        self._march = None
+
+    @functools.cached_property
+    def ref(self):
+        """The reference norm <Sigma, P>; TrivialWeightError where it vanishes."""
+        from .moments import reference_norm  # moments builds on this module
+        ref, P, Sigma = reference_norm(self.init, self.weights), self.init.P, self.weights.Sigma
+        if ref <= 1e-12 * float(np.abs(Sigma).max()) * float(np.abs(P).max()):
+            raise TrivialWeightError("the weighted reference norm tr(Sigma P) vanishes; the "
+                                     "relative deviation threshold is undefined (F sqrt(P) = 0)")
+        return ref
+
+    @functools.cached_property
+    def L(self):
+        """The functional of :meth:`Propagator.functional`, read-only."""
+        L = self.prop.functional(self.init, self.weights.Sigma)
+        L.setflags(write=False)
+        return L
+
+    @functools.cached_property
+    def rate0(self):
+        """Delta'(0) = <Sigma, Re Lambda(mu0)>, the first right-hand derivative."""
+        return float(np.sum(self.weights.Sigma * self.prop.lam(self.init.mu0).real))
+
+    @functools.cached_property
+    def ddot0(self):
+        """Delta''(0) = <L, (Ahat^2)^T>; IntegrationError where it overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = float(np.sum(self.L * (self.prop.Ahat @ self.prop.Ahat).T))
+        if not math.isfinite(d2):
+            raise IntegrationError(f"the second deviation derivative at t = 0 overflows "
+                                   f"(drift norm {self.prop.norm_a:.3e})")
+        return d2
+
+    @functools.cached_property
+    def limit(self):
+        """Delta_inf = <L, Phi_inf^T> = g . mu_inf + L_nn of a Hurwitz drift,
+        g the last row of L; otherwise NotHurwitzError."""
+        return float(self.L[-1, :-1] @ self.prop.mean_limit + self.L[-1, -1])
+
+    @functools.cached_property
+    def decay_bound(self):
+        """(B0, rate) with |Delta(s) - Delta_inf| <= B0 e^{-rate s} for
+        every s >= 0, or None where :attr:`Propagator.contraction` has no
+        Lyapunov norm.
+
+        Phi_s^T = [[E_s^T, 0], [w_s^T, 1]] with w_s = (I - E_s) mu_inf, so
+        Delta(s) - Delta_inf = tr(K E_s) with K = L11 - mu_inf g^T, and
+        tr(K E_s) = tr(M X^{1/2} E_s X^{-1/2}) with M = X^{1/2} K X^{-1/2}
+        is at most ||M||_* e^{-rate s}.  B0 is that nuclear norm, raised
+        by a relative allowance of 16 n^2 kappa(X) eps for its roundoff.
+        """
+        root = self.prop.contraction
+        if root is None:
+            return None
+        (Xh, Xih, rate, kappa), n = root, self.prop.n
+        K = self.L[:n, :n] - np.outer(self.prop.mean_limit, self.L[n, :n])
+        nuclear = float(np.linalg.svd(Xh @ K @ Xih, compute_uv=False).sum())
+        return nuclear * (1.0 + 16.0 * n * n * kappa * np.finfo(float).eps), rate
+
+    def march(self, step):
+        """The :class:`DeviationMarch` on the grid k * ``step``, kept for an equal step."""
+        march = self._march
+        if not (march and march.step == step):
+            march = self._march = DeviationMarch(self, step)
+        return march
+
+
 class DeviationMarch:
-    """Delta = <L, Phi_t^T> on the node grid k * ``h`` for the frozen
-    ``init`` and ``weights``, marched from Phi_0 = I at t = 0 by
-    :meth:`first_crossing`.  Their reference norm ``ref`` (TrivialWeightError
-    where it vanishes) is derived first, then L of :meth:`Propagator.functional`.
+    """Delta = <L, Phi_t^T> on the node grid k * ``h`` for the functional L
+    of the :class:`Deviation` record ``dev``, marched from Phi_0 = I at t =
+    0 by :meth:`first_crossing`.
 
     The spacing ``h`` is the ``step``, cut into ceil(2 step rho) equal
     spacings where it is longer than 1 / (2 rho).  The grid is cut into
@@ -386,18 +456,14 @@ class DeviationMarch:
     the nodes 1 ... k in r[k] for k = 1 ... K, the coefficients of the
     intervals up to K, and Phi at K; it grows by whole chunks up to the node
     ``last``, within ``ROW_BUDGET``, and is replaced whole, never written
-    once kept.  Nothing in it depends on a threshold or on earlier calls.
-    It serves every call, and so do the cached properties Delta_inf
-    (:attr:`limit`) and :attr:`decay_bound`.
+    once kept.  Nothing in it depends on a threshold or on earlier calls,
+    so it serves every call.
     """
 
-    def __init__(self, prop, init, weights, step):
-        from .moments import _reference  # moments builds on this module
-        self.prop, self.init, self.weights, self.step = prop, init, weights, step
-        self.ref = _reference(init, weights)
-        self.L = L = prop.functional(init, weights.Sigma)
-        self.n1 = n1 = len(L)
-        rho = prop.rho
+    def __init__(self, dev, step):
+        self.dev, self.prop, self.step = dev, dev.prop, step
+        prop, rho = dev.prop, dev.prop.rho
+        self.n1 = n1 = prop.n + 1
         self.h = h = step / max(1, math.ceil(2.0 * step * rho))
         cap = ROW_BUDGET // (8 * (_taylor_terms(0.5) + 1 + CHUNK))
         self.m = m = max(1, min(int(0.5 / (h * rho)), cap))
@@ -422,7 +488,7 @@ class DeviationMarch:
         """The rows (L (width Ahat)^k / k!)^T, flattened, k = 0 ... ``terms``:
         row k times the state Phi_a, flattened, is the coefficient of s^k of
         Delta(a + s width), Ahat = [[A, b], [0, 0]] the generator of Phi."""
-        rows, scaled = [self.L.T], self.width * self.prop.Ahat.T
+        rows, scaled = [self.dev.L.T], self.width * self.prop.Ahat.T
         for k in range(1, terms + 1):
             rows.append(scaled @ rows[-1] / k)
         return np.array(rows).reshape(terms + 1, -1)
@@ -433,32 +499,6 @@ class DeviationMarch:
         n1 = self.n1
         states = (self.jumps @ x.reshape(n1, n1)).reshape(CHUNK + 1, -1)
         return states[:-1] @ self.T.T, states[-1].copy()
-
-    @functools.cached_property
-    def limit(self):
-        """Delta_inf of L (see :meth:`Propagator.deviation_limit`)."""
-        return self.prop.deviation_limit(self.L)
-
-    @functools.cached_property
-    def decay_bound(self):
-        """(B0, rate) with |Delta(s) - Delta_inf| <= B0 e^{-rate s} for
-        every s >= 0, or None where :attr:`Propagator.contraction` has no
-        Lyapunov norm.
-
-        Phi_s^T = [[E_s^T, 0], [w_s^T, 1]] with w_s = (I - E_s) mu_inf, so
-        Delta(s) - Delta_inf = tr(K E_s) with K = L11 - mu_inf g^T, and
-        tr(K E_s) = tr(M X^{1/2} E_s X^{-1/2}) with M = X^{1/2} K X^{-1/2}
-        is at most ||M||_* e^{-rate s}.  B0 is that nuclear norm, raised
-        by a relative allowance of 16 n^2 kappa(X) eps for its roundoff.
-        """
-        root = self.prop.contraction
-        if root is None:
-            return None
-        Xh, Xih, rate, kappa = root
-        n = self.n1 - 1
-        K = self.L[:n, :n] - np.outer(self.prop.mean_limit, self.L[n, :n])
-        nuclear = float(np.linalg.svd(Xh @ K @ Xih, compute_uv=False).sum())
-        return nuclear * (1.0 + 16.0 * n * n * kappa * np.finfo(float).eps), rate
 
     def first_crossing(self, nodes, threshold, tol):
         """The first node of 1 ... ``nodes`` above ``threshold``, as the

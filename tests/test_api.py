@@ -71,6 +71,10 @@ REMOVED = [
     *(("qmemtime.propagate", f"DeviationMarch.{name}")
       for name in ("_grow", "_state", "_maps", "_piece", "_taylor", "_push", "delta")),
     ("qmemtime.propagate", "bisect"),
+    *(("qmemtime.propagate", name) for name in ("Propagator.march", "Propagator.deviation_limit",
+                                                "DeviationMarch.limit",
+                                                "DeviationMarch.decay_bound")),
+    ("qmemtime.moments", "_delta_rate0"),
 ]
 
 

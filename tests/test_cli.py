@@ -222,6 +222,21 @@ def test_infinite_tau_in_output(tmp_path, capsys):
     assert "tau = inf" in out
 
 
+@pytest.mark.parametrize("command", ["tau", "simulate"])
+def test_overflowing_drift_prints_an_error_line(tmp_path, capsys, command):
+    # the drift of E = (1e308, 1e308, 0) overflows a double; numpy raised
+    # LinAlgError with a traceback before it was typed
+    tree = json.loads(json.dumps(PAULI_WORKED))
+    tree["energy"]["E"] = [1e308, 1e308, 0.0]
+    tree["coupling"] = {"M": [[1.0, 0.5, 0.0], [0.0, 1.0, 0.2]], "N": [0.3, 0.1]}
+    tree["init"]["mu0"] = [0.3, 0.1, 0.2]
+    code = main([command, "--config", _write(tmp_path, tree)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: the drift overflows")
+    assert "Traceback" not in captured.err
+
+
 def test_config_error_exit_codes(tmp_path, capsys):
     bad_json = tmp_path / "broken.json"
     bad_json.write_text("{not json")

@@ -1,21 +1,23 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qmemtime import decoherence, moments, propagate
+from qmemtime import moments, propagate
 from qmemtime.algebra import StructureConstants
-from qmemtime.decoherence import (CrossingOptions, decoherence_time,
+from qmemtime.decoherence import (CrossingOptions, DecoherenceTime, decoherence_time,
                                   tau_expansion, tau_hat)
-from qmemtime.errors import (InconclusiveCrossingError, IntegrationError,
+from qmemtime.errors import (InconclusiveCrossingError, IntegrationError, QmemtimeError,
                              StructureDefectError, TrivialWeightError,
                              ZeroDiffusionError)
 from qmemtime.model import SystemParams
-from qmemtime.moments import (deviation_delta, initial_moments,
-                              weighting_from_sigma)
+from qmemtime.moments import (deviation_delta, initial_moments, moment_trajectory,
+                              steady_state, weighting_from_sigma)
+from qmemtime.optimize import optimal_energy, rk_matrices
 from qmemtime.propagate import Propagator
 
 from dense import fit_structure_constants
@@ -36,9 +38,9 @@ def test_frozen_system_never_decoheres(pauli):
 def test_crossing_search_skips_second_derivative(worked, monkeypatch):
     # the frozen-dynamics test needs only the first derivative of Delta
     calls = []
-    for module in (moments, decoherence):
-        monkeypatch.setattr(module, "delta_derivatives0",
-                            lambda *a, f=module.delta_derivatives0: calls.append(a) or f(*a))
+    monkeypatch.setattr(propagate.Deviation, "ddot0",
+                        property(lambda self, f=propagate.Deviation.ddot0.func:
+                                 calls.append(self) or f(self)))
     result = decoherence_time(dataclasses.replace(worked.sys), worked.init,
                               worked.weights, 0.05)
     assert calls == []
@@ -91,7 +93,7 @@ def test_refine_falls_back_to_bisection(worked, monkeypatch, power, tol_steps):
     # h / 2 reaches no step of tol / 8 in 16 iterates, and the iterate that
     # s^9 stops at lies more than tol / 4 past the root, so its bracket is
     # not confirmed.  Both bisect on from the narrowed bracket.
-    march = Propagator.of(worked.sys).march(worked.init, worked.weights, 1e-3)
+    march = Propagator.of(worked.sys).deviation(worked.init, worked.weights).march(1e-3)
     coef, tol = np.eye(power + 1)[power], tol_steps * march.h
     calls = _counted_evaluations(monkeypatch)
     lo, hi = march._refine(coef, 0, 0.0, tol)
@@ -258,6 +260,80 @@ def test_expansion_with_overflowing_curvature_raises(worked):
     sys = worked.sys.with_energy(np.array([1e300, 0.0, 0.0]))
     with pytest.raises(IntegrationError, match="overflows"):
         tau_expansion(sys, worked.init, worked.weights)
+
+
+_M = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.2]])
+_N = np.array([0.3, 0.1])
+_MU0 = np.array([0.3, 0.1, 0.2])
+#: (E, M) whose drift, or the march's node count, overflows a double: numpy
+#: raised LinAlgError or OverflowError on each before they were typed
+_OVERFLOWS = {"E=1e307": (np.array([1e307, 0.0, 0.0]), _M),
+              "E=1e308,1e308": (np.array([1e308, 1e308, 0.0]), _M),
+              "M*1e154": (np.zeros(3), 1e154 * _M),
+              "M*1e160": (np.zeros(3), 1e160 * _M)}
+
+
+def _entry_points(system, init, w, opts=None):
+    grid = np.linspace(0.0, 1.0, 5)
+    return {"decoherence_time": lambda: decoherence_time(system, init, w, 0.1, opts=opts),
+            "tau_expansion": lambda: tau_expansion(system, init, w),
+            "steady_state": lambda: steady_state(system, init, w),
+            "moment_trajectory": lambda: moment_trajectory(system, init, w, grid),
+            "optimal_energy": lambda: optimal_energy(*rk_matrices(system, init, w))}
+
+
+def _finite(result):
+    """Every number in ``result`` is finite, but for an infinite tau without
+    a bracket."""
+    if isinstance(result, DecoherenceTime) and result.is_infinite:
+        return result.bracket is None and math.isfinite(result.threshold)
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, field.name) for field in dataclasses.fields(result)]
+    if isinstance(result, (tuple, list)):
+        return all(_finite(value) for value in result)
+    return result is None or bool(np.isfinite(result).all())
+
+
+@pytest.mark.parametrize("case", list(_OVERFLOWS))
+def test_overflowing_inputs_raise_typed_errors(pauli, case):
+    E, M = _OVERFLOWS[case]
+    system = SystemParams(sc=pauli, E=E, M=M, N=_N)
+    init, w = initial_moments(pauli, _MU0), weighting_from_sigma(np.eye(3))
+    for name, call in _entry_points(system, init, w).items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = call()
+            except QmemtimeError as err:
+                assert name != "decoherence_time" or isinstance(err, IntegrationError)
+                continue
+        assert name != "decoherence_time" and _finite(result), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(scales=st.tuples(*[st.floats(-300.0, 300.0)] * 3))
+@example(scales=(0.0, 154.0, 0.0))  # the drift overflows
+@example(scales=(300.0, -300.0, 300.0))  # the trajectory overflows
+@example(scales=(105.0, 0.0, 105.25))  # the drift is singular to working precision
+@example(scales=(100.0, -6.655059397910975, 160.0))  # tau''(0) overflows
+@example(scales=(-117.73367326799553, 37.4945491511553, 270.3112727617872))  # K overflows
+def test_every_finite_scale_answers_or_raises_typed(pauli, scales):
+    # Any E, M and N from 1e-300 to 1e300 give a finite answer or a
+    # QmemtimeError; the march spans 1000 steps of 1 / (100 rho)
+    e, m, n = (10.0 ** s for s in scales)
+    system = SystemParams(sc=pauli, E=e * np.array([0.3, -0.2, 0.5]), M=m * _M, N=n * _N)
+    init, w = initial_moments(pauli, _MU0), weighting_from_sigma(np.eye(3))
+    try:
+        rho = Propagator.of(system).rho
+    except IntegrationError:
+        rho = 1.0
+    opts = CrossingOptions(step=1e-2 / rho, horizon=10.0 / rho)
+    for name, call in _entry_points(system, init, w, opts).items():
+        try:
+            result = call()
+        except QmemtimeError:
+            continue
+        assert _finite(result), name
 
 
 def test_expansion_worked_values(worked):

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -14,8 +15,8 @@ from qmemtime import moments, propagate
 from qmemtime.algebra import StructureConstants, pauli_structure
 from qmemtime.decoherence import (CrossingOptions, decoherence_time,
                                   tau_expansion)
-from qmemtime.errors import (InconclusiveCrossingError, IntegrationError,
-                             StructureDefectError)
+from qmemtime.errors import (InconclusiveCrossingError, IntegrationError, NotHurwitzError,
+                             StructureDefectError, TrivialWeightError, ZeroDiffusionError)
 from qmemtime.interconnect import compose, product_mean
 from qmemtime.linalg import solve_lyapunov
 from qmemtime.model import SystemParams
@@ -32,12 +33,12 @@ from oracles import (first_crossing_scan, forward_taylor, gell_mann_representati
 
 
 def _march(system, init, weights, step):
-    return Propagator(system).march(init, weights, step)
+    return Propagator(system).deviation(init, weights).march(step)
 
 
 def _delta_at(march, node):
     """Delta at ``node`` of the march's grid, off an exponential of its own."""
-    return float(np.sum(march.L * march.prop.transition(node * march.h).T))
+    return float(np.sum(march.dev.L * march.prop.transition(node * march.h).T))
 
 
 def test_first_crossing_brackets_a_grid_step(worked):
@@ -92,7 +93,7 @@ def test_march_no_crossing_returns_supremum(worked):
     traj = moment_trajectory(worked.sys, worked.init, worked.weights, np.array([0.0, t]))
     n = worked.sys.n
     Phi = state.reshape(n + 1, n + 1)
-    assert np.sum(march.L * Phi.T) == pytest.approx(traj.Delta[-1], abs=1e-12)
+    assert np.sum(march.dev.L * Phi.T) == pytest.approx(traj.Delta[-1], abs=1e-12)
     assert np.abs(Phi[:n] @ np.r_[worked.init.mu0, 1.0] - traj.mu[-1]).max() <= 1e-12
 
 
@@ -125,7 +126,7 @@ def test_running_maximum_finds_first_crossing_of_oscillation(pauli):
     grid = np.arange(nodes + 1) * step
     dense = deviation_delta(system, init, weights, grid)
     assert np.abs(dense - (4.0 - 4.0 * np.cos(2.0 * grid))).max() <= 1e-12
-    kept = Propagator(system).march(init, weights, step)
+    kept = Propagator(system).deviation(init, weights).march(step)
     kept.first_crossing(nodes, math.inf, 1e-9)
     assert len(kept.table[0]) - 1 >= nodes
     assert np.abs(kept.table[0][:nodes + 1] - np.maximum.accumulate(dense)).max() <= 1e-10
@@ -134,7 +135,8 @@ def test_running_maximum_finds_first_crossing_of_oscillation(pauli):
     assert peaks[0] < peaks[1] < peaks[2]
     for threshold in (1.0, 4.0, 7.99, *(0.5 * (a + b) for a, b in zip(peaks, peaks[1:]))):
         i = int(np.argmax(dense > threshold))  # the first node above
-        fresh, past = (Propagator(system).march(init, weights, step) for _ in range(2))
+        fresh, past = (Propagator(system).deviation(init, weights).march(step)
+                       for _ in range(2))
         past.last = 0  # marches every chunk past the table
         for march in (kept, fresh, past):
             (lo, hi), sup = march.first_crossing(nodes, threshold, 1e-12)
@@ -171,17 +173,113 @@ def test_new_input_objects_build_their_own_march(worked):
     first = decoherence_time(system, worked.init, worked.weights, 0.05)
     for init, weights in ((dataclasses.replace(worked.init), worked.weights),
                           (worked.init, dataclasses.replace(worked.weights))):
-        march = prop._march
+        march = prop._deviation._march
         assert decoherence_time(system, init, weights, 0.05) == first
-        assert prop._march is not march
-        assert prop._march.init is init and prop._march.weights is weights
+        assert prop._deviation._march is not march
+        assert prop._deviation.init is init and prop._deviation.weights is weights
     moved = dataclasses.replace(worked.init, mu0=np.array([0.1, 0.2, -0.3]))
     assert not moved.mu0.flags.writeable
     for eps in (0.05, 0.6):
         got = decoherence_time(system, moved, worked.weights, eps)
-        assert prop._march.init is moved
+        assert prop._deviation.init is moved
         assert got == decoherence_time(dataclasses.replace(system), moved, worked.weights, eps)
     assert got != decoherence_time(system, worked.init, worked.weights, 0.6)
+
+
+def test_one_deviation_record_serves_every_reader(worked, monkeypatch):
+    # The expansion, the steady state, tau at three eps and (R, K) on one
+    # triple derive L and Lambda(mu0) once, and answer as fresh systems do
+    system = dataclasses.replace(worked.sys)
+    args = (worked.init, worked.weights)
+    Propagator.of(system).limits  # the system's own Lambda(mu_inf)
+    calls = []
+    for name in ("functional", "lam"):
+        monkeypatch.setattr(Propagator, name, lambda self, *a, f=getattr(Propagator, name),
+                            name=name: calls.append(name) or f(self, *a))
+    readers = (lambda s: tau_expansion(s, *args), lambda s: steady_state(s, *args).Delta_inf,
+               *(lambda s, e=eps: decoherence_time(s, *args, e) for eps in (0.05, 0.6, 2.5)),
+               lambda s: rk_matrices(s, *args))
+    got = [read(system) for read in readers]
+    assert sorted(calls) == ["functional", "lam"]
+    for a, b in zip(got, (read(dataclasses.replace(system)) for read in readers)):
+        assert pickle.dumps(a) == pickle.dumps(b)
+
+
+def test_new_step_reuses_the_record(worked, monkeypatch):
+    # A second step builds a march of its own, but Delta_inf and the decay
+    # bound stay those of the record: no second singular values
+    system = dataclasses.replace(worked.sys)
+    prop = Propagator.of(system)
+    first = decoherence_time(system, worked.init, worked.weights, 2.5,
+                             opts=CrossingOptions(step=1e-3))
+    dev, march = prop._deviation, prop._deviation._march
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, f=np.linalg.svd, **k:
+                        calls.append(a) or f(*a, **k))
+    again = decoherence_time(system, worked.init, worked.weights, 2.5,
+                             opts=CrossingOptions(step=2e-3))
+    assert first.is_infinite and again.is_infinite and calls == []
+    assert prop._deviation is dev and dev._march is not march and dev._march.step == 2e-3
+
+
+def _raising_cases(pauli, worked):
+    """(call, error, record attribute) for every error a deviation record
+    raises, on fixed objects."""
+    zero = weighting_from_sigma(np.zeros((3, 3)))
+    bad = StructureConstants(2.0 * np.eye(3), pauli.beta)
+    defect = SystemParams(sc=bad, E=np.array([0.3, -0.2, 0.5]),
+                          M=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), N=np.zeros(2))
+    defect_init = initial_moments(bad, np.array([0.2, 0.0, 0.1]))
+    uncoupled = SystemParams(sc=pauli, E=np.array([0.0, 0.0, 1.0]), M=np.zeros((2, 3)),
+                             N=np.zeros(2))
+    huge = worked.sys.with_energy(np.array([1e300, 0.0, 0.0]))
+    w = worked.weights
+    return {
+        "trivial": (lambda: tau_expansion(worked.sys, worked.init, zero),
+                    TrivialWeightError, (worked.sys, worked.init, zero), "ref"),
+        "structure": (lambda: steady_state(defect, defect_init, w),
+                      StructureDefectError, (defect, defect_init, w), "L"),
+        "zero-diffusion": (lambda: tau_expansion(uncoupled, worked.init, w),
+                           ZeroDiffusionError, None, None),
+        "curvature": (lambda: tau_expansion(huge, worked.init, w),
+                      IntegrationError, (huge, worked.init, w), "ddot0"),
+        "not-hurwitz": (lambda: Propagator.of(uncoupled).deviation(worked.init, w).limit,
+                        NotHurwitzError, (uncoupled, worked.init, w), "limit"),
+    }
+
+
+@pytest.mark.parametrize("case", ["trivial", "structure", "zero-diffusion", "curvature",
+                                  "not-hurwitz"])
+def test_record_keeps_no_raise(pauli, worked, case):
+    # Each error is raised again on the same objects: the record keeps the
+    # quantities it derived, never a raise
+    call, error, triple, attr = _raising_cases(pauli, worked)[case]
+    for _ in range(2):
+        with pytest.raises(error):
+            call()
+    if triple is not None:
+        system, init, w = triple
+        dev = Propagator.of(system).deviation(init, w)
+        assert attr not in vars(dev)
+        with pytest.raises(error):
+            getattr(dev, attr)
+        assert Propagator.of(system).deviation(init, w) is dev
+
+
+def test_equal_objects_build_their_own_record(worked):
+    # The record is kept for the objects, not their values; its L is read-only
+    prop = Propagator.of(dataclasses.replace(worked.sys))
+    dev = prop.deviation(worked.init, worked.weights)
+    assert prop.deviation(worked.init, worked.weights) is dev
+    for init, weights in ((dataclasses.replace(worked.init), worked.weights),
+                          (worked.init, dataclasses.replace(worked.weights))):
+        other = prop.deviation(init, weights)
+        assert other is not dev and other.init is init and other.weights is weights
+        assert np.array_equal(other.L, dev.L) and other.L is not dev.L
+        assert prop.deviation(init, weights) is other
+    assert not dev.L.flags.writeable
+    with pytest.raises(ValueError):
+        dev.L[0, 0] = 1.0
 
 
 def _two_qubit_composite(pauli):
@@ -206,7 +304,7 @@ def test_chunked_delta_matches_stepwise(make_instance, pauli, case):
     prop = Propagator(system)
     h = 1e-3 / max(1.0, prop.norm_a)
     nodes = 700
-    march = prop.march(init, weights, h)
+    march = prop.deviation(init, weights).march(h)
     march.first_crossing(nodes, math.inf, 1e-9)
     d, coef, state = march.table
     end = len(d) - 1
@@ -215,7 +313,7 @@ def test_chunked_delta_matches_stepwise(make_instance, pauli, case):
     stepwise, Phi, step_map = [], np.eye(system.n + 1), prop.transition(h)
     for _ in range(end):
         Phi = step_map @ Phi
-        stepwise.append(np.sum(march.L * Phi.T))
+        stepwise.append(np.sum(march.dev.L * Phi.T))
     assert np.abs(state - Phi.ravel()).max() <= 1e-10
     # the table keeps the running maximum of Delta at the nodes
     assert np.abs(d[1:] - np.maximum.accumulate(stepwise)).max() <= 1e-10
@@ -234,7 +332,7 @@ def test_refine_long_step_matches_default(worked):
     Ahat = np.zeros((4, 4))
     Ahat[:3, :3], Ahat[:3, 3] = prop.A, prop.b
     assert np.linalg.norm(Ahat, 2) <= prop.rho * (1.0 + 1e-12)
-    assert prop.march(worked.init, worked.weights, 0.5).h == 0.5 / 6
+    assert prop.deviation(worked.init, worked.weights).march(0.5).h == 0.5 / 6
     for eps in (0.05, 1.0):
         ref = decoherence_time(worked.sys, worked.init, worked.weights, eps)
         long = decoherence_time(worked.sys, worked.init, worked.weights, eps,
@@ -363,7 +461,7 @@ def test_decoherence_times_share_chunk_maps(worked, monkeypatch):
     copy = dataclasses.replace(system)
     fresh = decoherence_time(copy, *args, 0.05)
     # Phi over one interval and over a chunk, each its own exponential
-    width = Propagator.of(copy)._march.width
+    width = Propagator.of(copy)._deviation._march.width
     assert calls == [width, propagate.CHUNK * width]
     assert (shared.value, shared.bracket) == (fresh.value, fresh.bracket)
 
@@ -371,8 +469,8 @@ def test_decoherence_times_share_chunk_maps(worked, monkeypatch):
     opts = CrossingOptions(step=1e-3)
     calls.clear()
     own = decoherence_time(system, *args, 0.05, opts=opts)
-    width = Propagator.of(system)._march.width
-    assert width == 1e-3 * Propagator.of(system)._march.m
+    width = Propagator.of(system)._deviation._march.width
+    assert width == 1e-3 * Propagator.of(system)._deviation._march.m
     assert calls == [width, propagate.CHUNK * width]
     calls.clear()
     assert decoherence_time(system, *args, 0.05, opts=opts) == own
@@ -449,7 +547,7 @@ def test_tau_curve_bitwise_independent_of_node_table(worked, calls, data):
     # drawn order and in a shuffled one.
     prop = Propagator(worked.sys)
     step = 1e-3 / prop.norm_a
-    march = prop.march(worked.init, worked.weights, step)
+    march = prop.deviation(worked.init, worked.weights).march(step)
     march.first_crossing(20000, math.inf, 1e-9)
     d = march.table[0]
     assert march.m == 353
@@ -478,7 +576,7 @@ def test_march_past_the_table_budget(worked, marched_nodes):
     system = dataclasses.replace(worked.sys)
     eps, opts = 2.0 * (1.0 + 1e-7), CrossingOptions(horizon=40.0)
     cold = _outcome(system, worked.init, eps, opts)
-    march = Propagator.of(system)._march
+    march = Propagator.of(system)._deviation._march
     d, coef, state = table = march.table
     assert len(d) - 1 == march.last == 124256 < marched_nodes[0] == 160000
     assert d.nbytes + coef.nbytes + state.nbytes <= propagate.ROW_BUDGET
@@ -491,7 +589,7 @@ def test_march_past_the_table_budget(worked, marched_nodes):
     for eps in (5.99 / 3.0, 1.0, 5.99 / 3.0):
         got = _outcome(system, worked.init, eps, opts)
         assert got == _outcome(dataclasses.replace(system), worked.init, eps, opts)
-    assert got[0] > 2.9 and (len(Propagator.of(system)._march.table[0]) - 1) * 2e-5 < 2.5
+    assert got[0] > 2.9 and (len(Propagator.of(system)._deviation._march.table[0]) - 1) * 2e-5 < 2.5
 
 
 def test_second_eps_reuses_kept_rows(worked, monkeypatch):
@@ -501,7 +599,7 @@ def test_second_eps_reuses_kept_rows(worked, monkeypatch):
     system = dataclasses.replace(worked.sys)
     args = (worked.init, worked.weights)
     decoherence_time(system, *args, 1.9)
-    march = Propagator.of(system)._march
+    march = Propagator.of(system)._deviation._march
     calls, refined = [], []
     for owner, name in ((DeviationMarch, "_chunk"), (DeviationMarch, "_taylor_rows"),
                         (Propagator, "transition")):
@@ -511,7 +609,7 @@ def test_second_eps_reuses_kept_rows(worked, monkeypatch):
                         refined.append(coef) or f(self, coef, *a))
     eps_list = (0.6, 0.05, 1.2)
     got = [decoherence_time(system, *args, eps) for eps in eps_list]
-    assert calls == [] and Propagator.of(system)._march is march
+    assert calls == [] and Propagator.of(system)._deviation._march is march
     assert len(refined) == 3 and all(coef.base is march.table[1] for coef in refined)
     assert got == [decoherence_time(dataclasses.replace(system), *args, eps) for eps in eps_list]
 
@@ -565,8 +663,8 @@ def test_certificate_ends_the_march_at_its_closed_form_time(worked, marched_node
     # 2 (X = diag(1, 1, 1/2) / 4), so t_c = ln(4) / 2; the settle-time rule
     # marched 20 / 2 time units, 40,000 nodes
     assert decoherence_time(worked.sys, worked.init, worked.weights, 2.5).is_infinite
-    march = Propagator.of(worked.sys)._march
-    b0, rate = march.decay_bound
+    march = Propagator.of(worked.sys)._deviation._march
+    b0, rate = march.dev.decay_bound
     assert b0 == pytest.approx(6.0, rel=1e-12) and rate == pytest.approx(2.0, rel=1e-12)
     t_c = math.log(b0 / ((1.0 - 1e-6) * 7.5 - 6.0)) / rate
     assert marched_nodes == [math.ceil(t_c / march.step)] == [2773]
@@ -582,7 +680,7 @@ def test_march_keeps_maps_and_rows_of_one_step(pauli):
     chunk, n1 = propagate.CHUNK, system.n + 1
     for step in np.geomspace(2e-4, 2e-3, 20):
         decoherence_time(system, init, weights, 0.05, opts=CrossingOptions(step=step))
-        march = prop._march
+        march = prop._deviation._march
         assert march.step == step == march.h and march.width * prop.rho <= 0.5
         assert march.powers.nbytes + chunk * march.m * 8 <= propagate.ROW_BUDGET
         d, coef, state = march.table
@@ -599,8 +697,8 @@ def test_march_keeps_maps_and_rows_of_one_step(pauli):
     # bitwise those of the last march
     decoherence_time(system, init, weighting_from_sigma(2.0 * np.eye(system.n)), 0.05,
                      opts=CrossingOptions(step=step))
-    jumps = prop._march.jumps
-    assert prop._march is not march and jumps is not march.jumps
+    jumps = prop._deviation._march.jumps
+    assert prop._deviation._march is not march and jumps is not march.jumps
     assert np.array_equal(jumps, march.jumps)
 
 
@@ -613,7 +711,7 @@ def test_taylor_rows_match_forward_series(make_instance, case):
     prop = Propagator(system)
     weights = weighting_from_sigma(np.eye(system.n))
     Sigma = weights.Sigma
-    march = prop.march(init, weights, 0.01)
+    march = prop.deviation(init, weights).march(0.01)
     rows = march._taylor_rows(10)
     n1 = system.n + 1
     # a generic transition matrix too: the closure holds for every mean
@@ -742,8 +840,8 @@ def test_trajectory_keeps_maps_of_one_step(pauli):
         moment_trajectory(system, init, weights, grid)
         decoherence_time(system, init, weights, 0.05)
         assert list(prop._traj_maps) == [propagate.step_spacings(grid)[-1]]
-        assert np.array_equal(prop._march.jumps[system.n + 1:2 * system.n + 2],
-                              prop.transition(prop._march.width))
+        assert np.array_equal(prop._deviation._march.jumps[system.n + 1:2 * system.n + 2],
+                              prop.transition(prop._deviation._march.width))
 
 
 @functools.lru_cache(maxsize=None)
@@ -797,7 +895,7 @@ def test_march_delta_matches_trajectory(make_instance, case, wseed, frac):
     ref = reference_norm(init, weights)
     prop = Propagator.of(system)
     step, nodes = 1e-3 / max(1.0, prop.norm_a), 300
-    march = prop.march(init, weights, step)
+    march = prop.deviation(init, weights).march(step)
     grid = np.arange(nodes + 1) * step
     want = prop.trajectory(init, weights.Sigma, grid)[2]
     sup = march.first_crossing(nodes, math.inf, 1e-9)[1]
