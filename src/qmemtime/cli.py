@@ -447,11 +447,16 @@ def _cmd_sweep(cfg, args):
     _emit("\n".join(rows) + "\n", args.out or cfg.out_path)
 
 
-def _cli_vector(text, length, flag):
+def _cli_numbers(text, flag):
+    """The numbers of the comma-separated ``text`` of ``flag``."""
     try:
-        vals = [float(v) for v in text.split(",")]
+        return [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise ConfigError("must be a comma-separated number list", field=flag) from exc
+
+
+def _cli_vector(text, length, flag):
+    vals = _cli_numbers(text, flag)
     if len(vals) != length:
         raise ConfigError(f"expected {length} entries, got {len(vals)}", field=flag)
     return np.array([_finite_scalar(v, flag) for v in vals])
@@ -485,11 +490,7 @@ def _apply_overrides(cfg, args):
     checked under its own name, and the merged tree is parsed again."""
     updates = {}
     if args.eps is not None:
-        try:
-            eps = [float(v) for v in args.eps.split(",")]
-        except ValueError as exc:
-            raise ConfigError("must be a comma-separated number list", field="--eps") from exc
-        updates["eps"] = [_positive_scalar(e, "--eps") for e in eps]
+        updates["eps"] = [_positive_scalar(e, "--eps") for e in _cli_numbers(args.eps, "--eps")]
     for f in _CROSSING:
         val = getattr(args, f.name)
         if val is not None:

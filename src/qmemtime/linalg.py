@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import NotHurwitzError
+from .errors import IntegrationError, NotHurwitzError
 
 __all__ = ["expm_psi", "solve_lyapunov", "spectral_norm", "hurwitz_margin"]
 
@@ -41,14 +41,18 @@ def expm_psi(A, t):
     by Horner's rule and e^{hA} = I + A psi(h).  The blocks are then
     squared back up j times by (E, P) -> (E E, E P + P); see Moler & Van
     Loan, "Nineteen dubious ways to compute the exponential of a matrix,
-    twenty-five years later", SIAM Review 45(1), 2003.
+    twenty-five years later", SIAM Review 45(1), 2003.  A t with 2 |t|
+    max(1, ||A||_1) past the largest double raises IntegrationError.
     """
     A = np.asarray(A, dtype=float)
     t = float(t)
     rho = max(1.0, float(np.abs(A).sum(axis=0).max()))
     theta = abs(t) * rho
+    if not math.isfinite(theta / 0.5):
+        raise IntegrationError(f"the exponential over t = {t:.3e} overflows "
+                               f"(norm bound {rho:.3e})")
     squarings = max(0, math.ceil(math.log2(theta / 0.5))) if theta > 0 else 0
-    h = t / 2 ** squarings
+    h = math.ldexp(t, -squarings)
     hA = h * A
     eye = np.eye(A.shape[0])
     acc = eye

@@ -14,6 +14,7 @@ K vanishes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +89,7 @@ def optimal_energy(R, K):
         keep = w > tol
         null_dim = int(n - keep.sum())
         coef = v.T @ K
-        out_of_range = float(np.linalg.norm(coef[~keep]))
+        out_of_range = math.hypot(*coef[~keep])
         if out_of_range > ktol:
             raise StationarityError(
                 f"K has a component of norm {out_of_range:.3e} outside the "
@@ -98,7 +99,7 @@ def optimal_energy(R, K):
         e_star = v[:, keep] @ (-0.5 * coef[keep] / w[keep])
         unique = False
 
-    residual = float(np.linalg.norm(2.0 * R @ e_star + K))
+    residual = math.hypot(*(2.0 * R @ e_star + K))  # no square overflows
     zero_opt = float(np.abs(K).max(initial=0.0)) <= ktol
     return OptimalityData(R=R, K=K, E_star=e_star, residual=residual,
                           zero_energy_optimal=zero_opt, unique=unique,

@@ -17,11 +17,11 @@ moment of the noise response and the deviation follow from Phi_t alone:
 with Z = [[Pi, mu0], [mu0^T, 1]] the second moment of (X_0, 1) and L the
 functional of :meth:`Propagator.functional`.
 
-A trajectory moves a whole block of grid nodes at once: within a run of
-equal spacings, the nodes [k, k + m) follow from the nodes [k - m, k) by
-the map Phi over m steps, for m = 1, 2, 4, ... up to ``BLOCK`` and then
-m = ``BLOCK`` (see :meth:`Propagator.trajectory`).  Each map over 2^i
-steps is its own exponential, whose roundoff does not grow with i.
+The march and a trajectory both advance Phi in chunks of ``CHUNK``
+spacings with one stack of maps, :meth:`Propagator.maps`: Phi over 0 ...
+``CHUNK`` spacings, products of the map over one but for the map over a
+chunk, which they chain and which is its own exponential, so that its
+roundoff does not build up chunk after chunk.
 
 :meth:`DeviationMarch.first_crossing` cuts the node grid into intervals
 of width at most 1 / (2 rho), rho a norm bound of the generator, on each
@@ -40,7 +40,7 @@ for the frozen initial moments and weighting objects it serves, with
 what depends on them alone, such as L and Delta_inf, and one march:
 every eps of a tau(eps) curve reads its crossing off the table, with the
 answer of a fresh search, and the powers and the table a system keeps
-are bounded by ``ROW_BUDGET``.  A trajectory keeps its longest run's maps.
+are bounded by ``ROW_BUDGET``.  The propagator keeps the last stack of maps.
 """
 
 from __future__ import annotations
@@ -59,10 +59,8 @@ from .model import coefficients, lambda_sandwich
 #: chunk, which caps the nodes per interval, and again for its kept table.
 ROW_BUDGET = 1 << 20
 
-#: Most grid nodes a trajectory advances by one map (a power of two).
-BLOCK = 16
-
-#: Intervals a march advances by one map.
+#: Spacings, the intervals of a march or the steps of a trajectory, that
+#: one stack of maps spans.
 CHUNK = 16
 
 #: Largest defect of the closure form of Lambda, relative to the size of
@@ -114,10 +112,11 @@ class Propagator:
     sum_l E_l D_l, the closure alpha + beta . mu and its defect, whether
     the diffusion vanishes and whether A and b do; a drift that overflows
     a double raises IntegrationError.  Kept as used: the last
-    :meth:`deviation` record, with its march, and the maps of the last
-    :meth:`trajectory`'s longest run; the steady state (:attr:`mean_limit`,
-    :attr:`limits`) and the Lyapunov norm (:attr:`contraction`) are cached
-    properties, derived on first read.  :meth:`of` shares one per system."""
+    :meth:`deviation` record, with its march, and the last stack of
+    :meth:`maps`, which a march or a trajectory built; the steady state
+    (:attr:`mean_limit`, :attr:`limits`) and the Lyapunov norm
+    (:attr:`contraction`) are cached properties, derived on first read.
+    :meth:`of` shares one per system."""
 
     def __init__(self, sys):
         self.n = n = sys.n
@@ -142,7 +141,7 @@ class Propagator:
         #: Neither drift nor offset, so the mean stays at mu0.
         self.frozen = bool(np.abs(co.A).max() <= 1e-14 and np.abs(co.b).max() <= 1e-14)
         self._deviation = None
-        self._traj_maps = {}  # {spacing: maps over 2^i spacings}, one entry at most
+        self._maps = None, None  # the last stack of maps and its (h, count)
         # Both forms of Lambda are affine in mu: agreement at 0 and at a fixed pseudo-
         # random Weyl sequence (no numpy.random import) is a randomized test (Freivalds 1977)
         probes = (np.zeros(n), 2.0 * (np.arange(1, n + 1) * 0.6180339887498949 % 1.0) - 1.0)
@@ -264,6 +263,21 @@ class Propagator:
         Phi[:n, :n], Phi[:n, n], Phi[n, n] = E, psi @ self.b, 1.0
         return Phi
 
+    def maps(self, h, count=CHUNK):
+        """Phi over 0, 1, ..., ``count`` spacings ``h``, stacked, read-only
+        and kept for an equal (h, count): products of the map over one, but
+        the map over ``CHUNK``, which is chained, is its own exponential."""
+        stack, key = self._maps
+        if key != (h, count):
+            n1 = self.n + 1
+            one, stack = self.transition(h), np.empty((count + 1, n1, n1))
+            stack[0] = np.eye(n1)
+            for k in range(1, count + 1):
+                stack[k] = self.transition(k * h) if k == CHUNK else one @ stack[k - 1]
+            stack.setflags(write=False)
+            self._maps = stack, (h, count)
+        return stack
+
     def functional(self, init, Sigma):
         """The matrix L with Delta(t) = <L, Phi_t^T> for the initial
         moments ``init`` and the weighting ``Sigma``.
@@ -296,15 +310,14 @@ class Propagator:
 
         U_t = Phi_t Z Phi_t^T has the last column (mu_t, 1), so mu and V are
         read off U_t.  The spacings of :func:`step_spacings` split the grid
-        into runs of equal steps.  Within a run the nodes [k, k + m) come
-        from the nodes [k - m, k) by the map M over m = 1, 2, 4, ... steps
-        up to ``BLOCK``, then ``BLOCK``: Phi_t^T moves by one product with
-        M^T, U_t by a sandwich, and Delta = <L, Phi_t^T> by <L (M - I),
-        Phi_t^T>, a sum free of the O(|L|) terms that cancel in Delta at
-        short times.  Phi_t^T and U_t are kept for the last ``BLOCK`` nodes
-        only, so the output is the only array the size of the grid.  The
-        maps over 2^i spacings are built once per spacing in a call; those
-        of the longest run are kept for the next call.
+        into runs of equal steps, and a run into chunks of up to ``CHUNK``
+        nodes, which come from the node before them by the maps J_j of
+        :meth:`maps` over j = 1 ... min(run, ``CHUNK``) steps: U_t by the
+        sandwich J_j U_t J_j^T, and Delta = <L, Phi_t^T> by the rise <L (J_j
+        - I), Phi_t^T>, a sum free of the O(|L|) terms that cancel in Delta
+        at short times; Phi_t^T moves to the chunk's last node by one
+        product with J_j^T.  U_t is kept for one chunk only, so the output
+        is the only array the size of the grid.
         """
         n, n1, N = self.n, self.n + 1, grid.size
         L = self.functional(init, Sigma)
@@ -312,49 +325,34 @@ class Propagator:
         starts = np.flatnonzero(np.r_[True, h[1:] != h[:-1]]).tolist()
         ends = starts[1:] + [h.size]
         h = h.tolist()
-        levels = BLOCK.bit_length()  # maps over 1, 2, 4, ..., BLOCK steps
-        # The maps are built before the output exists, so their work arrays
-        # do not add to its size.
-        built, runs = dict(self._traj_maps), []
-        for s, e in zip(starts, ends):
-            maps = built.get(h[s], ())
-            built[h[s]] = maps + tuple(self.transition(h[s] * 2 ** i) for i in
-                                       range(len(maps), min((e - s).bit_length(), levels)))
-            runs.append((s, e, built[h[s]]))
-        s, e, _ = max(runs, key=lambda run: run[1] - run[0])
-        self._traj_maps = {h[s]: built[h[s]]} if e - s > 1 else {}
 
         mu = np.empty((N, n))
         V = np.zeros((N, n, n), dtype=complex) if self.noiseless else np.empty((N, n, n), complex)
         Vf = V.view(float).reshape(N, 2 * n * n)
         delta = np.empty(N)
         mu[0], V[0], delta[0] = init.mu0, 0.0, 0.0
-        # Phi_t^T and U_t at the node s + r of a run, in slot r % BLOCK
-        PhiT = np.empty((BLOCK, n1, n1))
-        U = np.empty((BLOCK, n1, n1), dtype=complex)
-        Uf = U.view(float).reshape(BLOCK * n1, 2 * n1)
-        PhiT[0] = np.eye(n1)
+        # Phi_t^T at a chunk's first node, U_t there (slot 0) and at its nodes
+        PhiT, U = np.eye(n1), np.empty((CHUNK + 1, n1, n1), dtype=complex)
         U[0, :n, :n], U[0, :n, n], U[0, n, :n], U[0, n, n] = init.Pi, init.mu0, init.mu0, 1.0
-        for s, e, maps in runs:
-            maps2 = np.zeros((len(maps), 2 * n1, 2 * n1))  # M^T kron I_2, on float views
-            maps2[:, ::2, ::2] = maps2[:, 1::2, 1::2] = np.transpose(maps, (0, 2, 1))
-            rises = (L @ (maps - np.eye(n1))).reshape(len(maps), -1)  # L (M - I)
-            k, i = s + 1, 0  # the node k comes from the node k - 2^i, in slot 0
-            while k <= e:
-                M, m = maps[i], 1 << i
-                b = min(m, e + 1 - k)
-                j, dst = (k - s) % BLOCK, slice(k, k + b)
-                delta[dst] = delta[k - m:k - m + b] + PhiT[:b].reshape(b, n1 * n1) @ rises[i]
-                PhiT[j:j + b] = (PhiT[:b].reshape(b * n1, n1) @ M.T).reshape(b, n1, n1)
-                # Phi U Phi^T, both products on real views of the stack U
-                np.matmul(np.matmul(M, U[:b].view(float)).reshape(b * n1, 2 * n1), maps2[i],
-                          out=Uf[j * n1:(j + b) * n1])
-                mu[dst] = U[j:j + b, :n, n].real
+        for s, e in zip(starts, ends):
+            c = min(e - s, CHUNK)
+            J = self.maps(h[s], c)[1:]
+            J2 = np.zeros((c, 2 * n1, 2 * n1))  # J^T kron I_2, on float views
+            J2[:, ::2, ::2] = J2[:, 1::2, 1::2] = J.transpose(0, 2, 1)
+            rises = (L @ (J - np.eye(n1))).reshape(c, -1)  # L (J - I)
+            for k in range(s, e, c):
+                b = min(c, e - k)
+                dst = slice(k + 1, k + 1 + b)
+                delta[dst] = delta[k] + rises[:b] @ PhiT.ravel()
+                PhiT = PhiT @ J[b - 1].T
+                # J U J^T, both products on real views of the stack U
+                np.matmul((J[:b].reshape(b * n1, n1) @ U[0].view(float)).reshape(b, n1, 2 * n1),
+                          J2[:b], out=U[1:b + 1].view(float))
+                mu[dst] = U[1:b + 1, :n, n].real
                 if not self.noiseless:
-                    np.matmul(U[j:j + b, :, n].real, self.moment_f, out=Vf[dst])
-                    V[dst] -= U[j:j + b, :n, :n]
-                k, i = k + b, min(i + 1, levels - 1)
-            PhiT[0], U[0] = PhiT[(e - s) % BLOCK], U[(e - s) % BLOCK]
+                    np.matmul(U[1:b + 1, :, n].real, self.moment_f, out=Vf[dst])
+                    V[dst] -= U[1:b + 1, :n, :n]
+                U[0] = U[b]
         return mu, V, delta
 
 
@@ -450,7 +448,7 @@ class DeviationMarch:
     _taylor_terms(width rho): scaled by the width, no row outgrows L at any
     drift.  Row j of ``powers`` holds ((j + 1) / m)^k, so the nodes of an
     interval are one product with its coefficients.  ``jumps`` stacks Phi
-    over 0 ... ``CHUNK`` intervals.
+    over 0 ... ``CHUNK`` intervals, the :meth:`Propagator.maps` of the width.
 
     ``table`` = (r, coef, x) keeps Delta(0) in r[0], the largest Delta at
     the nodes 1 ... k in r[k] for k = 1 ... K, the coefficients of the
@@ -464,20 +462,17 @@ class DeviationMarch:
         self.dev, self.prop, self.step = dev, dev.prop, step
         prop, rho = dev.prop, dev.prop.rho
         self.n1 = n1 = prop.n + 1
-        self.h = h = step / max(1, math.ceil(2.0 * step * rho))
+        spacings = 2.0 * step * rho
+        if not math.isfinite(spacings):
+            raise IntegrationError(f"the step {step:.3e} overflows the count of its spacings "
+                                   f"(norm bound {rho:.3e})")
+        self.h = h = step / max(1, math.ceil(spacings))
         cap = ROW_BUDGET // (8 * (_taylor_terms(0.5) + 1 + CHUNK))
-        self.m = m = max(1, min(int(0.5 / (h * rho)), cap))
+        self.m = m = max(1, int(min(0.5 / (h * rho), cap)))
         self.width = width = m * h
         self.T = self._taylor_rows(_taylor_terms(width * rho))
         self.powers = np.vander(np.arange(1, m + 1) / m, len(self.T), increasing=True)
-        # Phi over 0 ... CHUNK intervals: products of the map over one, but
-        # the map over a chunk, chained by the march, is its own exponential,
-        # lest the CHUNK roundings of a product build up in every later state
-        one = prop.transition(width)
-        maps = [np.eye(n1)]
-        for _ in range(CHUNK - 1):
-            maps.append(one @ maps[-1])
-        self.jumps = np.concatenate([*maps, prop.transition(CHUNK * width)])
+        self.jumps = prop.maps(width).reshape(-1, n1)
         x0 = np.eye(n1).ravel()
         self.table = (np.array([float(self.T[0] @ x0)]), np.empty((0, len(self.T))), x0)
         # the chunks that fit the table with Delta(0) and the end state

@@ -222,18 +222,25 @@ def test_infinite_tau_in_output(tmp_path, capsys):
     assert "tau = inf" in out
 
 
-@pytest.mark.parametrize("command", ["tau", "simulate"])
-def test_overflowing_drift_prints_an_error_line(tmp_path, capsys, command):
-    # the drift of E = (1e308, 1e308, 0) overflows a double; numpy raised
-    # LinAlgError with a traceback before it was typed
+@pytest.mark.parametrize("command, E, extra, message", [
+    pytest.param("tau", [1e308, 1e308, 0.0], [], "the drift overflows", id="tau"),
+    pytest.param("simulate", [1e308, 1e308, 0.0], [], "the drift overflows", id="simulate"),
+    pytest.param("tau", [0.3, -0.2, 0.5], ["--step", "1e308"], "the step", id="tau-step"),
+    pytest.param("simulate", [0.3, -0.2, 0.5], [], "the exponential", id="simulate-t_max")])
+def test_overflowing_drift_prints_an_error_line(tmp_path, capsys, command, E, extra, message):
+    # the drift of E = (1e308, 1e308, 0) overflows a double, and so do the
+    # count of the spacings of a 1e308 step and the exponential over a grid
+    # spacing of 1e308 / 4; numpy raised LinAlgError, and Python
+    # OverflowError, with a traceback before they were typed
     tree = json.loads(json.dumps(PAULI_WORKED))
-    tree["energy"]["E"] = [1e308, 1e308, 0.0]
+    tree["energy"]["E"] = E
     tree["coupling"] = {"M": [[1.0, 0.5, 0.0], [0.0, 1.0, 0.2]], "N": [0.3, 0.1]}
     tree["init"]["mu0"] = [0.3, 0.1, 0.2]
-    code = main([command, "--config", _write(tmp_path, tree)])
+    tree["analysis"]["grid"] = {"t_max": 1e308, "points": 5}
+    code = main([command, "--config", _write(tmp_path, tree), *extra])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err.startswith("error: the drift overflows")
+    assert captured.err.startswith(f"error: {message}")
     assert "Traceback" not in captured.err
 
 
@@ -257,8 +264,8 @@ def test_config_error_exit_codes(tmp_path, capsys):
 
     worked = _write(tmp_path, PAULI_WORKED, "worked.json")
     capsys.readouterr()
-    for flag, val in (("--eps", "nan"), ("--eps", "0.01,-0.02"), ("--step", "nan"),
-                      ("--tol", "nan"), ("--horizon", "nan"), ("--margin", "0"),
+    for flag, val in (("--eps", "nan"), ("--eps", "0.01,-0.02"), ("--eps", "0.01,x"),
+                      ("--step", "nan"), ("--tol", "nan"), ("--horizon", "nan"), ("--margin", "0"),
                       ("--margin", "nan"), ("--step", "0")):
         assert main(["tau", "--config", worked, flag, val]) == 2
         assert f"config error: {flag}: " in capsys.readouterr().err

@@ -14,6 +14,7 @@ from qmemtime.decoherence import (CrossingOptions, DecoherenceTime, decoherence_
 from qmemtime.errors import (InconclusiveCrossingError, IntegrationError, QmemtimeError,
                              StructureDefectError, TrivialWeightError,
                              ZeroDiffusionError)
+from qmemtime.interconnect import compose, product_mean
 from qmemtime.model import SystemParams
 from qmemtime.moments import (deviation_delta, initial_moments, moment_trajectory,
                               steady_state, weighting_from_sigma)
@@ -273,8 +274,7 @@ _OVERFLOWS = {"E=1e307": (np.array([1e307, 0.0, 0.0]), _M),
               "M*1e160": (np.zeros(3), 1e160 * _M)}
 
 
-def _entry_points(system, init, w, opts=None):
-    grid = np.linspace(0.0, 1.0, 5)
+def _entry_points(system, init, w, opts=None, grid=np.linspace(0.0, 1.0, 5)):
     return {"decoherence_time": lambda: decoherence_time(system, init, w, 0.1, opts=opts),
             "tau_expansion": lambda: tau_expansion(system, init, w),
             "steady_state": lambda: steady_state(system, init, w),
@@ -310,25 +310,56 @@ def test_overflowing_inputs_raise_typed_errors(pauli, case):
         assert name != "decoherence_time" and _finite(result), name
 
 
-@settings(max_examples=40, deadline=None)
-@given(scales=st.tuples(*[st.floats(-300.0, 300.0)] * 3))
-@example(scales=(0.0, 154.0, 0.0))  # the drift overflows
-@example(scales=(300.0, -300.0, 300.0))  # the trajectory overflows
-@example(scales=(105.0, 0.0, 105.25))  # the drift is singular to working precision
-@example(scales=(100.0, -6.655059397910975, 160.0))  # tau''(0) overflows
-@example(scales=(-117.73367326799553, 37.4945491511553, 270.3112727617872))  # K overflows
-def test_every_finite_scale_answers_or_raises_typed(pauli, scales):
-    # Any E, M and N from 1e-300 to 1e300 give a finite answer or a
-    # QmemtimeError; the march spans 1000 steps of 1 / (100 rho)
-    e, m, n = (10.0 ** s for s in scales)
-    system = SystemParams(sc=pauli, E=e * np.array([0.3, -0.2, 0.5]), M=m * _M, N=n * _N)
+@pytest.mark.parametrize("step", [1e308, 1e-320])
+def test_extreme_steps_raise_typed_errors(pauli, step):
+    # 2 step rho overflows at 1e308, and the nodes per interval, 0.5 / (h
+    # rho), at 1e-320, whose march then overflows the node count; each
+    # raised OverflowError before it was typed
+    system = SystemParams(sc=pauli, E=np.array([0.3, -0.2, 0.5]), M=_M, N=_N)
     init, w = initial_moments(pauli, _MU0), weighting_from_sigma(np.eye(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError):
+            decoherence_time(system, init, w, 0.1, opts=CrossingOptions(step=step))
+
+
+def _scaled_case(pauli, case, e, m, n):
+    """The spin with E, M and N scaled by e, m and n, or the n=15 composite
+    of two such spins coupled by 0.3 e, with the initial mean _MU0 on each."""
+    sub = SystemParams(sc=pauli, E=e * np.array([0.3, -0.2, 0.5]), M=m * _M, N=n * _N)
+    if case == "spin":
+        return sub, initial_moments(pauli, _MU0)
+    system = compose(sub, sub, 0.3 * e * np.ones(9)).as_system()
+    return system, initial_moments(system.sc, product_mean(_MU0, _MU0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(["spin", "composite"]),
+       scales=st.tuples(*[st.floats(-300.0, 300.0)] * 4))
+@example(case="spin", scales=(0.0, 154.0, 0.0, 0.0))  # the drift overflows
+@example(case="spin", scales=(300.0, -300.0, 300.0, 0.0))  # the trajectory overflows
+@example(case="spin", scales=(105.0, 0.0, 105.25, 0.0))  # a drift singular to working precision
+@example(case="spin", scales=(100.0, -6.655059397910975, 160.0, 0.0))  # tau''(0) overflows
+# K overflows
+@example(case="spin", scales=(-117.73367326799553, 37.4945491511553, 270.3112727617872, 0.0))
+@example(case="spin", scales=(2.0, 0.0, 0.0, 308.0))  # 2 |t| rho of a spacing overflows
+@example(case="spin", scales=(1.0, 0.0, 0.0, 308.0))  # a spacing takes 1024 squarings
+@example(case="composite", scales=(0.0, 0.0, 0.0, 308.0))  # the chunked trajectory overflows
+@example(case="composite", scales=(0.0, 0.0, 170.0, 0.0))  # the squares in |2 R E + K| overflow
+def test_every_finite_scale_answers_or_raises_typed(pauli, case, scales):
+    # Any E, M and N from 1e-300 to 1e300, on the spin or the composite,
+    # give a finite answer or a QmemtimeError; the march spans 1000 steps
+    # of 1 / (100 rho), and the trajectory 40 nodes, three chunks, up to t
+    # from 1e-300 to 1e300
+    e, m, n, t = (10.0 ** s for s in scales)
+    system, init = _scaled_case(pauli, case, e, m, n)
+    w = weighting_from_sigma(np.eye(system.n))
     try:
         rho = Propagator.of(system).rho
     except IntegrationError:
         rho = 1.0
     opts = CrossingOptions(step=1e-2 / rho, horizon=10.0 / rho)
-    for name, call in _entry_points(system, init, w, opts).items():
+    for name, call in _entry_points(system, init, w, opts, np.linspace(0.0, t, 40)).items():
         try:
             result = call()
         except QmemtimeError:

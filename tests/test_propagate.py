@@ -691,15 +691,16 @@ def test_march_keeps_maps_and_rows_of_one_step(pauli):
         assert np.array_equal(maps[chunk], prop.transition(chunk * march.width))
         for k in range(2, chunk + 1):
             assert np.abs(maps[k] - prop.transition(k * march.width)).max() <= 1e-13
-        assert prop._traj_maps == {}
+        # the maps are the propagator's one kept stack, read-only
+        stack, key = prop._maps
+        assert key == (march.width, chunk) and np.shares_memory(march.jumps, stack)
+        assert not march.jumps.flags.writeable
 
-    # a march for another weighting on the same step builds its own maps,
-    # bitwise those of the last march
+    # a march for another weighting on the same step reads the kept stack
     decoherence_time(system, init, weighting_from_sigma(2.0 * np.eye(system.n)), 0.05,
                      opts=CrossingOptions(step=step))
-    jumps = prop._deviation._march.jumps
-    assert prop._deviation._march is not march and jumps is not march.jumps
-    assert np.array_equal(jumps, march.jumps)
+    assert prop._deviation._march is not march
+    assert np.shares_memory(prop._deviation._march.jumps, march.jumps)
 
 
 @pytest.mark.parametrize("case", [0, 1, "composite"])
@@ -736,21 +737,25 @@ def test_uniform_grid_builds_one_step_map(pauli, monkeypatch):
     monkeypatch.setattr(propagate, "expm_psi",
                         lambda A, h, f=propagate.expm_psi: steps.append(h) or f(A, h))
     shared = deviation_delta(system, init, weights, grid)
-    # the maps over 1, 2, 4, 8 and 16 spacings of the one shared spacing,
-    # each its own exponential
+    # the maps over one shared spacing and over a chunk of them, each its
+    # own exponential; the maps between are products
     h = propagate.step_spacings(grid)[0]
-    assert steps == [h * 2 ** i for i in range(5)]
+    assert steps == [h, propagate.CHUNK * h]
     prop = Propagator.of(system)
-    assert all(np.array_equal(Phi, prop.transition(h * 2 ** i))
-               for i, Phi in enumerate(prop._traj_maps[h]))
+    stack, key = prop._maps
+    assert key == (h, propagate.CHUNK)
+    assert np.array_equal(stack[1], prop.transition(h))
+    assert np.array_equal(stack[-1], prop.transition(propagate.CHUNK * h))
 
-    # one map over a spacing per distinct float spacing, as without the
-    # shared rule; a fresh system, since the first call's maps are kept on
-    # this one
+    # one map over a spacing per run of equal float spacings, as without
+    # the shared rule; a fresh system, since the first call's maps are kept
+    # on this one
     del steps[:]
     monkeypatch.setattr(propagate, "step_spacings", np.diff)
     per_spacing = deviation_delta(dataclasses.replace(system), init, weights, grid)
-    assert sorted(s for s in steps if s < 1.5e-3) == sorted(set(np.diff(grid).tolist()))
+    spacings = np.diff(grid)
+    runs = spacings[np.r_[True, spacings[1:] != spacings[:-1]]].tolist()
+    assert [s for s in steps if s < 1.5e-3] == runs
     assert np.abs(shared - per_spacing).max() <= 1e-12 * np.abs(per_spacing).max()
 
 
@@ -823,25 +828,39 @@ def test_trajectory_reuses_kept_maps(pauli, monkeypatch):
 
 def test_trajectory_keeps_maps_of_one_step(pauli):
     system, init = _two_qubit_composite(pauli)
-    prop = Propagator.of(system)
+    prop, n1 = Propagator.of(system), system.n + 1
     for grid in (np.linspace(0.0, 0.3, 101), np.linspace(0.0, 0.7, 301),
                  _grid("two runs", 200, 1.0)):
         moment_trajectory(system, init, None, grid)
-        [(step, maps)] = prop._traj_maps.items()
-        assert step == propagate.step_spacings(grid)[-1]
-    assert sum(Phi.nbytes for Phi in maps) <= 5 * 16 * 16 * 8  # Phi over 1, ..., 16 steps
+        stack, key = prop._maps
+        assert key == (propagate.step_spacings(grid)[-1], propagate.CHUNK)
+        assert stack.nbytes <= (propagate.CHUNK + 1) * n1 * n1 * 8
     moment_trajectory(system, init, None, _grid("geometric", 30, 1.0))
-    assert prop._traj_maps == {}
+    assert prop._maps[0].shape == (2, n1, n1)
 
-    # a march and a trajectory each keep their own maps, whatever ran between
+    # a march keeps the stack it read, whatever a trajectory built since
     weights = weighting_from_sigma(np.eye(system.n))
     grid = np.linspace(0.0, 0.5, 501)
     for _ in range(2):
         moment_trajectory(system, init, weights, grid)
+        assert prop._maps[1] == (propagate.step_spacings(grid)[-1], propagate.CHUNK)
         decoherence_time(system, init, weights, 0.05)
-        assert list(prop._traj_maps) == [propagate.step_spacings(grid)[-1]]
-        assert np.array_equal(prop._deviation._march.jumps[system.n + 1:2 * system.n + 2],
-                              prop.transition(prop._deviation._march.width))
+        march = prop._deviation._march
+        assert np.array_equal(march.jumps[n1:2 * n1], prop.transition(march.width))
+
+
+def test_geometric_grid_builds_one_map_per_spacing(pauli, monkeypatch):
+    # every run is one node, which reads Phi over its own spacing and
+    # builds no stack over a chunk
+    system, init = _two_qubit_composite(pauli)
+    grid = _grid("geometric", 30, 1.0)
+    steps = []
+    monkeypatch.setattr(propagate, "expm_psi",
+                        lambda A, h, f=propagate.expm_psi: steps.append(h) or f(A, h))
+    moment_trajectory(system, init, None, grid)
+    assert steps == np.diff(grid).tolist()
+    stack, key = Propagator.of(system)._maps
+    assert key == (steps[-1], 1) and stack.shape == (2, system.n + 1, system.n + 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -884,7 +903,7 @@ def _random_weights(n, seed):
        wseed=st.integers(0, 2 ** 32 - 1), frac=st.floats(0.2, 0.95))
 def test_march_delta_matches_trajectory(make_instance, case, wseed, frac):
     # The march reads Delta = <L, Phi_t^T> off the Taylor polynomial of each
-    # interval; the trajectory reads it off Phi_t^T moved block by block.
+    # interval; the trajectory reads it off Phi_t^T moved chunk by chunk.
     # Both share L, so they agree to roundoff; the trajectory's Delta is
     # checked against the Lyapunov ODE in
     # test_blocked_trajectory_matches_stepwise.  A generic weighting:
