@@ -41,11 +41,15 @@ def expm_psi(A, t):
     by Horner's rule and e^{hA} = I + A psi(h).  The blocks are then
     squared back up j times by (E, P) -> (E E, E P + P); see Moler & Van
     Loan, "Nineteen dubious ways to compute the exponential of a matrix,
-    twenty-five years later", SIAM Review 45(1), 2003.  A t with 2 |t|
-    max(1, ||A||_1) past the largest double raises IntegrationError.
+    twenty-five years later", SIAM Review 45(1), 2003.  A zero A gives (I,
+    t I) at any finite t; otherwise a t with 2 |t| max(1, ||A||_1) past the
+    largest double raises IntegrationError.
     """
     A = np.asarray(A, dtype=float)
     t = float(t)
+    eye = np.eye(A.shape[0])
+    if math.isfinite(t) and not A.any():
+        return eye, t * eye
     rho = max(1.0, float(np.abs(A).sum(axis=0).max()))
     theta = abs(t) * rho
     if not math.isfinite(theta / 0.5):
@@ -54,7 +58,6 @@ def expm_psi(A, t):
     squarings = max(0, math.ceil(math.log2(theta / 0.5))) if theta > 0 else 0
     h = math.ldexp(t, -squarings)
     hA = h * A
-    eye = np.eye(A.shape[0])
     acc = eye
     for k in range(_taylor_terms(abs(h) * rho), 0, -1):
         acc = hA @ acc

@@ -40,7 +40,8 @@ for the frozen initial moments and weighting objects it serves, with
 what depends on them alone, such as L and Delta_inf, and one march:
 every eps of a tau(eps) curve reads its crossing off the table, with the
 answer of a fresh search, and the powers and the table a system keeps
-are bounded by ``ROW_BUDGET``.  The propagator keeps the last stack of maps.
+are bounded by ``ROW_BUDGET``.  The propagator keeps the last stack of
+maps; a trajectory builds the stack of each of its spacings once a call.
 """
 
 from __future__ import annotations
@@ -317,7 +318,8 @@ class Propagator:
         - I), Phi_t^T>, a sum free of the O(|L|) terms that cancel in Delta
         at short times; Phi_t^T moves to the chunk's last node by one
         product with J_j^T.  U_t is kept for one chunk only, so the output
-        is the only array the size of the grid.
+        is the only array the size of the grid.  The maps of a spacing are
+        built once per call, however many runs it has.
         """
         n, n1, N = self.n, self.n + 1, grid.size
         L = self.functional(init, Sigma)
@@ -325,6 +327,13 @@ class Propagator:
         starts = np.flatnonzero(np.r_[True, h[1:] != h[:-1]]).tolist()
         ends = starts[1:] + [h.size]
         h = h.tolist()
+        # Each distinct spacing's maps over its longest run, up to CHUNK, are
+        # built once, before the output exists, so their work arrays do not
+        # add to its size.
+        count = {}
+        for s, e in zip(starts, ends):
+            count[h[s]] = max(count.get(h[s], 0), min(e - s, CHUNK))
+        maps = {step: self.maps(step, c)[1:] for step, c in count.items()}
 
         mu = np.empty((N, n))
         V = np.zeros((N, n, n), dtype=complex) if self.noiseless else np.empty((N, n, n), complex)
@@ -336,7 +345,7 @@ class Propagator:
         U[0, :n, :n], U[0, :n, n], U[0, n, :n], U[0, n, n] = init.Pi, init.mu0, init.mu0, 1.0
         for s, e in zip(starts, ends):
             c = min(e - s, CHUNK)
-            J = self.maps(h[s], c)[1:]
+            J = maps[h[s]][:c]
             J2 = np.zeros((c, 2 * n1, 2 * n1))  # J^T kron I_2, on float views
             J2[:, ::2, ::2] = J2[:, 1::2, 1::2] = J.transpose(0, 2, 1)
             rises = (L @ (J - np.eye(n1))).reshape(c, -1)  # L (J - I)

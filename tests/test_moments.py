@@ -85,6 +85,10 @@ def test_inputs_reject_non_finite(pauli, build, bad):
 
 def test_psi_zero_drift():
     assert np.abs(expm_psi(np.zeros((3, 3)), 2.5)[1] - 2.5 * np.eye(3)).max() <= 1e-14
+    # exact at any finite t, also where 2 |t| overflows the norm bound
+    for t in (2.5, 1.7e308, -1.7e308):
+        E, psi = expm_psi(np.zeros((3, 3)), t)
+        assert np.array_equal(E, np.eye(3)) and np.array_equal(psi, t * np.eye(3))
 
 
 def test_psi_diagonal_long_time_limit(worked):
@@ -231,6 +235,11 @@ def test_delta_zero_for_frozen_system(pauli):
     w = weighting_from_sigma(np.eye(3))
     delta = deviation_delta(sys, init, w, np.linspace(0.0, 3.0, 13))
     assert np.abs(delta).max() == 0.0
+    # the mean stays at mu0 over spacings whose 2 |t| overflows a double
+    for grid in ([0.0, 1.7e308], np.linspace(0.0, 1.7e308, 40)):
+        traj = moment_trajectory(sys, init, w, np.array(grid))
+        assert np.array_equal(traj.mu, np.broadcast_to(init.mu0, traj.mu.shape))
+        assert np.abs(traj.Delta).max() == 0.0
 
 
 def test_delta_rotation_is_periodic(pauli):
