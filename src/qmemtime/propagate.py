@@ -3,8 +3,8 @@
 For a closed algebra the mean obeys mu' = A mu + b, so (mu_t, 1) =
 Phi_t (mu0, 1) with the transition matrix Phi_t = exp(t [[A, b], [0, 0]])
 of order n + 1, Van Loan's block exponential ("Computing integrals
-involving the matrix exponential", IEEE TAC 23(3), 1978) from
-:func:`~qmemtime.linalg.expm_psi`.  Products close, X_j X_k = alpha_jk +
+involving the matrix exponential", IEEE TAC 23(3), 1978) by
+:func:`~qmemtime.linalg.expm`.  Products close, X_j X_k = alpha_jk +
 beta_jk . X, and the flow preserves them, so the full complex second
 moment S = alpha + beta . mu_t at every t.  Its equation S' = A S + S A^T
 + Lambda + b mu^T + mu b^T then gives the diffusion matrix Lambda in
@@ -52,8 +52,7 @@ import math
 import numpy as np
 
 from .errors import IntegrationError, NotHurwitzError, StructureDefectError, TrivialWeightError
-from .linalg import (HURWITZ_TOL, _require_margin, _taylor_terms, expm_psi, hurwitz_margin,
-                     solve_lyapunov, spectral_norm)
+from .linalg import HURWITZ_TOL, _taylor_terms, decay_gramian, expm, hurwitz_margin, spectral_norm
 from .model import coefficients, lambda_sandwich
 
 #: Bytes allowed for a march's table of powers with the node values of one
@@ -192,7 +191,9 @@ class Propagator:
         """The steady-state mean mu_inf = -A^{-1} b of a Hurwitz drift,
         read-only; a drift that is not Hurwitz raises
         :class:`NotHurwitzError` on every read."""
-        _require_margin(self.margin, context="the steady-state mean")
+        if self.margin >= -HURWITZ_TOL:
+            raise NotHurwitzError(f"drift matrix is not Hurwitz for the steady-state mean: "
+                                  f"max Re(eig) = {self.margin:.3e}")
         try:
             mu_inf = -np.linalg.solve(self.A, self.b)
         except np.linalg.LinAlgError as err:
@@ -221,22 +222,25 @@ class Propagator:
         """The Lyapunov norm |x|_X = |X^{1/2} x| in which E_s = e^{sA}
         decays at a known rate, or None.
 
-        X solves A^T X + X A = -I.  If X > 0 and r = ||A^T X + X A + I||_2
-        <= 1/2, then d/ds |E_s x|_X^2 <= -(1 - r) |E_s x|^2 <= -(1 - r) /
-        lambda_max(X) |E_s x|_X^2, so for every s >= 0
+        X solves A^T X + X A = -I: it is the decay Gramian, the integral of
+        E_s^T E_s over s >= 0, which :func:`~qmemtime.linalg.decay_gramian`
+        finds by squared Smith doubling from s = 1 / (2 rho).  If X > 0
+        and r = ||A^T X + X A + I||_2 <= 1/2, then d/ds |E_s x|_X^2 <= -(1 -
+        r) |E_s x|^2 <= -(1 - r) / lambda_max(X) |E_s x|_X^2, so for every
+        s >= 0
 
             ||X^{1/2} E_s X^{-1/2}||_2 <= exp(-rate s),   rate = (1 - r) / (2 lambda_max(X))
 
         (Trefethen & Embree, "Spectra and Pseudospectra", 2005).  It is
         (X^{1/2}, X^{-1/2}, rate, kappa(X)), derived once per drift; r
         includes a bound on the roundoff of the residual.  A drift that is
-        not Hurwitz, or an X that fails the check or has kappa(X) >
-        ``KAPPA_MAX``, has none.
+        not Hurwitz, or an X that the doubling does not reach, fails the
+        check or has kappa(X) > ``KAPPA_MAX``, has none.
         """
-        if self.margin >= -HURWITZ_TOL:
+        X = decay_gramian(self.A, 0.5 / self.rho) if self.margin < -HURWITZ_TOL else None
+        if X is None:
             return None
         A, n = self.A, self.n
-        X = solve_lyapunov(A.T, np.eye(n))
         w, v = np.linalg.eigh(X)
         if not w[0] > 0.0 or w[-1] > KAPPA_MAX * w[0]:
             return None
@@ -258,11 +262,7 @@ class Propagator:
     def transition(self, h):
         """The transition matrix Phi_h = exp(h [[A, b], [0, 0]]), which
         maps (mu, 1) at t to (mu, 1) at t + h."""
-        n = self.n
-        E, psi = expm_psi(self.A, h)
-        Phi = np.zeros((n + 1, n + 1))
-        Phi[:n, :n], Phi[:n, n], Phi[n, n] = E, psi @ self.b, 1.0
-        return Phi
+        return expm(self.Ahat, h)
 
     def maps(self, h, count=CHUNK):
         """Phi over 0, 1, ..., ``count`` spacings ``h``, stacked, read-only

@@ -141,6 +141,20 @@ def psi_simpson(A, t, n_intervals=400):
     return out
 
 
+def solve_lyapunov(A, Q):
+    """Solve A P + P A^T + Q = 0 by vectorizing to a dense n^2-by-n^2
+    linear system, with the column-major identities col(AP) = (I kron A)
+    col(P) and col(P A^T) = (A kron I) col(P)."""
+    A = np.asarray(A, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    n = A.shape[0]
+    eye = np.eye(n)
+    lin = np.kron(eye, A) + np.kron(A, eye)
+    vec = np.linalg.solve(lin, -Q.reshape(-1, order="F"))
+    P = vec.reshape(n, n, order="F")
+    return (P + P.T) / 2.0
+
+
 def mean_closed(co, mu0, t):
     """Mean at time t from the matrix exponential (scipy route)."""
     return sexpm(co.A * t) @ mu0 + psi_simpson(co.A, t) @ co.b

@@ -75,6 +75,7 @@ REMOVED = [
                                                 "DeviationMarch.limit",
                                                 "DeviationMarch.decay_bound")),
     ("qmemtime.moments", "_delta_rate0"),
+    *(("qmemtime.linalg", name) for name in ("expm_psi", "solve_lyapunov", "_require_margin")),
 ]
 
 

@@ -4,23 +4,26 @@ e^{-rate s} that ends the march at a closed-form time."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
-from scipy.linalg import solve_continuous_lyapunov, sqrtm
+from scipy.linalg import expm as sexpm, solve_continuous_lyapunov, sqrtm
 
 from qmemtime import propagate
 from qmemtime.decoherence import CrossingOptions, decoherence_time
 from qmemtime.errors import InconclusiveCrossingError
-from qmemtime.linalg import expm_psi
+from qmemtime.interconnect import compose, product_mean
+from qmemtime.linalg import decay_gramian
 from qmemtime.model import SystemParams
 from qmemtime.moments import (deviation_delta, initial_moments, reference_norm,
                               steady_state, weighting_from_sigma)
 from qmemtime.propagate import Propagator
 
-from oracles import first_crossing_scan
+from dense import fit_structure_constants
+from oracles import first_crossing_scan, gell_mann_representation
 
 
 def _cases(worked, make_instance, count, seed):
@@ -46,7 +49,7 @@ def test_identity_e_against_trajectory(worked, make_instance):
         K = L[:-1, :-1] - np.outer(mu_inf, L[-1, :-1])
         d_inf = float(L[-1, :-1] @ mu_inf + L[-1, -1])
         delta = deviation_delta(sys, init, w, grid)
-        form = np.array([np.sum(K * expm_psi(prop.A, t)[0].T) for t in grid]) + d_inf
+        form = np.array([np.sum(K * sexpm(t * prop.A).T) for t in grid]) + d_inf
         assert np.abs(form - delta).max() <= 1e-12 * max(1.0, np.abs(delta).max())
 
 
@@ -68,7 +71,7 @@ def test_lyapunov_norm_against_scipy(worked, make_instance):
         assert np.abs(Xh - root).max() <= 1e-10 * np.abs(root).max()
         assert np.abs(Xih @ root - np.eye(3)).max() <= 1e-10
         for t in np.linspace(0.0, 4.0, 41):
-            E = expm_psi(prop.A, t)[0]
+            E = sexpm(t * prop.A)
             norm = np.linalg.norm(root @ E @ np.linalg.inv(root), 2)
             assert norm <= np.exp(-rate * t) * (1 + 1e-12)
         march = prop.deviation(init, w).march(1e-3)
@@ -175,10 +178,62 @@ def test_no_certificate_without_a_checked_lyapunov_norm(worked, monkeypatch, fau
     if fault == "kappa":
         monkeypatch.setattr(propagate, "KAPPA_MAX", 1.0)
     else:
-        monkeypatch.setattr(propagate, "solve_lyapunov",
-                            lambda A, Q, f=propagate.solve_lyapunov: 2.0 * f(A, Q))
+        monkeypatch.setattr(propagate, "decay_gramian",
+                            lambda A, h, f=propagate.decay_gramian: 2.0 * f(A, h))
     system = dataclasses.replace(worked.sys)
     with pytest.raises(InconclusiveCrossingError):
         decoherence_time(system, *args, opts=opts)
     prop = Propagator.of(system)
     assert prop.contraction is None and prop._deviation.decay_bound is None
+
+
+@pytest.mark.parametrize("case", ["jordan", "damped rotation", "random n=35"])
+def test_decay_gramian_against_scipy(case):
+    # a defective drift, a rotation damped at 1e-3, which takes 16
+    # doublings, and a generic drift, each from s = 1 / (2 ||A||_2)
+    if case == "jordan":
+        A = -np.eye(4) + np.diag(np.ones(3), 1)
+    elif case == "damped rotation":
+        A = np.array([[-1e-3, 1.0], [-1.0, -1e-3]])
+    else:
+        M = np.random.default_rng(35).standard_normal((35, 35)) / np.sqrt(35)
+        A = M - (np.linalg.eigvals(M).real.max() + 0.3) * np.eye(35)
+    X = decay_gramian(A, 0.5 / max(1.0, np.linalg.norm(A, 2)))
+    want = solve_continuous_lyapunov(A.T, -np.eye(len(A)))
+    assert np.abs(X - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(X, X.T)
+
+
+@pytest.mark.parametrize("case", ["not negligible", "E overflows", "X overflows"])
+def test_decay_gramian_none_without_warning(case):
+    # e^{-1e-19 s} rounds to 1, so E stays I through 64 doublings.  With
+    # N the shift of order 60, the nilpotent part of -I + 1e6 N drives E_s
+    # past the largest double before e^{-s} brings it back; that of -I +
+    # 3000 N peaks near 1e204, so E_s decays in 11 doublings but X overflows
+    if case == "not negligible":
+        A = -1e-19 * np.eye(3)
+    else:
+        A = -np.eye(60) + (1e6 if case == "E overflows" else 3000.0) * np.diag(np.ones(59), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert decay_gramian(A, 0.5) is None
+
+
+def test_qutrit_pair_certified_infinite():
+    # n = 80: two coupled qutrits, each driven by two fields.  Delta_inf +
+    # B0 = 159 is above the threshold 97.8 and Delta_inf = 78.4 below it,
+    # so the march runs to t_c = 6.7 and certifies tau = inf there
+    rng = np.random.default_rng(5)
+    qutrit = fit_structure_constants(gell_mann_representation(3)).constants
+    subs = [SystemParams(sc=qutrit, E=0.5 * rng.standard_normal(8),
+                         M=0.5 * rng.standard_normal((2, 8)), N=np.zeros(2)) for _ in range(2)]
+    system = compose(*subs, 0.2 * rng.standard_normal(64)).as_system()
+    init = initial_moments(system.sc, product_mean(0.1 * rng.standard_normal(8),
+                                                   0.1 * rng.standard_normal(8)))
+    weights = weighting_from_sigma(np.eye(80))
+    assert decoherence_time(system, init, weights, 2.5).is_infinite
+    prop = Propagator.of(system)
+    root = sqrtm(solve_continuous_lyapunov(prop.A.T, -np.eye(80))).real
+    assert np.abs(prop.contraction[0] - root).max() <= 1e-10 * np.abs(root).max()
+    d_inf, threshold = prop._deviation.limit, 2.5 * reference_norm(init, weights)
+    assert d_inf < threshold < d_inf + prop._deviation.decay_bound[0]

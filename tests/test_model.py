@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qmemtime.algebra import StructureConstants, col, stack_mho
-from qmemtime.linalg import expm_psi
 from qmemtime.model import SystemParams, coefficients, ito_matrix, lambda_matrix
 
 from oracles import lambda_affine, lambda_kron
@@ -174,7 +173,9 @@ def test_lambda_dot_finite_difference_random_instance(make_instance):
     co = coefficients(sys)
     lamd = _lambda_rate(sys, init.mu0)
     h = 1e-6
-    mu_h = sexpm(co.A * h) @ init.mu0 + expm_psi(co.A, h)[1] @ co.b
+    # (mu_h, 1) = exp(h [[A, b], [0, 0]]) (mu0, 1)
+    Ahat = np.block([[co.A, co.b[:, None]], [np.zeros((1, sys.n + 1))]])
+    mu_h = (sexpm(h * Ahat) @ np.append(init.mu0, 1.0))[:-1]
     fd = (lambda_matrix(sys, mu_h) - lambda_matrix(sys, init.mu0)) / h
     assert np.abs(fd - lamd).max() <= 1e-5 * max(1.0, np.abs(lamd).max())
 

@@ -10,14 +10,14 @@ from qmemtime import propagate
 from qmemtime.errors import (AdmissibilityError, IntegrationError,
                              NotHurwitzError)
 from qmemtime.interconnect import compose, product_mean
-from qmemtime.linalg import expm_psi, solve_lyapunov, spectral_norm
+from qmemtime.linalg import expm, spectral_norm
 from qmemtime.model import SystemParams, coefficients
 from qmemtime.moments import (InitialMoments, WeightingSpec, delta_derivatives0,
                               deviation_delta, initial_moments, moment_trajectory,
                               reference_norm, steady_state,
                               weighting_from_factor, weighting_from_sigma)
 
-from oracles import (delta_upsilon, mean_rk4, psi_simpson, v_quadrature)
+from oracles import (delta_upsilon, mean_rk4, psi_simpson, solve_lyapunov, v_quadrature)
 
 
 # -- initial moments and weights --------------------------------------------
@@ -81,54 +81,70 @@ def test_inputs_reject_non_finite(pauli, build, bad):
         call(value)
 
 
-# -- integrated exponential ---------------------------------------------------
+# -- exponential and transition matrix ---------------------------------------
 
-def test_psi_zero_drift():
-    assert np.abs(expm_psi(np.zeros((3, 3)), 2.5)[1] - 2.5 * np.eye(3)).max() <= 1e-14
-    # exact at any finite t, also where 2 |t| overflows the norm bound
-    for t in (2.5, 1.7e308, -1.7e308):
-        E, psi = expm_psi(np.zeros((3, 3)), t)
-        assert np.array_equal(E, np.eye(3)) and np.array_equal(psi, t * np.eye(3))
+def _generator(A, B):
+    """[[A, B], [0, 0]], whose exponential at t has the top right block
+    psi(t) B, psi(t) the integral of e^{sA} over [0, t]."""
+    B = np.reshape(B, (A.shape[0], -1))
+    return np.block([[A, B], [np.zeros((B.shape[1], A.shape[0] + B.shape[1]))]])
+
+
+def test_psi_zero_drift(worked):
+    # a zero drift moves the mean by t b: [[0, b], [0, 0]] is nilpotent
+    b = np.array([0.3, -1.0, 2.0])
+    assert np.abs(expm(_generator(np.zeros((3, 3)), b), 2.5)[:3, 3] - 2.5 * b).max() <= 1e-14
+    # a zero matrix is exact at any finite t, also where 2 |t| overflows
+    # the norm bound; any other matrix raises there
+    for t in (0.0, 2.5, 1.7e308, -1.7e308):
+        assert np.array_equal(expm(np.zeros((3, 3)), t), np.eye(3))
+    for A in (worked.A, 1e-300 * np.eye(3)):
+        with pytest.raises(IntegrationError, match="overflows"):
+            expm(A, 1.7e308)
 
 
 def test_psi_diagonal_long_time_limit(worked):
-    psi = expm_psi(worked.A, 60.0)[1]
+    # psi(60) b = -A^{-1} b = mu_inf, and all of psi(60) from [[A, I], [0, 0]]
+    Phi = propagate.Propagator.of(worked.sys).transition(60.0)
+    assert np.abs(Phi[:3, 3] - worked.mu_inf).max() <= 1e-12
+    psi = expm(_generator(worked.A, np.eye(3)), 60.0)[:3, 3:]
     assert np.abs(psi - np.diag([0.5, 0.5, 0.25])).max() <= 1e-12
 
 
 def test_psi_matches_quadrature(worked):
     rng = np.random.default_rng(21)
-    A = rng.standard_normal((3, 3))
+    A, b = rng.standard_normal((3, 3)), rng.standard_normal(3)
     for t in (0.3, 1.1):
-        assert np.abs(expm_psi(A, t)[1] - psi_simpson(A, t, 800)).max() <= 1e-7
-    assert np.abs(expm_psi(worked.A, 0.0)[1]).max() == 0.0
+        want = psi_simpson(A, t, 800) @ b
+        assert np.abs(expm(_generator(A, b), t)[:3, 3] - want).max() <= 1e-7
+    assert np.array_equal(propagate.Propagator.of(worked.sys).transition(0.0), np.eye(4))
 
 
 def test_psi_derivative_is_exponential(worked):
+    # d/dt psi(t) b = e^{tA} b, on the last column of the transition matrix
+    transition = propagate.Propagator.of(worked.sys).transition
     h = 1e-6
     t = 0.7
-    fd = (expm_psi(worked.A, t + h)[1] - expm_psi(worked.A, t - h)[1]) / (2 * h)
-    assert np.abs(fd - sexpm(worked.A * t)).max() <= 1e-8
+    fd = (transition(t + h)[:3, 3] - transition(t - h)[:3, 3]) / (2 * h)
+    assert np.abs(fd - sexpm(worked.A * t) @ worked.b).max() <= 1e-8 * np.abs(worked.b).max()
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 15), seed=st.integers(0, 2 ** 32 - 1),
        scale=st.floats(1e-3, 10.0), abscissa=st.floats(-2.0, 0.5),
        singular=st.booleans(), t=st.floats(0.0, 20.0))
-def test_expm_psi_matches_block_expm(n, seed, scale, abscissa, singular, t):
-    """Both blocks agree with scipy's exponential of t [[A, I], [0, 0]] for
-    scaled, singular and unstable drifts (largest eigenvalue real part
-    scale * abscissa before the singular column is cut)."""
-    M = np.random.default_rng(seed).standard_normal((n, n)) / np.sqrt(n)
+def test_expm_matches_block_expm(n, seed, scale, abscissa, singular, t):
+    """The exponentials of t A and of t [[A, b], [0, 0]] agree with
+    scipy's for scaled, singular and unstable drifts (largest eigenvalue
+    real part scale * abscissa before the singular column is cut)."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n)) / np.sqrt(n)
     A = scale * (M - (np.linalg.eigvals(M).real.max() - abscissa) * np.eye(n))
     if singular:
         A[:, 0] = 0.0
-    blk = np.zeros((2 * n, 2 * n))
-    blk[:n, :n] = A
-    blk[:n, n:] = np.eye(n)
-    ref = sexpm(t * blk)
-    for got, want in zip(expm_psi(A, t), (ref[:n, :n], ref[:n, n:])):
-        err = np.linalg.norm(got - want, 1)
+    for G in (A, _generator(A, scale * rng.standard_normal(n))):
+        want = sexpm(t * G)
+        err = np.linalg.norm(expm(G, t) - want, 1)
         assert err <= 1e-10 * max(1.0, np.linalg.norm(want, 1))
 
 

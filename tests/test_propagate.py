@@ -18,7 +18,6 @@ from qmemtime.decoherence import (CrossingOptions, decoherence_time,
 from qmemtime.errors import (InconclusiveCrossingError, IntegrationError, NotHurwitzError,
                              StructureDefectError, TrivialWeightError, ZeroDiffusionError)
 from qmemtime.interconnect import compose, product_mean
-from qmemtime.linalg import solve_lyapunov
 from qmemtime.model import SystemParams
 from qmemtime.moments import (deviation_delta, initial_moments,
                               moment_trajectory, reference_norm,
@@ -29,7 +28,7 @@ from qmemtime.propagate import DeviationMarch, Propagator
 from conftest import random_instance
 from dense import fit_structure_constants
 from oracles import (first_crossing_scan, forward_taylor, gell_mann_representation,
-                     gradient_check, stepwise_trajectory)
+                     gradient_check, solve_lyapunov, stepwise_trajectory)
 
 
 def _march(system, init, weights, step):
@@ -453,8 +452,8 @@ def test_decoherence_times_share_chunk_maps(worked, monkeypatch):
     args = (worked.init, worked.weights)
     decoherence_time(system, *args, 0.5)
     calls = []
-    monkeypatch.setattr(propagate, "expm_psi",
-                        lambda A, t, f=propagate.expm_psi: calls.append(t) or f(A, t))
+    monkeypatch.setattr(propagate, "expm",
+                        lambda A, t, f=propagate.expm: calls.append(t) or f(A, t))
 
     shared = decoherence_time(system, *args, 0.05)
     assert calls == []
@@ -734,8 +733,8 @@ def test_uniform_grid_builds_one_step_map(pauli, monkeypatch):
     assert len(set(np.diff(grid).tolist())) > 1
 
     steps = []
-    monkeypatch.setattr(propagate, "expm_psi",
-                        lambda A, h, f=propagate.expm_psi: steps.append(h) or f(A, h))
+    monkeypatch.setattr(propagate, "expm",
+                        lambda A, h, f=propagate.expm: steps.append(h) or f(A, h))
     shared = deviation_delta(system, init, weights, grid)
     # the maps over one shared spacing and over a chunk of them, each its
     # own exponential; the maps between are products
@@ -814,8 +813,8 @@ def test_trajectory_reuses_kept_maps(pauli, monkeypatch):
     grid = np.linspace(0.0, 0.5, 501)
     first = moment_trajectory(system, init, weights, grid)
     calls = []
-    monkeypatch.setattr(propagate, "expm_psi",
-                        lambda A, h, f=propagate.expm_psi: calls.append(h) or f(A, h))
+    monkeypatch.setattr(propagate, "expm",
+                        lambda A, h, f=propagate.expm: calls.append(h) or f(A, h))
     monkeypatch.setattr(Propagator, "transition",
                         lambda self, h, f=Propagator.transition: calls.append(h) or f(self, h))
     second = moment_trajectory(system, init, weights, grid)
@@ -853,8 +852,8 @@ def test_geometric_grid_builds_one_map_per_spacing(pauli, monkeypatch):
     system, init = _two_qubit_composite(pauli)
     grid = _grid("geometric", 30, 1.0)
     steps = []
-    monkeypatch.setattr(propagate, "expm_psi",
-                        lambda A, h, f=propagate.expm_psi: steps.append(h) or f(A, h))
+    monkeypatch.setattr(propagate, "expm",
+                        lambda A, h, f=propagate.expm: steps.append(h) or f(A, h))
     moment_trajectory(system, init, None, grid)
     assert steps == np.diff(grid).tolist()
     stack, key = Propagator.of(system)._maps
