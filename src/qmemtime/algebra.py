@@ -8,7 +8,8 @@ products used throughout the package, and the n^2-by-n vertical stack of
 Theta sections that turns the different products into plain matrix algebra.
 The product table of the extended basis (I, X_1..X_n) checks the constants
 without a matrix representation: its associativity and commutation defects
-vanish for every family of matrices that realizes them.
+vanish for every family of matrices that realizes them; a Freivalds test of
+associativity in O(n^3) guards the propagator and ``compose``.
 
 Conventions
 -----------
@@ -32,6 +33,10 @@ from .errors import StructureDefectError
 #: Defect size below which inputs are symmetrized/Hermitized silently;
 #: anything larger is rejected so user errors are not hidden by repair.
 REPAIR_TOL = 1e-12
+
+#: Largest associativity defect of a product table, in a basis where its
+#: entries are at most 1 (see :func:`_associativity_defect`), that counts as roundoff.
+ASSOCIATIVITY_TOL = 1e-10
 
 
 def col(mat):
@@ -210,3 +215,19 @@ def _table_defects(T, theta):
     comm = T[1:, 1:] - np.transpose(T[1:, 1:], (1, 0, 2))
     comm[..., 1:] -= 2j * np.transpose(theta, (1, 2, 0))
     return assoc, float(np.abs(comm).max())
+
+
+def _associativity_defect(T):
+    """|(xy)z - x(yz)| on the table T of (I, X_1..X_n) for the Weyl sequences
+    x, y, z of the golden ratio, sqrt 2 and sqrt 3 in [-1, 1]^(n+1) (no
+    numpy.random import), in the basis (I, X_1/s..X_n/s) with s = max(sqrt
+    max|alpha|, max|beta|), whose table entries are at most 1 in modulus, so
+    that X' = c X measures as X: Freivalds' randomized test (1977), in O(n^3)."""
+    n1 = T.shape[0]
+    s = max(np.sqrt(np.abs(T[1:, 1:, 0]).max()), np.abs(T[1:, 1:, 1:]).max()) or 1.0
+    w = np.r_[1.0, np.full(n1 - 1, 1.0 / s)]  # coordinates of the rescaled basis in T's
+    k = np.arange(1, n1 + 1)
+    x, y, z = (w * (2.0 * (k * g % 1.0) - 1.0)
+               for g in (0.6180339887498949, 0.4142135623730951, 0.7320508075688772))
+    xy, yz = y @ np.tensordot(x, T, 1), z @ np.tensordot(y, T, 1)  # uv = v @ sum_a u_a T[a]
+    return float(np.abs((z @ np.tensordot(xy, T, 1) - yz @ np.tensordot(x, T, 1)) / w).max())

@@ -296,7 +296,8 @@ def parse_config(tree):
                      sweep=sweep, out_path=out_path, tree=norm_tree)
 
 
-def load_config(path):
+def load_config(path, args=None):
+    """The parsed config at ``path``, with the flags of ``args`` merged in."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             tree = json.load(fh)
@@ -304,7 +305,7 @@ def load_config(path):
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return parse_config(tree)
+    return parse_config(tree if args is None else _apply_overrides(tree, args))
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +486,9 @@ def _build_parser():
     return parser
 
 
-def _apply_overrides(cfg, args):
-    """``cfg`` with the analysis entries that flags override: each flag is
-    checked under its own name, and the merged tree is parsed again."""
+def _apply_overrides(tree, args):
+    """The raw ``tree`` with the flags merged into ``analysis``, each checked
+    under its own name, so that the one parse fills defaults such as ``sweep.eps``."""
     updates = {}
     if args.eps is not None:
         updates["eps"] = [_positive_scalar(e, "--eps") for e in _cli_numbers(args.eps, "--eps")]
@@ -495,9 +496,10 @@ def _apply_overrides(cfg, args):
         val = getattr(args, f.name)
         if val is not None:
             updates[f.name] = _positive_scalar(val, f"--{f.name}")
-    if not updates:
-        return cfg
-    return parse_config({**cfg.tree, "analysis": {**cfg.tree["analysis"], **updates}})
+    analysis = tree.get("analysis", {}) if isinstance(tree, dict) else None
+    if not updates or not isinstance(analysis, dict):
+        return tree  # parse_config reports a tree or analysis that is not a dict
+    return {**tree, "analysis": {**analysis, **updates}}
 
 
 _DISPATCH = {
@@ -513,8 +515,7 @@ _DISPATCH = {
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        cfg = load_config(args.config, args)
         if args.dump_config:
             _sys.stdout.write(json.dumps(cfg.tree, indent=2, sort_keys=True) + "\n")
             return 0

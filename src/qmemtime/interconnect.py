@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import StructureConstants, _product_table, _table_defects
+from .algebra import ASSOCIATIVITY_TOL, StructureConstants, _associativity_defect, _product_table
 from .errors import RepresentationError
 from .model import SystemParams
 from .optimize import optimal_energy, rk_matrices
@@ -75,12 +75,11 @@ def compose(sub1, sub2, E12):
     The joint product table over the extended basis (I, X_1..X_n) is the
     Kronecker product of the subsystem tables, taken in the variable layout
     (X_j x I, I x Y_k, X_j x Y_k) with (j, k) row-major.  A subsystem whose
-    table has an associativity defect above roundoff (1e-10 times its
-    largest entry squared, at least 1e-10) raises RepresentationError; no
-    matrix representation is built.  The joint coupling matrix places M1
-    and M2 on the subsystem blocks with exact zeros elsewhere, and the
-    joint Ito matrix is block diagonal over the two field families by
-    construction.
+    table fails :func:`~qmemtime.algebra._associativity_defect` raises
+    RepresentationError; no matrix representation is built.  The joint
+    coupling matrix places M1 and M2 on the subsystem blocks with exact
+    zeros elsewhere, and the joint Ito matrix is block diagonal over the
+    two field families by construction.
     """
     n1, n2 = sub1.n, sub2.n
     n = n1 + n2 + n1 * n2
@@ -91,12 +90,11 @@ def compose(sub1, sub2, E12):
                          f"expected ({n1 * n2},)")
 
     T1, T2 = _product_table(sub1.sc), _product_table(sub2.sc)
-    for label, sub, T in (("sub1", sub1, T1), ("sub2", sub2, T2)):
-        defect, _ = _table_defects(T, sub.sc.theta)
-        # Each term is a product of two table entries; so is its roundoff.
-        if defect > 1e-10 * max(1.0, np.abs(T).max()) ** 2:
+    for label, T in (("sub1", T1), ("sub2", T2)):
+        defect = _associativity_defect(T)
+        if defect > ASSOCIATIVITY_TOL:
             raise RepresentationError(f"{label} constants are not associative "
-                                      f"(defect {defect:.3e})")
+                                      f"(relative defect {defect:.3e})")
     T = _joint_table(T1, T2)
     sc = StructureConstants(T[1:, 1:, 0].real, np.transpose(T[1:, 1:, 1:], (2, 0, 1)))
 

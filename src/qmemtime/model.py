@@ -9,10 +9,10 @@ averaged diffusion matrix
     Lambda(mu) = 4 mho^T ((alpha + beta . mu) kron (M^T Omega M)) mho,
 
 which is affine in the mean vector mu.  Products close, X_j X_k =
-alpha_jk + beta_jk . X, so Lambda is also read off the closure in O(n^3)
-(see :meth:`Propagator.lam <qmemtime.propagate.Propagator.lam>`); the
-sandwich itself is evaluated only at single means, by
-:func:`lambda_sandwich`, to check that the closure holds.
+alpha_jk + beta_jk . X, so Lambda is read off the closure in O(n^3)
+(see :meth:`Propagator.lam <qmemtime.propagate.Propagator.lam>`), which
+holds where the product table is associative; the O(n^4) sandwich itself
+is a test oracle.
 """
 
 from __future__ import annotations
@@ -128,20 +128,6 @@ def coefficients(sys):
     b = -2.0 * stack_mho(theta).T @ col(S)
 
     return CoefficientSet(A0=A0, Atilde=Atilde, A=A0 + Atilde, b=b)
-
-
-def lambda_sandwich(sys, mu):
-    """The Kronecker sandwich Lambda(mu) at one mean, by the double sum 4
-    sum_j Theta_j^T G (sum_k Pi_jk Theta_k) with G = M^T Omega M and Pi =
-    alpha + beta . mu, in O(n^4) flops and O(n^3) memory: the paper's
-    definition, which the propagator checks the closure form against."""
-    n = sys.n
-    Omega, _ = ito_matrix(sys.m)
-    G = sys.M.T @ Omega @ sys.M
-    th = sys.sc.theta
-    Pi = sys.sc.alpha + (mu @ sys.sc.beta.reshape(n, n * n)).reshape(n, n)
-    W = G @ (Pi @ th.reshape(n, n * n)).reshape(n, n, n)  # G sum_k Pi_jk Theta_k, for each j
-    return 4.0 * th.reshape(n * n, n).T @ W.reshape(n * n, n)
 
 
 def lambda_matrix(sys, mu):

@@ -8,9 +8,10 @@ involving the matrix exponential", IEEE TAC 23(3), 1978) by
 beta_jk . X, and the flow preserves them, so the full complex second
 moment S = alpha + beta . mu_t at every t.  Its equation S' = A S + S A^T
 + Lambda + b mu^T + mu b^T then gives the diffusion matrix Lambda in
-O(n^3) (:meth:`Propagator.lam`); the paper's O(n^4) sandwich is evaluated
-at two means only, to check that the constants close.  Both the second
-moment of the noise response and the deviation follow from Phi_t alone:
+O(n^3) (:meth:`Propagator.lam`) where the product table is associative,
+which :func:`~qmemtime.algebra._associativity_defect` checks; the paper's
+O(n^4) sandwich is a test oracle.  Both the second moment of the noise
+response and the deviation follow from Phi_t alone:
 
     V_t = alpha + beta . mu_t - [Phi_t Z Phi_t^T]_{:n,:n},   Delta(t) = <L, Phi_t^T>,
 
@@ -51,9 +52,10 @@ import math
 
 import numpy as np
 
+from .algebra import ASSOCIATIVITY_TOL, _associativity_defect, _product_table
 from .errors import IntegrationError, NotHurwitzError, StructureDefectError, TrivialWeightError
 from .linalg import HURWITZ_TOL, _taylor_terms, decay_gramian, expm, hurwitz_margin, spectral_norm
-from .model import coefficients, lambda_sandwich
+from .model import coefficients
 
 #: Bytes allowed for a march's table of powers with the node values of one
 #: chunk, which caps the nodes per interval, and again for its kept table.
@@ -62,10 +64,6 @@ ROW_BUDGET = 1 << 20
 #: Spacings, the intervals of a march or the steps of a trajectory, that
 #: one stack of maps spans.
 CHUNK = 16
-
-#: Largest defect of the closure form of Lambda, relative to the size of
-#: its terms, that the propagator accepts.
-CLOSURE_TOL = 1e-10
 
 #: Largest condition number of the Lyapunov solution X whose norm certifies
 #: decay (see :meth:`Propagator.contraction`).
@@ -79,11 +77,6 @@ def _horner(coef, s):
         dp = dp * s + p
         p = p * s + c
     return p, dp
-
-
-def _defect(form, size, sandwich=0.0):
-    """|``form`` - ``sandwich``| relative to the size of their terms."""
-    return np.abs(form - sandwich).max() / max(1.0, size, np.abs(sandwich).max())
 
 
 def step_spacings(grid):
@@ -109,9 +102,10 @@ class Propagator:
     its coefficient set ``co`` with drift A, offset b and generator
     ``Ahat`` = [[A, b], [0, 0]] of Phi, ||A||_2, the Hurwitz margin
     (largest eigenvalue real part), the isolated drifts ``D`` with A0 =
-    sum_l E_l D_l, the closure alpha + beta . mu and its defect, whether
-    the diffusion vanishes and whether A and b do; a drift that overflows
-    a double raises IntegrationError.  Kept as used: the last
+    sum_l E_l D_l, the closure alpha + beta . mu and the associativity
+    defect of the product table that guards it, whether the diffusion
+    vanishes and whether A and b do; a drift that overflows a double
+    raises IntegrationError.  Kept as used: the last
     :meth:`deviation` record, with its march, and the last stack of
     :meth:`maps`, which a march or a trajectory built; the steady state
     (:attr:`mean_limit`, :attr:`limits`) and the Lyapunov norm
@@ -142,18 +136,12 @@ class Propagator:
         self.frozen = bool(np.abs(co.A).max() <= 1e-14 and np.abs(co.b).max() <= 1e-14)
         self._deviation = None
         self._maps = None, None  # the last stack of maps and its (h, count)
-        # Both forms of Lambda are affine in mu: agreement at 0 and at a fixed pseudo-
-        # random Weyl sequence (no numpy.random import) is a randomized test (Freivalds 1977)
+        self._defect = _associativity_defect(_product_table(sc))
+        # Lambda is affine in mu, so it vanishes at every mean if it does at 0
+        # and at a fixed pseudo-random Weyl sequence (no numpy.random import).
         probes = (np.zeros(n), 2.0 * (np.arange(1, n + 1) * 0.6180339887498949 % 1.0) - 1.0)
-        sandwiches = [lambda_sandwich(sys, mu) for mu in probes]
         #: No diffusion at any mean, so V is identically zero.
-        self.noiseless = not any(s.any() for s in sandwiches)
-        #: The relative defect of the closure at the probe means: the form
-        #: with the coupling drift against the sandwich, and the isolated
-        #: form with A0, which vanishes on a closed algebra.
-        self._defect = max(*(_defect(*self._closure_form(co.Atilde, co.b, mu), s)
-                             for mu, s in zip(probes, sandwiches)),
-                           *(_defect(*self._closure_form(co.A0, probes[0], mu)) for mu in probes))
+        self.noiseless = not any(self._closure_form(co.Atilde, co.b, mu)[0].any() for mu in probes)
 
     @classmethod
     def of(cls, sys):
@@ -177,14 +165,13 @@ class Propagator:
         return t - X - X.conj().T, max(np.abs(t).max(), np.abs(X).max())
 
     def _require_closure(self):
-        """Raise :class:`StructureDefectError` unless the closure form of
-        Lambda (see :meth:`lam`) matches the sandwich at the probe means
-        and its isolated part beta . (A0 mu) - A0 S - S A0^T vanishes there."""
-        if self._defect > CLOSURE_TOL:
+        """Raise :class:`StructureDefectError` unless the product table is
+        associative, so that the second moment stays alpha + beta . mu."""
+        if self._defect > ASSOCIATIVITY_TOL:
             raise StructureDefectError(
                 f"the second moment leaves the product closure alpha + beta . mu "
-                f"(relative defect {self._defect:.3e} > {CLOSURE_TOL:g}); the "
-                f"structure constants are not associative")
+                f"(relative associativity defect {self._defect:.3e} > {ASSOCIATIVITY_TOL:g}); "
+                f"the structure constants are not associative")
 
     @functools.cached_property
     def mean_limit(self):

@@ -63,6 +63,20 @@ def lambda_kron(sys, mu):
     return 4.0 * mho.T @ np.kron(Pi, G) @ mho
 
 
+def lambda_sandwich(sys, mu):
+    """The Kronecker sandwich Lambda(mu) at one mean, by the double sum 4
+    sum_j Theta_j^T G (sum_k Pi_jk Theta_k) with G = M^T Omega M and Pi =
+    alpha + beta . mu, in O(n^4) flops and O(n^3) memory: the paper's
+    definition, which holds for any constants, associative or not."""
+    n = sys.n
+    Omega, _ = ito_matrix(sys.m)
+    G = sys.M.T @ Omega @ sys.M
+    th = sys.sc.theta
+    Pi = sys.sc.alpha + (mu @ sys.sc.beta.reshape(n, n * n)).reshape(n, n)
+    W = G @ (Pi @ th.reshape(n, n * n)).reshape(n, n, n)  # G sum_k Pi_jk Theta_k, for each j
+    return 4.0 * th.reshape(n * n, n).T @ W.reshape(n * n, n)
+
+
 def lambda_affine(sys):
     """Affine decomposition Lambda(mu) = C0 + sum_l mu_l Cmu[l] of the
     Kronecker sandwich, as the double sums 4 sum_jk Pi_jk Theta_j^T G

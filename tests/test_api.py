@@ -76,6 +76,8 @@ REMOVED = [
                                                 "DeviationMarch.decay_bound")),
     ("qmemtime.moments", "_delta_rate0"),
     *(("qmemtime.linalg", name) for name in ("expm_psi", "solve_lyapunov", "_require_margin")),
+    ("qmemtime.model", "lambda_sandwich"),
+    *(("qmemtime.propagate", name) for name in ("_defect", "CLOSURE_TOL")),
 ]
 
 

@@ -168,18 +168,21 @@ def test_certificate_never_skips_a_scanned_crossing(pauli, a, c, ratio, tilt, n1
         assert abs(result.value - crossing) <= step
 
 
-@pytest.mark.parametrize("fault", ["kappa", "residual"])
+@pytest.mark.parametrize("fault", ["kappa", "residual", "no X"])
 def test_no_certificate_without_a_checked_lyapunov_norm(worked, monkeypatch, fault):
     # The worked X = diag(1, 1, 1/2) / 4 has kappa(X) = 2, and 2X leaves the
-    # residual A^T (2X) + (2X) A + I = -I, so r = 1 > 1/2.  Without a norm,
-    # eps = 2.5 is not certified by t_c = ln(4) / 2, which is within the horizon
+    # residual A^T (2X) + (2X) A + I = -I, so r = 1 > 1/2; the doubling may
+    # also reach no X.  Without a norm, eps = 2.5 is not certified by t_c =
+    # ln(4) / 2, which is within the horizon
     args, opts = (worked.init, worked.weights, 2.5), CrossingOptions(horizon=2.0)
     assert decoherence_time(dataclasses.replace(worked.sys), *args, opts=opts).is_infinite
     if fault == "kappa":
         monkeypatch.setattr(propagate, "KAPPA_MAX", 1.0)
-    else:
+    elif fault == "residual":
         monkeypatch.setattr(propagate, "decay_gramian",
                             lambda A, h, f=propagate.decay_gramian: 2.0 * f(A, h))
+    else:
+        monkeypatch.setattr(propagate, "decay_gramian", lambda A, h: None)
     system = dataclasses.replace(worked.sys)
     with pytest.raises(InconclusiveCrossingError):
         decoherence_time(system, *args, opts=opts)
@@ -219,10 +222,8 @@ def test_decay_gramian_none_without_warning(case):
         assert decay_gramian(A, 0.5) is None
 
 
-def test_qutrit_pair_certified_infinite():
-    # n = 80: two coupled qutrits, each driven by two fields.  Delta_inf +
-    # B0 = 159 is above the threshold 97.8 and Delta_inf = 78.4 below it,
-    # so the march runs to t_c = 6.7 and certifies tau = inf there
+def _qutrit_pair():
+    # n = 80: two coupled qutrits, each driven by two fields
     rng = np.random.default_rng(5)
     qutrit = fit_structure_constants(gell_mann_representation(3)).constants
     subs = [SystemParams(sc=qutrit, E=0.5 * rng.standard_normal(8),
@@ -230,6 +231,13 @@ def test_qutrit_pair_certified_infinite():
     system = compose(*subs, 0.2 * rng.standard_normal(64)).as_system()
     init = initial_moments(system.sc, product_mean(0.1 * rng.standard_normal(8),
                                                    0.1 * rng.standard_normal(8)))
+    return system, init
+
+
+def test_qutrit_pair_certified_infinite():
+    # Delta_inf + B0 = 159 is above the threshold 97.8 and Delta_inf = 78.4
+    # below it, so the march runs to t_c = 6.7 and certifies tau = inf there
+    system, init = _qutrit_pair()
     weights = weighting_from_sigma(np.eye(80))
     assert decoherence_time(system, init, weights, 2.5).is_infinite
     prop = Propagator.of(system)

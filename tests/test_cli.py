@@ -8,7 +8,7 @@ import pytest
 from qmemtime.algebra import StructureConstants, pauli_structure
 from qmemtime.cli import main, parse_config
 from qmemtime.decoherence import CrossingOptions, decoherence_time
-from qmemtime.moments import weighting_from_factor
+from qmemtime.moments import moment_trajectory, weighting_from_factor
 
 from dense import fit_structure_constants
 from oracles import gell_mann_representation
@@ -161,6 +161,43 @@ def test_dump_config_round_trip(tmp_path, capsys):
     assert reparsed.eps == [0.02, 0.04]
 
 
+def test_simulate_on_a_times_grid(tmp_path, capsys):
+    # a non-uniform grid of times and a scalar eps, which dumps as a list
+    tree = json.loads(json.dumps(PAULI_WORKED))
+    tree["energy"]["E"] = [0.3, -0.2, 0.5]
+    tree["init"]["mu0"] = [0.2, 0.0, 0.1]
+    times = [0.0, 0.01, 0.05, 0.3, 0.31, 1.2, 2.5]
+    tree["analysis"] = {"grid": {"times": times}, "eps": 0.01}
+    path = _write(tmp_path, tree)
+    assert main(["simulate", "--config", path]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    cfg = parse_config(tree)
+    traj = moment_trajectory(cfg.system, cfg.init, cfg.weights, np.array(times))
+    assert rows[1:] == [",".join(f"{x:.17g}" for x in (t, *traj.mu[i], traj.Delta[i],
+                                                       *np.diag(traj.V[i].real)))
+                        for i, t in enumerate(times)]
+
+    assert main(["simulate", "--config", path, "--dump-config"]) == 0
+    dumped = json.loads(capsys.readouterr().out)
+    assert dumped["analysis"]["grid"] == {"times": times}
+    assert dumped["analysis"]["eps"] == [0.01]
+    assert parse_config(dumped).tree == dumped
+
+
+def test_eps_flag_reaches_a_gain_sweep(tmp_path, capsys):
+    # a gain sweep without an eps of its own takes the first of
+    # analysis.eps, which --eps overrides
+    tree = json.loads(json.dumps(PAULI_WORKED))
+    tree["analysis"]["sweep"] = {"kind": "gain", "values": [1.0]}
+    path = _write(tmp_path, tree)
+    assert main(["sweep", "--config", path, "--eps", "0.05", "--dump-config"]) == 0
+    assert json.loads(capsys.readouterr().out)["analysis"]["sweep"]["eps"] == 0.05
+    assert main(["sweep", "--config", path, "--eps", "0.05"]) == 0
+    cfg = parse_config(tree)
+    tau = decoherence_time(cfg.system, cfg.init, cfg.weights, 0.05).value
+    assert capsys.readouterr().out.splitlines()[1].split(",")[:2] == ["1", f"{tau:.17g}"]
+
+
 def test_optimize_energy_output(tmp_path, capsys):
     code = main(["optimize-energy", "--config", _write(tmp_path, PAULI_WORKED)])
     out = capsys.readouterr().out
@@ -309,9 +346,19 @@ def test_config_error_exit_codes(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """scipy is a test oracle only: the package and its CLI run without it."""
-    code = ("import sys, qmemtime, qmemtime.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    """scipy is a test oracle only: the package and its CLI run without it,
+    and the runtime paths, the algebra guard's probes among them, without
+    numpy.random."""
+    code = ("import sys, numpy as np, qmemtime as q, qmemtime.cli\n"
+            "from qmemtime.propagate import Propagator\n"
+            "sc = q.pauli_structure()\n"
+            "sys_ = q.SystemParams(sc=sc, E=np.zeros(3), M=np.eye(2, 3), N=np.zeros(2))\n"
+            "init, w = q.initial_moments(sc, np.zeros(3)), q.weighting_from_sigma(np.eye(3))\n"
+            "Propagator(sys_)\n"
+            "assert q.decoherence_time(sys_, init, w, 0.01).value > 0.0\n"
+            "q.moment_trajectory(sys_, init, w, np.linspace(0.0, 2.0, 21))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"

@@ -1,6 +1,6 @@
 """Lambda, the derivatives of Delta at 0 and (R, K) are read off the
-product closure; the Kronecker sandwich checks them here, and checks the
-closure itself at run time."""
+product closure; the Kronecker sandwich checks them here.  At run time the
+closure is guarded by the associativity test of the product table."""
 
 import dataclasses
 import tracemalloc
@@ -10,19 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmemtime import model, propagate
-from qmemtime.algebra import StructureConstants, pauli_structure
+from qmemtime.algebra import (StructureConstants, _associativity_defect, _product_table,
+                              pauli_structure)
 from qmemtime.decoherence import decoherence_time, tau_expansion
 from qmemtime.errors import StructureDefectError
 from qmemtime.model import SystemParams, coefficients, lambda_matrix
 from qmemtime.moments import (delta_derivatives0, initial_moments,
                               moment_trajectory, weighting_from_sigma)
 from qmemtime.optimize import rk_matrices
-from qmemtime.propagate import CLOSURE_TOL, Propagator
+from qmemtime.propagate import Propagator
 
 from conftest import random_instance
 from oracles import (delta_derivatives_affine, k_kron, lambda_affine,
-                     lambda_kron, r_kron)
+                     lambda_kron, lambda_sandwich, r_kron)
+from test_certificate import _qutrit_pair
 from test_propagate import _composite_case, _qubit_qutrit_case, _random_weights
 
 
@@ -82,24 +83,35 @@ def _spin_couplings(sc, seed):
                         N=rng.standard_normal(2))
 
 
+def _probe_means(n):
+    # mu = 0 and the propagator's pseudo-random probe mean
+    return np.zeros(n), 2.0 * (np.arange(1, n + 1) * 0.6180339887498949 % 1.0) - 1.0
+
+
+def _closure_against_sandwich(system, mu):
+    """|closure form - sandwich| of Lambda at ``mu``, relative to their terms."""
+    prop = Propagator(system)
+    form, size = prop._closure_form(prop.co.Atilde, prop.b, mu)
+    sandwich = lambda_sandwich(system, mu)
+    return np.abs(form - sandwich).max() / max(1.0, size, np.abs(sandwich).max())
+
+
 @pytest.mark.parametrize("kind", ["alpha I, beta 2i Theta", "alpha 2I, spin beta"])
 def test_guard_needs_the_second_mean(kind):
     # Both constants are not associative, yet the closure form of Lambda
     # matches the sandwich at mu = 0; only its linear part is off, which
-    # the pseudo-random probe mean shows.
+    # the pseudo-random probe mean shows.  The table test needs no mean.
     spin = pauli_structure()
     if kind.startswith("alpha I"):
         bad = StructureConstants(np.eye(3), 2j * spin.theta)
     else:
         bad = StructureConstants(2.0 * np.eye(3), spin.beta)
     system = _spin_couplings(bad, 31)
+    zero, probe = _probe_means(3)
+    assert _closure_against_sandwich(system, zero) <= 1e-15
+    assert _closure_against_sandwich(system, probe) > 1e-3
     prop = Propagator(system)
-    zero = np.zeros(3)
-    at_zero = max(propagate._defect(*prop._closure_form(prop.co.Atilde, prop.b, zero),
-                                    model.lambda_sandwich(system, zero)),
-                  propagate._defect(*prop._closure_form(prop.co.A0, zero, zero)))
-    assert at_zero <= CLOSURE_TOL
-    assert prop._defect > 1e-3
+    assert prop._defect == _associativity_defect(_product_table(bad)) > 1e-3
     init = initial_moments(bad, np.array([0.05, 0.0, 0.02]))
     weights = weighting_from_sigma(np.eye(3))
     for call in (lambda: decoherence_time(system, init, weights, 0.1),
@@ -111,14 +123,41 @@ def test_guard_needs_the_second_mean(kind):
             call()
 
 
+def test_guard_rejects_uncoupled_non_associative_constants():
+    # Without coupling the closure form of Lambda is exactly 0, and so is
+    # the sandwich, at every mean: no probe of Lambda sees these constants
+    bad = StructureConstants(2.0 * np.eye(3), pauli_structure().beta)
+    system = SystemParams(sc=bad, E=np.array([0.3, -0.2, 0.5]), M=np.zeros((2, 3)),
+                          N=np.zeros(2))
+    init = initial_moments(bad, np.array([0.2, 0.0, 0.1]))
+    assert _closure_against_sandwich(system, _probe_means(3)[1]) == 0.0
+    with pytest.raises(StructureDefectError, match="not associative"):
+        moment_trajectory(system, init, weighting_from_sigma(np.eye(3)), np.linspace(0.0, 1.0, 5))
+
+
+@pytest.mark.parametrize("c", [1e-150, 1e-3, 1e5, 1e150])
+def test_guard_holds_for_rescaled_constants(c):
+    # X' = c X measures as X.  Relative to max|T|^2 = 4 c^4 in the basis of
+    # the X', the defect of the non-associative set would be 1.5e-11 at 1e5
+    spin = pauli_structure()
+    bad = StructureConstants(2.0 * np.eye(3), spin.beta)
+    scaled = StructureConstants(2.0 * c * c * np.eye(3), c * spin.beta)
+    good = StructureConstants(c * c * np.eye(3), c * spin.beta)
+    want = _associativity_defect(_product_table(bad))
+    assert _associativity_defect(_product_table(scaled)) == pytest.approx(want, rel=1e-12)
+    assert _associativity_defect(_product_table(good)) <= 1e-15
+
+
 def test_guard_accepts_associative_constants():
     spin = pauli_structure()
     rescaled = StructureConstants(4.0 * np.eye(3), 2.0 * spin.beta)  # X' = 2X
     for system in (_spin_couplings(spin, 32), _spin_couplings(rescaled, 33),
-                   _qubit_qutrit_case()[0]):
+                   _composite_case()[0], _qubit_qutrit_case()[0], _qutrit_pair()[0]):
         prop = Propagator(system)
         prop._require_closure()
-        assert prop._defect <= 1e-14
+        assert prop._defect <= 1e-13
+        for mu in _probe_means(system.n):
+            assert _closure_against_sandwich(system, mu) <= 1e-13
 
 
 def test_setup_memory_at_n35():
