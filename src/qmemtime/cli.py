@@ -296,7 +296,7 @@ def parse_config(tree):
                      sweep=sweep, out_path=out_path, tree=norm_tree)
 
 
-def load_config(path, args=None):
+def load_config(path, args):
     """The parsed config at ``path``, with the flags of ``args`` merged in."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -305,7 +305,7 @@ def load_config(path, args=None):
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return parse_config(tree if args is None else _apply_overrides(tree, args))
+    return parse_config(_apply_overrides(tree, args))
 
 
 # ---------------------------------------------------------------------------

@@ -156,8 +156,12 @@ def test_guard_accepts_associative_constants():
         prop = Propagator(system)
         prop._require_closure()
         assert prop._defect <= 1e-13
+        zero = np.zeros(system.n)
         for mu in _probe_means(system.n):
-            assert _closure_against_sandwich(system, mu) <= 1e-13
+            assert _closure_against_sandwich(system, mu) <= 1e-14
+            # the isolated part beta . (A0 mu) - A0 S - S A0^T vanishes
+            form, size = prop._closure_form(prop.co.A0, zero, mu)
+            assert np.abs(form).max() / max(1.0, size) <= 1e-14
 
 
 def test_setup_memory_at_n35():
