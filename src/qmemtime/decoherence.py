@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .errors import InconclusiveCrossingError, IntegrationError, ZeroDiffusionError
 from .linalg import HURWITZ_TOL
-from .propagate import Propagator
+from .propagate import WORK_BUDGET, Propagator
 
 INFINITE = math.inf
 
@@ -140,7 +140,10 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
     the drift has a Lyapunov norm, the march ends at the certification
     time t_c past which Delta stays below the threshold, and finding no
     crossing returns an infinite result.  Otherwise exhausting the horizon
-    raises :class:`InconclusiveCrossingError` carrying the marched supremum.
+    raises :class:`InconclusiveCrossingError` carrying the marched supremum,
+    as does a march cut short where its intervals past the kept table
+    would exceed ``WORK_BUDGET`` (see :mod:`qmemtime.propagate`), with the
+    time it reached as the horizon.
     Non-associative constants raise :class:`StructureDefectError`, and an
     ``epsilon`` that is not finite and positive raises ValueError.
     """
@@ -174,8 +177,14 @@ def decoherence_time(sys, init, weights, epsilon, opts=None):
         raise IntegrationError(f"the march to t = {min(horizon, t_c):.6g} in steps of "
                                f"{march.h:.3e} overflows the node count")
     nodes = max(0, int(math.ceil(nodes - 1e-12)))
-    bracket, sup = march.first_crossing(nodes, threshold, tol)
+    # the intervals past the march's table stay within WORK_BUDGET
+    cap = (len(march.table[1]) + WORK_BUDGET // (march.n1 ** 2 + 1000)) * march.m
+    bracket, sup = march.first_crossing(min(nodes, cap), threshold, tol)
     if bracket is None:
+        if nodes > cap:
+            raise InconclusiveCrossingError(
+                f"no threshold crossing found within the work budget of {WORK_BUDGET:g} "
+                f"units", sup_delta=sup, horizon=cap * march.h)
         if t_c <= horizon:
             return DecoherenceTime(epsilon=epsilon, value=INFINITE,
                                    threshold=threshold, bracket=None)

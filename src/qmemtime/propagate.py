@@ -18,11 +18,14 @@ response and the deviation follow from Phi_t alone:
 with Z = [[Pi, mu0], [mu0^T, 1]] the second moment of (X_0, 1) and L the
 functional of :meth:`Propagator.functional`.
 
-The march and a trajectory both advance Phi in chunks of ``CHUNK``
-spacings with one stack of maps, :meth:`Propagator.maps`: Phi over 0 ...
-``CHUNK`` spacings, products of the map over one but for the map over a
-chunk, which they chain and which is its own exponential, so that its
-roundoff does not build up chunk after chunk.
+The march and a trajectory both advance Phi in chunks with one stack of
+maps, :meth:`Propagator.maps`: Phi over 0 ... ``count`` spacings, products
+of the map over one but for each map over a multiple of ``CHUNK``, which is
+its own exponential.  A march's chunks are ``CHUNK`` intervals, and a
+trajectory's 2 ``CHUNK`` nodes where their stacks fit ``ROW_BUDGET`` (n <=
+31), else ``CHUNK``.  So the map over a chunk, which they chain, is its own
+exponential, whose roundoff does not build up chunk after chunk, and no
+map is more than ``CHUNK`` - 1 products.
 
 :meth:`DeviationMarch.first_crossing` cuts the node grid into intervals
 of width at most 1 / (2 rho), rho a norm bound of the generator, on each
@@ -60,6 +63,10 @@ from .model import coefficients
 #: Bytes allowed for a march's table of powers with the node values of one
 #: chunk, which caps the nodes per interval, and again for its kept table.
 ROW_BUDGET = 1 << 20
+
+#: Work allowed for the intervals that one crossing search adds to a march,
+#: each counted as (n + 1)^2 units for its state and 1000 for its overhead.
+WORK_BUDGET = 10 ** 9
 
 #: Spacings, the intervals of a march or the steps of a trajectory, that
 #: one stack of maps spans.
@@ -254,14 +261,15 @@ class Propagator:
     def maps(self, h, count=CHUNK):
         """Phi over 0, 1, ..., ``count`` spacings ``h``, stacked, read-only
         and kept for an equal (h, count): products of the map over one, but
-        the map over ``CHUNK``, which is chained, is its own exponential."""
+        each map over a multiple of ``CHUNK``, which may be chained, is its
+        own exponential, so no map is more than CHUNK - 1 products."""
         stack, key = self._maps
         if key != (h, count):
             n1 = self.n + 1
             one, stack = self.transition(h), np.empty((count + 1, n1, n1))
             stack[0] = np.eye(n1)
             for k in range(1, count + 1):
-                stack[k] = self.transition(k * h) if k == CHUNK else one @ stack[k - 1]
+                stack[k] = self.transition(k * h) if k % CHUNK == 0 else one @ stack[k - 1]
             stack.setflags(write=False)
             self._maps = stack, (h, count)
         return stack
@@ -298,28 +306,32 @@ class Propagator:
 
         U_t = Phi_t Z Phi_t^T has the last column (mu_t, 1), so mu and V are
         read off U_t.  The spacings of :func:`step_spacings` split the grid
-        into runs of equal steps, and a run into chunks of up to ``CHUNK``
-        nodes, which come from the node before them by the maps J_j of
-        :meth:`maps` over j = 1 ... min(run, ``CHUNK``) steps: U_t by the
-        sandwich J_j U_t J_j^T, and Delta = <L, Phi_t^T> by the rise <L (J_j
-        - I), Phi_t^T>, a sum free of the O(|L|) terms that cancel in Delta
-        at short times; Phi_t^T moves to the chunk's last node by one
-        product with J_j^T.  U_t is kept for one chunk only, so the output
-        is the only array the size of the grid.  The maps of a spacing are
-        built once per call, however many runs it has.
+        into runs of equal steps, and a run into chunks of up to ``span``
+        nodes: 2 ``CHUNK`` where the chunk's stack J^T kron I_2 fits
+        ``ROW_BUDGET``, which holds for n <= 31, else ``CHUNK``.  A chunk
+        comes from the node before it by the maps J_j of :meth:`maps` over j
+        = 1 ... min(run, span) steps: U_t by the sandwich J_j U_t J_j^T, and
+        Delta = <L, Phi_t^T> by the rise <L (J_j - I), Phi_t^T>, a sum free
+        of the O(|L|) terms that cancel in Delta at short times; Phi_t^T
+        moves to the chunk's last node by one product with J_j^T.  U_t is
+        kept for one chunk only, so the output is the only array the size
+        of the grid.  The maps of a spacing are built once per call, however
+        many runs it has.
         """
         n, n1, N = self.n, self.n + 1, grid.size
+        # chunks of 2 CHUNK nodes where their stack J^T kron I_2 fits ROW_BUDGET
+        span = 2 * CHUNK if 2 * CHUNK * (2 * n1) ** 2 * 8 <= ROW_BUDGET else CHUNK
         L = self.functional(init, Sigma)
         h = step_spacings(grid)
         starts = np.flatnonzero(np.r_[True, h[1:] != h[:-1]]).tolist()
         ends = starts[1:] + [h.size]
         h = h.tolist()
-        # Each distinct spacing's maps over its longest run, up to CHUNK, are
+        # Each distinct spacing's maps over its longest run, up to span, are
         # built once, before the output exists, so their work arrays do not
         # add to its size.
         count = {}
         for s, e in zip(starts, ends):
-            count[h[s]] = max(count.get(h[s], 0), min(e - s, CHUNK))
+            count[h[s]] = max(count.get(h[s], 0), min(e - s, span))
         maps = {step: self.maps(step, c)[1:] for step, c in count.items()}
 
         mu = np.empty((N, n))
@@ -328,10 +340,10 @@ class Propagator:
         delta = np.empty(N)
         mu[0], V[0], delta[0] = init.mu0, 0.0, 0.0
         # Phi_t^T at a chunk's first node, U_t there (slot 0) and at its nodes
-        PhiT, U = np.eye(n1), np.empty((CHUNK + 1, n1, n1), dtype=complex)
+        PhiT, U = np.eye(n1), np.empty((span + 1, n1, n1), dtype=complex)
         U[0, :n, :n], U[0, :n, n], U[0, n, :n], U[0, n, n] = init.Pi, init.mu0, init.mu0, 1.0
         for s, e in zip(starts, ends):
-            c = min(e - s, CHUNK)
+            c = min(e - s, span)
             J = maps[h[s]][:c]
             J2 = np.zeros((c, 2 * n1, 2 * n1))  # J^T kron I_2, on float views
             J2[:, ::2, ::2] = J2[:, 1::2, 1::2] = J.transpose(0, 2, 1)

@@ -429,6 +429,56 @@ def gell_mann_representation(d):
     return Representation(tuple(mats), label=f"su({d})")
 
 
+def gksl_moments(rep, E, M, N, mu0, Sigma, grid):
+    """(mu, S, Delta) along ``grid`` from the matrices of ``rep`` and the
+    Hudson-Parthasarathy model alone, with no structure constants.
+
+    The Heisenberg-picture GKSL generator of H = E . X and the coupling
+    operators L = M X + N, with the Ito matrix Omega = I + iJ, is
+
+        G(xi) = i[H, xi] + 1/2 sum_jk Omega_jk (L_j [xi, L_k] + [L_j, xi] L_k),
+
+    a d^2 x d^2 matrix on row-major vec(xi), vec(A xi B) = (A kron B^T)
+    vec(xi); scipy's expm gives T_t = e^{tG}.  rho0 is the trace-one
+    Hermitian matrix in the span of (I, X) with tr(rho0 X) = mu0, which
+    need not be positive, since every identity used is linear.  Then mu_j
+    = tr(rho0 T_t(X_j)) and S_jk = tr(rho0 T_t(X_j X_k)); the quantum
+    regression theorem, exact for vacuum fields, gives E[X_j(t) X_k] =
+    tr(rho0 T_t(X_j) X_k) and its mirror, and Delta = <Sigma, Re E[(X_t -
+    X_0)(X_t - X_0)^T]>.
+    """
+    X = np.array(rep.X)
+    n, d = rep.n, rep.d
+    eye = np.eye(d)
+    Omega, _ = ito_matrix(len(N))
+    H = np.tensordot(E, X, axes=1)
+    Ls = np.tensordot(M, X, axes=1) + np.multiply.outer(N, eye)
+    G = 1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    for j in range(len(N)):
+        for k in range(len(N)):
+            LL = Ls[j] @ Ls[k]
+            G += 0.5 * Omega[j, k] * (2.0 * np.kron(Ls[j], Ls[k].T)
+                                      - np.kron(LL, eye) - np.kron(eye, LL.T))
+    basis = np.concatenate([eye[None], X])
+    gram = np.einsum("aij,bji->ab", basis, basis).real
+    rho0 = np.tensordot(np.linalg.solve(gram, np.r_[1.0, mu0]), basis, axes=1)
+    XX = np.einsum("jab,kbc->jkac", X, X)
+    Pi = np.einsum("ab,jkba->jk", rho0, XX)
+    mu = np.empty((grid.size, n))
+    S = np.empty((grid.size, n, n), dtype=complex)
+    delta = np.empty(grid.size)
+    for i, t in enumerate(grid):
+        T = sexpm(t * G)
+        Xt = (X.reshape(n, d * d) @ T.T).reshape(n, d, d)
+        St = (XX.reshape(n * n, d * d) @ T.T).reshape(n, n, d, d)
+        mu[i] = np.einsum("ab,jba->j", rho0, Xt).real
+        S[i] = np.einsum("ab,jkba->jk", rho0, St)
+        C = np.einsum("ab,jbc,kca->jk", rho0, Xt, X)  # E[X_j(t) X_k]
+        Cm = np.einsum("ab,jbc,kca->jk", rho0, X, Xt)  # E[X_j X_k(t)]
+        delta[i] = np.sum(Sigma * (S[i] - C - Cm + Pi).real)
+    return mu, S, delta
+
+
 @dataclass(frozen=True)
 class GradientReport:
     """Analytic vs central-difference gradient of the quadratic growth."""

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import signal
 import warnings
 
 import numpy as np
@@ -117,6 +118,27 @@ def test_deviation_matches_closed_forms(pauli):
             delta = deviation_delta(closed_form_system(pauli, family, params),
                                     initial_moments(pauli, mu0), w, grid)
             assert np.abs(delta - closed_form_delta(family, params, grid)).max() <= 1e-13
+
+
+def test_long_trajectory_matches_closed_forms(pauli):
+    # the cases above on 10 times the nodes: 20,000 steps to t = 20 chain
+    # 625 maps over a chunk of 32 steps.  Each map is a correctly rounded
+    # exponential at best, and its rounding, not the products, sets the
+    # error here: a rounded map chained in exact arithmetic misses the
+    # rotation by 9.2e-14 at t = 20.  So the bound is eps per chained map,
+    # relative to the largest Delta, 8.
+    rng = np.random.default_rng(5)
+    w, grid = weighting_from_sigma(np.eye(3)), np.linspace(0.0, 20.0, 20001)
+    for family in ("rotation", "dephasing"):
+        for _ in range(5):
+            axis = rng.standard_normal(3)
+            params = (axis / np.linalg.norm(axis) if family == "rotation"
+                      else (rng.uniform(0.1, 1.0), rng.uniform(-2.0, 2.0)))
+            mu0 = rng.uniform(-0.5, 0.5, 3)
+            delta = deviation_delta(closed_form_system(pauli, family, params),
+                                    initial_moments(pauli, mu0), w, grid)
+            err = np.abs(delta - closed_form_delta(family, params, grid)).max()
+            assert err <= 625 * np.finfo(float).eps * 8.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -349,7 +371,7 @@ def _scaled_case(pauli, case, e, m, n):
 def test_every_finite_scale_answers_or_raises_typed(pauli, case, scales):
     # Any E, M and N from 1e-300 to 1e300, on the spin or the composite,
     # give a finite answer or a QmemtimeError; the march spans 1000 steps
-    # of 1 / (100 rho), and the trajectory 40 nodes, three chunks, up to t
+    # of 1 / (100 rho), and the trajectory 40 nodes, two chunks, up to t
     # from 1e-300 to 1e300
     e, m, n, t = (10.0 ** s for s in scales)
     system, init = _scaled_case(pauli, case, e, m, n)
@@ -365,6 +387,35 @@ def test_every_finite_scale_answers_or_raises_typed(pauli, case, scales):
         except QmemtimeError:
             continue
         assert _finite(result), name
+
+
+def test_march_ends_within_the_work_budget(pauli, monkeypatch):
+    # the 1e4 horizon is about 4e304 intervals of 1 / (2 rho) at E = 1e300:
+    # the march stops once it has done WORK_BUDGET units of work, each
+    # interval counted as (n + 1)^2 + 1000
+    system = SystemParams(sc=pauli, E=np.array([1e300, 0.0, 0.0]), M=np.zeros((2, 3)),
+                          N=np.zeros(2))
+    init, w = initial_moments(pauli, [0.3, 0.1, 0.2]), weighting_from_sigma(np.eye(3))
+    chunks, chunk = [], propagate.DeviationMarch._chunk
+    monkeypatch.setattr(propagate.DeviationMarch, "_chunk",
+                        lambda self, x: chunks.append(None) or chunk(self, x))
+
+    def hung(signum, frame):
+        raise TimeoutError("the march did not end within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(InconclusiveCrossingError, match="work budget") as err:
+            decoherence_time(system, init, w, 10.0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    per, intervals = 4 ** 2 + 1000, len(chunks) * propagate.CHUNK
+    assert abs(intervals * per - propagate.WORK_BUDGET) <= propagate.CHUNK * per
+    march = Propagator.of(system)._deviation._march
+    assert err.value.horizon == propagate.WORK_BUDGET // per * march.m * march.h
+    assert err.value.sup_delta <= 10.0 * 3.0  # the threshold, eps <Sigma, P>
 
 
 def test_expansion_worked_values(worked):

@@ -298,22 +298,40 @@ def test_trajectory_invariants(worked):
     assert np.abs(traj.mu[0] - worked.init.mu0).max() == 0.0
 
 
-@pytest.mark.parametrize("where, bad", [("V real", np.nan), ("V imag", -np.inf),
-                                        ("mu", np.inf), ("mu", np.nan)])
-def test_non_finite_trajectory_raises(worked, monkeypatch, where, bad):
+def _plant(monkeypatch, where, bad):
+    """Make the propagator's trajectory return ``bad`` at one entry of V or
+    mu, or, for ``where`` = "all", fill V and mu with +-``bad``."""
     trajectory = propagate.Propagator.trajectory
 
     def planted(self, *args):
         mu, V, delta = trajectory(self, *args)
-        if where == "mu":
+        if where == "all":
+            for arr in (mu, V.view(float)):
+                arr.ravel()[:] = np.where(np.arange(arr.size) % 3, bad, -bad)
+        elif where == "mu":
             mu[-1, 1] = bad
         else:
             V.view(float)[3, 0, 2 * 1 + (where == "V imag")] = bad
         return mu, V, delta
 
     monkeypatch.setattr(propagate.Propagator, "trajectory", planted)
-    with pytest.raises(IntegrationError):
+
+
+@pytest.mark.parametrize("where, bad", [("V real", np.nan), ("V imag", -np.inf),
+                                        ("V real", np.inf), ("V imag", np.nan),
+                                        ("mu", np.inf), ("mu", np.nan)])
+def test_non_finite_trajectory_raises(worked, monkeypatch, where, bad):
+    _plant(monkeypatch, where, bad)
+    with pytest.raises(IntegrationError, match="non-finite values"):
         moment_trajectory(worked.sys, worked.init, worked.weights, np.linspace(0.0, 1.0, 6))
+
+
+@pytest.mark.parametrize("bad", [1e300, np.finfo(float).max])
+def test_huge_finite_trajectory_passes(worked, monkeypatch, bad):
+    # the overflow check is exact: entries whose sum overflows are finite
+    _plant(monkeypatch, "all", bad)
+    traj = moment_trajectory(worked.sys, worked.init, worked.weights, np.linspace(0.0, 1.0, 6))
+    assert np.abs(traj.V.view(float)).min() == bad and np.abs(traj.mu).min() == bad
 
 
 def test_grid_validation(worked):

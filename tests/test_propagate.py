@@ -736,15 +736,17 @@ def test_uniform_grid_builds_one_step_map(pauli, monkeypatch):
     monkeypatch.setattr(propagate, "expm",
                         lambda A, h, f=propagate.expm: steps.append(h) or f(A, h))
     shared = deviation_delta(system, init, weights, grid)
-    # the maps over one shared spacing and over a chunk of them, each its
-    # own exponential; the maps between are products
-    h = propagate.step_spacings(grid)[0]
-    assert steps == [h, propagate.CHUNK * h]
+    # n = 15 marches in chunks of 2 CHUNK nodes: the maps over one shared
+    # spacing and over each multiple of CHUNK of them are their own
+    # exponentials; the maps between are products
+    h, chunk = propagate.step_spacings(grid)[0], propagate.CHUNK
+    assert steps == [h, chunk * h, 2 * chunk * h]
     prop = Propagator.of(system)
     stack, key = prop._maps
-    assert key == (h, propagate.CHUNK)
-    assert np.array_equal(stack[1], prop.transition(h))
-    assert np.array_equal(stack[-1], prop.transition(propagate.CHUNK * h))
+    assert key == (h, 2 * chunk)
+    for k in (1, chunk, 2 * chunk):
+        assert np.array_equal(stack[k], prop.transition(k * h))
+    assert np.array_equal(stack[chunk + 1], stack[1] @ stack[chunk])
 
     # one map over a spacing per distinct float spacing, as without the
     # shared rule, though most recur in runs that are not next to each
@@ -807,6 +809,29 @@ def test_blocked_trajectory_matches_stepwise(make_instance, case, kind, nodes, t
     assert not V[0].any() and delta[0] == 0.0
 
 
+@pytest.mark.parametrize("case", ["composite", "qubit-qutrit"])
+@pytest.mark.parametrize("run", [1, 15, 16, 17, 31, 32, 33])
+def test_runs_about_the_chunk_span_match_stepwise(make_instance, case, run):
+    # runs of ``run`` spacings 3/256, then 5/256, then 3/256 again, each
+    # split into chunks of 2 CHUNK nodes at n = 15 and of CHUNK at n = 35;
+    # the spacings are dyadic, so each run has one float spacing
+    system, init = _closure_case(make_instance, case)
+    grid = np.r_[0.0, np.cumsum(np.repeat([3.0, 5.0, 3.0], run) / 256)]
+    assert len(set(np.diff(grid).tolist())) == 2
+    Sigma = _random_weights(system.n, run).Sigma
+    mu, V, delta = Propagator.of(system).trajectory(init, Sigma, grid)
+    # the kept stack is the last spacing's, over its run up to the span
+    span = propagate.CHUNK * (2 if case == "composite" else 1)
+    assert Propagator.of(system)._maps[1] == (5.0 / 256, min(run, span))
+    # the checks of test_blocked_trajectory_matches_stepwise
+    want = stepwise_trajectory(system, init, Sigma, grid)
+    S = system.sc.alpha + np.tensordot(want[0], system.sc.beta, 1)
+    scales = (np.abs(want[0]).max(), max(np.abs(want[1]).max(), np.abs(S).max()),
+              np.abs(want[2]).max())
+    for got, ref, scale in zip((mu, V, delta), want, scales):
+        assert np.abs(got - ref).max() <= 1e-12 * scale
+
+
 def test_trajectory_reuses_kept_maps(pauli, monkeypatch):
     system, init = _two_qubit_composite(pauli)
     weights = weighting_from_sigma(np.eye(system.n))
@@ -825,13 +850,13 @@ def test_trajectory_reuses_kept_maps(pauli, monkeypatch):
 
 def test_trajectory_keeps_maps_of_one_step(pauli):
     system, init = _two_qubit_composite(pauli)
-    prop, n1 = Propagator.of(system), system.n + 1
+    prop, n1, span = Propagator.of(system), system.n + 1, 2 * propagate.CHUNK
     for grid in (np.linspace(0.0, 0.3, 101), np.linspace(0.0, 0.7, 301),
                  _grid("two runs", 200, 1.0)):
         moment_trajectory(system, init, None, grid)
         stack, key = prop._maps
-        assert key == (propagate.step_spacings(grid)[-1], propagate.CHUNK)
-        assert stack.nbytes <= (propagate.CHUNK + 1) * n1 * n1 * 8
+        assert key == (propagate.step_spacings(grid)[-1], span)
+        assert stack.nbytes <= (span + 1) * n1 * n1 * 8
     moment_trajectory(system, init, None, _grid("geometric", 30, 1.0))
     assert prop._maps[0].shape == (2, n1, n1)
 
@@ -840,7 +865,7 @@ def test_trajectory_keeps_maps_of_one_step(pauli):
     grid = np.linspace(0.0, 0.5, 501)
     for _ in range(2):
         moment_trajectory(system, init, weights, grid)
-        assert prop._maps[1] == (propagate.step_spacings(grid)[-1], propagate.CHUNK)
+        assert prop._maps[1] == (propagate.step_spacings(grid)[-1], span)
         decoherence_time(system, init, weights, 0.05)
         march = prop._deviation._march
         assert np.array_equal(march.jumps[n1:2 * n1], prop.transition(march.width))
